@@ -9,10 +9,10 @@ from pathlib import Path
 def record_result_line(path: Path, key: str, line: str) -> None:
     """Write ``key: line`` into *path*, replacing any previous entry for *key*.
 
-    Result files are committed artifacts; blind appending made every local
-    benchmark run accumulate duplicate lines. Keying each line by its
-    benchmark id keeps exactly one (the latest) measurement per benchmark
-    while preserving first-seen ordering for unrelated keys.
+    Blind appending made every local benchmark run accumulate duplicate
+    lines. Keying each line by its benchmark id keeps exactly one (the
+    latest) measurement per benchmark while preserving first-seen ordering
+    for unrelated keys.
     """
     prefix = f"{key}: "
     lines = []
@@ -35,8 +35,8 @@ def record_result_json(path: Path, key: str, payload: dict) -> None:
     The machine-readable twin of :func:`record_result_line`: one top-level
     object keyed by benchmark id, each value a flat dict of measurements
     (events, events/s, wall time, ...). Same replace-don't-append semantics,
-    so the committed artifact stays one entry per benchmark. Keys are sorted
-    on write to keep diffs stable across partial re-runs.
+    so the file stays one entry per benchmark. Keys are sorted on write to
+    keep diffs stable across partial re-runs.
     """
     data: dict = {}
     if path.exists():

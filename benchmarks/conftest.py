@@ -13,12 +13,21 @@ from pathlib import Path
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
+#: Git-ignored output of the timing benchmarks: their numbers differ on
+#: every run, so writing them under ``results/`` would dirty the tree.
+BUILD_DIR = Path(__file__).parent.parent / ".bench_build"
 
 
 @pytest.fixture(scope="session")
 def results_dir() -> Path:
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     return RESULTS_DIR
+
+
+@pytest.fixture(scope="session")
+def build_dir() -> Path:
+    BUILD_DIR.mkdir(parents=True, exist_ok=True)
+    return BUILD_DIR
 
 
 @pytest.fixture(scope="session")

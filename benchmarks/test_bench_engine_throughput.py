@@ -20,13 +20,13 @@ from repro.machines.eet_generation import generate_eet_cvb
 from repro.scenarios import build_scenario
 
 
-def _record(results_dir, key, line, **payload):
-    """Record one benchmark under *key* in both committed artifacts: the
+def _record(build_dir, key, line, **payload):
+    """Record one benchmark under *key* in ``.bench_build/``: the
     human-readable ``engine_throughput.txt`` and its machine-readable twin
-    ``engine_throughput.json`` (consumed by dashboards and ad-hoc tooling
-    without scraping the prose lines)."""
-    record_result_line(results_dir / "engine_throughput.txt", key, line)
-    record_result_json(results_dir / "engine_throughput.json", key, payload)
+    ``engine_throughput.json`` (for ad-hoc tooling that would rather not
+    scrape the prose lines). The CI gate reads ``--benchmark-json``."""
+    record_result_line(build_dir / "engine_throughput.txt", key, line)
+    record_result_json(build_dir / "engine_throughput.json", key, payload)
 
 
 def build_scenario_throughput(n_machines_per_type: int, duration: float) -> Scenario:
@@ -49,7 +49,7 @@ def build_scenario_throughput(n_machines_per_type: int, duration: float) -> Scen
     ids=["4-machines", "16-machines"],
 )
 def test_bench_engine_throughput(
-    benchmark, results_dir, machines_per_type, duration
+    benchmark, build_dir, machines_per_type, duration
 ):
     scenario = build_scenario_throughput(machines_per_type, duration)
 
@@ -59,7 +59,7 @@ def test_bench_engine_throughput(
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["events_per_sec"] = events_per_sec
     _record(
-        results_dir,
+        build_dir,
         f"engine throughput ({machines_per_type * 4} machines)",
         f"{result.events_processed} events, "
         f"{result.summary.total_tasks} tasks, "
@@ -77,7 +77,7 @@ def test_bench_engine_throughput(
     assert events_per_sec > 1000
 
 
-def test_bench_batch_policy_throughput(benchmark, results_dir):
+def test_bench_batch_policy_throughput(benchmark, build_dir):
     """Batch mapping (Min-Min matrix loop) under a saturated queue."""
     eet = generate_eet_cvb(
         4, 4, mean_task=12.0, v_task=0.4, v_machine=0.5, seed=3
@@ -96,7 +96,7 @@ def test_bench_batch_policy_throughput(benchmark, results_dir):
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["events_per_sec"] = events_per_sec
     _record(
-        results_dir,
+        build_dir,
         "batch MM throughput",
         f"{events_per_sec:,.0f} events/s ({result.summary.total_tasks} tasks)",
         events=result.events_processed,
@@ -107,7 +107,7 @@ def test_bench_batch_policy_throughput(benchmark, results_dir):
     assert events_per_sec > 500
 
 
-def test_bench_federated_throughput(benchmark, results_dir):
+def test_bench_federated_throughput(benchmark, build_dir):
     """Federated tier: two sites under heavy-tailed arrivals, every task
     routed through the gateway layer (and often across the WAN) before its
     destination cluster's vectorised local policy maps it. Guards the
@@ -121,7 +121,7 @@ def test_bench_federated_throughput(benchmark, results_dir):
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["events_per_sec"] = events_per_sec
     _record(
-        results_dir,
+        build_dir,
         "federated tier (2 sites, heavy tail)",
         f"{result.events_processed} events, "
         f"{result.summary.total_tasks} tasks, "
@@ -138,7 +138,7 @@ def test_bench_federated_throughput(benchmark, results_dir):
     assert events_per_sec > 1000
 
 
-def test_bench_contended_wan_throughput(benchmark, results_dir):
+def test_bench_contended_wan_throughput(benchmark, build_dir):
     """Contended-WAN tier: the fed_congested preset, whose every offload
     runs the link state machines (FIFO + processor sharing) and per-link
     energy meters. Guards the WAN-as-queueing-resource overhead: turning
@@ -152,7 +152,7 @@ def test_bench_contended_wan_throughput(benchmark, results_dir):
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["events_per_sec"] = events_per_sec
     _record(
-        results_dir,
+        build_dir,
         "contended WAN tier (3 sites, fifo+ps links)",
         f"{result.events_processed} events, "
         f"{result.summary.total_tasks} tasks, "
@@ -170,7 +170,7 @@ def test_bench_contended_wan_throughput(benchmark, results_dir):
     assert events_per_sec > 1000
 
 
-def test_bench_migration_throughput(benchmark, results_dir):
+def test_bench_migration_throughput(benchmark, build_dir):
     """Migration tier: the fed_rebalance preset, where a periodic rebalance
     pass evicts queued tasks and ships them over a contended FIFO uplink —
     every tick snapshots batch queues, runs the eviction policy, and every
@@ -186,7 +186,7 @@ def test_bench_migration_throughput(benchmark, results_dir):
     benchmark.extra_info["events_per_sec"] = events_per_sec
     stats = result.migration_stats
     _record(
-        results_dir,
+        build_dir,
         "migration tier (2 sites, mid-queue rebalancing)",
         f"{result.events_processed} events, "
         f"{result.summary.total_tasks} tasks, "
@@ -204,7 +204,7 @@ def test_bench_migration_throughput(benchmark, results_dir):
     assert events_per_sec > 1000
 
 
-def test_bench_adaptive_throughput(benchmark, results_dir):
+def test_bench_adaptive_throughput(benchmark, build_dir):
     """Adaptive tier: the fed_adaptive preset, where every arrival runs
     the bandit's arm selection, every terminal task funnels back through
     the reward loop, and the rebalancer evaluates watermark hysteresis on
@@ -219,7 +219,7 @@ def test_bench_adaptive_throughput(benchmark, results_dir):
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["events_per_sec"] = events_per_sec
     _record(
-        results_dir,
+        build_dir,
         "adaptive tier (bandit gateway + hysteresis)",
         f"{result.events_processed} events, "
         f"{result.summary.total_tasks} tasks, "
@@ -236,7 +236,7 @@ def test_bench_adaptive_throughput(benchmark, results_dir):
     assert events_per_sec > 1000
 
 
-def test_bench_trace_replay_throughput(benchmark, results_dir):
+def test_bench_trace_replay_throughput(benchmark, build_dir):
     """Trace tier: the trace_replay preset, whose workload comes from the
     full TraceSpec ingestion pipeline (CSV parse, rescale, quantile
     binning, deadline synthesis) before the engine runs. Each round builds
@@ -252,7 +252,7 @@ def test_bench_trace_replay_throughput(benchmark, results_dir):
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["events_per_sec"] = events_per_sec
     _record(
-        results_dir,
+        build_dir,
         "trace tier (ingestion + replay)",
         f"{result.events_processed} events, "
         f"{result.summary.total_tasks} tasks, "
@@ -266,7 +266,7 @@ def test_bench_trace_replay_throughput(benchmark, results_dir):
     assert events_per_sec > 500
 
 
-def test_bench_cross_traffic_throughput(benchmark, results_dir):
+def test_bench_cross_traffic_throughput(benchmark, build_dir):
     """Cross-traffic tier: the diurnal_wan preset, where every WAN
     transfer is re-integrated at each utilisation epoch (diurnal ticks on
     the FIFO uplink, MMPP switches on the PS uplink). Guards the residual-
@@ -280,7 +280,7 @@ def test_bench_cross_traffic_throughput(benchmark, results_dir):
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["events_per_sec"] = events_per_sec
     _record(
-        results_dir,
+        build_dir,
         "cross-traffic tier (diurnal + mmpp uplinks)",
         f"{result.events_processed} events, "
         f"{result.summary.total_tasks} tasks, "
@@ -297,7 +297,7 @@ def test_bench_cross_traffic_throughput(benchmark, results_dir):
     assert events_per_sec > 1000
 
 
-def test_bench_scale_tier_throughput(benchmark, results_dir):
+def test_bench_scale_tier_throughput(benchmark, build_dir):
     """Scale tier: 96 machines, ~11k tasks — the registered scale_campus
     preset, run once per round (the workload is large enough that a single
     run is a stable measurement)."""
@@ -307,7 +307,7 @@ def test_bench_scale_tier_throughput(benchmark, results_dir):
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["events_per_sec"] = events_per_sec
     _record(
-        results_dir,
+        build_dir,
         "scale tier (96 machines)",
         f"{result.events_processed} events, "
         f"{result.summary.total_tasks} tasks, "
@@ -321,7 +321,7 @@ def test_bench_scale_tier_throughput(benchmark, results_dir):
     assert events_per_sec > 1000
 
 
-def test_bench_scale_federation_throughput(benchmark, results_dir):
+def test_bench_scale_federation_throughput(benchmark, build_dir):
     """Federation-scale tier: the scale_federation preset — 24 sites, 1152
     machines, ~28k tasks, every one routed through the random-split gateway
     and (23 times out of 24) shipped across the uniform WAN. The largest
@@ -335,7 +335,7 @@ def test_bench_scale_federation_throughput(benchmark, results_dir):
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["events_per_sec"] = events_per_sec
     _record(
-        results_dir,
+        build_dir,
         "federation scale tier (24 sites, serial)",
         f"{result.events_processed} events, "
         f"{result.summary.total_tasks} tasks, "
@@ -352,45 +352,7 @@ def test_bench_scale_federation_throughput(benchmark, results_dir):
     assert events_per_sec > 1000
 
 
-def test_bench_parallel_federation_throughput(benchmark, results_dir):
-    """Window-parallel tier: scale_federation again, but executed by
-    ``ParallelFederatedSimulator`` with 4 worker processes advancing in
-    350 ms conservative windows. The result is bit-identical to the serial
-    tier above (the integration suite pins that); this benchmark records
-    what the process fan-out costs or earns on the current host. On a
-    multi-core box the workers run concurrently; on a single core they
-    time-slice, so the committed baseline is the honest single-core figure
-    and any speedup shows up as headroom, not a regression."""
-    scenario = build_scenario("scale_federation")
-
-    def run_parallel():
-        return scenario.build_simulator(parallel_workers=4).run()
-
-    result = benchmark.pedantic(
-        run_parallel, rounds=3, iterations=1, warmup_rounds=1
-    )
-    events_per_sec = result.events_processed / benchmark.stats["mean"]
-    benchmark.extra_info["events"] = result.events_processed
-    benchmark.extra_info["events_per_sec"] = events_per_sec
-    _record(
-        results_dir,
-        "federation scale tier (24 sites, 4 workers)",
-        f"{result.events_processed} events, "
-        f"{result.summary.total_tasks} tasks, "
-        f"{result.offload_rate:.0%} offloaded, "
-        f"{events_per_sec:,.0f} events/s",
-        events=result.events_processed,
-        tasks=result.summary.total_tasks,
-        offload_rate=round(result.offload_rate, 4),
-        events_per_sec=round(events_per_sec, 1),
-        mean_wall_s=benchmark.stats["mean"],
-    )
-    assert result.summary.total_tasks > 20000
-    assert 0.0 < result.offload_rate < 1.0
-    assert events_per_sec > 1000
-
-
-def test_bench_hierarchy_throughput(benchmark, results_dir):
+def test_bench_hierarchy_throughput(benchmark, build_dir):
     """Hierarchy tier: the hier_3region preset — 18 leaf clusters under a
     3-level tree, every offload hopping site and region uplinks store-and-
     forward (each hop its own transfer on a shared FIFO channel) and every
@@ -405,7 +367,7 @@ def test_bench_hierarchy_throughput(benchmark, results_dir):
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["events_per_sec"] = events_per_sec
     _record(
-        results_dir,
+        build_dir,
         "hierarchy tier (3 regions x 3 sites x 2 clusters)",
         f"{result.events_processed} events, "
         f"{result.summary.total_tasks} tasks, "
@@ -423,7 +385,7 @@ def test_bench_hierarchy_throughput(benchmark, results_dir):
     assert events_per_sec > 1000
 
 
-def test_bench_deep_hierarchy_throughput(benchmark, results_dir):
+def test_bench_deep_hierarchy_throughput(benchmark, build_dir):
     """Deep-hierarchy tier: the hier_deep preset — leaves at mixed depths
     (1 to 4), cross-tree offloads crossing up to three shared uplinks, the
     deepest of them deliberately skinny. Guards the worst-case relay chain:
@@ -437,7 +399,7 @@ def test_bench_deep_hierarchy_throughput(benchmark, results_dir):
     benchmark.extra_info["events"] = result.events_processed
     benchmark.extra_info["events_per_sec"] = events_per_sec
     _record(
-        results_dir,
+        build_dir,
         "deep hierarchy tier (4 levels, mixed-depth leaves)",
         f"{result.events_processed} events, "
         f"{result.summary.total_tasks} tasks, "

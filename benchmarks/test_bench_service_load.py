@@ -13,7 +13,7 @@ from bench_recording import record_result_line
 from bench_service_load import run_load
 
 
-def test_bench_service_duplicate_storm(benchmark, results_dir):
+def test_bench_service_duplicate_storm(benchmark, build_dir):
     report = benchmark.pedantic(
         lambda: run_load(
             submitters=8, unique_specs=3, repeats=4, workers=2, duration=30.0
@@ -31,7 +31,7 @@ def test_bench_service_duplicate_storm(benchmark, results_dir):
     benchmark.extra_info["events_per_sec"] = throughput
     benchmark.extra_info["submissions_per_sec"] = throughput
     record_result_line(
-        results_dir / "service_load.txt",
+        build_dir / "service_load.txt",
         "duplicate storm (8 submitters, 3 unique specs)",
         report.line(),
     )

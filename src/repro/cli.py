@@ -99,12 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, default=None)
     run.add_argument(
-        "--parallel-shards", type=int, default=None, metavar="N",
-        help="run a federated scenario on N worker processes (conservative "
-        "lookahead windows; bit-identical to the serial engine; needs a "
-        "state-blind gateway such as RANDOM_SPLIT)",
-    )
-    run.add_argument(
         "--report",
         choices=["full", "task", "machine", "summary"],
         default="summary",
@@ -479,11 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write machine-readable results to FILE",
     )
     bench.add_argument(
-        "--parallel-shards", type=int, default=None, metavar="N",
-        help="bench federated scenarios on N worker processes "
-        "(window-parallel engine) instead of the serial engine",
-    )
-    bench.add_argument(
         "--profile", type=Path, default=None, metavar="FILE",
         help="cProfile one extra (untimed) run per scenario, write the "
         ".pstats to FILE and print the top-20 functions by cumulative "
@@ -590,22 +579,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         return 2
 
-    if args.parallel_shards is not None:
-        if args.animate:
-            print(
-                "error: --animate renders the serial event stream; drop it "
-                "to use --parallel-shards",
-                file=sys.stderr,
-            )
-            return 2
-        if scenario.federation is None:
-            print(
-                f"error: --parallel-shards needs a federated scenario; "
-                f"{scenario.name!r} is single-cluster",
-                file=sys.stderr,
-            )
-            return 2
-
     if args.tree and (
         scenario.federation is None or scenario.federation.children is None
     ):
@@ -656,10 +629,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         animator.play()
         result = animator.simulator.result()
-    elif args.parallel_shards is not None:
-        result = scenario.build_simulator(
-            parallel_workers=args.parallel_shards
-        ).run()
     else:
         result = scenario.run()
 
@@ -1212,11 +1181,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for name in names:
         scenario = build_scenario(name, **overrides)
 
-        def _one_run():
-            return scenario.build_simulator(
-                parallel_workers=args.parallel_shards
-            ).run()
-
         if args.profile is not None:
             # Profile an extra run that is NOT timed: instrumentation
             # overhead would poison the throughput numbers below.
@@ -1229,7 +1193,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 out = out.with_name(f"{out.stem}-{name}{suffix}")
             profiler = cProfile.Profile()
             profiler.enable()
-            _one_run()
+            scenario.run()
             profiler.disable()
             profiler.dump_stats(out)
             print(f"profile ({name}): top 20 by cumulative time -> {out}")
@@ -1240,7 +1204,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         result = None
         for _ in range(args.repeat):
             t0 = time.perf_counter()
-            result = _one_run()
+            result = scenario.run()
             walls.append(time.perf_counter() - t0)
         assert result is not None
         events = result.events_processed

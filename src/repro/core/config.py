@@ -228,16 +228,10 @@ class Scenario:
         return create_scheduler(self.scheduler, **self.scheduler_params)
 
     def build_simulator(
-        self, *, replication: int = 0, parallel_workers: int | None = None
+        self, *, replication: int = 0
     ) -> "Simulator | FederatedSimulator":
         if self.federation is not None:
-            return self._build_federated_simulator(
-                replication=replication, parallel_workers=parallel_workers
-            )
-        if parallel_workers is not None:
-            raise ConfigurationError(
-                "parallel_workers applies only to federated scenarios"
-            )
+            return self._build_federated_simulator(replication=replication)
         scheduler = self.build_scheduler()
         queue_capacity = (
             UNBOUNDED
@@ -260,39 +254,15 @@ class Scenario:
         )
 
     def _build_federated_simulator(
-        self, *, replication: int = 0, parallel_workers: int | None = None
+        self, *, replication: int = 0
     ) -> "FederatedSimulator":
         """Assemble the multi-cluster kernel for a federation-bearing scenario."""
         from ..federation.simulator import FederatedSimulator
 
         assert self.federation is not None
-        if parallel_workers is not None:
-            from ..federation.parallel import ParallelFederatedSimulator
-
-            return ParallelFederatedSimulator(  # type: ignore[return-value]
-                self.federation,
-                self.eet,
-                self.build_workload(replication=replication),
-                workers=parallel_workers,
-                seed=derive_seed(self.seed, "simulation", replication),
-                drop_on_deadline=self.drop_on_deadline,
-                execution_model=execution_model_from_spec(self.execution_model),
-                queue_capacity=self.queue_capacity,
-                enable_network=self.enable_network,
-                failure_model=self.failure_model,
-                scheduling_overhead=SchedulingOverhead.from_spec(
-                    self.scheduling_overhead
-                ),
-                power_profiles=self.power_profiles,
-                memory_capacities=self.memory_capacities,
-                network=self.network,
-                default_scheduler=self.scheduler,
-                default_scheduler_params=self.scheduler_params,
-            )
         if self.federation.children is not None:
-            # Hierarchical federations route over tree uplinks; the serial
-            # path-routing engine is the only one that supports them (the
-            # parallel engine refuses above with its own explanation).
+            # Hierarchical federations route over tree uplinks with the
+            # path-routing engine.
             from ..federation.hierarchy import HierarchicalFederatedSimulator
 
             engine: type[FederatedSimulator] = HierarchicalFederatedSimulator

@@ -30,10 +30,7 @@ Routing address forms, by example (leaf ids 0..n-1, interior ids above)::
 Refusals are explicit: gateways that do not understand trees
 (``supports_hierarchy`` is false) are rejected at construction — a flat
 policy would price every leaf pair over a direct link the tree does not
-have — and :class:`~repro.federation.parallel.ParallelFederatedSimulator`
-rejects hierarchical specs (shared uplink channels couple all shards, so
-the conservative per-pair lookahead windows no longer bound cross-shard
-effects).
+have.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ a federated experiment stays a reproducible artifact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -212,9 +213,10 @@ class ClusterSpec:
                 f"cluster {self.name!r} needs at least one machine"
             )
         self.machine_counts = counts
-        if self.weight < 0:
+        if not (math.isfinite(self.weight) and self.weight >= 0):
             raise ConfigurationError(
-                f"cluster {self.name!r}: weight must be >= 0, got {self.weight}"
+                f"cluster {self.name!r}: weight must be finite and >= 0, "
+                f"got {self.weight}"
             )
         if self.uplink is not None and not isinstance(self.uplink, Link):
             self.uplink = Link.from_spec(self.uplink)

@@ -297,6 +297,46 @@ class Cluster:
                 return best
         return float(self.completion_times(task, now).min())
 
+    def argmin_open_completion(self, task: Task, now: float) -> int | None:
+        """First machine with a free queue slot minimising completion time.
+
+        ``None`` when no machine has a free slot (or every open one
+        completes at +inf). This is the one-task batch pass: the first
+        minimum of ``ready_times(now) + eet_vector(task)`` with saturated
+        columns masked to +inf, which is what ``argmin_2d`` picks from a
+        1×M completion matrix. Fully-up clusters up to
+        ``_SCALAR_ARGMIN_LIMIT`` machines take a scalar loop over the
+        plain-float mirrors with the same IEEE operations in the same
+        order; down machines or an unknown task type take the vector form.
+        """
+        state = self._state
+        row = self._row_of.get(task.task_type.name)
+        if (
+            state.n_down
+            or row is None
+            or len(self.machines) > self._SCALAR_ARGMIN_LIMIT
+        ):
+            completion = self.completion_times(task, now)
+            completion[state.slots <= 0] = np.inf
+            j = int(completion.argmin())
+            return j if np.isfinite(completion[j]) else None
+        eet_row = self._eet_lists[row]
+        queued = state.queued_list
+        slots = state.slots.tolist()
+        best = float("inf")
+        best_j = None
+        for j, f in enumerate(state.finish_list):
+            if slots[j] <= 0:
+                continue
+            remaining = f - now
+            if remaining < 0.0:
+                remaining = 0.0
+            v = remaining + now + queued[j] + eet_row[j]
+            if v < best:
+                best = v
+                best_j = j
+        return best_j
+
     def acceptance_mask(self) -> np.ndarray:
         """Boolean mask of machines whose queues can take one more task."""
         return np.array([m.can_accept() for m in self.machines])

@@ -16,7 +16,7 @@ every pair routes through one hub (:meth:`InterClusterTopology.from_star`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 from ..core.errors import ConfigurationError
 from .crosstraffic import DiurnalTraffic, MmppTraffic, cross_traffic_from_spec
@@ -337,43 +337,6 @@ class InterClusterTopology:
         if src == dst:
             return 0.0
         return self.link_between(src, dst).delay_for(megabytes)
-
-    def min_link_lookahead(self, cluster_names: Sequence[str]) -> float:
-        """Minimum latency over every effective inter-cluster link.
-
-        This is the *conservative lookahead* of parallel federated
-        execution: any event one site causes at another is mediated by a
-        WAN transfer, so it lands at least this far in the future — shards
-        may therefore advance through a window of this width without
-        waiting on each other.
-
-        Raises :class:`~repro.core.errors.ConfigurationError` when any
-        effective link between the given sites has zero latency: a
-        zero-delay link collapses the lookahead window to nothing (remote
-        effects become instantaneous), so conservative windowed execution
-        is impossible — run such federations serially.
-        """
-        names = list(cluster_names)
-        if len(names) < 2:
-            raise ConfigurationError(
-                "lookahead needs at least two clusters; got "
-                f"{names!r}"
-            )
-        lookahead = float("inf")
-        for i, src in enumerate(names):
-            for dst in names[i + 1:]:
-                for a, b in ((src, dst), (dst, src)):
-                    latency = self.link_between(a, b).latency
-                    if latency <= 0.0:
-                        raise ConfigurationError(
-                            f"link {a!r}->{b!r} has zero latency: "
-                            "conservative parallel execution needs a "
-                            "positive lookahead window (every WAN link "
-                            "must have latency > 0); run this federation "
-                            "serially instead"
-                        )
-                    lookahead = min(lookahead, latency)
-        return lookahead
 
     @classmethod
     def uniform(

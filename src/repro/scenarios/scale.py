@@ -207,15 +207,11 @@ def scale_federation(
     destination — the classic probabilistic load-sharing discipline at the
     scale where it is actually used.
 
-    The defaults are deliberately parallel-friendly *and* honest: the
-    random-split gateway is state-blind (routing reads only weights and the
-    federation's seeded stream), the 350 ms link latency is the
-    conservative lookahead, so windowed shard-parallel execution
-    (``ParallelFederatedSimulator`` / ``--parallel-shards``) batches
-    hundreds of events per window, and the Min-Min batch mapper keeps the
-    per-arrival work shard-side — the regime where worker processes earn
-    their keep. The serial engine runs the identical event stream — both
-    paths are golden-comparable.
+    Every arrival costs one random-split draw (a bisect of cached
+    cumulative weights) and one single-task Min-Min pass (a scalar argmin
+    over the destination's machines), so the run measures the serial
+    federated hot path: event loop, WAN hand-off, shard completions and a
+    24-shard result build.
     """
     from ..federation.spec import ClusterSpec, FederationSpec
     from ..net.topology import InterClusterTopology

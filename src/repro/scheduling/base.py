@@ -114,9 +114,26 @@ class BatchScheduler(Scheduler):
     """
 
     mode = SchedulingMode.BATCH
+    #: Opt-in to the scalar one-task pass. Set it only when, given a
+    #: single-row completion matrix, :meth:`select_pair` always returns the
+    #: first minimum of that row (None when it is all +inf); the pass then
+    #: skips the matrix and asks the cluster for that machine directly.
+    #: Off by default, so user-plugged policies always see the matrix.
+    singleton_argmin: ClassVar[bool] = False
 
     def schedule(self, ctx: SchedulingContext) -> list[Assignment]:
-        tasks = list(ctx.pending)
+        pending = ctx.pending
+        if len(pending) == 1 and self.singleton_argmin:
+            task = pending[0]
+            cluster = ctx.cluster
+            j = cluster.argmin_open_completion(task, ctx.now)
+            return [] if j is None else [Assignment(task, cluster.machines[j])]
+        return self._matrix_pass(list(pending), ctx)
+
+    def _matrix_pass(
+        self, tasks: list[Task], ctx: SchedulingContext
+    ) -> list[Assignment]:
+        """The matrix pass over *tasks* (every policy's reference path)."""
         if not tasks:
             return []
         slots = ctx.free_slots()

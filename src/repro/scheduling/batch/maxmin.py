@@ -30,6 +30,10 @@ class MaxMinScheduler(BatchScheduler):
         "tasks are placed before short ones."
     )
 
+    # With one row the largest best completion is row 0; its machine is the
+    # row's first minimum.
+    singleton_argmin = True
+
     def select_pair(
         self,
         tasks: Sequence[Task],

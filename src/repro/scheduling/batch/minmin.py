@@ -31,6 +31,9 @@ class MinMinScheduler(BatchScheduler):
         "the globally smallest achievable completion time."
     )
 
+    # argmin_2d of one row is its first minimum.
+    singleton_argmin = True
+
     def select_pair(
         self,
         tasks: Sequence[Task],

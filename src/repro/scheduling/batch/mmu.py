@@ -38,6 +38,10 @@ class MMUScheduler(BatchScheduler):
         "between its best completion time and its deadline."
     )
 
+    # With one row the least slack is row 0; its machine is the row's first
+    # minimum.
+    singleton_argmin = True
+
     def select_pair(
         self,
         tasks: Sequence[Task],

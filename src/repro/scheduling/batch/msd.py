@@ -29,6 +29,10 @@ class MSDScheduler(BatchScheduler):
         "its minimum-completion-time machine."
     )
 
+    # With one row the soonest deadline is row 0; its machine is the row's
+    # first minimum.
+    singleton_argmin = True
+
     def select_pair(
         self,
         tasks: Sequence[Task],

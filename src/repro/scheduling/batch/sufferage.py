@@ -30,6 +30,10 @@ class SufferageScheduler(BatchScheduler):
         "best machine."
     )
 
+    # With one row the greatest sufferage is row 0; its machine is the row's
+    # first minimum.
+    singleton_argmin = True
+
     def select_pair(
         self,
         tasks: Sequence[Task],

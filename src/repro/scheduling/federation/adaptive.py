@@ -21,10 +21,6 @@ via :func:`repro.core.rng.derive_seed` from the ``seed`` constructor
 parameter and re-derived on every :meth:`reset`. Decisions are therefore a
 pure function of (configuration, observed outcome history) — the property
 the bandit regression suite pins bit-for-bit.
-
-Because rewards couple routing to live shard outcomes, the policy honestly
-declares ``reads_shard_state``; the windowed-parallel federated engine
-refuses it cleanly instead of silently diverging.
 """
 
 from __future__ import annotations
@@ -97,10 +93,6 @@ class AdaptiveGateway(GatewayPolicy):
         "bandit over keep-vs-offload arms (epsilon-greedy/UCB), rewarded "
         "by observed completions and deadline hits"
     )
-    # Rewards couple decisions to live shard outcomes: the coordinator of a
-    # windowed-parallel run cannot replay them without synchronising with
-    # the shards, so the parallel engine must refuse this policy.
-    reads_shard_state: ClassVar[bool] = True
     wants_feedback: ClassVar[bool] = True
 
     def __init__(

@@ -211,12 +211,6 @@ class GatewayPolicy(abc.ABC):
     name: ClassVar[str] = ""
     #: Short human-readable description for the CLI / docs.
     description: ClassVar[str] = ""
-    #: Whether ``choose_cluster`` reads live shard/WAN state (pressure,
-    #: completion times, link backlog). State-blind policies (weights +
-    #: seeded draws only) can be evaluated by a coordinator that has not
-    #: synchronised with the shards — the property parallel federated
-    #: execution needs for bit-identical windowed runs.
-    reads_shard_state: ClassVar[bool] = True
     #: Whether the federation should call :meth:`record_outcome` for every
     #: terminal task. Learning policies (the adaptive gateway) opt in; the
     #: default keeps the stock policies free of per-task callback cost.

@@ -18,6 +18,10 @@ the federation's seeded generator), so federated runs replay bit-identically.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+from typing import Sequence
+
 import numpy as np
 
 from ...core.errors import ConfigurationError, SchedulingError
@@ -171,36 +175,58 @@ class RandomSplitGateway(GatewayPolicy):
     Weights default to each cluster's configured ``weight`` (the same
     numbers that bias where tasks *arrive*); pass explicit ``weights`` to
     decouple routing shares from arrival shares.
+
+    Each decision is NumPy's own ``Generator.choice(n, p=w / w.sum())``
+    algorithm — one ``random()`` double, then a right-sided search of the
+    normalised cumulative weights — with the CDF built once per shard list
+    instead of per call. The routing stream and the generator state are
+    therefore identical to ``rng.choice``.
     """
 
     name = "RANDOM_SPLIT"
     description = "split tasks across clusters at random, by weight"
-    # Routing uses only static weights and the federation's seeded
-    # generator — never live shard state — so windowed-parallel execution
-    # can reproduce its decisions without synchronising with the shards.
-    reads_shard_state = False
 
     def __init__(self, *, weights: list[float] | None = None) -> None:
         if weights is not None:
-            if not weights or any(w < 0 for w in weights):
+            if not weights or not all(
+                math.isfinite(w) and w >= 0 for w in weights
+            ):
                 raise ConfigurationError(
-                    f"weights must be non-negative and non-empty: {weights}"
+                    "weights must be finite, non-negative and non-empty: "
+                    f"{weights}"
                 )
             if sum(weights) <= 0:
                 raise ConfigurationError("weights must not sum to zero")
         self.weights = weights
+        self.reset()
+
+    def reset(self) -> None:
+        self._cdf_shards: object = None
+        self._cdf: list[float] = []
 
     def choose_cluster(self, ctx: GatewayContext) -> int:
-        n = len(ctx.shards)
+        if ctx.shards is not self._cdf_shards:
+            self._cdf = self._build_cdf(ctx.shards)
+            self._cdf_shards = ctx.shards
+        return bisect_right(self._cdf, ctx.rng.random())
+
+    def _build_cdf(self, shards: Sequence[ShardView]) -> list[float]:
+        n = len(shards)
         weights = self.weights
         if weights is None:
-            weights = [shard.weight for shard in ctx.shards]
+            weights = [shard.weight for shard in shards]
         if len(weights) != n:
             raise SchedulingError(
                 f"{self.name}: {len(weights)} weights for {n} clusters"
             )
-        probs = np.asarray(weights, dtype=float)
-        total = probs.sum()
-        if total <= 0:
-            raise SchedulingError(f"{self.name}: weights sum to zero")
-        return int(ctx.rng.choice(n, p=probs / total))
+        w = np.asarray(weights, dtype=float)
+        total = w.sum()
+        if not ((w >= 0).all() and 0.0 < total < math.inf):
+            raise SchedulingError(
+                f"{self.name}: weights must be finite and non-negative "
+                f"with a positive sum: {weights}"
+            )
+        cdf = (w / total).cumsum()
+        cdf /= cdf[-1]
+        points: list[float] = cdf.tolist()
+        return points

@@ -173,6 +173,26 @@ class TestRandomSplit:
         with pytest.raises(ConfigurationError):
             create_gateway("RANDOM_SPLIT", weights=[0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            create_gateway("RANDOM_SPLIT", weights=[bad, 1.0, 1.0])
+
+    def test_cached_cdf_follows_the_shard_list(self):
+        gateway = create_gateway("RANDOM_SPLIT")
+        home = [StubShard(0, "a", counts={"SLOW": 1}, weight=1.0),
+                StubShard(1, "b", counts={"FAST": 1}, weight=0.0)]
+        away = [StubShard(0, "a", counts={"SLOW": 1}, weight=0.0),
+                StubShard(1, "b", counts={"FAST": 1}, weight=1.0)]
+        assert gateway.choose_cluster(make_ctx(home)) == 0
+        assert gateway.choose_cluster(make_ctx(away)) == 1
+
+    def test_non_finite_shard_weight_is_an_error(self):
+        shards = [StubShard(0, "a", counts={"SLOW": 1}, weight=float("nan")),
+                  StubShard(1, "b", counts={"FAST": 1}, weight=1.0)]
+        with pytest.raises(SchedulingError, match="finite"):
+            create_gateway("RANDOM_SPLIT").choose_cluster(make_ctx(shards))
+
 
 class TestRegistry:
     def test_lookup_is_case_and_hyphen_insensitive(self):

@@ -15,6 +15,7 @@ computable by hand.
 """
 
 import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -23,7 +24,11 @@ import pytest
 from repro.core.config import Scenario
 from repro.core.errors import ConfigurationError
 from repro.federation import ClusterSpec, FederationSpec, RegionSpec
-from repro.federation.hierarchy import ClusterPath, FederationTree
+from repro.federation.hierarchy import (
+    ClusterPath,
+    FederationTree,
+    HierarchicalFederatedSimulator,
+)
 from repro.federation.spec import MigrationSpec
 from repro.machines.eet import EETMatrix
 from repro.metrics.rollup import TreeRollup
@@ -303,9 +308,13 @@ class TestRefusals:
             scenario.build_simulator()
 
     def test_parallel_execution_is_refused(self):
+        """Trees run on the one serial engine: a build takes no worker count."""
         scenario = hier_scenario([(0.0, 100.0)])
-        with pytest.raises(ConfigurationError, match="parallel federated"):
-            scenario.build_simulator(parallel_workers=2)
+        params = inspect.signature(scenario.build_simulator).parameters
+        assert list(params) == ["replication"]
+        assert isinstance(
+            scenario.build_simulator(), HierarchicalFederatedSimulator
+        )
 
     @pytest.mark.parametrize(
         "params", [{"wan_mb_weight": -1.0}, {"migration_weight": -0.5}]

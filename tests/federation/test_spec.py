@@ -1,10 +1,14 @@
 """FederationSpec / ClusterSpec / InterClusterTopology: validation + round-trip."""
 
+import json
+
 import pytest
 
+from repro.core.config import Scenario
 from repro.core.errors import ConfigurationError
 from repro.federation import ClusterSpec, FederationSpec
 from repro.net import InterClusterTopology, Link
+from repro.scenarios import build_scenario
 
 
 def two_site_spec(**overrides):
@@ -41,6 +45,19 @@ class TestClusterSpec:
             ClusterSpec(name="a", machine_counts={"CPU": -1})
         with pytest.raises(ConfigurationError):
             ClusterSpec(name="a", machine_counts={"CPU": 1}, weight=-0.5)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_weight(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ClusterSpec(name="a", machine_counts={"CPU": 1}, weight=bad)
+
+    def test_json_loader_rejects_nan_weight(self):
+        data = build_scenario("geo_3site").to_dict()
+        data["federation"]["clusters"][0]["weight"] = float("nan")
+        text = json.dumps(data)  # emits the bare NaN token json.loads accepts
+        assert "NaN" in text
+        with pytest.raises(ConfigurationError, match="finite"):
+            Scenario.from_json(text)
 
     def test_requires_name(self):
         with pytest.raises(ConfigurationError):

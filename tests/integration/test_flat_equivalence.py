@@ -10,19 +10,20 @@ hierarchy code landed. A mismatch here means the generalisation leaked
 into flat behaviour (changed event ordering, altered WAN accounting,
 perturbed spec serialisation) and is a regression, not a re-pin.
 
-The serial ≡ parallel golden suite (``test_parallel_golden.py``) is
-re-asserted on the legacy presets as part of the wall: hierarchy refusal
-in the parallel engine must not disturb the flat parallel path either.
+The second half pins the ``RANDOM_SPLIT`` gateway on six flat presets:
+the full result fingerprint (summaries, per-cluster metrics, event count,
+end time, routing, WAN accounting, energy) of each run is pinned to a
+sha256, so the gateway's draw stream and the batch pass it feeds stay
+byte-identical.
 """
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from repro.scenarios import build_scenario
-
-from test_parallel_golden import FEDERATED_PRESETS, _fingerprint
 
 
 def _sha(obj):
@@ -104,18 +105,64 @@ def test_flat_preset_has_no_tree(preset):
     assert result.tree is None
 
 
+# (preset, factory overrides) — every flat federated preset run under the
+# RANDOM_SPLIT gateway. edge_cloud needs explicit routing weights because
+# its cloud site has arrival weight 0; fed_rebalance and fed_adaptive are
+# covered by the pre-hierarchy pins above.
+FEDERATED_PRESETS = [
+    ("edge_cloud", {"gateway": "RANDOM_SPLIT",
+                    "gateway_params": {"weights": [0.6, 0.4]}}),
+    ("geo_3site", {"gateway": "RANDOM_SPLIT"}),
+    ("fed_heavytail", {"gateway": "RANDOM_SPLIT"}),
+    ("fed_congested", {"gateway": "RANDOM_SPLIT"}),
+    ("diurnal_wan", {"gateway": "RANDOM_SPLIT"}),
+    # The federation-scale preset, shrunk to test-tier runtime (8 sites,
+    # one simulated minute) — same code paths, ~1/20 the events.
+    ("scale_federation", {"duration": 60.0, "n_clusters": 8}),
+]
+
+# sha256 of _fingerprint(result) for each FEDERATED_PRESETS run, captured
+# before the gateway's cumulative-weight draw and the scalar one-task batch
+# pass landed. Do NOT re-pin these to make a failure pass.
+RANDOM_SPLIT_FINGERPRINTS = {
+    "edge_cloud":
+        "cdeaff72a2c6e4143cb921b973f3beb595ddc8704a20c7cc6929f0a9ff6101ef",
+    "geo_3site":
+        "0629ce7a58b9713dedc365a7c28c3574d5482f3f730983c2e69062e1ed93376f",
+    "fed_heavytail":
+        "bfd167ac373643f11f1454164d2a931a2758eb428c72709259f75186a9a12953",
+    "fed_congested":
+        "b2edd3a2166082df40061d1a38425d34f4defcbfbacc790d199f77cdb0f85903",
+    "diurnal_wan":
+        "52693becce938259b8aacc05df36f4ccf93fd22f7cd8d845562a6e9099720832",
+    "scale_federation":
+        "a4407f6fda322fbf6bfacf0489e45b175d5bae6c4503f1426be2256a6e383608",
+}
+
+
+def _fingerprint(result):
+    return {
+        "summary": result.summary.as_dict(),
+        "per_cluster": {
+            name: s.as_dict() for name, s in result.per_cluster.items()
+        },
+        "events_processed": result.events_processed,
+        "end_time": result.end_time,
+        "routing": result.routing,
+        "offloaded": result.offloaded,
+        "wan_time_total": result.wan_time_total,
+        "energy": dataclasses.asdict(result.energy),
+        "wan_delivered": {
+            name: u.delivered for name, u in result.wan_links.items()
+        },
+    }
+
+
 @pytest.mark.parametrize(
     "preset,overrides",
     FEDERATED_PRESETS,
     ids=[name for name, _ in FEDERATED_PRESETS],
 )
-def test_serial_parallel_still_agree_on_legacy_presets(preset, overrides):
-    """Wall half two: the parallel engine's hierarchy refusal must leave
-    the flat parallel path bit-identical to serial, same as before."""
-    serial = build_scenario(preset, **overrides).run()
-    parallel = (
-        build_scenario(preset, **overrides)
-        .build_simulator(parallel_workers=2)
-        .run()
-    )
-    assert _fingerprint(parallel) == _fingerprint(serial)
+def test_random_split_preset_matches_pin(preset, overrides):
+    result = build_scenario(preset, **overrides).run()
+    assert _sha(_fingerprint(result)) == RANDOM_SPLIT_FINGERPRINTS[preset]

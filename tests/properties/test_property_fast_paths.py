@@ -1,0 +1,213 @@
+"""The serial federated hot path's two shortcuts equal their reference forms.
+
+1. ``RandomSplitGateway`` bisects a cached CDF instead of calling
+   ``rng.choice(n, p=…)``. It must pick the same cluster on every draw and
+   leave the generator in the same state as the NumPy call would.
+2. A batch policy that sets ``singleton_argmin`` answers a one-task pass
+   with ``Cluster.argmin_open_completion`` instead of the matrix pass. It
+   must return the same assignment as the matrix pass on any cluster
+   state: saturated queues, down machines, exact ties, every machine
+   closed, and clusters past the scalar-loop size limit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.errors import EETError
+from repro.machines.cluster import Cluster
+from repro.machines.eet import EETMatrix
+from repro.scheduling.base import BatchScheduler, argmin_2d
+from repro.scheduling.context import LiveTypeStats, SchedulingContext
+from repro.scheduling.federation import GatewayContext, create_gateway
+from repro.scheduling.registry import create_scheduler, scheduler_class
+from repro.tasks.task import Task
+from repro.tasks.task_type import TaskType
+
+OPTED_IN = ["MM", "MSD", "MMU", "MAXMIN", "SUFFERAGE"]
+
+
+# -- gateway: CDF bisect == rng.choice ----------------------------------------------
+
+
+class _Shard:
+    def __init__(self, index, weight):
+        self.index = index
+        self.name = f"c{index}"
+        self.weight = weight
+
+
+weight_lists = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(min_value=1e-6, max_value=1e6, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=32,
+).filter(lambda w: sum(w) > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=weight_lists,
+    explicit=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_split_draws_equal_rng_choice(weights, explicit, seed):
+    n = len(weights)
+    if explicit:
+        shards = [_Shard(i, 1.0) for i in range(n)]
+        gateway = create_gateway("RANDOM_SPLIT", weights=list(weights))
+    else:
+        shards = [_Shard(i, w) for i, w in enumerate(weights)]
+        gateway = create_gateway("RANDOM_SPLIT")
+    ctx = GatewayContext(
+        now=0.0,
+        task=None,
+        origin=0,
+        shards=shards,
+        topology=None,
+        rng=np.random.default_rng(seed),
+    )
+    twin = np.random.default_rng(seed)
+    w = np.asarray(weights, dtype=float)
+    p = w / w.sum()
+    got = [gateway.choose_cluster(ctx) for _ in range(1000)]
+    want = [int(twin.choice(n, p=p)) for _ in range(1000)]
+    assert got == want
+    assert ctx.rng.bit_generator.state == twin.bit_generator.state
+
+
+# -- batch: singleton pass == matrix pass -------------------------------------------
+
+TYPES = [TaskType("A", 0), TaskType("B", 1)]
+STATES = ("idle", "running", "queued", "full", "down")
+
+
+@st.composite
+def clusters(draw):
+    """A cluster in a random mid-run state, plus the time to plan at."""
+    n_types = draw(st.integers(1, 4))
+    # Small integers make exact ties between machines common.
+    values = draw(
+        st.lists(
+            st.sampled_from([1.0, 2.0, 3.0, 0.5, 7.25]),
+            min_size=2 * n_types,
+            max_size=2 * n_types,
+        )
+    )
+    eet = EETMatrix(
+        np.array(values).reshape(2, n_types),
+        TYPES,
+        [f"M{j}" for j in range(n_types)],
+    )
+    # Occasionally past Cluster._SCALAR_ARGMIN_LIMIT: the vector branch.
+    per_type = draw(st.sampled_from([1, 1, 2, 3, 17]))
+    capacity = draw(st.integers(1, 2))
+    cluster = Cluster.build(
+        eet, [per_type] * n_types, queue_capacity=capacity
+    )
+    ids = iter(range(1000, 100000))
+    for machine in cluster.machines:
+        state = draw(st.sampled_from(STATES))
+        if state == "down":
+            machine.fail(0.0)
+            continue
+        if state in ("running", "queued"):
+            machine.enqueue(_task(next(ids), draw), 0.0)
+        if state == "running":
+            runtime = draw(st.sampled_from([0.5, 2.0, 4.0]))
+            machine.start_next(0.0, runtime=runtime)
+        if state == "full":
+            for _ in range(capacity):
+                machine.enqueue(_task(next(ids), draw), 0.0)
+    now = draw(st.sampled_from([0.0, 1.0, 3.0]))
+    return cluster, now
+
+
+def _task(task_id, draw):
+    task = Task(
+        id=task_id,
+        task_type=TYPES[draw(st.integers(0, 1))],
+        arrival_time=0.0,
+        deadline=50.0,
+    )
+    task.enqueue_batch()
+    return task
+
+
+def _ctx(cluster, now, tasks):
+    return SchedulingContext(
+        now=now,
+        pending=tasks,
+        cluster=cluster,
+        type_stats=LiveTypeStats(),
+        rng=np.random.default_rng(0),
+    )
+
+
+def _pairs(assignments):
+    return [(a.task.id, a.machine.id) for a in assignments]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    policy=st.sampled_from(OPTED_IN),
+    system=clusters(),
+    task_type=st.integers(0, 1),
+    deadline=st.sampled_from([0.5, 3.0, 50.0]),
+)
+def test_singleton_pass_equals_matrix_pass(policy, system, task_type, deadline):
+    cluster, now = system
+    task = Task(
+        id=0, task_type=TYPES[task_type], arrival_time=0.0, deadline=deadline
+    )
+    task.enqueue_batch()
+    scheduler = create_scheduler(policy)
+    fast = scheduler.schedule(_ctx(cluster, now, [task]))
+    reference = scheduler._matrix_pass([task], _ctx(cluster, now, [task]))
+    assert _pairs(fast) == _pairs(reference)
+
+
+@pytest.mark.parametrize("policy", OPTED_IN)
+def test_all_saturated_maps_nothing(policy):
+    eet = EETMatrix(np.array([[1.0, 2.0]]), TYPES[:1], ["M0", "M1"])
+    cluster = Cluster.build(eet, [1, 1], queue_capacity=1)
+    ids = iter(range(1, 10))
+    for machine in cluster.machines:
+        filler = Task(id=next(ids), task_type=TYPES[0], arrival_time=0.0,
+                      deadline=9.0)
+        filler.enqueue_batch()
+        machine.enqueue(filler, 0.0)
+    task = Task(id=0, task_type=TYPES[0], arrival_time=0.0, deadline=9.0)
+    task.enqueue_batch()
+    assert create_scheduler(policy).schedule(_ctx(cluster, 0.0, [task])) == []
+
+
+def test_unknown_task_type_fails_like_the_matrix_pass():
+    eet = EETMatrix(np.array([[1.0, 2.0]]), TYPES[:1], ["M0", "M1"])
+    cluster = Cluster.build(eet, [1, 1], queue_capacity=2)
+    task = Task(id=0, task_type=TYPES[1], arrival_time=0.0, deadline=9.0)
+    task.enqueue_batch()
+    scheduler = create_scheduler("MM")
+    with pytest.raises(EETError):
+        scheduler.schedule(_ctx(cluster, 0.0, [task]))
+    with pytest.raises(EETError):
+        scheduler._matrix_pass([task], _ctx(cluster, 0.0, [task]))
+
+
+def test_only_row_argmin_policies_opt_in():
+    for name in OPTED_IN:
+        assert scheduler_class(name).singleton_argmin is True
+    # Energy among deadline-feasible machines, not the completion argmin.
+    for name in ("ELARE", "FELARE"):
+        assert scheduler_class(name).singleton_argmin is False
+
+    class Plugged(BatchScheduler):
+        name = "PLUGGED"
+
+        def select_pair(self, tasks, completion, alive, ctx):
+            return argmin_2d(completion)
+
+    assert Plugged.singleton_argmin is False
