@@ -260,15 +260,7 @@ class Scenario:
         from ..federation.simulator import FederatedSimulator
 
         assert self.federation is not None
-        if self.federation.children is not None:
-            # Hierarchical federations route over tree uplinks with the
-            # path-routing engine.
-            from ..federation.hierarchy import HierarchicalFederatedSimulator
-
-            engine: type[FederatedSimulator] = HierarchicalFederatedSimulator
-        else:
-            engine = FederatedSimulator
-        return engine(
+        return FederatedSimulator(
             spec=self.federation,
             eet=self.eet,
             workload=self.build_workload(replication=replication),

@@ -105,11 +105,12 @@ class Event:
         :mod:`repro.federation`). A plain ``int`` is the owning cluster
         shard — the federation loop routes the event straight to that
         shard's handlers. A *cluster path* (non-empty ``tuple`` of node
-        ids, root-most first) addresses an event still descending a
+        ids, root-most first) addresses an event still hopping a
         hierarchical federation: the remaining hops toward its destination
-        leaf (:mod:`repro.federation.hierarchy`). A single-element path is
-        always stamped in its ``int`` form, so flat federations — depth-1
-        paths — carry byte-identical events to pre-hierarchy builds.
+        leaf (see :meth:`repro.federation.simulator.FederatedSimulator.route`).
+        A final hop is always stamped in its ``int`` form, so flat
+        federations — whose routes are one hop — carry byte-identical
+        events to pre-hierarchy builds.
         ``None`` for single-cluster simulations and for federation-level
         events (gateway arrivals, global deadlines). Not part of the
         ordering key.

@@ -19,12 +19,7 @@ tasks from saturated shards' batch queues and re-homes them over the same
 contended WAN channels offloads use.
 """
 
-from .hierarchy import (
-    ClusterPath,
-    FederationTree,
-    HierarchicalFederatedSimulator,
-    HierarchyView,
-)
+from .hierarchy import ClusterPath, FederationTree, HierarchyView
 from .migration import Rebalancer
 from .result import FederatedSimulationResult
 from .shard import ClusterShard
@@ -43,5 +38,4 @@ __all__ = [
     "ClusterPath",
     "FederationTree",
     "HierarchyView",
-    "HierarchicalFederatedSimulator",
 ]

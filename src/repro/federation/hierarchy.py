@@ -14,13 +14,15 @@ uplink back-pressures every site beneath it. This module is that tree:
   lowest-common-ancestor routes.
 * :class:`HierarchyView` — what a tree-capable gateway policy sees: the
   tree plus live per-leaf in-flight WAN megabytes.
-* :class:`HierarchicalFederatedSimulator` — the engine. Offloads hop the
-  tree store-and-forward: each hop is one :class:`~repro.net.wan.WanTransfer`
-  on the child↔parent uplink channel, relay deliveries carry the remaining
-  node path as their :attr:`~repro.core.events.Event.cluster` (a tuple),
-  and the *final* hop carries the destination leaf as a plain ``int`` — so
-  flat federations, whose every path has one hop, keep byte-identical
-  event streams.
+
+The engine is the one :class:`~repro.federation.simulator.FederatedSimulator`:
+given a spec with ``children`` it routes offloads along
+:meth:`FederationTree.route`, hopping the tree store-and-forward — each hop
+is one :class:`~repro.net.wan.WanTransfer` on the child↔parent uplink
+channel, relay deliveries carry the remaining node path as their
+:attr:`~repro.core.events.Event.cluster` (a tuple), and the *final* hop
+carries the destination leaf as a plain ``int``, the form every hop of a
+flat mesh uses.
 
 Routing address forms, by example (leaf ids 0..n-1, interior ids above)::
 
@@ -36,34 +38,13 @@ have.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from ..core.errors import (
-    ConfigurationError,
-    SimulationStateError,
-)
-from ..core.events import Event, EventType
-from ..metrics.rollup import TreeRollup, offload_energy_split, routing_table
+from ..core.errors import ConfigurationError
 from ..net.topology import InterClusterTopology, Link
-from ..net.wan import WanManager
-from ..tasks.task import TaskStatus
-from .result import FederatedSimulationResult
-from .simulator import FederatedSimulator
 from .spec import ClusterSpec, FederationSpec, RegionSpec
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..scheduling.federation.base import GatewayPolicy
-    from ..tasks.task import Task
-
-__all__ = [
-    "ClusterPath",
-    "FederationTree",
-    "HierarchyView",
-    "HierarchicalFederatedSimulator",
-]
-
-_ARRIVAL = EventType.TASK_ARRIVAL
-_CREATED = TaskStatus.CREATED
+__all__ = ["ClusterPath", "FederationTree", "HierarchyView"]
 
 #: Name of the implicit federation root node (reserved in specs).
 ROOT_NAME = "*"
@@ -281,224 +262,3 @@ class HierarchyView:
 
     tree: FederationTree
     inflight_mb: Sequence[float]
-
-
-class HierarchicalFederatedSimulator(FederatedSimulator):
-    """Federated engine whose WAN is a tree of shared uplinks.
-
-    Subclasses the flat engine and overrides exactly the routing surface:
-    gateway arrivals walk the tree hop by hop (each hop a WAN transfer on
-    the child↔parent channel), relay deliveries re-submit the next hop,
-    and per-leaf attempted/delivered/cancelled counters feed the
-    :class:`~repro.metrics.rollup.TreeRollup` attached to the result.
-    """
-
-    def __init__(
-        self,
-        spec: FederationSpec,
-        eet: Any,
-        workload: Any,
-        **kwargs: Any,
-    ) -> None:
-        if spec.children is None:
-            raise ConfigurationError(
-                "HierarchicalFederatedSimulator needs a hierarchical "
-                "FederationSpec (children set); flat federations run on "
-                "FederatedSimulator"
-            )
-        self._tree = FederationTree(spec)
-        n = len(spec.clusters)
-        # Per-leaf WAN conservation counters: attempted == delivered +
-        # cancelled_in_flight at every node once the run drains (checked by
-        # the property suite at every interior node via the rollup).
-        self._inflight_mb: list[float] = [0.0] * n
-        self._wan_attempted: list[int] = [0] * n
-        self._wan_delivered: list[int] = [0] * n
-        self._wan_cancelled: list[int] = [0] * n
-        self._hier_view = HierarchyView(
-            tree=self._tree, inflight_mb=self._inflight_mb
-        )
-        super().__init__(spec, eet, workload, **kwargs)
-        self._ctx.hierarchy = self._hier_view
-
-    # -- construction hooks ---------------------------------------------------------
-
-    def _make_gateway(self) -> "GatewayPolicy":
-        gateway = super()._make_gateway()
-        if not gateway.supports_hierarchy:
-            raise ConfigurationError(
-                f"gateway {gateway.name!r} does not support hierarchical "
-                "federations: it compares clusters over direct links the "
-                "tree does not have. Use a tree-capable policy "
-                "(e.g. TREE_PRESSURE) or flatten the federation."
-            )
-        return gateway
-
-    def _make_wan(self, wan_seed: int | None) -> WanManager:
-        # The engine's working topology is the tree's hop topology (uplink
-        # edges over the full node namespace), not the spec's: WAN routes,
-        # gateway context and energy accounting all see tree edges.
-        self.topology = self._tree.hop_topology
-        return WanManager(
-            self.topology,
-            self.events,
-            list(self._tree.node_names),
-            seed=wan_seed,
-        )
-
-    @property
-    def tree(self) -> FederationTree:
-        """The compiled federation tree."""
-        return self._tree
-
-    # -- event routing ----------------------------------------------------------------
-
-    def _dispatch(self, event: Event) -> None:
-        cluster_id = event.cluster
-        if type(cluster_id) is tuple:
-            # A relay hop landed on an interior node; the tuple is the
-            # remaining node path (current node first).
-            self._on_relay(event.payload, cluster_id)
-            return
-        if cluster_id is not None and event.type is _ARRIVAL:
-            # Final hop: the offloaded task reached its destination leaf.
-            task = event.payload
-            transfer = self._transfers.pop(task.id, None)
-            if transfer is not None:
-                self._wan.on_delivered(transfer, self.clock._now)
-                self._wan.release(transfer)
-            assert isinstance(cluster_id, int)
-            self._inflight_mb[cluster_id] -= task.task_type.data_in
-            self._wan_delivered[cluster_id] += 1
-            self.shards[cluster_id]._on_arrival(task)
-            return
-        super()._dispatch(event)
-
-    def _on_relay(self, task: "Task", path: tuple[int, ...]) -> None:
-        """A store-and-forward hop finished; launch the next one."""
-        transfer = self._transfers.pop(task.id, None)
-        if transfer is None:  # pragma: no cover - defensive
-            raise SimulationStateError(
-                f"relay delivery for task {task.id} without a tracked "
-                "WAN transfer"
-            )
-        self._wan.on_delivered(transfer, self.clock._now)
-        self._wan.release(transfer)
-        self._forward(task, path)
-
-    def _forward(self, task: "Task", route: tuple[int, ...]) -> None:
-        """Ship a task along ``route`` (``route[0]`` = node it is at now).
-
-        Each hop is one WAN transfer on the child↔parent uplink channel.
-        Intermediate hops stamp the remaining node path on their delivery
-        event; the final hop stamps the destination leaf id as a plain
-        ``int``, the flat wire form. Zero-delay hops return no transfer
-        handle and are crossed immediately within this call.
-        """
-        now = self.clock._now
-        last = len(route) - 1
-        i = 1
-        while True:
-            src, dst = route[i - 1], route[i]
-            tag: int | tuple[int, ...] = (
-                dst if i == last else tuple(route[i:])
-            )
-            transfer = self._wan.submit(task, src, dst, now, tag=tag)
-            if transfer is not None:
-                self._transfers[task.id] = transfer
-                return
-            if i == last:
-                # The whole remaining path crossed instantly.
-                self._inflight_mb[dst] -= task.task_type.data_in
-                self._wan_delivered[dst] += 1
-                self.shards[dst]._on_arrival(task)
-                return
-            i += 1
-
-    # -- the gateway layer -------------------------------------------------------------
-
-    def _on_gateway_arrival(self, task: "Task") -> None:
-        origin = task.origin_cluster
-        if origin is None:  # pragma: no cover - defensive
-            raise SimulationStateError(
-                f"task {task.id} reached the gateway without an origin cluster"
-            )
-        ctx = self._ctx
-        ctx.now = self.clock._now
-        ctx.task = task
-        ctx.origin = origin
-        destination = self.gateway.choose_cluster(ctx)
-        if not 0 <= destination < len(self.shards):
-            raise SimulationStateError(
-                f"{self.gateway.name}: cluster index {destination} out of "
-                f"range for {len(self.shards)} leaf clusters"
-            )
-        task.cluster = destination
-        self._routing[origin][destination] += 1
-        shard = self.shards[destination]
-        shard.routed += 1
-        if destination == origin:
-            shard._on_arrival(task)
-            return
-        self._offloaded += 1
-        self._wan_attempted[destination] += 1
-        self._inflight_mb[destination] += task.task_type.data_in
-        self._forward(task, self._tree.route(origin, destination))
-
-    def _on_deadline(self, task: "Task") -> None:
-        if task.status is _CREATED and task.id in self._transfers:
-            # Still hopping the tree: the WAN cancellation itself (channel
-            # bookkeeping, terminal recording) is the flat path's job; only
-            # the per-leaf conservation counters are ours.
-            leaf = task.cluster
-            assert isinstance(leaf, int)
-            self._inflight_mb[leaf] -= task.task_type.data_in
-            self._wan_cancelled[leaf] += 1
-        super()._on_deadline(task)
-
-    # -- results -----------------------------------------------------------------------
-
-    def _leaf_stats(self, index: int) -> dict[str, float]:
-        """The per-leaf numbers the tree rollup aggregates."""
-        shard = self.shards[index]
-        counts = shard.collector.counts()
-        return {
-            "routed": float(shard.routed),
-            "completed": float(counts["completed"]),
-            "missed": float(counts["missed"]),
-            "cancelled": float(counts["cancelled"]),
-            "wan_attempted": float(self._wan_attempted[index]),
-            "wan_delivered": float(self._wan_delivered[index]),
-            "wan_cancelled_in_flight": float(self._wan_cancelled[index]),
-            "machines": float(len(shard.cluster.machines)),
-        }
-
-    def tree_rollup(self) -> TreeRollup:
-        """Current per-level rollup (callable mid-run or at the end)."""
-        return TreeRollup.from_leaves(
-            self._tree.leaf_paths,
-            [self._leaf_stats(i) for i in range(len(self.shards))],
-        )
-
-    def _build_result(self) -> FederatedSimulationResult:
-        base = super()._build_result()
-        wires = [p.wire for p in self._tree.leaf_paths]
-        all_tasks: list["Task"] = []
-        for shard in self.shards:
-            all_tasks.extend(shard.collector.tasks())
-        return dataclasses.replace(
-            base,
-            # Routing keys become full leaf paths: globally unambiguous,
-            # and they make the level structure visible in reports.
-            routing=routing_table(wires, self._routing),
-            # The energy split prices each offload over its *tree path* —
-            # every uplink hop pays its own J/MB — instead of a direct
-            # link the topology does not have.
-            energy_split=offload_energy_split(
-                all_tasks,
-                self.spec.names,
-                self.topology,
-                energy_fn=self._tree.path_transfer_energy,
-            ),
-            tree=self.tree_rollup(),
-        )

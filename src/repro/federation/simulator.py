@@ -20,6 +20,15 @@ events (completions, deliveries, failures, repairs) carry their shard index
 and go straight back to the owning shard's handlers; federation-level events
 (initial arrivals, deadlines) carry ``None`` and are handled here.
 
+One engine serves flat meshes and hierarchical trees alike. An offload
+follows :meth:`FederatedSimulator.route`: ``(origin, destination)`` on a
+mesh, the lowest-common-ancestor node path of the
+:class:`~repro.federation.hierarchy.FederationTree` on a tree. Every hop is
+one :class:`~repro.net.wan.WanTransfer`, crossed store-and-forward: a relay
+delivery carries the remaining node path as its ``Event.cluster`` (a
+tuple), and the final hop carries the destination leaf as a plain ``int``.
+A mesh route is a single hop, so its events carry exactly the flat form.
+
 When the spec carries a :class:`~repro.federation.spec.MigrationSpec`, a
 :class:`~repro.federation.migration.Rebalancer` additionally re-homes tasks
 *mid-queue*: periodic ``TASK_MIGRATION`` ticks (``cluster=None``) evict
@@ -31,12 +40,17 @@ events carrying the destination shard id.
 from __future__ import annotations
 
 import heapq
+import operator
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from ..core.clock import SimulationClock
-from ..core.errors import SchedulingError, SimulationStateError
+from ..core.errors import (
+    ConfigurationError,
+    SchedulingError,
+    SimulationStateError,
+)
 from ..core.event_queue import EventQueue
 from ..core.events import Event, EventType
 from ..core.rng import derive_seed, make_rng, spawn
@@ -51,18 +65,20 @@ from ..metrics.collector import SummaryMetrics
 from ..metrics.records import RecordsSource
 from ..metrics.rollup import (
     MigrationStats,
+    TreeRollup,
     global_energy,
     global_summary,
     offload_energy_split,
     routing_table,
 )
 from ..net.wan import TransferPhase, WanManager, WanTransfer
-from ..scheduling.federation.base import GatewayContext, GatewayPolicy
+from ..scheduling.federation.base import GatewayContext
 from ..scheduling.federation.registry import create_gateway
 from ..scheduling.overhead import SchedulingOverhead
 from ..scheduling.registry import create_scheduler
 from ..tasks.task import Task, TaskStatus
 from ..tasks.workload import Workload
+from .hierarchy import FederationTree, HierarchyView
 from .migration import Rebalancer
 from .result import FederatedSimulationResult
 from .shard import ClusterShard
@@ -140,7 +156,18 @@ class FederatedSimulator:
             ]
             wan_seed = derive_seed(seed, "federation", "crosstraffic")
 
-        self.gateway = self._make_gateway()
+        # A tree spec routes over its uplinks, so a gateway must understand
+        # the tree to price a destination.
+        tree = FederationTree(spec) if spec.children is not None else None
+        self._tree = tree
+        self.gateway = create_gateway(spec.gateway, **spec.gateway_params)
+        if tree is not None and not self.gateway.supports_hierarchy:
+            raise ConfigurationError(
+                f"gateway {self.gateway.name!r} does not support hierarchical "
+                "federations: it compares clusters over direct links the "
+                "tree does not have. Use a tree-capable policy "
+                "(e.g. TREE_PRESSURE) or flatten the federation."
+            )
         self.gateway.reset()
 
         self.shards: list[ClusterShard] = []
@@ -200,9 +227,26 @@ class FederatedSimulator:
         n = len(self.shards)
         self._routing = [[0] * n for _ in range(n)]
         self._offloaded = 0
+        # Per-destination WAN conservation counters for gateway offloads:
+        # attempted == delivered + cancelled in flight once the run drains
+        # (checked in _finish). Migrations keep their own account.
+        self._inflight_mb: list[float] = [0.0] * n
+        self._wan_attempted: list[int] = [0] * n
+        self._wan_delivered: list[int] = [0] * n
+        self._wan_cancelled: list[int] = [0] * n
         # WAN link channels: contention disciplines, per-link energy, and
-        # the cancellation handles for tasks still crossing the WAN.
-        self._wan = self._make_wan(wan_seed)
+        # the cancellation handles for tasks still crossing the WAN. A tree
+        # works over its hop topology (uplink edges over the full node
+        # namespace): WAN routes, gateway context and energy accounting all
+        # see tree edges.
+        if tree is not None:
+            self.topology = tree.hop_topology
+        self._wan = WanManager(
+            self.topology,
+            self.events,
+            spec.names if tree is None else list(tree.node_names),
+            seed=wan_seed,
+        )
         self._transfers: dict[int, WanTransfer] = {}
         # Mid-queue migration: a periodic rebalance pass sharing the WAN
         # channels above. None when the spec does not ask for it — the
@@ -229,6 +273,11 @@ class FederatedSimulator:
                 None
                 if self._rebalancer is None
                 else self._rebalancer.matrix_counts
+            ),
+            hierarchy=(
+                None
+                if tree is None
+                else HierarchyView(tree=tree, inflight_mb=self._inflight_mb)
             ),
         )
         if self.gateway.wants_feedback:
@@ -265,23 +314,6 @@ class FederatedSimulator:
             if self._rebalancer is not None:
                 self._rebalancer.schedule_first_tick()
 
-    # -- construction hooks ---------------------------------------------------------
-
-    def _make_gateway(self) -> GatewayPolicy:
-        """Build the gateway policy (hook for the hierarchical engine)."""
-        return create_gateway(self.spec.gateway, **self.spec.gateway_params)
-
-    def _make_wan(self, wan_seed: int | None) -> WanManager:
-        """Build the WAN manager (hook for the hierarchical engine).
-
-        Overrides may reassign ``self.topology`` before constructing the
-        manager; the gateway context is built afterwards, so it picks up
-        whatever topology this hook leaves behind.
-        """
-        return WanManager(
-            self.topology, self.events, self.spec.names, seed=wan_seed
-        )
-
     # -- public control surface ----------------------------------------------------
 
     @property
@@ -310,6 +342,21 @@ class FederatedSimulator:
     def rebalancer(self) -> Rebalancer | None:
         """The mid-queue migration engine, when the spec enables one."""
         return self._rebalancer
+
+    @property
+    def tree(self) -> FederationTree | None:
+        """The compiled federation tree (``None`` on a flat mesh)."""
+        return self._tree
+
+    def route(self, origin: int, destination: int) -> tuple[int, ...]:
+        """Node path of an offload, endpoints included.
+
+        ``(origin, destination)`` on a mesh, where every cluster pair has
+        its own link; the lowest-common-ancestor path on a tree.
+        """
+        if self._tree is None:
+            return (origin, destination)
+        return self._tree.route(origin, destination)
 
     def track_transfer(self, transfer: WanTransfer) -> None:
         """Keep the cancellation handle for a task crossing the WAN."""
@@ -393,9 +440,9 @@ class FederatedSimulator:
     # -- event routing ---------------------------------------------------------------
 
     def _dispatch(self, event: Event) -> None:
-        # Flat federations never stamp tuple cluster paths (single-element
-        # paths are always their int form); the hierarchy engine intercepts
-        # tuples in its own _dispatch before delegating here.
+        # Only relay ARRIVAL events carry a tuple address (the ARRIVAL
+        # branch re-reads it); every other shard-owned event carries its
+        # int shard index.
         cluster_id: int | None = event.cluster  # type: ignore[assignment]
         etype = event.type
         if cluster_id is None:
@@ -427,12 +474,18 @@ class FederatedSimulator:
             # dispatch chain and call the handler directly.
             self.shards[cluster_id]._on_completion(event.payload)
         elif etype is _ARRIVAL:
-            # A WAN transfer completed: the task reaches its destination.
-            transfer = self._transfers.pop(event.payload.id, None)
+            # A WAN hop completed: a tuple address is the remaining node
+            # path of a relay (current node first), an int the final leaf.
+            task = event.payload
+            transfer = self._transfers.pop(task.id, None)
             if transfer is not None:
                 self._wan.on_delivered(transfer, self.clock._now)
                 self._wan.release(transfer)
-            self.shards[cluster_id]._on_arrival(event.payload)
+            path = event.cluster
+            if type(path) is tuple:
+                self._forward(task, path)
+            else:
+                self._deliver(task, cluster_id)
         elif etype is _MIGRATION:
             # A migrated task survived the WAN: re-enqueue at its new home.
             task = event.payload
@@ -450,6 +503,33 @@ class FederatedSimulator:
         else:
             self.shards[cluster_id]._dispatch(event)
 
+    def _forward(self, task: Task, route: tuple[int, ...]) -> None:
+        """Ship a task along ``route`` (``route[0]`` = node it is at now).
+
+        Each hop is one WAN transfer. Intermediate hops stamp the remaining
+        node path on their delivery event; the final hop stamps the
+        destination leaf id as a plain ``int``. Zero-delay hops return no
+        transfer handle and are crossed immediately within this call.
+        """
+        now = self.clock._now
+        last = len(route) - 1
+        for i in range(1, last + 1):
+            dst = route[i]
+            transfer = self._wan.submit(
+                task, route[i - 1], dst, now, tag=dst if i == last else route[i:]
+            )
+            if transfer is not None:
+                self._transfers[task.id] = transfer
+                return
+        # The whole remaining path crossed instantly.
+        self._deliver(task, route[last])
+
+    def _deliver(self, task: Task, leaf: int) -> None:
+        """An offloaded task completed its last hop: enqueue it at ``leaf``."""
+        self._inflight_mb[leaf] -= task.task_type.data_in
+        self._wan_delivered[leaf] += 1
+        self.shards[leaf]._on_arrival(task)
+
     # -- the gateway layer -------------------------------------------------------------
 
     def _on_gateway_arrival(self, task: Task) -> None:
@@ -463,24 +543,43 @@ class FederatedSimulator:
         ctx.task = task
         ctx.origin = origin
         destination = self.gateway.choose_cluster(ctx)
-        if not 0 <= destination < len(self.shards):
-            raise SchedulingError(
-                f"{self.gateway.name}: cluster index {destination} out of "
-                f"range for {len(self.shards)} clusters"
-            )
+        if type(destination) is not int or not (
+            0 <= destination < len(self.shards)
+        ):
+            destination = self._checked_destination(destination)
         task.cluster = destination
         self._routing[origin][destination] += 1
         shard = self.shards[destination]
         shard.routed += 1
-        if destination != origin:
-            self._offloaded += 1
-            transfer = self._wan.submit(
-                task, origin, destination, self.clock._now
+        if destination == origin:
+            shard._on_arrival(task)
+            return
+        self._offloaded += 1
+        self._wan_attempted[destination] += 1
+        self._inflight_mb[destination] += task.task_type.data_in
+        self._forward(task, self.route(origin, destination))
+
+    def _checked_destination(self, answer: object) -> int:
+        """Normalise a gateway answer to a shard index, or raise.
+
+        Gateways are user code: anything that is not an integer (per
+        ``operator.index``) or falls outside the shard range is a typed
+        :class:`SchedulingError` naming the gateway and the answer.
+        """
+        name = self.gateway.name
+        try:
+            destination = operator.index(answer)  # type: ignore[arg-type]
+        except TypeError:
+            raise SchedulingError(
+                f"{name}: gateway returned {answer!r}, not an integer "
+                "cluster index"
+            ) from None
+        if not 0 <= destination < len(self.shards):
+            raise SchedulingError(
+                f"{name}: cluster index {answer!r} out of range for "
+                f"{len(self.shards)} clusters"
             )
-            if transfer is not None:
-                self._transfers[task.id] = transfer
-                return
-        shard._on_arrival(task)
+        return destination
 
     def _on_deadline(self, task: Task) -> None:
         if task.status.is_terminal:
@@ -497,9 +596,9 @@ class FederatedSimulator:
             # to its destination cluster. The link channel reclaims the pipe
             # for queued transfers and charges only the payload fraction
             # that actually crossed. Offloads and migrations share this
-            # path; migrations additionally bump the rebalancer's
-            # cancelled-in-flight counter so attempted == delivered +
-            # cancelled holds at the end of the run.
+            # path; each bumps its own cancelled-in-flight counter (the
+            # per-destination one here, or the rebalancer's) so attempted
+            # == delivered + cancelled holds at the end of the run.
             transfer = self._transfers.pop(task.id, None)
             if transfer is not None:
                 # A transfer cancelled while QUEUED stays lazily referenced
@@ -507,10 +606,10 @@ class FederatedSimulator:
                 # further-along phases may return their slot to the pool.
                 in_fifo = transfer.phase is TransferPhase.QUEUED
                 self._wan.cancel(transfer, self.now)
-                if (
-                    transfer.kind is EventType.TASK_MIGRATION
-                    and self._rebalancer is not None
-                ):
+                if transfer.kind is _ARRIVAL:
+                    self._inflight_mb[cluster_id] -= task.task_type.data_in
+                    self._wan_cancelled[cluster_id] += 1
+                elif self._rebalancer is not None:
                     self._rebalancer.record_cancelled(task)
                 if not in_fifo:
                     self._wan.release(transfer)
@@ -536,6 +635,16 @@ class FederatedSimulator:
                 f"conservation violated: {self.recorded} terminal tasks "
                 f"out of {expected} across {len(self.shards)} clusters"
             )
+        for i, shard in enumerate(self.shards):
+            attempted = self._wan_attempted[i]
+            delivered = self._wan_delivered[i]
+            cancelled = self._wan_cancelled[i]
+            if attempted != delivered + cancelled:
+                raise SimulationStateError(
+                    f"WAN conservation violated at cluster {shard.name!r}: "
+                    f"{attempted} offloads attempted, {delivered} delivered, "
+                    f"{cancelled} cancelled in flight"
+                )
 
     def _build_result(self) -> FederatedSimulationResult:
         now = self.now
@@ -559,10 +668,19 @@ class FederatedSimulator:
         else:
             migrations = {}
             mig_stats = MigrationStats()
+        tree = self._tree
+        keys: list[str] = names
+        energy_fn: Callable[[int, int, float], float] | None = None
+        if tree is not None:
+            # Routing keys become full leaf paths (globally unambiguous, and
+            # they show the level structure), and each offload's energy is
+            # priced over every uplink hop of its tree path.
+            keys = [path.wire for path in tree.leaf_paths]
+            energy_fn = tree.path_transfer_energy
         return FederatedSimulationResult(
             summary=summary,
             per_cluster=per_cluster,
-            routing=routing_table(names, self._routing),
+            routing=routing_table(keys, self._routing),
             offloaded=self._offloaded,
             wan_time_total=self._wan.total_time,
             records=RecordsSource(
@@ -578,10 +696,40 @@ class FederatedSimulator:
             events_processed=self._events_processed,
             wan_links=self._wan.usage(now),
             energy_split=offload_energy_split(
-                all_tasks, names, self.topology
+                all_tasks, names, self.topology, energy_fn=energy_fn
             ),
             migrations=migrations,
             migration_stats=mig_stats,
+            tree=None if tree is None else self.tree_rollup(),
+        )
+
+    def _leaf_stats(self, index: int) -> dict[str, float]:
+        """The per-cluster numbers the tree rollup aggregates."""
+        shard = self.shards[index]
+        counts = shard.collector.counts()
+        return {
+            "routed": float(shard.routed),
+            "completed": float(counts["completed"]),
+            "missed": float(counts["missed"]),
+            "cancelled": float(counts["cancelled"]),
+            "wan_attempted": float(self._wan_attempted[index]),
+            "wan_delivered": float(self._wan_delivered[index]),
+            "wan_cancelled_in_flight": float(self._wan_cancelled[index]),
+            "machines": float(len(shard.cluster.machines)),
+        }
+
+    def tree_rollup(self) -> TreeRollup:
+        """Current per-level rollup (callable mid-run or at the end).
+
+        A flat mesh rolls up as depth 1: every cluster hangs off the root.
+        """
+        paths: Sequence[Sequence[str]] = (
+            [(name,) for name in self.spec.names]
+            if self._tree is None
+            else self._tree.leaf_paths
+        )
+        return TreeRollup.from_leaves(
+            paths, [self._leaf_stats(i) for i in range(len(self.shards))]
         )
 
     # -- renderer-facing state -----------------------------------------------------------

@@ -387,11 +387,11 @@ class FederationSpec:
     children:
         Optional hierarchy: a list of top-level :class:`RegionSpec` /
         :class:`ClusterSpec` nodes under an implicit federation root.
-        When set, ``clusters`` is derived from the tree's leaves and runs
-        execute on :class:`~repro.federation.hierarchy.
-        HierarchicalFederatedSimulator` — path routing over shared parent
-        uplinks. ``None`` (the default) is the flat, byte-identical
-        legacy form.
+        When set, ``clusters`` is derived from the tree's leaves and the
+        :class:`~repro.federation.simulator.FederatedSimulator` routes
+        offloads along tree paths over shared parent uplinks. ``None``
+        (the default) is the flat mesh, whose every route is one direct
+        hop.
     """
 
     clusters: list[ClusterSpec] = field(default_factory=list)

@@ -293,7 +293,7 @@ class TreeRollup:
     any conservation law that holds per leaf holds at every interior node.
 
     Kept free of federation imports so the metrics layer stays a leaf
-    dependency (the hierarchy engine imports *this* module, not vice versa).
+    dependency (the federation engine imports *this* module, not vice versa).
     """
 
     def __init__(self, nodes: Mapping[tuple[str, ...], TreeNodeStats]) -> None:

@@ -147,9 +147,9 @@ class WanTransfer:
         #: link's pipe and pay the same energy — only dispatch differs.
         self.kind = kind
         #: ``Event.cluster`` value stamped on the delivery event. Defaults
-        #: to ``dst_index`` (the flat, single-hop form); hierarchical
-        #: federations tag intermediate hops with the remaining node path
-        #: instead (:mod:`repro.federation.hierarchy`).
+        #: to ``dst_index`` (the final-hop form); the federation tags the
+        #: relay hops of a tree route with the remaining node path instead
+        #: (:meth:`repro.federation.simulator.FederatedSimulator.route`).
         self.tag: int | tuple[int, ...] = dst_index if tag is None else tag
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -831,9 +831,9 @@ class WanManager:
         ``kind`` is the delivery event's type: ``TASK_ARRIVAL`` for gateway
         offloads, ``TASK_MIGRATION`` for mid-queue migrations — both contend
         for the same physical link. ``tag`` overrides the ``Event.cluster``
-        value stamped on the delivery (hierarchical federations tag relay
-        hops with the remaining node path; the default is ``destination``,
-        the flat single-hop form). Returns the :class:`WanTransfer` handle
+        value stamped on the delivery (the relay hops of a tree route carry
+        the remaining node path; the default is ``destination``, the
+        final-hop form). Returns the :class:`WanTransfer` handle
         the federation keeps for deadline cancellation, or ``None`` when the
         task crosses instantly (zero-delay link) and was already accounted.
         """

@@ -1,7 +1,7 @@
 """Hierarchical federation presets — multi-level trees with shared uplinks.
 
 The flat federated presets (:mod:`repro.scenarios.federated`) are cliques of
-a few sites. These two presets exercise the tree engine
+a few sites. These two presets exercise tree routing
 (:mod:`repro.federation.hierarchy`): placement happens level by level
 (which region, then which site, then which cluster) and every WAN crossing
 hops child↔parent uplinks shared by whole subtrees.
@@ -17,7 +17,7 @@ hops child↔parent uplinks shared by whole subtrees.
   deep-edge uplink.
 
 Both run the tree-capable ``TREE_PRESSURE`` gateway by default (flat
-gateways are refused by the hierarchy engine) and accept the usual
+gateways are refused on a tree) and accept the usual
 ``scheduler`` / ``gateway`` / ``intensity`` / ``duration`` / ``seed``
 overrides for campaign grids.
 """

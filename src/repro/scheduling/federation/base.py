@@ -218,7 +218,7 @@ class GatewayPolicy(abc.ABC):
     #: Whether ``choose_cluster`` understands hierarchical federations
     #: (reads ``ctx.hierarchy`` and routes level by level). Flat policies
     #: compare leaves pairwise over direct links — links a tree topology
-    #: does not have — so the hierarchy engine refuses them at
+    #: does not have — so the federation engine refuses them on a tree at
     #: construction rather than silently mis-pricing every WAN signal.
     supports_hierarchy: ClassVar[bool] = False
 

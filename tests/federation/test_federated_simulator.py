@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import Scenario
+from repro.core.errors import SchedulingError, SimulationStateError
 from repro.federation import ClusterSpec, FederationSpec
 from repro.machines.eet import EETMatrix
 from repro.machines.failures import FailureModel
@@ -157,6 +158,57 @@ class TestConservationAndAccounting:
                 + cluster_summary.missed
                 == cluster_summary.total_tasks
             )
+
+    @pytest.mark.parametrize("preset", ["geo_3site", "hier_3region"])
+    def test_wan_offload_counters_balance(self, preset):
+        """Every offload is delivered or cancelled in flight, per cluster."""
+        simulator = build_scenario(preset, duration=100.0).build_simulator()
+        result = simulator.run()
+        root = simulator.tree_rollup().root.stats
+        assert result.offloaded > 0
+        assert root["wan_attempted"] == result.offloaded
+        assert root["wan_attempted"] == (
+            root["wan_delivered"] + root["wan_cancelled_in_flight"]
+        )
+
+    @pytest.mark.parametrize("preset", ["geo_3site", "hier_3region"])
+    def test_wan_conservation_violation_raises(self, preset):
+        simulator = build_scenario(preset, duration=100.0).build_simulator()
+        for _ in range(10):
+            simulator.step()
+        simulator._wan_attempted[1] += 1
+        name = simulator.shards[1].name
+        with pytest.raises(SimulationStateError, match=f"'{name}'"):
+            simulator.run()
+
+
+class TestGatewayAnswers:
+    @pytest.mark.parametrize("preset", ["geo_3site", "hier_3region"])
+    @pytest.mark.parametrize("answer", ["n_leaves", -1, 1.0, None])
+    def test_bad_gateway_answer_is_a_scheduling_error(self, preset, answer):
+        """A custom gateway returning a non-integer or an out-of-range
+        index fails with a typed error naming the gateway and the value,
+        on a mesh and on a tree alike."""
+        simulator = build_scenario(preset, duration=100.0).build_simulator()
+        if answer == "n_leaves":
+            answer = len(simulator.shards)
+        simulator.gateway.choose_cluster = lambda ctx: answer
+        with pytest.raises(SchedulingError) as info:
+            simulator.run()
+        message = str(info.value)
+        assert simulator.gateway.name in message
+        assert repr(answer) in message
+
+    def test_integer_like_answer_is_normalised(self):
+        simulator = build_scenario("geo_3site", duration=100.0).build_simulator()
+        simulator.gateway.choose_cluster = lambda ctx: np.int64(ctx.origin)
+        result = simulator.run()
+        assert result.offloaded == 0
+        assert all(
+            type(task.cluster) is int
+            for shard in simulator.shards
+            for task in shard.collector.tasks()
+        )
 
 
 class TestDeterminism:

@@ -23,12 +23,13 @@ import pytest
 
 from repro.core.config import Scenario
 from repro.core.errors import ConfigurationError
-from repro.federation import ClusterSpec, FederationSpec, RegionSpec
-from repro.federation.hierarchy import (
-    ClusterPath,
-    FederationTree,
-    HierarchicalFederatedSimulator,
+from repro.federation import (
+    ClusterSpec,
+    FederatedSimulator,
+    FederationSpec,
+    RegionSpec,
 )
+from repro.federation.hierarchy import ClusterPath, FederationTree
 from repro.federation.spec import MigrationSpec
 from repro.machines.eet import EETMatrix
 from repro.metrics.rollup import TreeRollup
@@ -308,13 +309,16 @@ class TestRefusals:
             scenario.build_simulator()
 
     def test_parallel_execution_is_refused(self):
-        """Trees run on the one serial engine: a build takes no worker count."""
+        """Trees and meshes run on the one serial engine: a build takes no
+        worker count, and both build the same engine class."""
+        from repro.scenarios import build_scenario
+
         scenario = hier_scenario([(0.0, 100.0)])
         params = inspect.signature(scenario.build_simulator).parameters
         assert list(params) == ["replication"]
-        assert isinstance(
-            scenario.build_simulator(), HierarchicalFederatedSimulator
-        )
+        assert type(scenario.build_simulator()) is FederatedSimulator
+        mesh = build_scenario("geo_3site")
+        assert type(mesh.build_simulator()) is FederatedSimulator
 
     @pytest.mark.parametrize(
         "params", [{"wan_mb_weight": -1.0}, {"migration_weight": -0.5}]
