@@ -8,8 +8,7 @@ encode the paper's tie-break semantics at equal timestamps:
 * arrivals are processed after completions (a machine freed at *t* is visible
   to the scheduling pass triggered by an arrival at *t*) but before deadline
   sweeps, so a task arriving exactly at another task's deadline does not see
-  stale queue state;
-* control events (end-of-simulation markers, user hooks) come last.
+  stale queue state.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ class EventType(enum.Enum):
     TASK_DEADLINE = "task_deadline"
     MACHINE_FAILURE = "machine_failure"
     CROSS_TRAFFIC = "cross_traffic"
-    CONTROL = "control"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EventType.{self.name}"
@@ -51,7 +49,7 @@ class EventType(enum.Enum):
 #: instant resolves before the machine dies); WAN cross-traffic capacity
 #: changes fire after everything that was scheduled under the outgoing
 #: rate (a serialisation finishing exactly at an epoch boundary completes
-#: under the rate it was integrated with) but before CONTROL markers.
+#: under the rate it was integrated with), last of all.
 EVENT_PRIORITY: dict[EventType, int] = {
     EventType.TASK_COMPLETION: 0,
     EventType.MACHINE_REPAIR: 1,
@@ -62,7 +60,6 @@ EVENT_PRIORITY: dict[EventType, int] = {
     EventType.TASK_DEADLINE: 6,
     EventType.MACHINE_FAILURE: 7,
     EventType.CROSS_TRAFFIC: 8,
-    EventType.CONTROL: 9,
 }
 
 # Mirror the priority table onto the members: Event.__init__ runs for every

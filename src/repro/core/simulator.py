@@ -1,8 +1,18 @@
-"""The E2C simulation engine (Fig. 1).
+"""The E2C simulation engine (Fig. 1): one event loop, one cluster core.
 
 Orchestrates the full pipeline: workload → batch queue → scheduler → machine
 queues → machines, with cancelled/dropped bookkeeping, energy metering, and
-the four reports at the end.
+the four reports at the end. The engine splits in two:
+
+* :class:`EventLoop` — the clock, the future-event list, the observers and
+  the Play/Increment buttons (``run``/``step``). The federated engine
+  (:class:`repro.federation.simulator.FederatedSimulator`) runs on the same
+  loop.
+* :class:`ClusterCore` — one cluster's batch queue, scheduling policy,
+  metrics collector and event handlers, on a clock and heap it is handed.
+  It has no loop: :class:`Simulator` pairs it with its own, and each
+  federated :class:`~repro.federation.shard.ClusterShard` with the
+  federation's.
 
 Event handling per step:
 
@@ -27,7 +37,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Any, Callable, Generic, Sequence, TypeVar
 
 import numpy as np
 
@@ -40,9 +50,11 @@ from ..metrics.collector import MetricsCollector, SummaryMetrics
 from ..metrics.energy import EnergyBreakdown, energy_breakdown
 from ..metrics.records import RecordsSource
 from ..metrics.reports import ReportBundle
+from ..net.transfer import transfer_delay
 from ..queues.batch_queue import BatchQueue
 from ..scheduling.base import Assignment, Scheduler, SchedulingMode
 from ..scheduling.context import LiveTypeStats, SchedulingContext
+from ..scheduling.overhead import SchedulingOverhead
 from ..tasks.task import DropStage, Task, TaskStatus
 from ..tasks.workload import Workload
 from .clock import SimulationClock
@@ -51,9 +63,10 @@ from .event_queue import EventQueue
 from .events import Event, EventType
 from .rng import make_rng
 
-__all__ = ["Simulator", "SimulationResult"]
+__all__ = ["ClusterCore", "EventLoop", "Simulator", "SimulationResult"]
 
-Observer = Callable[["Simulator", Event], None]
+Observer = Callable[[Any, Event], None]
+R = TypeVar("R")
 
 # Event-type members bound once at module scope: member access on an Enum
 # class goes through a descriptor (~10x a plain global load on CPython 3.11),
@@ -64,7 +77,6 @@ _DEADLINE = EventType.TASK_DEADLINE
 _DELIVERY = EventType.NETWORK_DELIVERY
 _FAILURE = EventType.MACHINE_FAILURE
 _REPAIR = EventType.MACHINE_REPAIR
-_CONTROL = EventType.CONTROL
 _CREATED = TaskStatus.CREATED
 _IN_BATCH_QUEUE = TaskStatus.IN_BATCH_QUEUE
 _ASSIGNED = TaskStatus.ASSIGNED
@@ -110,112 +122,22 @@ class SimulationResult:
         return self.summary.completion_rate
 
 
-class Simulator:
-    """Discrete-event simulator for one scenario run."""
+class EventLoop(Generic[R]):
+    """The discrete-event loop both engines run on.
 
-    #: Cluster-shard id stamped onto every event this engine schedules.
-    #: ``None`` for a standalone (single-cluster) simulation; a federated
-    #: shard (:class:`repro.federation.shard.ClusterShard`) overrides it so
-    #: the federation loop can route popped events back to their shard.
-    _shard_id: int | None = None
+    Owns the clock, the future-event list, the observers and the counters.
+    A subclass supplies ``_dispatch(event)`` (handle one popped event),
+    ``_finish()`` (called once, when the heap drains: finalize and store
+    ``self._result``) and ``_build_result()``.
+    """
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        workload: Workload,
-        scheduler: Scheduler,
-        *,
-        seed: int | None | np.random.Generator = None,
-        drop_on_deadline: bool = True,
-        execution_model: ExecutionTimeModel | None = None,
-        queue_capacity: float | None = None,
-        enable_network: bool = False,
-        failure_model: FailureModel | None = None,
-        scheduling_overhead: "SchedulingOverhead | None" = None,
-        observers: Sequence[Observer] = (),
-    ) -> None:
-        workload.validate_against_eet(cluster.eet)
-        self.cluster = cluster
-        self.workload = workload
-        self.scheduler = scheduler
-        self.drop_on_deadline = drop_on_deadline
-        self.execution_model = execution_model or DeterministicExecution()
-        # Deterministic runtimes (the default) need no sampling call per start.
-        self._deterministic_execution = (
-            type(self.execution_model) is DeterministicExecution
-        )
-        self.enable_network = enable_network
-        self.failure_model = failure_model
-        from ..scheduling.overhead import SchedulingOverhead
-
-        self.scheduling_overhead = (
-            scheduling_overhead
-            if scheduling_overhead is not None
-            else SchedulingOverhead()
-        )
-        self.observers = list(observers)
-        self.rng = make_rng(seed)
-
-        if queue_capacity is not None:
-            if (
-                scheduler.mode is SchedulingMode.IMMEDIATE
-                and queue_capacity != UNBOUNDED
-            ):
-                raise ConfigurationError(
-                    "immediate policies require unbounded machine queues "
-                    "(Fig. 3: 'limited to infinite for immediate policies')"
-                )
-            cluster.set_queue_capacity(queue_capacity)
-        elif scheduler.mode is SchedulingMode.IMMEDIATE:
-            cluster.set_queue_capacity(UNBOUNDED)
-
+    def __init__(self, observers: Sequence[Observer] = ()) -> None:
         self.clock = SimulationClock()
         self.events = EventQueue()
-        self.batch_queue = BatchQueue()
-        self.collector = MetricsCollector()
-        self.type_stats = LiveTypeStats()
-        self.scheduler.reset()
-
+        self.observers = list(observers)
         self._events_processed = 0
         self._finished = False
-        self._result: SimulationResult | None = None
-        self._arrived = 0  # arrival events processed (O(1) remaining_arrivals)
-        self._overhead_free = self.scheduling_overhead.is_free
-        # Immediate policies with zero decision overhead and no network can
-        # map an arriving task on the spot whenever the batch queue is empty,
-        # skipping the queue push / sweep / snapshot / Assignment machinery —
-        # the dominant arrival shape for every immediate preset.
-        self._immediate_fast = (
-            scheduler.mode is SchedulingMode.IMMEDIATE
-            and self._overhead_free
-            and not enable_network
-        )
-        # One context object reused across passes (policies treat it as a
-        # read-only view; only now/pending vary between passes).
-        self._ctx = SchedulingContext(
-            now=0.0,
-            pending=(),
-            cluster=self.cluster,
-            type_stats=self.type_stats,
-            rng=self.rng,
-        )
-
-        initial: list[Event] = []
-        inf = float("inf")
-        for task in workload:
-            initial.append(
-                Event(task.arrival_time, EventType.TASK_ARRIVAL, task)
-            )
-            if self.drop_on_deadline and task.deadline != inf:
-                initial.append(
-                    Event(task.deadline, EventType.TASK_DEADLINE, task)
-                )
-        self.events.push_many(initial)
-        if self.failure_model is not None and len(workload) > 0:
-            for machine in self.cluster:
-                self._schedule_failure(machine)
-
-    # -- public control surface ---------------------------------------------------
+        self._result: R | None = None
 
     @property
     def now(self) -> float:
@@ -230,6 +152,7 @@ class Simulator:
         return self._events_processed
 
     def next_event_time(self) -> float | None:
+        """Timestamp of the next pending event (None when drained)."""
         return self.events.next_time()
 
     def step(self) -> Event | None:
@@ -253,7 +176,7 @@ class Simulator:
             self._finish()
         return event
 
-    def run(self, until: float | None = None) -> SimulationResult:
+    def run(self, until: float | None = None) -> R:
         """Run to completion (or to simulated time *until*) and return results."""
         if until is None:
             if self.observers:
@@ -295,13 +218,124 @@ class Simulator:
             self.step()
         return self._build_result()
 
-    def result(self) -> SimulationResult:
+    def result(self) -> R:
         """Result of a finished run."""
         if self._result is None:
             raise SimulationStateError(
                 "simulation has not finished; call run() first"
             )
         return self._result
+
+    # -- supplied by the engine ----------------------------------------------------
+
+    def _dispatch(self, event: Event) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _finish(self) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _build_result(self) -> R:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+
+class ClusterCore:
+    """One cluster's scheduling engine, driven by someone else's loop.
+
+    Holds the cluster, its batch queue, local policy, metrics collector and
+    per-type statistics, and handles the per-cluster events (arrival,
+    completion, deadline, delivery, failure, repair). The clock, the event
+    heap and the RNG are handed in; every event it schedules is stamped
+    with ``shard_id`` (``None`` for a standalone run) so a federation loop
+    can route it back here. A subclass supplies ``_all_tasks_terminal()``,
+    which keeps the failure process alive while work remains.
+    """
+
+    def __init__(
+        self,
+        cluster: Cluster,
+        scheduler: Scheduler,
+        *,
+        clock: SimulationClock,
+        events: EventQueue,
+        rng: np.random.Generator,
+        shard_id: int | None = None,
+        drop_on_deadline: bool = True,
+        execution_model: ExecutionTimeModel | None = None,
+        queue_capacity: float | None = None,
+        enable_network: bool = False,
+        failure_model: FailureModel | None = None,
+        scheduling_overhead: SchedulingOverhead | None = None,
+    ) -> None:
+        self.cluster = cluster
+        self.scheduler = scheduler
+        self.clock = clock
+        self.events = events
+        self.rng = rng
+        self._shard_id = shard_id
+        self.drop_on_deadline = drop_on_deadline
+        self.execution_model = execution_model or DeterministicExecution()
+        # Deterministic runtimes (the default) need no sampling call per start.
+        self._deterministic_execution = (
+            type(self.execution_model) is DeterministicExecution
+        )
+        self.enable_network = enable_network
+        self.failure_model = failure_model
+        self.scheduling_overhead = (
+            scheduling_overhead
+            if scheduling_overhead is not None
+            else SchedulingOverhead()
+        )
+
+        if queue_capacity is not None:
+            if (
+                scheduler.mode is SchedulingMode.IMMEDIATE
+                and queue_capacity != UNBOUNDED
+            ):
+                raise ConfigurationError(
+                    "immediate policies require unbounded machine queues "
+                    "(Fig. 3: 'limited to infinite for immediate policies')"
+                )
+            cluster.set_queue_capacity(queue_capacity)
+        elif scheduler.mode is SchedulingMode.IMMEDIATE:
+            cluster.set_queue_capacity(UNBOUNDED)
+
+        self.batch_queue = BatchQueue()
+        self.collector = MetricsCollector()
+        self.type_stats = LiveTypeStats()
+        self.scheduler.reset()
+
+        self._arrived = 0  # arrival events processed (O(1) remaining_arrivals)
+        self._overhead_free = self.scheduling_overhead.is_free
+        # Immediate policies with zero decision overhead and no network can
+        # map an arriving task on the spot whenever the batch queue is empty,
+        # skipping the queue push / sweep / snapshot / Assignment machinery —
+        # the dominant arrival shape for every immediate preset.
+        self._immediate_fast = (
+            scheduler.mode is SchedulingMode.IMMEDIATE
+            and self._overhead_free
+            and not enable_network
+        )
+        # One context object reused across passes (policies treat it as a
+        # read-only view; only now/pending vary between passes).
+        self._ctx = SchedulingContext(
+            now=0.0,
+            pending=(),
+            cluster=self.cluster,
+            type_stats=self.type_stats,
+            rng=self.rng,
+        )
+
+    def start_failure_process(self) -> None:
+        """Schedule the first failure event for every machine of the cluster."""
+        if self.failure_model is None:
+            return
+        for machine in self.cluster:
+            self._schedule_failure(machine)
+
+    def finalize(self, now: float) -> None:
+        """Close the trailing energy interval of every machine."""
+        for machine in self.cluster:
+            machine.finalize_energy(now)
 
     # -- event dispatch ----------------------------------------------------------------
 
@@ -319,10 +353,11 @@ class Simulator:
             self._on_failure(event.payload)
         elif etype is _REPAIR:
             self._on_repair(event.payload)
-        elif etype is _CONTROL:  # pragma: no cover - hook
-            pass
         else:  # pragma: no cover - defensive
             raise SimulationStateError(f"unhandled event type {event.type}")
+
+    def _all_tasks_terminal(self) -> bool:  # pragma: no cover - abstract
+        raise NotImplementedError
 
     def _on_arrival(self, task: Task) -> None:
         self._arrived += 1
@@ -364,7 +399,7 @@ class Simulator:
                 f"{machine.name} is running "
                 f"{machine.running.id if machine.running else None}"
             )
-        finished = machine.finish_running(self.now)
+        finished = machine.finish_running(self.clock._now)
         self.collector.record_terminal(finished)
         self.type_stats.record(finished.task_type.name, finished.on_time)
         self._try_start(machine)
@@ -373,7 +408,7 @@ class Simulator:
     def _on_deadline(self, task: Task) -> None:
         if task.status.is_terminal:
             return  # completed exactly at (or before) the deadline
-        now = self.now
+        now = self.clock._now
         if task.status in (_CREATED, _IN_BATCH_QUEUE):
             self.batch_queue.remove(task)
             task.cancel(now)
@@ -400,7 +435,7 @@ class Simulator:
         elif task.status is _RUNNING:
             if machine.completion_event is not None:
                 self.events.cancel(machine.completion_event)
-            machine.drop_running(self.now)
+            machine.drop_running(now)
             task.miss(now, DropStage.EXECUTING)
             self._try_start(machine)
         else:  # pragma: no cover - defensive
@@ -423,15 +458,12 @@ class Simulator:
         uptime = self.failure_model.sample_uptime(machine, self.rng)
         self.events.push(
             Event(
-                self.now + uptime,
+                self.clock._now + uptime,
                 EventType.MACHINE_FAILURE,
                 machine,
                 cluster=self._shard_id,
             )
         )
-
-    def _all_tasks_terminal(self) -> bool:
-        return self.collector.recorded >= len(self.workload)
 
     def _on_failure(self, machine: Machine) -> None:
         assert self.failure_model is not None
@@ -439,14 +471,14 @@ class Simulator:
             return
         if machine.completion_event is not None:
             self.events.cancel(machine.completion_event)
-        evicted = machine.fail(self.now)
-        for task in evicted:
-            task.requeue(self.now)
+        now = self.clock._now
+        for task in machine.fail(now):
+            task.requeue(now)
             self.batch_queue.readmit(task)
         downtime = self.failure_model.sample_downtime(machine, self.rng)
         self.events.push(
             Event(
-                self.now + downtime,
+                now + downtime,
                 EventType.MACHINE_REPAIR,
                 machine,
                 cluster=self._shard_id,
@@ -457,7 +489,7 @@ class Simulator:
 
     def _on_repair(self, machine: Machine) -> None:
         assert self.failure_model is not None
-        machine.repair(self.now)
+        machine.repair(self.clock._now)
         # Keep the failure process alive only while there is work left; this
         # bounds the event stream so simulations terminate.
         if not self._all_tasks_terminal():
@@ -469,7 +501,7 @@ class Simulator:
     def _scheduling_pass(self) -> None:
         if self.batch_queue.is_empty:
             return  # nothing to sweep, nothing to map
-        now = self.now
+        now = self.clock._now
         if self.drop_on_deadline:
             for task in self.batch_queue.sweep_expired(now):
                 self.collector.record_terminal(task)
@@ -495,7 +527,7 @@ class Simulator:
         *,
         decision_delay: float = 0.0,
     ) -> None:
-        now = self.now
+        now = self.clock._now
         network = self.enable_network
         for assignment in assignments:
             task, machine = assignment.task, assignment.machine
@@ -513,7 +545,10 @@ class Simulator:
                     f"{self.scheduler.name}: task {task.id} not in batch queue"
                 )
             if network:
-                delay = self._transfer_delay(task, machine) + decision_delay
+                delay = (
+                    transfer_delay(task.task_type, machine.machine_type)
+                    + decision_delay
+                )
             else:
                 delay = decision_delay
             if delay > 0:
@@ -530,13 +565,6 @@ class Simulator:
                 )
             self._try_start(machine)
 
-    def _transfer_delay(self, task: Task, machine: Machine) -> float:
-        if not self.enable_network:
-            return 0.0
-        from ..net.transfer import transfer_delay
-
-        return transfer_delay(task.task_type, machine.machine_type)
-
     def _try_start(self, machine: Machine) -> None:
         """Start the machine's next task if possible; schedule its completion."""
         if machine.running is not None or not machine.queue:
@@ -549,7 +577,7 @@ class Simulator:
                 runtime = expected
             else:
                 runtime = self.execution_model.sample(head, expected, self.rng)
-        started = machine.start_next(self.now, runtime)
+        started = machine.start_next(self.clock._now, runtime)
         if started is not None:
             event = self.events.push(
                 Event(
@@ -561,14 +589,65 @@ class Simulator:
             )
             machine.completion_event = event
 
+
+class Simulator(ClusterCore, EventLoop[SimulationResult]):
+    """Discrete-event simulator for one scenario run: one cluster, own loop."""
+
+    def __init__(
+        self,
+        cluster: Cluster,
+        workload: Workload,
+        scheduler: Scheduler,
+        *,
+        seed: int | None | np.random.Generator = None,
+        drop_on_deadline: bool = True,
+        execution_model: ExecutionTimeModel | None = None,
+        queue_capacity: float | None = None,
+        enable_network: bool = False,
+        failure_model: FailureModel | None = None,
+        scheduling_overhead: SchedulingOverhead | None = None,
+        observers: Sequence[Observer] = (),
+    ) -> None:
+        workload.validate_against_eet(cluster.eet)
+        EventLoop.__init__(self, observers)
+        ClusterCore.__init__(
+            self,
+            cluster,
+            scheduler,
+            clock=self.clock,
+            events=self.events,
+            rng=make_rng(seed),
+            drop_on_deadline=drop_on_deadline,
+            execution_model=execution_model,
+            queue_capacity=queue_capacity,
+            enable_network=enable_network,
+            failure_model=failure_model,
+            scheduling_overhead=scheduling_overhead,
+        )
+        self.workload = workload
+
+        initial: list[Event] = []
+        inf = float("inf")
+        for task in workload:
+            initial.append(
+                Event(task.arrival_time, EventType.TASK_ARRIVAL, task)
+            )
+            if self.drop_on_deadline and task.deadline != inf:
+                initial.append(
+                    Event(task.deadline, EventType.TASK_DEADLINE, task)
+                )
+        self.events.push_many(initial)
+        if len(workload) > 0:
+            self.start_failure_process()
+
+    def _all_tasks_terminal(self) -> bool:
+        return self.collector.recorded >= len(self.workload)
+
     # -- termination -----------------------------------------------------------------------
 
     def _finish(self) -> None:
-        if self._finished:
-            return
         self._finished = True
-        for machine in self.cluster:
-            machine.finalize_energy(self.now)
+        self.finalize(self.now)
         self._result = self._build_result()
         expected = len(self.workload)
         if self.drop_on_deadline and self.collector.recorded != expected:

@@ -1,55 +1,37 @@
 """One cluster shard of a federated simulation.
 
-A :class:`ClusterShard` is the single-cluster engine
-(:class:`repro.core.simulator.Simulator`) re-hosted inside a federation: it
-keeps its own cluster, batch queue, local scheduling policy, metrics
-collector and per-type statistics — the full PR-2 vectorised hot path — but
-shares the federation's event heap and clock instead of owning a loop.
-Every event it schedules is stamped with its shard index (``Event.cluster``)
-so the federation loop can route the event straight back to this shard's
-inherited handlers.
+A :class:`ClusterShard` is the single-cluster engine's
+:class:`~repro.core.simulator.ClusterCore` — the same cluster, batch queue,
+local scheduling policy, metrics collector, per-type statistics and event
+handlers a standalone :class:`~repro.core.simulator.Simulator` runs — on the
+federation's event heap and clock. Every event it schedules is stamped with
+its shard index (``Event.cluster``) so the federation loop can route the
+event straight back to this shard's handlers.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
-from ..core.simulator import Simulator
+from ..core.simulator import ClusterCore
 from ..machines.cluster import Cluster
-from ..machines.execution import DeterministicExecution, ExecutionTimeModel
-from ..machines.machine_queue import UNBOUNDED
-from ..metrics.collector import MetricsCollector
-from ..queues.batch_queue import BatchQueue
-from ..scheduling.base import Scheduler, SchedulingMode
-from ..scheduling.context import LiveTypeStats, SchedulingContext
-from ..scheduling.overhead import SchedulingOverhead
+from ..scheduling.base import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..core.clock import SimulationClock
-    from ..core.event_queue import EventQueue
-    from ..machines.failures import FailureModel
     from .simulator import FederatedSimulator
 
 __all__ = ["ClusterShard"]
 
 
-class ClusterShard(Simulator):
-    """A :class:`Simulator` whose loop, clock and event heap live elsewhere.
+class ClusterShard(ClusterCore):
+    """A :class:`ClusterCore` hosted by a :class:`FederatedSimulator`.
 
-    The federation owns stepping and termination; the shard contributes the
-    per-cluster event handlers (arrival, completion, deadline, delivery,
-    failure, repair) it inherits unchanged from :class:`Simulator` —
-    including the incremental ``ClusterState`` planning arrays and the
-    columnar metrics path — so per-shard scheduling work is identical to a
-    standalone single-cluster run.
+    The federation owns stepping and termination; the shard adds only its
+    identity, its routed-task count and the load signal gateways read.
+    Arrivals are routed in by the gateway, so a shard owns no workload.
     """
 
-    # Deliberately does NOT call Simulator.__init__: a shard neither owns a
-    # workload (arrivals are routed in by the gateway) nor builds its own
-    # clock/event queue (both are the federation's).
-    def __init__(  # pylint: disable=super-init-not-called
+    def __init__(
         self,
         index: int,
         name: str,
@@ -57,69 +39,18 @@ class ClusterShard(Simulator):
         scheduler: Scheduler,
         *,
         federation: "FederatedSimulator",
-        clock: "SimulationClock",
-        events: "EventQueue",
-        rng: np.random.Generator,
         weight: float = 1.0,
-        drop_on_deadline: bool = True,
-        execution_model: ExecutionTimeModel | None = None,
-        queue_capacity: float = UNBOUNDED,
-        enable_network: bool = False,
-        failure_model: "FailureModel | None" = None,
-        scheduling_overhead: SchedulingOverhead | None = None,
+        **core: Any,
     ) -> None:
-        self._shard_id = index
+        """``core`` are the :class:`ClusterCore` keywords (clock, events, rng, …)."""
+        super().__init__(cluster, scheduler, shard_id=index, **core)
         self.index = index
         self.name = name
         self.weight = weight
-        self.cluster = cluster
-        self.scheduler = scheduler
         self._federation = federation
-        self.clock = clock
-        self.events = events
-        self.rng = rng
-        self.drop_on_deadline = drop_on_deadline
-        self.execution_model = execution_model or DeterministicExecution()
-        self._deterministic_execution = (
-            type(self.execution_model) is DeterministicExecution
-        )
-        self.enable_network = enable_network
-        self.failure_model = failure_model
-        self.scheduling_overhead = (
-            scheduling_overhead
-            if scheduling_overhead is not None
-            else SchedulingOverhead()
-        )
-        self._overhead_free = self.scheduling_overhead.is_free
-        self._immediate_fast = (
-            scheduler.mode is SchedulingMode.IMMEDIATE
-            and self._overhead_free
-            and not enable_network
-        )
-        self.observers = []
-
-        if scheduler.mode is SchedulingMode.IMMEDIATE:
-            cluster.set_queue_capacity(UNBOUNDED)
-        elif queue_capacity != UNBOUNDED:
-            cluster.set_queue_capacity(queue_capacity)
-
-        self.batch_queue = BatchQueue()
-        self.collector = MetricsCollector()
-        self.type_stats = LiveTypeStats()
-        self.scheduler.reset()
-        self._arrived = 0
         self._n_machines = len(cluster.machines)
         #: Tasks the gateway routed to this shard (local or via WAN).
         self.routed = 0
-        self._ctx = SchedulingContext(
-            now=0.0,
-            pending=(),
-            cluster=self.cluster,
-            type_stats=self.type_stats,
-            rng=self.rng,
-        )
-
-    # -- federation-facing surface -------------------------------------------------
 
     @property
     def in_system(self) -> int:
@@ -139,27 +70,8 @@ class ClusterShard(Simulator):
             return float("inf")
         return (self.routed - self.collector.recorded) / alive
 
-    def start_failure_process(self) -> None:
-        """Schedule the first failure event for every machine of this shard."""
-        if self.failure_model is None:
-            return
-        for machine in self.cluster:
-            self._schedule_failure(machine)
-
-    def finalize(self, now: float) -> None:
-        """Close the trailing energy interval of every machine."""
-        for machine in self.cluster:
-            machine.finalize_energy(now)
-
-    # -- overridden Simulator hooks -----------------------------------------------
-
     def _all_tasks_terminal(self) -> bool:
         # Repairs keep the failure process alive only while the *federation*
         # still has work anywhere: an idle shard must stay repairable because
         # the gateway may offload to it later.
         return self._federation.all_tasks_terminal()
-
-    def _finish(self) -> None:  # pragma: no cover - defensive
-        raise NotImplementedError(
-            "shards do not finish individually; the federation terminates"
-        )

@@ -1,7 +1,9 @@
 """The federated simulation kernel: N cluster shards, one heap, one clock.
 
 ``FederatedSimulator`` hosts multiple :class:`~repro.federation.shard.ClusterShard`
-engines under a single future-event list and simulation clock. Arriving tasks
+cluster cores under a single future-event list and simulation clock: the
+:class:`~repro.core.simulator.EventLoop` the single-cluster engine runs on,
+with this module's gateway and WAN routing as its dispatch. Arriving tasks
 hit the **gateway layer** first: a registered gateway policy
 (:mod:`repro.scheduling.federation`) picks the destination cluster; offloaded
 tasks pay the WAN transfer delay of the federation's
@@ -39,21 +41,19 @@ events carrying the destination shard id.
 
 from __future__ import annotations
 
-import heapq
 import operator
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..core.clock import SimulationClock
 from ..core.errors import (
     ConfigurationError,
     SchedulingError,
     SimulationStateError,
 )
-from ..core.event_queue import EventQueue
 from ..core.events import Event, EventType
 from ..core.rng import derive_seed, make_rng, spawn
+from ..core.simulator import EventLoop, Observer
 from ..machines.cluster import Cluster
 from ..machines.eet import EETMatrix
 from ..machines.execution import ExecutionTimeModel
@@ -86,8 +86,6 @@ from .spec import FederationSpec
 
 __all__ = ["FederatedSimulator"]
 
-Observer = Callable[["FederatedSimulator", Event], None]
-
 # Module-bound enum members: the routing loop tests several per event, and
 # Enum class attribute access costs ~10x a global load on CPython 3.11.
 _ARRIVAL = EventType.TASK_ARRIVAL
@@ -96,11 +94,10 @@ _DEADLINE = EventType.TASK_DEADLINE
 _LINK_TRANSFER = EventType.LINK_TRANSFER
 _MIGRATION = EventType.TASK_MIGRATION
 _CROSS_TRAFFIC = EventType.CROSS_TRAFFIC
-_CONTROL = EventType.CONTROL
 _CREATED = TaskStatus.CREATED
 
 
-class FederatedSimulator:
+class FederatedSimulator(EventLoop[FederatedSimulationResult]):
     """Discrete-event simulator for one federated (multi-cluster) run."""
 
     def __init__(
@@ -124,14 +121,11 @@ class FederatedSimulator:
         observers: Sequence[Observer] = (),
     ) -> None:
         workload.validate_against_eet(eet)
+        super().__init__(observers)
         self.spec = spec
         self.workload = workload
         self.drop_on_deadline = drop_on_deadline
         self.topology = spec.topology
-        self.observers = list(observers)
-
-        self.clock = SimulationClock()
-        self.events = EventQueue()
 
         # Independent substreams: origin assignment, gateway draws, one per
         # shard — so adding a draw to one component never perturbs another,
@@ -172,6 +166,8 @@ class FederatedSimulator:
 
         self.shards: list[ClusterShard] = []
         for i, cspec in enumerate(spec.clusters):
+            # The cluster is built with its queue capacity; the shard only
+            # lifts it to unbounded under an immediate local policy.
             cluster = Cluster.build(
                 eet,
                 cspec.machine_counts,
@@ -208,11 +204,6 @@ class FederatedSimulator:
                     weight=cspec.weight,
                     drop_on_deadline=drop_on_deadline,
                     execution_model=execution_model,
-                    queue_capacity=(
-                        queue_capacity
-                        if cspec.queue_capacity is None
-                        else cspec.queue_capacity
-                    ),
                     enable_network=enable_network,
                     failure_model=failure_model,
                     scheduling_overhead=scheduling_overhead,
@@ -256,9 +247,6 @@ class FederatedSimulator:
             if spec.migration is not None
             else None
         )
-        self._events_processed = 0
-        self._finished = False
-        self._result: FederatedSimulationResult | None = None
         self._ctx = GatewayContext(
             now=0.0,
             task=None,  # type: ignore[arg-type]  (set before every decision)
@@ -308,25 +296,12 @@ class FederatedSimulator:
                         Event(task.deadline, EventType.TASK_DEADLINE, task)
                     )
             self.events.push_many(initial)
-            if failure_model is not None:
-                for shard in self.shards:
-                    shard.start_failure_process()
+            for shard in self.shards:
+                shard.start_failure_process()
             if self._rebalancer is not None:
                 self._rebalancer.schedule_first_tick()
 
-    # -- public control surface ----------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self.clock._now
-
-    @property
-    def is_finished(self) -> bool:
-        return self._finished
-
-    @property
-    def events_processed(self) -> int:
-        return self._events_processed
+    # -- federation-facing surface ------------------------------------------------
 
     @property
     def recorded(self) -> int:
@@ -366,77 +341,6 @@ class FederatedSimulator:
         """True once every workload task reached a terminal state."""
         return self.recorded >= len(self.workload)
 
-    def next_event_time(self) -> float | None:
-        """Timestamp of the next pending event (None when drained)."""
-        return self.events.next_time()
-
-    def step(self) -> Event | None:
-        """Process exactly one event; None when the federation is done."""
-        if self._finished:
-            return None
-        if not self.events:
-            self._finish()
-            return None
-        event = self.events.pop()
-        self.clock.advance_to(event.time)
-        self._dispatch(event)
-        self._events_processed += 1
-        if self.observers:
-            for observer in self.observers:
-                observer(self, event)
-        if not self.events:
-            self._finish()
-        return event
-
-    def run(self, until: float | None = None) -> FederatedSimulationResult:
-        """Run to completion (or simulated time *until*) and return results."""
-        if until is None:
-            if self.observers:
-                while not self._finished:
-                    self.step()
-            else:
-                # Same inlined hot loop as the single-cluster engine: pop
-                # straight off the heap (lazy-cancellation skip included) and
-                # let heap order stand in for the clock's monotonicity check.
-                events = self.events
-                heap = events._heap
-                cancelled = events._cancelled
-                clock = self.clock
-                dispatch = self._dispatch
-                heappop = heapq.heappop
-                processed = 0
-                while heap:
-                    event = heappop(heap)[1]
-                    if cancelled and event.seq in cancelled:
-                        cancelled.discard(event.seq)
-                        continue
-                    events._live -= 1
-                    clock._now = event.time
-                    dispatch(event)
-                    processed += 1
-                self._events_processed += processed
-                if not self._finished:
-                    self._finish()
-            assert self._result is not None
-            return self._result
-        while not self._finished:
-            next_time = self.events.next_time()
-            if next_time is None:
-                break
-            if next_time > until:
-                self.clock.advance_to(until)
-                break
-            self.step()
-        return self._build_result()
-
-    def result(self) -> FederatedSimulationResult:
-        """Result of a finished run."""
-        if self._result is None:
-            raise SimulationStateError(
-                "simulation has not finished; call run() first"
-            )
-        return self._result
-
     # -- event routing ---------------------------------------------------------------
 
     def _dispatch(self, event: Event) -> None:
@@ -463,8 +367,6 @@ class FederatedSimulator:
             elif etype is _CROSS_TRAFFIC:
                 # A WAN link entered its next background-utilisation epoch.
                 WanManager.on_cross_traffic(event, self.clock._now)
-            elif etype is _CONTROL:  # pragma: no cover - hook
-                pass
             else:  # pragma: no cover - defensive
                 raise SimulationStateError(
                     f"federation-level event of type {event.type} has no owner"
@@ -622,10 +524,8 @@ class FederatedSimulator:
     # -- termination -------------------------------------------------------------------
 
     def _finish(self) -> None:
-        if self._finished:
-            return
         self._finished = True
-        now = self.now
+        now = self.clock._now
         for shard in self.shards:
             shard.finalize(now)
         self._result = self._build_result()

@@ -19,13 +19,17 @@ from ..core.events import Event, EventType
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.simulator import Simulator
+    from ..federation.simulator import FederatedSimulator
 
 __all__ = ["EventLog", "EventRecord"]
 
 
 @dataclass(frozen=True)
 class EventRecord:
-    """One processed simulation event."""
+    """One processed simulation event.
+
+    ``batch_queue_length`` is summed over the shards of a federation.
+    """
 
     seq: int
     time: float
@@ -48,7 +52,7 @@ _COLUMNS = [
 class EventLog:
     """Observer collecting an :class:`EventRecord` per event.
 
-    Attach at simulator construction::
+    Works on either engine. Attach at simulator construction::
 
         log = EventLog()
         sim = Simulator(..., observers=[log])
@@ -63,7 +67,9 @@ class EventLog:
 
     # -- observer protocol --------------------------------------------------------
 
-    def __call__(self, sim: "Simulator", event: Event) -> None:
+    def __call__(
+        self, sim: "Simulator | FederatedSimulator", event: Event
+    ) -> None:
         self._seq += 1
         if self.max_records is not None and len(self.records) >= self.max_records:
             return
@@ -71,7 +77,11 @@ class EventLog:
         task_type = ""
         machine = ""
         payload = event.payload
-        if event.type in (EventType.TASK_ARRIVAL, EventType.TASK_DEADLINE):
+        if payload is not None and event.type in (
+            EventType.TASK_ARRIVAL,
+            EventType.TASK_DEADLINE,
+            EventType.TASK_MIGRATION,
+        ):
             task_id, task_type = payload.id, payload.task_type.name
             if payload.machine is not None:
                 machine = payload.machine.name
@@ -85,6 +95,12 @@ class EventLog:
         ):
             machine = payload.name
         counts = sim.counts()
+        shards = getattr(sim, "shards", None)
+        queued = (
+            len(sim.batch_queue)  # type: ignore[union-attr]
+            if shards is None
+            else sum(len(shard.batch_queue) for shard in shards)
+        )
         self.records.append(
             EventRecord(
                 seq=self._seq,
@@ -93,7 +109,7 @@ class EventLog:
                 task_id=task_id,
                 task_type=task_type,
                 machine=machine,
-                batch_queue_length=len(sim.batch_queue),
+                batch_queue_length=queued,
                 completed=counts["completed"],
                 cancelled=counts["cancelled"],
                 missed=counts["missed"],

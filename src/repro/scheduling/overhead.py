@@ -15,7 +15,9 @@ cost grows with the backlog — exactly the trade-off the paper describes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 from ..core.errors import ConfigurationError
 
@@ -38,11 +40,18 @@ class SchedulingOverhead:
     per_cell: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.per_pass < 0 or self.per_cell < 0:
-            raise ConfigurationError(
-                f"overhead parameters must be >= 0 "
-                f"(got per_pass={self.per_pass}, per_cell={self.per_cell})"
-            )
+        for key in ("per_pass", "per_cell"):
+            value = getattr(self, key)
+            if not (
+                isinstance(value, Real)
+                and not isinstance(value, bool)
+                and math.isfinite(value)
+                and value >= 0
+            ):
+                raise ConfigurationError(
+                    f"overhead {key} must be a finite number >= 0, "
+                    f"got {value!r}"
+                )
 
     @property
     def is_free(self) -> bool:
@@ -61,6 +70,16 @@ class SchedulingOverhead:
     def from_spec(cls, spec: dict | None) -> "SchedulingOverhead":
         if spec is None:
             return cls()
+        if not isinstance(spec, dict):
+            raise ConfigurationError(
+                f"scheduling overhead must map per_pass/per_cell to "
+                f"numbers, got {spec!r}"
+            )
+        unknown = set(spec) - {"per_pass", "per_cell"}
+        if unknown:
+            raise ConfigurationError(
+                f"scheduling overhead has unknown key(s) {sorted(unknown)}"
+            )
         return cls(
             per_pass=spec.get("per_pass", 0.0),
             per_cell=spec.get("per_cell", 0.0),

@@ -33,13 +33,6 @@ class TestEventOrdering:
         arrival = Event(5.0, EventType.TASK_ARRIVAL)
         assert completion < delivery < arrival
 
-    def test_control_fires_last(self):
-        control = Event(5.0, EventType.CONTROL)
-        for kind in EventType:
-            if kind is EventType.CONTROL:
-                continue
-            assert Event(5.0, kind) < control
-
     def test_fifo_stability_for_identical_kind_and_time(self):
         first = Event(3.0, EventType.TASK_ARRIVAL, payload="a")
         second = Event(3.0, EventType.TASK_ARRIVAL, payload="b")
@@ -64,10 +57,10 @@ class TestEventStructure:
 
     def test_payload_carried_verbatim(self):
         sentinel = object()
-        assert Event(0.0, EventType.CONTROL, sentinel).payload is sentinel
+        assert Event(0.0, EventType.CROSS_TRAFFIC, sentinel).payload is sentinel
 
     def test_events_are_frozen(self):
-        event = Event(0.0, EventType.CONTROL)
+        event = Event(0.0, EventType.CROSS_TRAFFIC)
         with pytest.raises(AttributeError):
             event.time = 1.0  # type: ignore[misc]
 

@@ -56,9 +56,36 @@ def offload_scenario(*, tasks, gateway="EET_AWARE_REMOTE", latency=1.0,
     )
 
 
+EQUIVALENCE_CASES = [
+    # Queue capacity 3, unbounded and 2: the shard set-up paths for both.
+    pytest.param("satellite_imaging", {}, id="satellite_imaging"),
+    pytest.param("classroom_homogeneous", {}, id="classroom_homogeneous"),
+    pytest.param("edge_ai", {}, id="edge_ai"),
+    pytest.param(
+        "satellite_imaging", {"enable_network": True}, id="network"
+    ),
+    pytest.param(
+        "satellite_imaging",
+        {"scheduling_overhead": {"per_pass": 0.1}},
+        id="overhead",
+    ),
+    pytest.param(
+        "satellite_imaging", {"drop_on_deadline": False}, id="no_drop"
+    ),
+]
+
+
 class TestSingleClusterEquivalence:
-    def test_one_cluster_federation_matches_standalone(self):
-        base = build_scenario("satellite_imaging", scheduler="MECT", seed=41)
+    @pytest.mark.parametrize(
+        "scheduler", ["FCFS", "MECT", "MM", "MSD", "MMU", "ELARE", "FELARE"]
+    )
+    @pytest.mark.parametrize("preset,variant", EQUIVALENCE_CASES)
+    def test_one_cluster_federation_matches_standalone(
+        self, preset, variant, scheduler
+    ):
+        base = dataclasses.replace(
+            build_scenario(preset, scheduler=scheduler, seed=41), **variant
+        )
         federation = FederationSpec(
             clusters=[
                 ClusterSpec(
@@ -74,6 +101,7 @@ class TestSingleClusterEquivalence:
         multi = federated.run()
         assert multi.summary == single.summary
         assert multi.end_time == single.end_time
+        assert multi.events_processed == single.events_processed
         assert multi.per_cluster["all"] == single.summary
         assert multi.offloaded == 0
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.events import EventType
 from repro.metrics.event_log import EventLog
+from repro.scenarios import build_scenario
 
 
 @pytest.fixture
@@ -113,3 +114,25 @@ class TestFailureEvents:
         repairs = log.of_type("machine_repair")
         assert failures and repairs
         assert all(r.machine for r in failures)
+
+
+class TestFederatedEngine:
+    @pytest.mark.parametrize("preset", ["geo_3site", "hier_3region"])
+    def test_logs_every_event_without_changing_the_run(self, preset):
+        scenario = build_scenario(preset)
+        plain = scenario.run()
+        log = EventLog()
+        sim = scenario.build_simulator()
+        sim.observers.append(log)
+        logged = sim.run()
+        assert len(log) == logged.events_processed
+        assert logged.summary == plain.summary
+
+    def test_backlog_sums_over_shards(self):
+        log = EventLog()
+        sim = build_scenario("fed_rebalance").build_simulator()
+        sim.observers.append(log)
+        sim.run()
+        assert log.peak_backlog() > 0
+        migrations = log.of_type(EventType.TASK_MIGRATION)
+        assert any(r.task_id is not None for r in migrations)

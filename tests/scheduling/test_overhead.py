@@ -43,6 +43,21 @@ class TestModel:
     def test_from_none(self):
         assert SchedulingOverhead.from_spec(None).is_free
 
+    @pytest.mark.parametrize(
+        "spec,key",
+        [
+            ({"per_task": 1}, "per_task"),
+            ({"per_pass": float("nan")}, "per_pass"),
+            ({"per_pass": float("inf")}, "per_pass"),
+            ({"per_pass": "x"}, "per_pass"),
+            ([0.5], "per_pass"),
+        ],
+        ids=["unknown_key", "nan", "inf", "string", "not_a_mapping"],
+    )
+    def test_bad_spec_rejected(self, spec, key):
+        with pytest.raises(ConfigurationError, match=key):
+            SchedulingOverhead.from_spec(spec)
+
 
 def single_machine(eet_value=4.0):
     task_type = TaskType("T", 0)
