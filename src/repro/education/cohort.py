@@ -1,10 +1,10 @@
 """Synthetic student cohort with a learning effect — the §5 quiz study.
 
 The paper reports a pre-quiz average of 7.6/12 and a post-quiz average of
-8.94/12 (+17.6%) across 23 students. We cannot rerun the human study
-(DESIGN.md §3.3); instead this module models each student as a per-method
-*mastery* probability: when a student has mastered a method they produce its
-correct mapping; otherwise they guess uniformly among the machines (so even
+8.94/12 (+17.6%) across 23 students. We cannot rerun the human study;
+instead this module models each student as a per-method *mastery*
+probability: when a student has mastered a method they produce its correct
+mapping; otherwise they guess uniformly among the machines (so even
 unmastered students score 1/M per task in expectation — exactly why the
 paper's pre-scores sit well above zero).
 

@@ -4,7 +4,7 @@ The paper surveys 23 students (14 undergraduate, 9 graduate; 73.9% male,
 26.1% female; mean programming experience 3.8 years, median 3; 43.5% had
 passed an OS course) on ten 0–10 metrics in two categories: user experience
 (Fig. 8a) and learning outcomes (Fig. 8b). A human study cannot be rerun
-here (DESIGN.md §3.2), so this module provides:
+here, so this module provides:
 
 * the survey **schema** (respondent demographics + metric definitions with
   the paper's published per-gender targets),

@@ -100,6 +100,9 @@ class Cluster:
         # fast path (argmin_completion): plain list indexing avoids NumPy
         # scalar boxing inside the per-machine loop.
         self._eet_lists = [row.tolist() for row in self._eet_by_machine]
+        # Built on first use by the energy-aware policies (energy_table).
+        self._energy_by_machine: np.ndarray | None = None
+        self._energy_lists: list[list[float]] = []
         self._state = ClusterState(len(self.machines))
         for i, m in enumerate(self.machines):
             m.bind_shared_state(self._state, i)
@@ -216,6 +219,45 @@ class Cluster:
         except KeyError:  # unknown type: defer to EETMatrix for its error
             return np.vstack([self.eet_vector(t) for t in tasks])
         return self._eet_by_machine[rows]
+
+    @property
+    def energy_table(self) -> np.ndarray:
+        """Read-only (n_task_types, n_machines) dynamic energy of one run.
+
+        Cell ``[t, j]`` is ``active_watts(machine j, type t) × EET`` — the
+        Joules a task of type *t* draws running on machine *j*. Neither
+        factor changes during a run, so the table is built once, on first
+        use, with the same IEEE multiply as a per-task ``watts * eet`` row.
+        """
+        if self._energy_by_machine is None:
+            self._build_energy_table()
+        return self._energy_by_machine
+
+    def _build_energy_table(self) -> None:
+        watts = np.array(
+            [
+                [m.machine_type.power.active_watts(t.name) for m in self.machines]
+                for t in self.eet.task_types
+            ],
+            dtype=float,
+        )
+        table = watts * self._eet_by_machine
+        if not np.isfinite(table).all():
+            # The one-task pass and the matrix pass agree only on finite cells.
+            raise ConfigurationError("dynamic energy (busy watts x EET) must be finite")
+        table.setflags(write=False)
+        self._energy_by_machine = table
+        self._energy_lists = table.tolist()
+
+    def energy_rows(self, tasks: Sequence[Task]) -> np.ndarray:
+        """(len(tasks), n_machines) dynamic-energy sub-matrix in one gather."""
+        row_of = self._row_of
+        try:
+            rows = [row_of[t.task_type.name] for t in tasks]
+        except KeyError:  # unknown type: let eet_rows raise EETMatrix's error
+            self.eet_rows(tasks)
+            raise
+        return self.energy_table[rows]
 
     def ready_times(self, now: float) -> np.ndarray:
         """ready_time(now) per machine.
@@ -336,6 +378,79 @@ class Cluster:
                 best = v
                 best_j = j
         return best_j
+
+    def argmin_open_energy(self, task: Task, now: float) -> int | None:
+        """First open machine of least energy that meets *task*'s deadline.
+
+        Among machines with a free queue slot, the first one minimising
+        ``energy_table`` whose completion time is finite and no later than
+        the deadline; when none is, the first one minimising completion
+        time, as :meth:`argmin_open_completion`. This is what ELARE and
+        FELARE pick from a 1×M completion matrix. Same scalar/vector split
+        as :meth:`argmin_open_completion`, with the same IEEE operations in
+        the same order on both branches.
+        """
+        state = self._state
+        row = self._row_of.get(task.task_type.name)
+        deadline = float(task.deadline)
+        if (
+            state.n_down
+            or row is None
+            or len(self.machines) > self._SCALAR_ARGMIN_LIMIT
+        ):
+            completion = self.completion_times(task, now)
+            completion[state.slots <= 0] = np.inf
+            feasible = np.isfinite(completion) & (completion <= deadline)
+            if feasible.any():
+                energy = np.where(feasible, self.energy_table[row], np.inf)
+                return int(energy.argmin())
+            j = int(completion.argmin())
+            return j if np.isfinite(completion[j]) else None
+        eet_row = self._eet_lists[row]
+        if self._energy_by_machine is None:
+            self._build_energy_table()
+        energy_row = self._energy_lists[row]
+        queued = state.queued_list
+        slots = state.slots.tolist()
+        best = best_energy = float("inf")
+        best_j = best_energy_j = None
+        for j, f in enumerate(state.finish_list):
+            if slots[j] <= 0:
+                continue
+            remaining = f - now
+            if remaining < 0.0:
+                remaining = 0.0
+            v = remaining + now + queued[j] + eet_row[j]
+            if v <= deadline and energy_row[j] < best_energy:
+                best_energy = energy_row[j]
+                best_energy_j = j
+            if v < best:
+                best = v
+                best_j = j
+        return best_j if best_energy_j is None else best_energy_j
+
+    def argmin_ready(self, now: float) -> int:
+        """Index of the earliest-ready machine (first minimum).
+
+        Scalar twin of ``int(ready_times(now).argmin())`` — the
+        earliest-ready pick of FCFS and OLB — with the same scalar/vector
+        split as :meth:`argmin_completion`.
+        """
+        state = self._state
+        if not state.n_down and len(self.machines) <= self._SCALAR_ARGMIN_LIMIT:
+            queued = state.queued_list
+            best = float("inf")
+            best_j = 0
+            for j, f in enumerate(state.finish_list):
+                remaining = f - now
+                if remaining < 0.0:
+                    remaining = 0.0
+                v = remaining + now + queued[j]
+                if v < best:
+                    best = v
+                    best_j = j
+            return best_j
+        return int(self.ready_times(now).argmin())
 
     def acceptance_mask(self) -> np.ndarray:
         """Boolean mask of machines whose queues can take one more task."""

@@ -1,4 +1,4 @@
-"""Machine failure injection (robustness extension, DESIGN.md S6/S12).
+"""Machine failure injection (robustness extension).
 
 Heterogeneous systems research on robustness (the authors' own refs [8],
 [10], [14] study robustness of heterogeneous systems) needs fault injection:

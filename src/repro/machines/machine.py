@@ -196,7 +196,8 @@ class Machine:
         Capacity counts queued tasks only; the running task occupies no slot.
         When the machine type declares a memory capacity and *task* is given,
         admission also requires the task's footprint to fit next to the
-        queued + running residents (memory extension, DESIGN.md S18).
+        queued + running residents (memory extension, see
+        :mod:`repro.memory.allocation`).
         """
         if not self.up:
             return False

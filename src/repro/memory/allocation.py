@@ -1,4 +1,4 @@
-"""Memory admission model (multi-tenancy extension, DESIGN.md S18).
+"""Memory admission model (multi-tenancy extension).
 
 The paper cites its own Edge-MultiAI follow-up [22] which "extended E2C to
 simulate the memory allocation policies of multi-tenant applications". The

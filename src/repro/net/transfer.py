@@ -1,4 +1,4 @@
-"""Data-transfer delay model (communication extension, DESIGN.md S17).
+"""Data-transfer delay model (communication extension).
 
 The paper's future work (§7) names "various communication paradigms". This
 extension models the scheduler→machine links of the Fig-1 star topology:

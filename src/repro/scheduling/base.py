@@ -120,13 +120,22 @@ class BatchScheduler(Scheduler):
     #: skips the matrix and asks the cluster for that machine directly.
     #: Off by default, so user-plugged policies always see the matrix.
     singleton_argmin: ClassVar[bool] = False
+    #: The energy twin of ``singleton_argmin``: set it only when, given a
+    #: single-row completion matrix, :meth:`select_pair` always returns the
+    #: first least-energy deadline-feasible machine, or else the first
+    #: minimum of the row; the pass then asks
+    #: :meth:`Cluster.argmin_open_energy` for that machine. Off by default.
+    singleton_energy: ClassVar[bool] = False
 
     def schedule(self, ctx: SchedulingContext) -> list[Assignment]:
         pending = ctx.pending
-        if len(pending) == 1 and self.singleton_argmin:
+        if len(pending) == 1 and (self.singleton_argmin or self.singleton_energy):
             task = pending[0]
             cluster = ctx.cluster
-            j = cluster.argmin_open_completion(task, ctx.now)
+            if self.singleton_argmin:
+                j = cluster.argmin_open_completion(task, ctx.now)
+            else:
+                j = cluster.argmin_open_energy(task, ctx.now)
             return [] if j is None else [Assignment(task, cluster.machines[j])]
         return self._matrix_pass(list(pending), ctx)
 

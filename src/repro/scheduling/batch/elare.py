@@ -1,14 +1,14 @@
 """ELARE — Energy- and Latency-Aware Resource allocation (paper policy).
 
 The paper lists ELARE among E2C's batch policies; its definition lives in the
-authors' FELARE paper [15], which we approximate as documented in DESIGN.md
-§3.4:
+authors' FELARE paper [15], which we approximate as documented in
+docs/POLICIES.md §6:
 
 * Phase 1 (latency feasibility): for each unmapped task, restrict to the
   (task, machine) pairs whose expected completion time meets the deadline.
 * Phase 2 (energy): among all feasible pairs, map the one with the smallest
   *dynamic* energy cost, ``active_watts(machine, type) × EET`` — the Joules
-  actually attributable to running this task here.
+  actually attributable to running this task here (``Cluster.energy_table``).
 * Fallback: if no pair is deadline-feasible, degrade gracefully to Min-Min
   (smallest completion time) so the system keeps draining.
 """
@@ -24,25 +24,7 @@ from ..base import BatchScheduler, argmin_2d
 from ..context import SchedulingContext
 from ..registry import register_scheduler
 
-__all__ = ["ELAREScheduler", "dynamic_energy_matrix"]
-
-
-def dynamic_energy_matrix(
-    tasks: Sequence[Task], ctx: SchedulingContext
-) -> np.ndarray:
-    """(n_tasks, n_machines) dynamic energy of running task i on machine j."""
-    machines = ctx.cluster.machines
-    energy = np.empty((len(tasks), len(machines)))
-    for i, task in enumerate(tasks):
-        eet = ctx.cluster.eet_vector(task)
-        watts = np.array(
-            [
-                m.machine_type.power.active_watts(task.task_type.name)
-                for m in machines
-            ]
-        )
-        energy[i] = watts * eet
-    return energy
+__all__ = ["ELAREScheduler"]
 
 
 @register_scheduler
@@ -54,6 +36,7 @@ class ELAREScheduler(BatchScheduler):
         "Energy- and Latency-Aware: cheapest-energy mapping among "
         "deadline-feasible (task, machine) pairs, Min-Min fallback."
     )
+    singleton_energy = True
 
     def select_pair(
         self,
@@ -65,7 +48,7 @@ class ELAREScheduler(BatchScheduler):
         deadlines = ctx.deadlines(tasks)[:, None]
         feasible = np.isfinite(completion) & (completion <= deadlines)
         if feasible.any():
-            energy = dynamic_energy_matrix(tasks, ctx)
+            energy = ctx.cluster.energy_rows(tasks)
             scored = np.where(feasible, energy, np.inf)
             return argmin_2d(scored)
         return argmin_2d(completion)

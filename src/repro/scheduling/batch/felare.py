@@ -3,7 +3,7 @@
 FELARE (the authors' IEEE Cloud '22 paper [15]) extends ELARE with *fairness
 across task types*: without it, energy/latency-greedy mapping systematically
 starves task types that are expensive everywhere. Our documented
-approximation (DESIGN.md §3.4):
+approximation (docs/POLICIES.md §6):
 
 * Track each task type's historical on-time completion rate (live stats fed
   by the simulator).
@@ -28,7 +28,6 @@ from ...tasks.task import Task
 from ..base import BatchScheduler, argmin_2d
 from ..context import SchedulingContext
 from ..registry import register_scheduler
-from .elare import dynamic_energy_matrix
 
 __all__ = ["FELAREScheduler"]
 
@@ -42,6 +41,7 @@ class FELAREScheduler(BatchScheduler):
         "Fair ELARE: serve the task type with the lowest on-time rate first, "
         "on its cheapest-energy deadline-feasible machine."
     )
+    singleton_energy = True
 
     def select_pair(
         self,
@@ -50,8 +50,8 @@ class FELAREScheduler(BatchScheduler):
         alive: np.ndarray,
         ctx: SchedulingContext,
     ) -> tuple[int, int] | None:
-        deadlines = ctx.deadlines(tasks)[:, None]
-        feasible = np.isfinite(completion) & (completion <= deadlines)
+        deadlines = ctx.deadlines(tasks)
+        feasible = np.isfinite(completion) & (completion <= deadlines[:, None])
         task_has_option = feasible.any(axis=1)
         if not task_has_option.any():
             return argmin_2d(completion)
@@ -64,13 +64,13 @@ class FELAREScheduler(BatchScheduler):
             np.where(feasible, completion, np.inf).min(axis=1),
             np.inf,
         )
-        slack = ctx.deadlines(tasks) - best
+        slack = deadlines - best
         # Lexicographic: lowest success rate, then least slack, then task order.
         order_key = np.where(task_has_option, rates, np.inf)
         candidates = np.flatnonzero(order_key == order_key.min())
         i = int(candidates[int(np.argmin(slack[candidates]))])
 
-        energy = dynamic_energy_matrix(tasks, ctx)[i]
+        energy = ctx.cluster.energy_rows([tasks[i]])[0]
         scored = np.where(feasible[i], energy, np.inf)
         j = int(np.argmin(scored))
         return i, j

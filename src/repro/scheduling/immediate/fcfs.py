@@ -8,8 +8,6 @@ systems, the §4 learning outcome). Ties break toward the lowest machine id.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ...machines.machine import Machine
 from ...tasks.task import Task
 from ..base import ImmediateScheduler
@@ -30,5 +28,5 @@ class FCFSScheduler(ImmediateScheduler):
     )
 
     def choose_machine(self, task: Task, ctx: SchedulingContext) -> Machine:
-        ready = ctx.ready_times()
-        return ctx.cluster.machines[int(np.argmin(ready))]
+        cluster = ctx.cluster
+        return cluster.machines[cluster.argmin_ready(ctx.now)]

@@ -9,8 +9,6 @@ sanity check that both implementations agree.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ...machines.machine import Machine
 from ...tasks.task import Task
 from ..base import ImmediateScheduler
@@ -30,4 +28,5 @@ class OLBScheduler(ImmediateScheduler):
     )
 
     def choose_machine(self, task: Task, ctx: SchedulingContext) -> Machine:
-        return ctx.cluster.machines[int(np.argmin(ctx.ready_times()))]
+        cluster = ctx.cluster
+        return cluster.machines[cluster.argmin_ready(ctx.now)]

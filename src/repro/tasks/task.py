@@ -1,6 +1,6 @@
 """Tasks and their lifecycle.
 
-Status machine (DESIGN.md §4):
+Status machine:
 
 ```
 CREATED -> IN_BATCH_QUEUE -> ASSIGNED -> RUNNING -> COMPLETED

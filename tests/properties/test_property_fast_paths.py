@@ -1,4 +1,4 @@
-"""The serial federated hot path's two shortcuts equal their reference forms.
+"""The scheduling hot path's shortcuts equal their reference forms.
 
 1. ``RandomSplitGateway`` bisects a cached CDF instead of calling
    ``rng.choice(n, p=…)``. It must pick the same cluster on every draw and
@@ -8,6 +8,13 @@
    must return the same assignment as the matrix pass on any cluster
    state: saturated queues, down machines, exact ties, every machine
    closed, and clusters past the scalar-loop size limit.
+3. ELARE and FELARE set ``singleton_energy`` and answer a one-task pass
+   with ``Cluster.argmin_open_energy``. Same contract as (2), over tight
+   and loose deadlines and per-task-type power overrides (0 W included).
+4. ``Cluster.energy_rows`` gathers from a table built once per run; it is
+   bit-equal to the per-task ``watts * eet_vector`` rows it replaces.
+5. FCFS and OLB pick with ``Cluster.argmin_ready``; it equals
+   ``np.argmin(ready_times(now))``, down machines included.
 """
 
 import numpy as np
@@ -15,9 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import EETError
+from repro.core.errors import ConfigurationError, EETError
 from repro.machines.cluster import Cluster
 from repro.machines.eet import EETMatrix
+from repro.machines.power import PowerProfile
 from repro.scheduling.base import BatchScheduler, argmin_2d
 from repro.scheduling.context import LiveTypeStats, SchedulingContext
 from repro.scheduling.federation import GatewayContext, create_gateway
@@ -26,6 +34,7 @@ from repro.tasks.task import Task
 from repro.tasks.task_type import TaskType
 
 OPTED_IN = ["MM", "MSD", "MMU", "MAXMIN", "SUFFERAGE"]
+ENERGY_OPTED_IN = ["ELARE", "FELARE"]
 
 
 # -- gateway: CDF bisect == rng.choice ----------------------------------------------
@@ -105,8 +114,20 @@ def clusters(draw):
     # Occasionally past Cluster._SCALAR_ARGMIN_LIMIT: the vector branch.
     per_type = draw(st.sampled_from([1, 1, 2, 3, 17]))
     capacity = draw(st.integers(1, 2))
+    # Integer and float draws, with per-type overrides down to 0 W: exact
+    # energy ties and an int-to-float conversion in the energy table.
+    watts = st.sampled_from([0, 0.0, 6, 9.5, 95.0, 250.0, 1e-3])
+    power = {
+        f"M{j}": PowerProfile(
+            busy_watts=draw(watts),
+            busy_watts_by_type=draw(
+                st.dictionaries(st.sampled_from(["A", "B"]), watts)
+            ),
+        )
+        for j in range(n_types)
+    }
     cluster = Cluster.build(
-        eet, [per_type] * n_types, queue_capacity=capacity
+        eet, [per_type] * n_types, queue_capacity=capacity, power_profiles=power
     )
     ids = iter(range(1000, 100000))
     for machine in cluster.machines:
@@ -185,6 +206,110 @@ def test_all_saturated_maps_nothing(policy):
     assert create_scheduler(policy).schedule(_ctx(cluster, 0.0, [task])) == []
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    policy=st.sampled_from(ENERGY_OPTED_IN),
+    system=clusters(),
+    task_type=st.integers(0, 1),
+    deadline=st.sampled_from([0.5, 1.0, 2.5, 3.0, 4.0, 9.0, 50.0, np.inf]),
+)
+def test_energy_singleton_pass_equals_matrix_pass(
+    policy, system, task_type, deadline
+):
+    cluster, now = system
+    task = Task(
+        id=0, task_type=TYPES[task_type], arrival_time=0.0, deadline=deadline
+    )
+    task.enqueue_batch()
+    scheduler = create_scheduler(policy)
+    fast = scheduler.schedule(_ctx(cluster, now, [task]))
+    reference = scheduler._matrix_pass([task], _ctx(cluster, now, [task]))
+    assert _pairs(fast) == _pairs(reference)
+
+
+@pytest.mark.parametrize("policy", ENERGY_OPTED_IN)
+@pytest.mark.parametrize("deadline,machine", [(3.0, 0), (2.5, 1), (0.5, 1)])
+def test_deadline_met_exactly_is_feasible(policy, deadline, machine):
+    # M0 completes at 3.0 for 0 J; M1 at 1.0 for 9 J. A deadline of exactly
+    # 3.0 keeps M0 feasible; nothing feasible falls back to the fastest.
+    eet = EETMatrix(np.array([[3.0, 1.0]]), TYPES[:1], ["M0", "M1"])
+    power = {"M1": PowerProfile(busy_watts=9.0)}
+    cluster = Cluster.build(eet, [1, 1], queue_capacity=1, power_profiles=power)
+    task = Task(id=0, task_type=TYPES[0], arrival_time=0.0, deadline=deadline)
+    task.enqueue_batch()
+    scheduler = create_scheduler(policy)
+    fast = scheduler.schedule(_ctx(cluster, 0.0, [task]))
+    reference = scheduler._matrix_pass([task], _ctx(cluster, 0.0, [task]))
+    assert _pairs(fast) == _pairs(reference) == [(0, machine)]
+
+
+def _reference_energy(tasks, cluster):
+    """The per-task row loop ``Cluster.energy_table`` replaced."""
+    machines = cluster.machines
+    energy = np.empty((len(tasks), len(machines)))
+    for i, task in enumerate(tasks):
+        eet = cluster.eet_vector(task)
+        watts = np.array(
+            [
+                m.machine_type.power.active_watts(task.task_type.name)
+                for m in machines
+            ]
+        )
+        energy[i] = watts * eet
+    return energy
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    system=clusters(),
+    kinds=st.lists(st.integers(0, 1), min_size=1, max_size=6),
+)
+def test_energy_rows_equal_per_task_rows(system, kinds):
+    cluster, _ = system
+    tasks = [
+        Task(id=i, task_type=TYPES[k], arrival_time=0.0, deadline=9.0)
+        for i, k in enumerate(kinds)
+    ]
+    got = cluster.energy_rows(tasks)
+    want = _reference_energy(tasks, cluster)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not cluster.energy_table.flags.writeable
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=clusters())
+def test_argmin_ready_equals_ready_times_argmin(system):
+    cluster, now = system
+    assert cluster.argmin_ready(now) == int(np.argmin(cluster.ready_times(now)))
+
+
+def test_non_finite_energy_is_refused():
+    eet = EETMatrix(np.array([[1.0, 2.0]]), TYPES[:1], ["M0", "M1"])
+    power = {"M1": PowerProfile(busy_watts=float("inf"))}
+    cluster = Cluster.build(eet, [1, 1], queue_capacity=2, power_profiles=power)
+    task = Task(id=0, task_type=TYPES[0], arrival_time=0.0, deadline=9.0)
+    task.enqueue_batch()
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        create_scheduler("ELARE").schedule(_ctx(cluster, 0.0, [task]))
+
+
+@pytest.mark.parametrize("policy", ENERGY_OPTED_IN)
+@pytest.mark.parametrize("per_type", [1, 40])  # scalar and vector branch
+def test_unknown_task_type_fails_alike_on_energy_paths(policy, per_type):
+    eet = EETMatrix(np.array([[1.0, 2.0]]), TYPES[:1], ["M0", "M1"])
+    cluster = Cluster.build(eet, [per_type, per_type], queue_capacity=2)
+    task = Task(id=0, task_type=TYPES[1], arrival_time=0.0, deadline=9.0)
+    task.enqueue_batch()
+    scheduler = create_scheduler(policy)
+    with pytest.raises(EETError):
+        scheduler.schedule(_ctx(cluster, 0.0, [task]))
+    with pytest.raises(EETError):
+        scheduler._matrix_pass([task], _ctx(cluster, 0.0, [task]))
+    with pytest.raises(EETError):
+        cluster.energy_rows([task])
+
+
 def test_unknown_task_type_fails_like_the_matrix_pass():
     eet = EETMatrix(np.array([[1.0, 2.0]]), TYPES[:1], ["M0", "M1"])
     cluster = Cluster.build(eet, [1, 1], queue_capacity=2)
@@ -201,8 +326,11 @@ def test_only_row_argmin_policies_opt_in():
     for name in OPTED_IN:
         assert scheduler_class(name).singleton_argmin is True
     # Energy among deadline-feasible machines, not the completion argmin.
-    for name in ("ELARE", "FELARE"):
+    for name in ENERGY_OPTED_IN:
         assert scheduler_class(name).singleton_argmin is False
+        assert scheduler_class(name).singleton_energy is True
+    for name in OPTED_IN:
+        assert scheduler_class(name).singleton_energy is False
 
     class Plugged(BatchScheduler):
         name = "PLUGGED"
@@ -211,3 +339,4 @@ def test_only_row_argmin_policies_opt_in():
             return argmin_2d(completion)
 
     assert Plugged.singleton_argmin is False
+    assert Plugged.singleton_energy is False
