@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 
@@ -28,20 +27,3 @@ def record_result_line(path: Path, key: str, line: str) -> None:
         lines.append(prefix + line)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-
-def record_result_json(path: Path, key: str, payload: dict) -> None:
-    """Merge ``{key: payload}`` into the JSON result file at *path*.
-
-    The machine-readable twin of :func:`record_result_line`: one top-level
-    object keyed by benchmark id, each value a flat dict of measurements
-    (events, events/s, wall time, ...). Same replace-don't-append semantics,
-    so the file stays one entry per benchmark. Keys are sorted on write to
-    keep diffs stable across partial re-runs.
-    """
-    data: dict = {}
-    if path.exists():
-        data = json.loads(path.read_text(encoding="utf-8"))
-    data[key] = payload
-    path.write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )

@@ -1,20 +1,21 @@
 #!/usr/bin/env python
-"""Benchmark-regression gate for the engine-throughput suite.
+"""Throughput gate for the service load benchmark.
 
 Reads a pytest-benchmark JSON report (``--benchmark-json``), extracts the
-``events_per_sec`` figure each benchmark attached to ``extra_info``, and
-compares it against the committed baseline. A benchmark fails the gate when
-its throughput drops more than ``--tolerance`` (default 30%) below baseline.
+``events_per_sec`` figure each benchmark attached to ``extra_info`` (for the
+service tier, one "event" is a submission handled end to end), and compares
+it against a committed baseline. A benchmark fails the gate when its
+throughput drops more than ``--tolerance`` (default 50%) below baseline.
 
 Usage::
 
-    python -m pytest benchmarks/test_bench_engine_throughput.py \
-        --benchmark-json=bench-results.json
-    python benchmarks/check_regression.py bench-results.json
+    python -m pytest benchmarks/test_bench_service_load.py \
+        --benchmark-json=service-bench-results.json
+    python benchmarks/check_regression.py service-bench-results.json \
+        --baseline benchmarks/results/service_load_baseline.json
 
-Refresh the baseline after an intentional performance change::
-
-    python benchmarks/check_regression.py bench-results.json --update
+Refresh the baseline after an intentional performance change by adding
+``--update``; the baseline file keeps its own ``description``.
 
 Benchmarks present in the report but absent from the baseline pass with a
 notice (so adding a benchmark does not require touching two files in one
@@ -29,10 +30,6 @@ import json
 import sys
 from pathlib import Path
 
-DEFAULT_BASELINE = (
-    Path(__file__).parent / "results" / "engine_throughput_baseline.json"
-)
-
 
 def load_report_throughputs(report_path: Path) -> dict[str, float]:
     """Map benchmark name -> events/s from a pytest-benchmark JSON report."""
@@ -45,16 +42,37 @@ def load_report_throughputs(report_path: Path) -> dict[str, float]:
     return out
 
 
+def update_baseline(baseline_path: Path, measured: dict[str, float]) -> None:
+    """Rewrite *baseline_path* from *measured*, keeping its description."""
+    description = "throughput baseline; refreshed via check_regression.py --update"
+    if baseline_path.exists():
+        old = json.loads(baseline_path.read_text(encoding="utf-8"))
+        description = old.get("description", description)
+    baseline_path.write_text(
+        json.dumps(
+            {
+                "description": description,
+                "events_per_sec": {
+                    name: round(eps, 1) for name, eps in sorted(measured.items())
+                },
+            },
+            indent=2,
+        )
+        + "\n",
+        encoding="utf-8",
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("report", type=Path, help="pytest-benchmark JSON report")
     parser.add_argument(
-        "--baseline", type=Path, default=DEFAULT_BASELINE,
-        help=f"committed baseline JSON (default {DEFAULT_BASELINE})",
+        "--baseline", type=Path, required=True,
+        help="committed baseline JSON",
     )
     parser.add_argument(
-        "--tolerance", type=float, default=0.30,
-        help="maximum allowed fractional drop below baseline (default 0.30)",
+        "--tolerance", type=float, default=0.50,
+        help="maximum allowed fractional drop below baseline (default 0.50)",
     )
     parser.add_argument(
         "--update", action="store_true",
@@ -68,23 +86,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.update:
-        args.baseline.write_text(
-            json.dumps(
-                {
-                    "description": (
-                        "events/s baseline for the engine-throughput "
-                        "benchmarks; refreshed via check_regression.py "
-                        "--update"
-                    ),
-                    "events_per_sec": {
-                        name: round(eps, 1) for name, eps in sorted(measured.items())
-                    },
-                },
-                indent=2,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        update_baseline(args.baseline, measured)
         print(f"baseline updated: {args.baseline}")
         return 0
 

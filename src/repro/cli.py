@@ -20,8 +20,6 @@ Subcommands mirror the E2C GUI surface:
 * ``e2c-sim trace`` — the cluster-trace ingestion layer: ``inspect`` a raw
   Google/Azure-style CSV export, ``convert`` it into the canonical workload
   format against an EET, or ``replay`` a trace-driven scenario.
-* ``e2c-sim bench`` — engine-throughput benchmark over registered scenarios
-  (defaults to the scale tier).
 * ``e2c-sim assignment`` — regenerate the class-assignment figures (5/6/7).
 * ``e2c-sim table1`` — the positioning table.
 * ``e2c-sim quiz`` — print a quiz sheet (and, with ``--key``, its answers).
@@ -442,41 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["full", "task", "machine", "summary"],
         default="summary",
         help="which report to print",
-    )
-
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark engine throughput on registered scenarios",
-        description=(
-            "Run registered scenario presets end-to-end and report engine "
-            "throughput (events/second). Defaults to the scale tier "
-            "(scale_campus), whose hundreds of machines and tens of "
-            "thousands of tasks exercise the hot path the way the "
-            "benchmark-regression CI gate does."
-        ),
-    )
-    bench.add_argument(
-        "--scenarios", default="scale_campus", metavar="NAME[,NAME...]",
-        help="comma-separated registered scenario names (see 'scenarios'); "
-        "default: scale_campus",
-    )
-    bench.add_argument(
-        "--scheduler", default=None,
-        help="override the preset's scheduling policy",
-    )
-    bench.add_argument(
-        "--repeat", type=int, default=3,
-        help="runs per scenario; best and mean are reported (default 3)",
-    )
-    bench.add_argument(
-        "--json", type=Path, default=None, metavar="FILE",
-        help="also write machine-readable results to FILE",
-    )
-    bench.add_argument(
-        "--profile", type=Path, default=None, metavar="FILE",
-        help="cProfile one extra (untimed) run per scenario, write the "
-        ".pstats to FILE and print the top-20 functions by cumulative "
-        "time; see docs/PERFORMANCE.md for the analysis recipe",
     )
 
     assign = sub.add_parser(
@@ -1156,85 +1119,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json as json_module
-    import time
-
-    from .scenarios import build_scenario
-
-    if args.repeat < 1:
-        print("error: --repeat must be >= 1", file=sys.stderr)
-        return 2
-    names = _split_csv(args.scenarios)
-    if not names:
-        print("error: --scenarios must name at least one preset", file=sys.stderr)
-        return 2
-    overrides = {} if args.scheduler is None else {"scheduler": args.scheduler}
-
-    header = (
-        f"{'scenario':<20} {'sched':<8} {'tasks':>7} {'events':>8} "
-        f"{'best ev/s':>10} {'mean ev/s':>10} {'wall s':>7}"
-    )
-    print(header)
-    print("-" * len(header))
-    results = []
-    for name in names:
-        scenario = build_scenario(name, **overrides)
-
-        if args.profile is not None:
-            # Profile an extra run that is NOT timed: instrumentation
-            # overhead would poison the throughput numbers below.
-            import cProfile
-            import pstats
-
-            out = args.profile
-            if len(names) > 1:
-                suffix = out.suffix or ".pstats"
-                out = out.with_name(f"{out.stem}-{name}{suffix}")
-            profiler = cProfile.Profile()
-            profiler.enable()
-            scenario.run()
-            profiler.disable()
-            profiler.dump_stats(out)
-            print(f"profile ({name}): top 20 by cumulative time -> {out}")
-            stats = pstats.Stats(profiler, stream=sys.stdout)
-            stats.sort_stats("cumulative").print_stats(20)
-
-        walls = []
-        result = None
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            result = scenario.run()
-            walls.append(time.perf_counter() - t0)
-        assert result is not None
-        events = result.events_processed
-        best = events / min(walls)
-        mean = events / (sum(walls) / len(walls))
-        row = {
-            "scenario": name,
-            "scheduler": result.scheduler_name,
-            "tasks": result.summary.total_tasks,
-            "events": events,
-            "repeat": args.repeat,
-            "best_events_per_sec": best,
-            "mean_events_per_sec": mean,
-            "mean_wall_s": sum(walls) / len(walls),
-            "completion_rate": result.summary.completion_rate,
-        }
-        results.append(row)
-        print(
-            f"{name:<20} {result.scheduler_name:<8} "
-            f"{row['tasks']:>7} {events:>8} {best:>10,.0f} {mean:>10,.0f} "
-            f"{row['mean_wall_s']:>7.2f}"
-        )
-    if args.json is not None:
-        args.json.write_text(
-            json_module.dumps(results, indent=2), encoding="utf-8"
-        )
-        print(f"\nsaved: {args.json}")
-    return 0
-
-
 def _cmd_assignment(args: argparse.Namespace) -> int:
     from .education.assignment import (
         AssignmentConfig,
@@ -1289,7 +1173,6 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "submit": _cmd_submit,
     "trace": _cmd_trace,
-    "bench": _cmd_bench,
     "assignment": _cmd_assignment,
     "table1": _cmd_table1,
     "quiz": _cmd_quiz,

@@ -16,7 +16,7 @@ benchmark harness. Three presets, in increasing order of stress:
 All EETs come from the CVB generator (Ali et al. 2000), so heterogeneity is
 controlled by two coefficients of variation instead of hand-written tables.
 Factories accept the standard ``scheduler`` / ``intensity`` / ``duration`` /
-``seed`` keywords so campaign grids and ``e2c-sim bench`` can sweep them.
+``seed`` keywords so campaign grids can sweep them.
 """
 
 from __future__ import annotations

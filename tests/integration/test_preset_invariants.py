@@ -1,36 +1,75 @@
-"""Correctness checks of the engine-throughput timing tiers, run untimed.
+"""Whole-run invariants of the larger presets, checked untimed.
 
-``benchmarks/test_bench_engine_throughput.py`` asserts four invariants
-inside its timed events/s tiers. They are correctness checks, not timings,
-so they live in ``tests/`` too, on the same presets with the same
-arguments. Two are here:
+These are correctness checks on presets too big or too varied for the
+exact goldens to pin field by field:
 
+* each run simulates at least a preset-specific number of tasks;
 * a federated preset offloads some, but not all, of its tasks;
 * the tree root's WAN attempts are exactly the offloaded tasks.
 
-The other two were already pinned in ``test_golden_metrics.py``:
-migration ``attempted == delivered + cancelled_in_flight`` on
-``fed_rebalance`` (``TestGoldenFedRebalance.test_migration_conservation``)
-and ``total_tasks == 420`` on ``trace_replay``
-(``TestGoldenTraceReplay.test_summary_exact``).
+The smaller federated presets are pinned exactly in
+``test_golden_metrics.py``, which implies the same floors there: task
+totals (``test_summary_exact``), WAN deliveries on ``fed_congested``
+(``TestGoldenFedCongested.test_link_usage_exact``), migrations on
+``fed_rebalance`` (``TestGoldenFedRebalance.test_migration_stats_exact``
+and ``test_migration_conservation``) and ``total_tasks == 420`` on
+``trace_replay`` (``TestGoldenTraceReplay.test_summary_exact``).
 """
 
 import pytest
 
+from repro.core.config import Scenario
+from repro.machines.eet_generation import generate_eet_cvb
 from repro.scenarios import build_scenario
+
+
+def _cvb_mect(machines_per_type):
+    """A medium-intensity MECT run on a 4x4 CVB matrix."""
+    eet = generate_eet_cvb(
+        4, 4, mean_task=12.0, v_task=0.4, v_machine=0.5, seed=3
+    )
+    return Scenario(
+        eet=eet,
+        machine_counts={n: machines_per_type for n in eet.machine_type_names},
+        scheduler="MECT",
+        generator={"duration": 400.0, "intensity": "medium"},
+        seed=9,
+        name="throughput",
+    )
+
+
+#: Unregistered scenarios the ``run`` fixture builds by key.
+CUSTOM = {"cvb_mect_4": lambda: _cvb_mect(1), "cvb_mect_16": lambda: _cvb_mect(4)}
 
 
 @pytest.fixture(scope="module")
 def run():
-    """Each preset's result, run once per module and freed after it."""
+    """Each scenario's result, run once per module and freed after it."""
     results = {}
 
-    def _run(preset):
-        if preset not in results:
-            results[preset] = build_scenario(preset).run()
-        return results[preset]
+    def _run(key):
+        if key not in results:
+            scenario = CUSTOM[key]() if key in CUSTOM else build_scenario(key)
+            results[key] = scenario.run()
+        return results[key]
 
     return _run
+
+
+@pytest.mark.parametrize(
+    "key,floor",
+    [
+        ("cvb_mect_4", 0),
+        ("cvb_mect_16", 0),
+        ("fed_heavytail", 2000),
+        ("scale_campus", 5000),
+        ("scale_federation", 20000),
+        ("hier_3region", 500),
+        ("hier_deep", 300),
+    ],
+)
+def test_total_tasks_above_floor(run, key, floor):
+    assert run(key).summary.total_tasks > floor
 
 
 @pytest.mark.parametrize(
@@ -53,4 +92,3 @@ def test_federation_offloads_some_but_not_all(run, preset):
 def test_tree_root_wan_attempts_are_the_offloads(run, preset):
     result = run(preset)
     assert result.tree.root.stats["wan_attempted"] == result.offloaded
-

@@ -482,54 +482,6 @@ class TestTournament:
         assert "NO_SUCH_GATEWAY" in capsys.readouterr().err
 
 
-class TestBench:
-    def test_default_help_lists_bench(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["bench", "--help"])
-        assert "throughput" in capsys.readouterr().out
-
-    def test_bench_classroom(self, capsys, tmp_path):
-        json_path = tmp_path / "bench.json"
-        code = main(
-            [
-                "bench",
-                "--scenarios", "classroom_homogeneous",
-                "--repeat", "1",
-                "--json", str(json_path),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "classroom_homogeneous" in out
-        assert "ev/s" in out
-        import json
-
-        rows = json.loads(json_path.read_text(encoding="utf-8"))
-        assert rows[0]["scenario"] == "classroom_homogeneous"
-        assert rows[0]["events"] > 0
-        assert rows[0]["best_events_per_sec"] > 0
-
-    def test_bench_scheduler_override(self, capsys):
-        code = main(
-            [
-                "bench",
-                "--scenarios", "classroom_homogeneous",
-                "--scheduler", "MECT",
-                "--repeat", "1",
-            ]
-        )
-        assert code == 0
-        assert "MECT" in capsys.readouterr().out
-
-    def test_bench_rejects_bad_repeat(self, capsys):
-        assert main(["bench", "--repeat", "0"]) == 2
-        assert "--repeat" in capsys.readouterr().err
-
-    def test_bench_unknown_scenario_is_clean_error(self, capsys):
-        assert main(["bench", "--scenarios", "nope"]) == 1
-        assert "unknown scenario" in capsys.readouterr().err
-
-
 class TestService:
     """The spool transport: submit -> serve -> status/result, in-process."""
 

@@ -1,0 +1,107 @@
+"""The perfbench CI gate (``tools/perf_gate.py``) on synthetic runs.
+
+No perfbench process is started: each test hands ``check`` the result
+records a gate run would have collected, with the bounds of the repo's own
+``BENCHMARK.json``.
+"""
+
+import copy
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("perf_gate", ROOT / "tools" / "perf_gate.py")
+perf_gate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(perf_gate)
+
+BENCHMARK = perf_gate.load_benchmark(ROOT)
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+BASE = {"wall_s": 2.0, "setup_s": 0.5, "run_s": 1.5, "tasks_per_s": 10000.0,
+        "peak_heap_mb": 40.0}
+
+
+def _result(**scale):
+    """A clean perfbench result: BASE, each named metric times its factor."""
+    return {
+        "correct": True, "attempted": 5, "failed": 0,
+        "metrics": {name: {"value": value * scale.get(name, 1.0), "unit": "-"}
+                    for name, value in BASE.items()},
+    }
+
+
+def _runs(change=None, workload="fed_scale"):
+    """PAIRS clean pairs on every workload; *workload*'s change side is
+    ``change`` (a result dict) instead."""
+    runs = []
+    for pair in range(1, perf_gate.PAIRS + 1):
+        for name in WORKLOADS:
+            for side in perf_gate.SIDES:
+                result = _result()
+                if side == "change" and name == workload and change is not None:
+                    result = copy.deepcopy(change)
+                runs.append({"pair": pair, "side": side, "workload": name,
+                             "args": "--trace 0", "result": result})
+    return runs
+
+
+def _failures(runs):
+    return perf_gate.check(runs, BENCHMARK)[1]
+
+
+def test_identical_sides_pass():
+    lines, failures = perf_gate.check(_runs(), BENCHMARK)
+    assert failures == []
+    assert len(lines) == 1 + len(WORKLOADS) * len(BASE)
+
+
+@pytest.mark.parametrize("factor,fails", [(1.26, True), (1.24, False)])
+def test_run_s_bound(factor, fails):
+    failures = _failures(_runs(_result(run_s=factor)))
+    assert bool(failures) is fails
+    if fails:
+        assert failures[0].startswith("fed_scale run_s:")
+
+
+@pytest.mark.parametrize("factor,fails", [(0.74, True), (0.76, False), (2.0, False)])
+def test_tasks_per_s_is_higher_better(factor, fails):
+    assert bool(_failures(_runs(_result(tasks_per_s=factor)))) is fails
+
+
+@pytest.mark.parametrize("factor,fails", [(1.16, True), (1.14, False)])
+def test_peak_heap_uses_its_own_bound(factor, fails):
+    assert bool(_failures(_runs(_result(peak_heap_mb=factor)))) is fails
+
+
+def test_failed_calls_fail():
+    result = _result()
+    result["failed"] = 1
+    assert _failures(_runs(result)) == ["pair 1 change fed_scale: 1 failed calls",
+                                        "pair 2 change fed_scale: 1 failed calls",
+                                        "pair 3 change fed_scale: 1 failed calls"]
+
+
+def test_incorrect_result_fails():
+    result = _result()
+    result["correct"] = False
+    assert "pair 2 change fed_scale: correct is false" in _failures(_runs(result))
+
+
+def test_run_without_result_fails():
+    runs = _runs()
+    runs[0]["result"] = None
+    assert _failures(runs) == [f"pair 1 parent {WORKLOADS[0]}: no result"]
+
+
+def test_missing_metric_fails():
+    result = _result()
+    del result["metrics"]["setup_s"]
+    assert "pair 1 change hier_tree: metric setup_s missing" in _failures(
+        _runs(result, workload="hier_tree")
+    )
+
+
+def test_missing_workload_fails():
+    runs = [r for r in _runs() if not (r["workload"] == "hier_tree" and r["side"] == "change")]
+    assert _failures(runs) == ["change hier_tree: workload missing"]

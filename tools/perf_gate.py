@@ -1,0 +1,183 @@
+#!/usr/bin/env python
+"""Performance gate: perfbench medians of a change against its parent.
+
+Runs each checkout's own ``perfbench/run.py --trace 0`` on every workload
+that ``BENCHMARK.json`` declares, for a fixed number of pairs. Odd pairs run
+the parent first and even pairs the change first, so a slow phase of a
+shared machine does not land on one side only. The measuring time per run
+is ``BENCHMARK.json``'s ``run_seconds``; the bounds are its ``end_to_end``
+bounds. Both are read from the change's checkout.
+
+The gate fails when
+
+* any run reports ``failed > 0`` or ``correct: false``, or prints no result;
+* a workload, or an end-to-end metric of a run, is missing;
+* on any workload, the change's median of an end-to-end metric is worse
+  than the parent's median by more than that metric's bound (relative to
+  the parent, in the metric's ``better`` direction).
+
+Usage::
+
+    python tools/perf_gate.py PARENT_CHECKOUT CHANGE_CHECKOUT [--out FILE]
+
+``--out`` writes every run as one record (``pair``, ``side``, ``workload``,
+``args``, ``result``) under ``runs``, the shape of the ``BENCH_*.json``
+trajectory files. The exit status is 0 on pass and 1 on failure.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from typing import Any
+
+#: Parent/change pairs per workload.
+PAIRS = 3
+SIDES = ("parent", "change")
+
+
+def load_benchmark(checkout: Path) -> dict[str, Any]:
+    return json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+def git_sha(checkout: Path) -> str | None:
+    out = subprocess.run(
+        ["git", "-C", str(checkout), "rev-parse", "HEAD"],
+        capture_output=True, text=True,
+    )
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def run_perfbench(checkout: Path, workload: str, args: list[str]) -> dict | None:
+    """One perfbench run from *checkout*; its JSON result, or None."""
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, *args],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    sys.stderr.write(out.stderr)
+    lines = out.stdout.strip().splitlines()
+    if out.returncode != 0 or not lines:
+        return None
+    try:
+        return json.loads(lines[-1])
+    except json.JSONDecodeError:
+        return None
+
+
+def collect(dirs: dict[str, Path], benchmark: dict[str, Any]) -> list[dict]:
+    """Every run of every pair, in the order they ran."""
+    args = ["--seconds", str(benchmark["run_seconds"]), "--trace", "0"]
+    runs = []
+    for pair in range(1, PAIRS + 1):
+        order = SIDES if pair % 2 else SIDES[::-1]
+        for workload in (w["name"] for w in benchmark["workloads"]):
+            for side in order:
+                result = run_perfbench(dirs[side], workload, args)
+                runs.append({
+                    "pair": pair, "side": side, "workload": workload,
+                    "args": " ".join(args), "result": result, "set": "perf gate",
+                })
+                print(f"pair {pair} {side:<6} {workload:<20} " + (
+                    "no result" if result is None else
+                    f"failed {result['failed']}/{result['attempted']}  "
+                    f"correct {str(result['correct']).lower()}"
+                ), flush=True)
+    return runs
+
+
+def check(runs: list[dict], benchmark: dict[str, Any]) -> tuple[list[str], list[str]]:
+    """(report lines, failures) for *runs* against *benchmark*'s bounds."""
+    metrics = benchmark["end_to_end"]
+    failures = []
+    values: dict[tuple[str, str, str], list[float]] = {}
+    for run in runs:
+        where = f"pair {run['pair']} {run['side']} {run['workload']}"
+        result = run["result"]
+        if result is None:
+            failures.append(f"{where}: no result")
+            continue
+        if result["failed"] > 0:
+            failures.append(f"{where}: {result['failed']} failed calls")
+        if not result["correct"]:
+            failures.append(f"{where}: correct is false")
+        for spec in metrics:
+            measured = result["metrics"].get(spec["name"])
+            if measured is None:
+                failures.append(f"{where}: metric {spec['name']} missing")
+            else:
+                key = (run["side"], run["workload"], spec["name"])
+                values.setdefault(key, []).append(measured["value"])
+
+    lines = [f"{'workload':<20} {'metric':<14} {'parent':>12} {'change':>12} "
+             f"{'worse':>7} {'bound':>6}"]
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        for side in SIDES:
+            if not any(r["side"] == side and r["workload"] == workload for r in runs):
+                failures.append(f"{side} {workload}: workload missing")
+        for spec in metrics:
+            name, bound = spec["name"], spec["bound"]
+            parent = values.get(("parent", workload, name))
+            change = values.get(("change", workload, name))
+            if not parent or not change:
+                continue
+            base, head = statistics.median(parent), statistics.median(change)
+            worse = (head - base if spec["better"] == "lower" else base - head) / base
+            flag = ""
+            if worse > bound:
+                flag = "  << REGRESSION"
+                failures.append(
+                    f"{workload} {name}: median {head:.6g} is {worse:.1%} worse "
+                    f"than the parent's {base:.6g} (bound {bound:.0%})"
+                )
+            lines.append(f"{workload:<20} {name:<14} {base:>12.6g} {head:>12.6g} "
+                         f"{worse:>7.1%} {bound:>6.0%}{flag}")
+    return lines, failures
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--out", type=Path, default=None, metavar="FILE",
+                        help="write every run and the verdict as JSON")
+    args = parser.parse_args(argv)
+
+    dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    benchmark = load_benchmark(dirs["change"])
+    runs = collect(dirs, benchmark)
+    lines, failures = check(runs, benchmark)
+    print("\n" + "\n".join(lines))
+
+    if args.out is not None:
+        record = {
+            "parent_sha": git_sha(dirs["parent"]),
+            "change_sha": git_sha(dirs["change"]),
+            "nproc": os.cpu_count(),
+            "host": f"{platform.machine()} {platform.system()}, "
+                    f"Python {platform.python_version()}",
+            "command": "python3 perfbench/run.py --workload <workload> <args>, "
+                       "run from a checkout of each side; odd pairs run the "
+                       "parent first and even pairs the change first",
+            "passed": not failures,
+            "failures": failures,
+            "runs": runs,
+        }
+        args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+
+    if failures:
+        print(f"\nFAIL: {len(failures)} problem(s):")
+        for failure in failures:
+            print(f"  - {failure}")
+        return 1
+    print(f"\nOK: {len(runs)} runs, every median within its bound")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
