@@ -15,52 +15,12 @@ import numpy as np
 from ..core.errors import ConfigurationError
 from ..tasks.task import Task
 from .eet import EETMatrix
-from .machine import Machine
+from .machine import ClusterState, Machine
 from .machine_queue import UNBOUNDED
 from .machine_type import MachineType
 from .power import PowerProfile
 
 __all__ = ["Cluster", "ClusterState"]
-
-
-class ClusterState:
-    """Incrementally-maintained planning arrays shared with the machines.
-
-    Every machine state transition (enqueue, start, finish, drop, fail,
-    repair) mirrors three scalars into these arrays, so the per-decision
-    ``ready_times`` sweep is a single vectorised expression instead of a
-    Python loop over machines scanning queues. ``idle`` / ``n_idle`` form the
-    O(1) idle-machine index used by renderers and idle-seeking policies.
-    """
-
-    __slots__ = (
-        "finish_at",
-        "queued_work",
-        "finish_list",
-        "queued_list",
-        "slots",
-        "up",
-        "idle",
-        "n_idle",
-        "n_down",
-    )
-
-    def __init__(self, n: int) -> None:
-        self.finish_at = np.zeros(n)   # run_finishes_at, 0.0 while idle
-        self.queued_work = np.zeros(n)  # Σ EET of queued tasks
-        # Plain-float twins of the two arrays above, maintained by the same
-        # machine syncs: the scalar argmin/min fast paths index them directly
-        # instead of paying a .tolist() materialisation per decision.
-        self.finish_list = [0.0] * n
-        self.queued_list = [0.0] * n
-        # Free machine-queue slots (0.0 while down, inf when unbounded),
-        # mirrored by the same syncs: the batch mapping loop snapshots this
-        # array instead of chasing queue attributes machine by machine.
-        self.slots = np.full(n, np.inf)
-        self.up = np.ones(n, dtype=bool)
-        self.idle = np.ones(n, dtype=bool)  # up and not running
-        self.n_idle = n
-        self.n_down = 0
 
 
 class Cluster:
@@ -105,11 +65,11 @@ class Cluster:
         self._energy_lists: list[list[float]] = []
         self._state = ClusterState(len(self.machines))
         for i, m in enumerate(self.machines):
-            m.bind_shared_state(self._state, i)
+            m.bind_state(self._state, i)
 
     @property
     def state(self) -> ClusterState:
-        """The shared planning arrays (read-only by convention)."""
+        """The machines' planning scalars (read-only by convention)."""
         return self._state
 
     # -- construction -------------------------------------------------------------
@@ -273,7 +233,7 @@ class Cluster:
         ready += now
         ready += state.queued_work
         if state.n_down:
-            ready[~state.up] = np.inf
+            ready[~np.array(state.up)] = np.inf
         return ready
 
     def completion_times(self, task: Task, now: float) -> np.ndarray:
@@ -290,9 +250,9 @@ class Cluster:
         """Index of the machine minimising completion time (MCT argmin).
 
         For fully-up clusters up to ``_SCALAR_ARGMIN_LIMIT`` machines a
-        scalar Python loop over the incrementally-maintained plain-float
-        mirrors beats the fixed overhead of the ~6 NumPy ufunc dispatches
-        the vectorised path costs; both branches perform the identical IEEE
+        scalar Python loop over the :class:`ClusterState` rows (one
+        ``tolist()`` per field) beats the fixed overhead of the ~6 NumPy
+        ufunc dispatches the vectorised path costs; both branches perform the identical IEEE
         operations (and first-minimum tie-break), so the chosen index — and
         therefore the simulation trajectory — is the same.
         """
@@ -301,10 +261,10 @@ class Cluster:
             row = self._row_of.get(task.task_type.name)
             if row is not None:
                 eet_row = self._eet_lists[row]
-                queued = state.queued_list
+                queued = state.queued_work.tolist()
                 best = float("inf")
                 best_j = 0
-                for j, f in enumerate(state.finish_list):
+                for j, f in enumerate(state.finish_at.tolist()):
                     remaining = f - now
                     if remaining < 0.0:
                         remaining = 0.0
@@ -327,9 +287,9 @@ class Cluster:
             row = self._row_of.get(task.task_type.name)
             if row is not None:
                 eet_row = self._eet_lists[row]
-                queued = state.queued_list
+                queued = state.queued_work.tolist()
                 best = float("inf")
-                for j, f in enumerate(state.finish_list):
+                for j, f in enumerate(state.finish_at.tolist()):
                     remaining = f - now
                     if remaining < 0.0:
                         remaining = 0.0
@@ -348,7 +308,7 @@ class Cluster:
         columns masked to +inf, which is what ``argmin_2d`` picks from a
         1×M completion matrix. Fully-up clusters up to
         ``_SCALAR_ARGMIN_LIMIT`` machines take a scalar loop over the
-        plain-float mirrors with the same IEEE operations in the same
+        :class:`ClusterState` rows with the same IEEE operations in the same
         order; down machines or an unknown task type take the vector form.
         """
         state = self._state
@@ -359,15 +319,15 @@ class Cluster:
             or len(self.machines) > self._SCALAR_ARGMIN_LIMIT
         ):
             completion = self.completion_times(task, now)
-            completion[state.slots <= 0] = np.inf
+            completion[np.array(state.slots) <= 0] = np.inf
             j = int(completion.argmin())
             return j if np.isfinite(completion[j]) else None
         eet_row = self._eet_lists[row]
-        queued = state.queued_list
-        slots = state.slots.tolist()
+        queued = state.queued_work.tolist()
+        slots = state.slots
         best = float("inf")
         best_j = None
-        for j, f in enumerate(state.finish_list):
+        for j, f in enumerate(state.finish_at.tolist()):
             if slots[j] <= 0:
                 continue
             remaining = f - now
@@ -399,7 +359,7 @@ class Cluster:
             or len(self.machines) > self._SCALAR_ARGMIN_LIMIT
         ):
             completion = self.completion_times(task, now)
-            completion[state.slots <= 0] = np.inf
+            completion[np.array(state.slots) <= 0] = np.inf
             feasible = np.isfinite(completion) & (completion <= deadline)
             if feasible.any():
                 energy = np.where(feasible, self.energy_table[row], np.inf)
@@ -410,11 +370,11 @@ class Cluster:
         if self._energy_by_machine is None:
             self._build_energy_table()
         energy_row = self._energy_lists[row]
-        queued = state.queued_list
-        slots = state.slots.tolist()
+        queued = state.queued_work.tolist()
+        slots = state.slots
         best = best_energy = float("inf")
         best_j = best_energy_j = None
-        for j, f in enumerate(state.finish_list):
+        for j, f in enumerate(state.finish_at.tolist()):
             if slots[j] <= 0:
                 continue
             remaining = f - now
@@ -438,10 +398,10 @@ class Cluster:
         """
         state = self._state
         if not state.n_down and len(self.machines) <= self._SCALAR_ARGMIN_LIMIT:
-            queued = state.queued_list
+            queued = state.queued_work.tolist()
             best = float("inf")
             best_j = 0
-            for j, f in enumerate(state.finish_list):
+            for j, f in enumerate(state.finish_at.tolist()):
                 remaining = f - now
                 if remaining < 0.0:
                     remaining = 0.0
@@ -452,22 +412,6 @@ class Cluster:
             return best_j
         return int(self.ready_times(now).argmin())
 
-    def acceptance_mask(self) -> np.ndarray:
-        """Boolean mask of machines whose queues can take one more task."""
-        return np.array([m.can_accept() for m in self.machines])
-
-    # -- O(1) idle index ---------------------------------------------------------
-
-    @property
-    def n_idle(self) -> int:
-        """Number of up-and-idle machines (maintained incrementally)."""
-        return self._state.n_idle
-
-    def idle_machines(self) -> list[Machine]:
-        """Up-and-idle machines, in id order, without scanning queues."""
-        machines = self.machines
-        return [machines[i] for i in np.flatnonzero(self._state.idle)]
-
     # -- aggregates ------------------------------------------------------------------------
 
     def total_energy(self) -> float:
@@ -475,17 +419,17 @@ class Cluster:
 
     def set_queue_capacity(self, capacity: float) -> None:
         """Re-create empty queues with a new capacity (pre-run configuration)."""
-        for m in self.machines:
+        for i, m in enumerate(self.machines):
             if len(m.queue) or m.running is not None:
                 raise ConfigurationError(
                     "cannot change queue capacity while tasks are in flight"
                 )
             m.queue = type(m.queue)(capacity)
-            m._sync_queued()  # refresh the mirrored free-slot count
+            self._state.slots[i] = float(m.queue.free_slots) if m.up else 0.0
 
     def free_slots_snapshot(self) -> np.ndarray:
         """Fresh free-slots-per-machine array (callers may mutate it)."""
-        return self._state.slots.copy()
+        return np.array(self._state.slots)
 
     def counts_by_type(self) -> dict[str, int]:
         out: dict[str, int] = {n: 0 for n in self.eet.machine_type_names}

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from ..core.errors import SimulationStateError
 from ..tasks.task import Task
 from .eet import EETMatrix
@@ -26,9 +28,34 @@ from .power import EnergyMeter
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.events import Event
-    from .cluster import ClusterState
 
-__all__ = ["Machine"]
+__all__ = ["ClusterState", "Machine"]
+
+
+class ClusterState:
+    """The one store of every machine's planning scalars, one row per machine.
+
+    Each machine transition (enqueue, start, finish, drop, fail, repair)
+    writes the fields it changes at the machine's own row; ``Machine`` reads
+    them back from there. The two fields the vectorised ``ready_times``
+    sweep reads are NumPy arrays (the scalar argmin loops take one
+    ``tolist()`` per decision); the others are plain lists.
+
+    - ``finish_at``: the running task's finish time, 0.0 while idle.
+    - ``queued_work``: Σ EET of the queued tasks, summed incrementally.
+    - ``slots``: free queue slots as floats, 0.0 while down, inf when
+      unbounded; transitions move it by ±1.
+    - ``up`` and ``n_down``: powered-on flags and the count of ``False``.
+    """
+
+    __slots__ = ("finish_at", "queued_work", "slots", "up", "n_down")
+
+    def __init__(self, n: int) -> None:
+        self.finish_at = np.zeros(n)
+        self.queued_work = np.zeros(n)
+        self.slots = [UNBOUNDED] * n
+        self.up = [True] * n
+        self.n_down = 0
 
 
 class Machine:
@@ -59,19 +86,16 @@ class Machine:
             self._eet_by_type_name = None
         self.queue = MachineQueue(queue_capacity)
         self.running: Task | None = None
-        self.run_started_at: float | None = None
-        self.run_finishes_at: float | None = None
         self.completion_event: "Event | None" = None
         self.energy = EnergyMeter(machine_type.power)
         self.completed_count = 0
         self.missed_count = 0
         self.failure_count = 0
-        self.up = True  # failure-injection extension: powered-on flag
-        self._queued_work = 0.0  # incremental Σ EET of queued tasks
-        # Optional cluster-shared planning arrays (see Cluster/ClusterState);
-        # a standalone machine (no cluster) simply never syncs.
-        self._shared: "ClusterState | None" = None
-        self._shared_idx = 0
+        # Planning scalars live in a ClusterState row: a one-row state of
+        # its own until a Cluster moves the machine into the shared one.
+        self._state = ClusterState(1)
+        self._state.slots[0] = float(self.queue.free_slots)
+        self._index = 0
 
     # -- EET access -------------------------------------------------------------
 
@@ -84,69 +108,37 @@ class Machine:
                 return eet
         return self._eet.lookup(task.task_type, self.machine_type.name)
 
-    # -- cluster-shared planning state ------------------------------------------
+    # -- planning state ------------------------------------------------------------
 
-    def bind_shared_state(self, state: "ClusterState", index: int) -> None:
-        """Mirror this machine's planning quantities into *state* at *index*.
+    def bind_state(self, state: ClusterState, index: int) -> None:
+        """Move this machine's planning scalars to the fresh row *index* of *state*.
 
-        The cluster keeps per-machine ``finish_at`` / ``queued_work`` / ``up``
-        NumPy arrays so ``Cluster.ready_times`` is one vectorised expression
-        instead of a Python loop over machines per scheduling decision.
+        The cluster keeps one :class:`ClusterState` for all its machines, so
+        ``Cluster.ready_times`` is one vectorised expression instead of a
+        Python loop over machines per scheduling decision.
         """
-        self._shared = state
-        self._shared_idx = index
-        self._sync_shared()
-
-    def _sync_shared(self) -> None:
-        state = self._shared
-        if state is None:
-            return
-        i = self._shared_idx
-        finishes = self.run_finishes_at
-        if finishes is None:
-            finishes = 0.0
-        state.finish_at[i] = finishes
-        state.finish_list[i] = finishes
-        state.queued_work[i] = self._queued_work
-        state.queued_list[i] = self._queued_work
-        state.slots[i] = self.queue.free_slots if self.up else 0.0
-        if bool(state.up[i]) != self.up:
-            state.up[i] = self.up
-            state.n_down += -1 if self.up else 1
-        idle_now = self.running is None and self.up
-        if bool(state.idle[i]) != idle_now:
-            state.idle[i] = idle_now
-            state.n_idle += 1 if idle_now else -1
-
-    def _sync_queued(self) -> None:
-        """Cheap sync for transitions that only touch the queue."""
-        state = self._shared
-        if state is not None:
-            i = self._shared_idx
-            state.queued_work[i] = self._queued_work
-            state.queued_list[i] = self._queued_work
-            state.slots[i] = self.queue.free_slots if self.up else 0.0
-
-    def _sync_run(self) -> None:
-        """Cheap sync for start/finish transitions (finish_at + idleness)."""
-        state = self._shared
-        if state is None:
-            return
-        i = self._shared_idx
-        finishes = self.run_finishes_at
-        if finishes is None:
-            finishes = 0.0
-        state.finish_at[i] = finishes
-        state.finish_list[i] = finishes
-        state.queued_work[i] = self._queued_work
-        state.queued_list[i] = self._queued_work
-        state.slots[i] = self.queue.free_slots if self.up else 0.0
-        idle_now = self.running is None and self.up
-        if bool(state.idle[i]) != idle_now:
-            state.idle[i] = idle_now
-            state.n_idle += 1 if idle_now else -1
+        old, j = self._state, self._index
+        state.finish_at[index] = old.finish_at[j]
+        state.queued_work[index] = old.queued_work[j]
+        state.slots[index] = old.slots[j]
+        if not old.up[j]:
+            state.up[index] = False
+            state.n_down += 1
+        self._state, self._index = state, index
 
     # -- planning quantities ------------------------------------------------------
+
+    @property
+    def up(self) -> bool:
+        """Powered-on flag (failure-injection extension)."""
+        return self._state.up[self._index]
+
+    @property
+    def run_finishes_at(self) -> float | None:
+        """Finish time of the running task (None while idle)."""
+        if self.running is None:
+            return None
+        return float(self._state.finish_at[self._index])
 
     @property
     def is_idle(self) -> bool:
@@ -154,13 +146,13 @@ class Machine:
 
     def remaining_runtime(self, now: float) -> float:
         """Time until the running task finishes (0 when idle)."""
-        if self.running is None or self.run_finishes_at is None:
+        if self.running is None:
             return 0.0
-        return max(0.0, self.run_finishes_at - now)
+        return max(0.0, float(self._state.finish_at[self._index]) - now)
 
     def queued_work(self) -> float:
         """Σ EET of queued (not yet running) tasks (incrementally tracked)."""
-        return self._queued_work
+        return float(self._state.queued_work[self._index])
 
     def ready_time(self, now: float) -> float:
         """Earliest time a newly queued task could start.
@@ -185,10 +177,15 @@ class Machine:
 
     def enqueue(self, task: Task, now: float) -> None:
         """Accept an assigned task into the local queue."""
+        state, i = self._state, self._index
+        if not state.up[i]:
+            raise SimulationStateError(
+                f"machine {self.name} is down; cannot enqueue task {task.id}"
+            )
         task.assign(self, now)
         self.queue.push(task)
-        self._queued_work += self.eet_for(task)
-        self._sync_queued()
+        state.queued_work[i] += self.eet_for(task)
+        state.slots[i] -= 1
 
     def can_accept(self, task: Task | None = None) -> bool:
         """Queue has a free slot (and memory headroom, when constrained).
@@ -224,7 +221,8 @@ class Machine:
         the started task (runtime stored on it) or None. The caller schedules
         the completion event for ``run_finishes_at``.
         """
-        if not self.up or self.running is not None or not self.queue:
+        state, i = self._state, self._index
+        if not state.up[i] or self.running is not None or not self.queue:
             return None
         head = self.queue.peek()
         if head is not None and head.available_at is not None and head.available_at > now:
@@ -232,16 +230,16 @@ class Machine:
         # Close the idle interval that just ended.
         self.energy.advance(now, busy=False)
         task = self.queue.pop()
-        self._queued_work -= self.eet_for(task)
-        actual = runtime if runtime is not None else self.eet_for(task)
+        eet = self.eet_for(task)
+        state.queued_work[i] -= eet
+        state.slots[i] += 1
+        actual = runtime if runtime is not None else eet
         if actual < 0:
             raise SimulationStateError(f"negative runtime {actual} for task {task.id}")
         task.start(now)
         task.execution_time = actual
         self.running = task
-        self.run_started_at = now
-        self.run_finishes_at = now + actual
-        self._sync_run()
+        state.finish_at[i] = now + actual
         return task
 
     def finish_running(self, now: float) -> Task:
@@ -270,9 +268,10 @@ class Machine:
         """Remove a queued task (deadline miss while waiting). True if found."""
         removed = self.queue.remove(task)
         if removed:
-            self._queued_work -= self.eet_for(task)
+            state, i = self._state, self._index
+            state.queued_work[i] -= self.eet_for(task)
+            state.slots[i] += 1
             self.missed_count += 1
-            self._sync_queued()
         return removed
 
     def _detach_running(self, now: float) -> Task:
@@ -281,10 +280,8 @@ class Machine:
         task = self.running
         self.energy.advance(now, busy=True, task_type_name=task.task_type.name)
         self.running = None
-        self.run_started_at = None
-        self.run_finishes_at = None
         self.completion_event = None
-        self._sync_run()
+        self._state.finish_at[self._index] = 0.0
         return task
 
     def fail(self, now: float) -> list[Task]:
@@ -304,16 +301,17 @@ class Machine:
             )
             evicted.append(self.running)
             self.running = None
-            self.run_started_at = None
-            self.run_finishes_at = None
             self.completion_event = None
         else:
             self.energy.advance(now, busy=False)
         evicted.extend(self.queue.clear())
-        self._queued_work = 0.0
-        self.up = False
         self.failure_count += 1
-        self._sync_shared()
+        state, i = self._state, self._index
+        state.finish_at[i] = 0.0
+        state.queued_work[i] = 0.0
+        state.slots[i] = 0.0
+        state.up[i] = False
+        state.n_down += 1
         return evicted
 
     def repair(self, now: float) -> None:
@@ -321,8 +319,10 @@ class Machine:
         if self.up:
             raise SimulationStateError(f"machine {self.name} is not down")
         self.energy.advance_off(now)
-        self.up = True
-        self._sync_shared()
+        state, i = self._state, self._index
+        state.up[i] = True
+        state.n_down -= 1
+        state.slots[i] = float(self.queue.free_slots)
 
     def finalize_energy(self, now: float) -> None:
         """Close the trailing power interval at end of simulation."""

@@ -105,16 +105,7 @@ class SchedulingContext:
         onto it (its admission would reject the assignment anyway, silently
         wasting the task's turn in the pass).
         """
-        cluster = self.cluster
-        try:
-            # Mirrored by the machine syncs (see ClusterState.slots): one
-            # array copy instead of a queue-attribute chase per machine.
-            return cluster.free_slots_snapshot()
-        except AttributeError:  # a stub cluster without the mirror
-            return np.array(
-                [m.queue.free_slots if m.up else 0.0 for m in cluster.machines],
-                dtype=float,
-            )
+        return self.cluster.free_slots_snapshot()
 
     def deadlines(self, tasks: Sequence[Task]) -> np.ndarray:
         return np.array([t.deadline for t in tasks], dtype=float)

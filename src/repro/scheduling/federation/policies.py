@@ -140,32 +140,18 @@ class EETAwareRemoteGateway(GatewayPolicy):
         origin = ctx.origin
         weight = self.energy_weight
         best = origin
-        best_cost = _best_local_completion(ctx.shards[origin], task, now)
+        best_cost = ctx.shards[origin].cluster.min_completion_time(task, now)
         for shard in ctx.shards:
             if shard.index == origin:
                 continue
             cost = ctx.estimated_wan_delay_to(
                 shard.index
-            ) + _best_local_completion(shard, task, now)
+            ) + shard.cluster.min_completion_time(task, now)
             if weight:
                 cost += weight * ctx.wan_energy_to(shard.index)
             if cost < best_cost:
                 best, best_cost = shard.index, cost
         return best
-
-
-def _best_local_completion(shard: "ShardView", task, now: float) -> float:
-    """Minimum ``ready_time + EET`` over the shard's machines.
-
-    Uses the cluster's scalar ``min_completion_time`` fast path when present
-    (it performs the identical IEEE operations); protocol stubs without it
-    fall back to the vectorised expression.
-    """
-    cluster = shard.cluster
-    try:
-        return cluster.min_completion_time(task, now)
-    except AttributeError:
-        return float(cluster.completion_times(task, now).min())
 
 
 @register_gateway(aliases=("RANDSPLIT",))

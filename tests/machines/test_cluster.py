@@ -85,12 +85,37 @@ class TestVectorViews:
         completion = cluster.completion_times(t1_task(task_types), 2.0)
         np.testing.assert_array_equal(completion, [6.0, 12.0])
 
-    def test_acceptance_mask(self, eet_3x2, task_types):
+    def test_ready_times_reflect_failures(self, eet_3x2):
+        cluster = Cluster.build(eet_3x2, {"M1": 1, "M2": 1})
+        cluster[0].fail(1.0)
+        ready = cluster.ready_times(1.0)
+        assert ready[0] == np.inf and ready[1] == 1.0
+
+    def test_failure_and_repair_track_n_down(self, eet_3x2):
+        cluster = Cluster.build(eet_3x2, {"M1": 1, "M2": 1})
+        cluster[0].fail(1.0)
+        assert cluster.state.n_down == 1
+        assert cluster.state.up == [False, True]
+        cluster[0].repair(2.0)
+        assert cluster.state.n_down == 0
+        assert cluster.state.up == [True, True]
+        np.testing.assert_array_equal(cluster.ready_times(2.0), [2.0, 2.0])
+
+    def test_free_slots_snapshot_marks_full_queues(self, eet_3x2, task_types):
         cluster = Cluster.build(eet_3x2, {"M1": 1, "M2": 1}, queue_capacity=1)
-        assert cluster.acceptance_mask().all()
+        assert (cluster.free_slots_snapshot() > 0).all()
         cluster[0].enqueue(t1_task(task_types, 0), 0.0)
-        mask = cluster.acceptance_mask()
-        assert not mask[0] and mask[1]
+        open_ = cluster.free_slots_snapshot() > 0
+        assert not open_[0] and open_[1]
+        cluster[1].fail(1.0)
+        np.testing.assert_array_equal(cluster.free_slots_snapshot(), [0.0, 0.0])
+
+    def test_free_slots_snapshot_is_a_fresh_copy(self, eet_3x2):
+        cluster = Cluster.build(eet_3x2, {"M1": 1, "M2": 1}, queue_capacity=2)
+        snapshot = cluster.free_slots_snapshot()
+        snapshot[0] -= 1
+        np.testing.assert_array_equal(cluster.free_slots_snapshot(), [2.0, 2.0])
+        assert cluster[0].can_accept()
 
 
 class TestUtilities:
@@ -118,40 +143,6 @@ class TestUtilities:
         assert clone[0].is_idle
         assert len(clone[0].queue) == 0
         assert clone[0].name == cluster[0].name
-
-
-class TestIdleIndex:
-    def test_all_idle_initially(self, eet_3x2):
-        cluster = Cluster.build(eet_3x2, {"M1": 2, "M2": 1})
-        assert cluster.n_idle == 3
-        assert [m.id for m in cluster.idle_machines()] == [0, 1, 2]
-
-    def test_start_and_finish_update_index(self, eet_3x2, task_types):
-        cluster = Cluster.build(eet_3x2, {"M1": 1, "M2": 1})
-        machine = cluster[0]
-        task = t1_task(task_types)
-        machine.enqueue(task, 0.0)
-        assert cluster.n_idle == 2  # queued, not yet running
-        machine.start_next(0.0)
-        assert cluster.n_idle == 1
-        assert [m.id for m in cluster.idle_machines()] == [1]
-        machine.finish_running(4.0)
-        assert cluster.n_idle == 2
-
-    def test_failure_removes_from_idle_index(self, eet_3x2):
-        cluster = Cluster.build(eet_3x2, {"M1": 1, "M2": 1})
-        cluster[0].fail(1.0)
-        assert cluster.n_idle == 1
-        assert cluster.state.n_down == 1
-        cluster[0].repair(2.0)
-        assert cluster.n_idle == 2
-        assert cluster.state.n_down == 0
-
-    def test_ready_times_reflect_failures(self, eet_3x2):
-        cluster = Cluster.build(eet_3x2, {"M1": 1, "M2": 1})
-        cluster[0].fail(1.0)
-        ready = cluster.ready_times(1.0)
-        assert ready[0] == np.inf and ready[1] == 1.0
 
 
 class TestEETCacheImmutability:

@@ -14,7 +14,10 @@
 4. ``Cluster.energy_rows`` gathers from a table built once per run; it is
    bit-equal to the per-task ``watts * eet_vector`` rows it replaces.
 5. FCFS and OLB pick with ``Cluster.argmin_ready``; it equals
-   ``np.argmin(ready_times(now))``, down machines included.
+   ``np.argmin(ready_times(now))``, down machines included. MECT's
+   ``Cluster.argmin_completion`` and the EET-aware gateway's
+   ``Cluster.min_completion_time`` equal ``completion_times(task, now)``'s
+   ``argmin()`` and ``min()`` on the same clusters.
 """
 
 import numpy as np
@@ -277,11 +280,16 @@ def test_energy_rows_equal_per_task_rows(system, kinds):
     assert not cluster.energy_table.flags.writeable
 
 
-@settings(max_examples=100, deadline=None)
-@given(system=clusters())
-def test_argmin_ready_equals_ready_times_argmin(system):
+@settings(max_examples=150, deadline=None)
+@given(system=clusters(), task_type=st.integers(0, 1))
+def test_argmin_ready_equals_ready_times_argmin(system, task_type):
     cluster, now = system
     assert cluster.argmin_ready(now) == int(np.argmin(cluster.ready_times(now)))
+    # MECT's pick and the EET-aware gateway's bid take the same split.
+    task = Task(id=0, task_type=TYPES[task_type], arrival_time=0.0, deadline=9.0)
+    completion = cluster.completion_times(task, now)
+    assert cluster.argmin_completion(task, now) == int(completion.argmin())
+    assert cluster.min_completion_time(task, now) == float(completion.min())
 
 
 def test_non_finite_energy_is_refused():

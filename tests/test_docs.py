@@ -2,9 +2,9 @@
 
 Tier-1 twin of the CI docs job: the Markdown link/fence checker
 (``tools/check_docs.py``) plus a real doctest pass over the runnable
-``>>>`` snippets in README.md, docs/FEDERATION.md, docs/POLICIES.md,
-docs/SERVICE.md and docs/WORKLOADS.md — the same numbers CI re-executes
-with ``python -m doctest``.
+``>>>`` snippets in README.md, docs/FEDERATION.md, docs/PERFORMANCE.md,
+docs/POLICIES.md, docs/SERVICE.md and docs/WORKLOADS.md — the same numbers
+CI re-executes with ``python -m doctest``.
 """
 
 import doctest
@@ -129,11 +129,12 @@ class TestDocsChecker:
     [
         "README.md",
         "docs/FEDERATION.md",
+        "docs/PERFORMANCE.md",
         "docs/POLICIES.md",
         "docs/SERVICE.md",
         "docs/WORKLOADS.md",
     ],
-    ids=["readme", "guide", "policies", "service", "workloads"],
+    ids=["readme", "guide", "performance", "policies", "service", "workloads"],
 )
 def test_doctest_snippets_execute(document):
     results = doctest.testfile(
