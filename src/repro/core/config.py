@@ -29,7 +29,7 @@ from ..scheduling.registry import create_scheduler
 from ..tasks.generator import TaskTypeSpec, WorkloadGenerator
 from ..tasks.task_type import TaskType
 from ..tasks.trace_io import TraceSpec, read_workload_csv
-from ..tasks.workload import Workload
+from ..tasks.workload import Workload, WorkloadColumns
 from .errors import ConfigurationError
 from .jsonio import load_json_source
 from .rng import derive_seed
@@ -158,39 +158,45 @@ class Scenario:
 
         Generation is a pure function of (EET, machine counts, recipe, seed,
         replication), so repeated builds of the same scenario — replications,
-        benchmark rounds, campaign cells — memoise the generated trace and
-        hand out pristine copies instead of re-sampling the arrival
-        processes each time.
+        benchmark rounds, campaign cells — memoise the trace's pristine
+        columns (:class:`~repro.tasks.workload.WorkloadColumns`) instead of
+        re-sampling the arrival processes each time. The first build returns
+        the workload it generated; a later one builds each task once from
+        the columns. An explicit ``workload`` is handed out as a fresh copy.
         """
         if self.workload is not None:
             return self.workload.fresh_copy()
         if self.trace is not None:
-            cache_key = (
+            cache_key: tuple = (
                 replication,
                 self.seed,
                 id(self.eet),
                 repr(self.trace),
             )
-            cached = getattr(self, "_workload_cache", None)
-            if cached is not None and cached[0] == cache_key:
-                return cached[1].fresh_copy()
+        else:
+            cache_key = (
+                replication,
+                self.seed,
+                id(self.eet),
+                repr(dict(self.machine_counts)),
+                repr(self.generator),
+            )
+        cached = getattr(self, "_workload_cache", None)
+        if cached is not None and cached[0] == cache_key:
+            return cached[1].build()
+        if self.trace is not None:
             workload = self.trace.build_workload(
                 self.eet, seed=self.seed, replication=replication
             )
             workload.validate_against_eet(self.eet)
-            self._workload_cache = (cache_key, workload)
-            return workload.fresh_copy()
+        else:
+            workload = self._generate_workload(replication)
+        self._workload_cache = (cache_key, WorkloadColumns.of(workload))
+        return workload
+
+    def _generate_workload(self, replication: int) -> Workload:
+        """Sample the generator recipe's workload for *replication*."""
         assert self.generator is not None
-        cache_key = (
-            replication,
-            self.seed,
-            id(self.eet),
-            repr(dict(self.machine_counts)),
-            repr(self.generator),
-        )
-        cached = getattr(self, "_workload_cache", None)
-        if cached is not None and cached[0] == cache_key:
-            return cached[1].fresh_copy()
         recipe = dict(self.generator)
         specs = [
             TaskTypeSpec.from_dict(s) if isinstance(s, Mapping) else s
@@ -206,23 +212,20 @@ class Scenario:
         )
         seed = derive_seed(self.seed, "workload", replication)
         if "n_tasks" in recipe:
-            workload = gen.generate_count(
+            return gen.generate_count(
                 recipe["n_tasks"],
                 intensity=recipe.get("intensity", "medium"),
                 seed=seed,
             )
-        elif "duration" not in recipe:
+        if "duration" not in recipe:
             raise ConfigurationError(
                 "generator recipe needs 'duration' or 'n_tasks'"
             )
-        else:
-            workload = gen.generate(
-                recipe["duration"],
-                intensity=recipe.get("intensity", "medium"),
-                seed=seed,
-            )
-        self._workload_cache = (cache_key, workload)
-        return workload.fresh_copy()
+        return gen.generate(
+            recipe["duration"],
+            intensity=recipe.get("intensity", "medium"),
+            seed=seed,
+        )
 
     def build_scheduler(self) -> Scheduler:
         return create_scheduler(self.scheduler, **self.scheduler_params)

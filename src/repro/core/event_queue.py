@@ -9,7 +9,7 @@ idiom, O(log n) per operation amortised.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import SimulationStateError
 from .events import Event
@@ -45,16 +45,6 @@ class EventQueue:
         heapq.heappush(self._heap, (event.key, event))
         self._live += 1
         return event
-
-    def push_many(self, events: Iterable[Event]) -> None:
-        """Bulk-insert events and re-heapify once — O(n) instead of the
-        O(n log n) comparison work of n individual pushes (used for the
-        initial arrival/deadline population)."""
-        heap = self._heap
-        before = len(heap)
-        heap.extend((event.key, event) for event in events)
-        self._live += len(heap) - before
-        heapq.heapify(heap)
 
     def cancel(self, event: Event) -> bool:
         """Mark *event* cancelled. Returns False if already cancelled/popped."""

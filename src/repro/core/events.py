@@ -17,7 +17,7 @@ import enum
 import itertools
 from typing import Any
 
-__all__ = ["EventType", "Event", "EVENT_PRIORITY"]
+__all__ = ["EventType", "Event", "EVENT_PRIORITY", "reserve_seqs"]
 
 
 class EventType(enum.Enum):
@@ -70,6 +70,20 @@ for _event_type, _rank in EVENT_PRIORITY.items():
 
 _seq_counter = itertools.count()
 
+
+def reserve_seqs(n: int) -> int:
+    """Take the next *n* tie-break seqs off the shared counter; return the first.
+
+    An engine that creates a known set of events lazily (the arrival feed)
+    reserves their seqs up front, so each event gets the seq it would have
+    had if it had been built at reservation time.
+    """
+    global _seq_counter
+    first = next(_seq_counter)
+    _seq_counter = itertools.count(first + n)
+    return first
+
+
 _set = object.__setattr__  # bypasses the frozen __setattr__ during __init__
 
 
@@ -77,11 +91,12 @@ class Event:
     """A single simulation event.
 
     Hand-written immutable slots class (not a dataclass): the engine creates
-    two events per task up front plus one per execution, so construction and
-    comparison are hot. The ``(time, priority, seq)`` ordering key is
-    precomputed once here; the future-event list compares hundreds of
-    thousands of keys per run, and deriving the tuple per comparison
-    (attribute + enum-dict lookups) previously dominated the engine profile.
+    an arrival and a deadline per task plus one per execution, so
+    construction and comparison are hot. The ``(time, priority, seq)``
+    ordering key is precomputed once here; the future-event list compares
+    hundreds of thousands of keys per run, and deriving the tuple per
+    comparison (attribute + enum-dict lookups) previously dominated the
+    engine profile.
 
     Attributes
     ----------

@@ -14,9 +14,16 @@ the four reports at the end. The engine splits in two:
   federated :class:`~repro.federation.shard.ClusterShard` with the
   federation's.
 
+The workload enters the heap one task at a time: at construction the
+:class:`ArrivalFeed` pushes only the first arrival, and each arrival, as it
+fires, pushes its own deadline and the next task's arrival. So the heap
+never holds the whole workload, yet it pops events in the order a heap
+filled with every arrival and deadline up front would.
+
 Event handling per step:
 
-* ``TASK_ARRIVAL`` — the task enters the batch queue; a scheduling pass runs.
+* ``TASK_ARRIVAL`` — the feed schedules the task's deadline and the next
+  arrival; the task enters the batch queue; a scheduling pass runs.
 * ``TASK_COMPLETION`` — the machine finishes its running task (on time by
   construction: the completion event is cancelled if the deadline fires
   first); the machine starts its next queued task; a scheduling pass runs
@@ -60,10 +67,16 @@ from ..tasks.workload import Workload
 from .clock import SimulationClock
 from .errors import ConfigurationError, SchedulingError, SimulationStateError
 from .event_queue import EventQueue
-from .events import Event, EventType
+from .events import Event, EventType, reserve_seqs
 from .rng import make_rng
 
-__all__ = ["ClusterCore", "EventLoop", "Simulator", "SimulationResult"]
+__all__ = [
+    "ArrivalFeed",
+    "ClusterCore",
+    "EventLoop",
+    "Simulator",
+    "SimulationResult",
+]
 
 Observer = Callable[[Any, Event], None]
 R = TypeVar("R")
@@ -81,6 +94,7 @@ _CREATED = TaskStatus.CREATED
 _IN_BATCH_QUEUE = TaskStatus.IN_BATCH_QUEUE
 _ASSIGNED = TaskStatus.ASSIGNED
 _RUNNING = TaskStatus.RUNNING
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -120,6 +134,60 @@ class SimulationResult:
     @property
     def completion_rate(self) -> float:
         return self.summary.completion_rate
+
+
+class ArrivalFeed:
+    """The workload's arrival process: each arrival schedules the next.
+
+    Only the next arrival waits in the future-event list. When it fires,
+    :meth:`advance` pushes that task's deadline (if ``drop_on_deadline`` and
+    the deadline is finite) and the following task's arrival. Their seqs
+    come from one block reserved at construction and are handed out in the
+    order a heap filled up front would have numbered them (each task's
+    arrival, then its deadline), so every ``(time, priority, seq)`` key,
+    and with it the pop order, is the one of that up-front population.
+
+    ``tasks`` must be in workload order (arrival time, then id), which is
+    the order :class:`~repro.tasks.workload.Workload` keeps.
+    """
+
+    __slots__ = ("_tasks", "_events", "_drop", "_next", "_seq")
+
+    def __init__(
+        self, tasks: Sequence[Task], events: EventQueue, drop_on_deadline: bool
+    ) -> None:
+        self._tasks = tasks
+        self._events = events
+        self._drop = drop_on_deadline
+        n = len(tasks)
+        if drop_on_deadline:
+            n += sum(1 for task in tasks if task.deadline != _INF)
+        self._seq = reserve_seqs(n)  # seq of the next event the feed pushes
+        self._next = 0  # index of the task whose arrival is pending
+        if tasks:
+            first = tasks[0]
+            events.push(Event(first.arrival_time, _ARRIVAL, first, self._seq))
+            self._seq += 1
+
+    @property
+    def remaining(self) -> int:
+        """Tasks whose arrival has not fired yet."""
+        return len(self._tasks) - self._next
+
+    def advance(self) -> None:
+        """The pending arrival fired: push its deadline and the next arrival."""
+        tasks, i, seq = self._tasks, self._next, self._seq
+        push = self._events.push
+        task = tasks[i]
+        if self._drop and task.deadline != _INF:
+            push(Event(task.deadline, _DEADLINE, task, seq))
+            seq += 1
+        i += 1
+        if i < len(tasks):
+            task = tasks[i]
+            push(Event(task.arrival_time, _ARRIVAL, task, seq))
+            seq += 1
+        self._next, self._seq = i, seq
 
 
 class EventLoop(Generic[R]):
@@ -304,7 +372,6 @@ class ClusterCore:
         self.type_stats = LiveTypeStats()
         self.scheduler.reset()
 
-        self._arrived = 0  # arrival events processed (O(1) remaining_arrivals)
         self._overhead_free = self.scheduling_overhead.is_free
         # Immediate policies with zero decision overhead and no network can
         # map an arriving task on the spot whenever the batch queue is empty,
@@ -360,7 +427,6 @@ class ClusterCore:
         raise NotImplementedError
 
     def _on_arrival(self, task: Task) -> None:
-        self._arrived += 1
         if self._immediate_fast and self.batch_queue.is_empty:
             # Same decisions, records, and RNG consumption as the general
             # path below — merely without materialising the single-task
@@ -625,20 +691,15 @@ class Simulator(ClusterCore, EventLoop[SimulationResult]):
             scheduling_overhead=scheduling_overhead,
         )
         self.workload = workload
-
-        initial: list[Event] = []
-        inf = float("inf")
-        for task in workload:
-            initial.append(
-                Event(task.arrival_time, EventType.TASK_ARRIVAL, task)
-            )
-            if self.drop_on_deadline and task.deadline != inf:
-                initial.append(
-                    Event(task.deadline, EventType.TASK_DEADLINE, task)
-                )
-        self.events.push_many(initial)
+        self._arrivals = ArrivalFeed(
+            workload.tasks, self.events, self.drop_on_deadline
+        )
         if len(workload) > 0:
             self.start_failure_process()
+
+    def _on_arrival(self, task: Task) -> None:
+        self._arrivals.advance()
+        ClusterCore._on_arrival(self, task)
 
     def _all_tasks_terminal(self) -> bool:
         return self.collector.recorded >= len(self.workload)
@@ -679,4 +740,4 @@ class Simulator(ClusterCore, EventLoop[SimulationResult]):
 
     def remaining_arrivals(self) -> int:
         """Workload tasks that have not arrived yet (O(1))."""
-        return len(self.workload) - self._arrived
+        return self._arrivals.remaining

@@ -20,7 +20,8 @@ Event flow per task::
 Routing uses the ``cluster`` id stamped on every event: shard-scheduled
 events (completions, deliveries, failures, repairs) carry their shard index
 and go straight back to the owning shard's handlers; federation-level events
-(initial arrivals, deadlines) carry ``None`` and are handled here.
+(gateway arrivals, deadlines) carry ``None`` and are handled here; the
+:class:`~repro.core.simulator.ArrivalFeed` pushes them one arrival ahead.
 
 One engine serves flat meshes and hierarchical trees alike. An offload
 follows :meth:`FederatedSimulator.route`: ``(origin, destination)`` on a
@@ -53,7 +54,7 @@ from ..core.errors import (
 )
 from ..core.events import Event, EventType
 from ..core.rng import derive_seed, make_rng, spawn
-from ..core.simulator import EventLoop, Observer
+from ..core.simulator import ArrivalFeed, EventLoop, Observer
 from ..machines.cluster import Cluster
 from ..machines.eet import EETMatrix
 from ..machines.execution import ExecutionTimeModel
@@ -279,23 +280,18 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
             for shard in self.shards:
                 shard.collector.on_terminal = _feed_back
 
+        # Gateway arrivals and global deadlines (cluster None) come from the
+        # feed, one arrival ahead of the clock.
+        self._arrivals = ArrivalFeed(
+            workload.tasks, self.events, drop_on_deadline
+        )
         # Origin assignment: one vectorised draw, a pure function of the
         # federation seed — identical across gateway/local-policy sweeps.
         if len(workload) > 0:
             weights = np.asarray(spec.arrival_weights(), dtype=float)
             origins = origins_rng.choice(n, size=len(workload), p=weights / weights.sum())
-            initial: list[Event] = []
-            inf = float("inf")
-            for task, origin in zip(workload, origins):
-                task.origin_cluster = int(origin)
-                initial.append(
-                    Event(task.arrival_time, EventType.TASK_ARRIVAL, task)
-                )
-                if drop_on_deadline and task.deadline != inf:
-                    initial.append(
-                        Event(task.deadline, EventType.TASK_DEADLINE, task)
-                    )
-            self.events.push_many(initial)
+            for task, origin in zip(workload, origins.tolist()):
+                task.origin_cluster = origin
             for shard in self.shards:
                 shard.start_failure_process()
             if self._rebalancer is not None:
@@ -435,6 +431,7 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
     # -- the gateway layer -------------------------------------------------------------
 
     def _on_gateway_arrival(self, task: Task) -> None:
+        self._arrivals.advance()
         origin = task.origin_cluster
         if origin is None:  # pragma: no cover - defensive
             raise SimulationStateError(
@@ -643,6 +640,5 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
         return totals
 
     def remaining_arrivals(self) -> int:
-        """Workload tasks whose gateway decision has not happened yet (O(n))."""
-        routed = sum(shard.routed for shard in self.shards)
-        return len(self.workload) - routed
+        """Workload tasks that have not reached the gateway yet (O(1))."""
+        return self._arrivals.remaining

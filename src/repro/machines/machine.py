@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..core.errors import SimulationStateError
+from ..memory.allocation import fits_in_memory, memory_in_use as _memory_in_use
 from ..tasks.task import Task
 from .eet import EETMatrix
 from .machine_queue import UNBOUNDED, MachineQueue
@@ -201,17 +202,13 @@ class Machine:
         if self.queue.is_full:
             return False
         if task is not None and self.machine_type.memory_capacity > 0:
-            from ..memory.allocation import fits_in_memory
-
             if not fits_in_memory(self, task):
                 return False
         return True
 
     def memory_in_use(self) -> float:
         """MB of memory held by queued + running tasks."""
-        from ..memory.allocation import memory_in_use
-
-        return memory_in_use(self)
+        return _memory_in_use(self)
 
     def start_next(self, now: float, runtime: float | None = None) -> Task | None:
         """If idle and the queue head is startable, start it.

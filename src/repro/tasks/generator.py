@@ -31,7 +31,6 @@ from ..core.errors import ConfigurationError
 from ..core.rng import make_rng, spawn
 from ..machines.eet import EETMatrix
 from .arrivals import ArrivalProcess, PoissonProcess, arrival_process_from_spec
-from .task import Task
 from .workload import Workload
 
 __all__ = [
@@ -201,10 +200,24 @@ class WorkloadGenerator:
         ratio. Types whose spec carries an explicit arrival process use it
         scaled by the ratio; types without one get a calibrated Poisson rate.
         """
+        type_indices, arrivals, deadlines = self._sample(
+            duration, intensity, make_rng(seed), start
+        )
+        return Workload.from_arrays(
+            self.eet.task_types, type_indices, arrivals, deadlines
+        )
+
+    def _sample(
+        self,
+        duration: float,
+        intensity: str | float,
+        rng: np.random.Generator,
+        start: float,
+    ) -> tuple[list[int], list[float], list[float]]:
+        """Draw one window's (type index, arrival, deadline) columns."""
         if duration <= 0:
             raise ConfigurationError(f"duration must be positive, got {duration}")
         ratio = oversubscription_for_level(intensity)
-        rng = make_rng(seed)
         streams = spawn(rng, len(self.specs))
         calibrated = self.rates_for_oversubscription(ratio)
 
@@ -226,10 +239,7 @@ class WorkloadGenerator:
             type_indices.extend([task_type.index] * times.size)
             arrivals.extend(times.tolist())
             deadlines.extend((times + rel_deadline).tolist())
-
-        return Workload.from_arrays(
-            self.eet.task_types, type_indices, arrivals, deadlines
-        )
+        return type_indices, arrivals, deadlines
 
     def generate_count(
         self,
@@ -250,29 +260,27 @@ class WorkloadGenerator:
         total_rate = sum(self.rates_for_oversubscription(ratio).values())
         duration = max(n_tasks / total_rate * 1.5, 1e-6)
         rng = make_rng(seed)
-        workload = self.generate(
-            duration, intensity=intensity, seed=rng, start=start
+        type_indices, arrivals, deadlines = self._sample(
+            duration, intensity, rng, start
         )
         attempts = 0
-        while len(workload) < n_tasks and attempts < 16:
+        while len(arrivals) < n_tasks and attempts < 16:
             duration *= 1.6
-            workload = self.generate(
-                duration, intensity=intensity, seed=rng, start=start
+            type_indices, arrivals, deadlines = self._sample(
+                duration, intensity, rng, start
             )
             attempts += 1
-        if len(workload) < n_tasks:
+        if len(arrivals) < n_tasks:
             raise ConfigurationError(
-                f"could not generate {n_tasks} tasks (got {len(workload)}); "
+                f"could not generate {n_tasks} tasks (got {len(arrivals)}); "
                 "arrival rates may be degenerate"
             )
-        trimmed = workload.tasks[:n_tasks]
-        reindexed = [
-            Task(
-                id=i,
-                task_type=t.task_type,
-                arrival_time=t.arrival_time,
-                deadline=t.deadline,
-            )
-            for i, t in enumerate(trimmed)
-        ]
-        return Workload(task_types=self.eet.task_types, tasks=reindexed)
+        # The first n_tasks in arrival order, each built once.
+        times = np.asarray(arrivals)
+        kept = np.argsort(times, kind="stable")[:n_tasks]
+        return Workload.from_arrays(
+            self.eet.task_types,
+            np.asarray(type_indices)[kept].tolist(),
+            times[kept].tolist(),
+            np.asarray(deadlines)[kept].tolist(),
+        )

@@ -131,27 +131,3 @@ class TestCancellation:
         queue.cancel(events[3])
         popped = [queue.pop().time for _ in range(len(queue))]
         assert popped == [1.0, 2.0, 4.0, 5.0]
-
-
-class TestPushMany:
-    def test_bulk_population_orders_like_pushes(self):
-        bulk = EventQueue()
-        single = EventQueue()
-        times = [5.0, 1.0, 3.0, 2.0, 4.0]
-        events = [ev(t) for t in times]
-        bulk.push_many(events)
-        for e in events:
-            single.push(e)
-        assert len(bulk) == len(single) == 5
-        assert [e.time for e in bulk.drain()] == [e.time for e in single.drain()]
-
-    def test_push_many_on_nonempty_queue(self):
-        queue = EventQueue()
-        queue.push(ev(2.0))
-        queue.push_many([ev(1.0), ev(3.0)])
-        assert [e.time for e in queue.drain()] == [1.0, 2.0, 3.0]
-
-    def test_push_many_empty_iterable(self):
-        queue = EventQueue()
-        queue.push_many([])
-        assert not queue

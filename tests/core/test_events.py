@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.events import EVENT_PRIORITY, Event, EventType
+from repro.core.events import EVENT_PRIORITY, Event, EventType, reserve_seqs
 
 
 class TestEventOrdering:
@@ -86,3 +86,13 @@ class TestEventCopySemantics:
         event = Event(1.0, EventType.TASK_ARRIVAL)
         clone = copy.deepcopy(event)
         assert clone.sort_key() == event.sort_key()
+
+
+class TestReserveSeqs:
+    def test_reserved_block_is_skipped_by_later_events(self):
+        first = reserve_seqs(3)
+        assert Event(0.0, EventType.TASK_ARRIVAL).seq == first + 3
+
+    def test_empty_reservation_consumes_nothing(self):
+        first = reserve_seqs(0)
+        assert Event(0.0, EventType.TASK_ARRIVAL).seq == first

@@ -105,3 +105,50 @@ def test_missing_metric_fails():
 def test_missing_workload_fails():
     runs = [r for r in _runs() if not (r["workload"] == "hier_tree" and r["side"] == "change")]
     assert _failures(runs) == ["change hier_tree: workload missing"]
+
+
+def _row(lines, workload, metric):
+    """The table row of *workload*/*metric*, split on whitespace."""
+    (row,) = [line.split() for line in lines[1:] if line.split()[:2] == [workload, metric]]
+    return row
+
+
+def _vary(runs, workload, side, metric, values):
+    """Set *metric* of *side*'s runs on *workload*, pair by pair, to *values*."""
+    for run in runs:
+        if run["workload"] == workload and run["side"] == side:
+            run["result"]["metrics"][metric]["value"] = values[run["pair"] - 1]
+    return runs
+
+
+def test_wins_and_parent_iqr_columns():
+    lines, failures = perf_gate.check(_runs(), BENCHMARK)
+    assert failures == []
+    assert lines[0].split()[-3:] == ["wins", "parent", "IQR"]
+    # Identical sides: every pair ties, so neither side wins; no spread.
+    assert _row(lines, "fed_scale", "setup_s")[-2:] == ["0/3", "0"]
+
+
+def test_wins_count_pairs_in_the_better_direction():
+    runs = _vary(_runs(), "hier_tree", "change", "setup_s", [0.4, 0.5, 0.6])
+    runs = _vary(runs, "hier_tree", "change", "tasks_per_s", [11000.0, 9000.0, 12000.0])
+    lines = perf_gate.check(runs, BENCHMARK)[0]
+    # Lower is better: 0.4 wins, 0.5 ties the parent's 0.5, 0.6 loses.
+    assert _row(lines, "hier_tree", "setup_s")[-2] == "1/3"
+    # Higher is better: two of three pairs beat the parent's 10000.
+    assert _row(lines, "hier_tree", "tasks_per_s")[-2] == "2/3"
+
+
+def test_parent_iqr_reads_the_parent_runs_only():
+    runs = _vary(_runs(), "cluster_heavytail", "parent", "run_s", [1.0, 2.0, 3.0])
+    runs = _vary(runs, "cluster_heavytail", "change", "run_s", [1.0, 9.0, 1.0])
+    lines = perf_gate.check(runs, BENCHMARK)[0]
+    row = _row(lines, "cluster_heavytail", "run_s")
+    assert float(row[-1]) == perf_gate.iqr([1.0, 2.0, 3.0]) == 2.0
+    assert row[-2] == "1/3"
+
+
+def test_iqr_and_wins_helpers():
+    assert perf_gate.iqr([5.0]) == 0.0
+    assert perf_gate.wins([{"parent": 2.0, "change": 1.0}, {"parent": 2.0}],
+                          "lower") == (1, 1)

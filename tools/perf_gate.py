@@ -16,6 +16,11 @@ The gate fails when
   than the parent's median by more than that metric's bound (relative to
   the parent, in the metric's ``better`` direction).
 
+Next to each median the table shows the change's wins over the pairs (a
+pair whose two sides tie counts for neither) and the interquartile range
+of the parent's runs. A speed claim ("wins at least 9 of 10 pairs, and
+the median gap exceeds the parent's IQR") reads straight off these.
+
 Usage::
 
     python tools/perf_gate.py PARENT_CHECKOUT CHANGE_CHECKOUT [--out FILE]
@@ -91,11 +96,31 @@ def collect(dirs: dict[str, Path], benchmark: dict[str, Any]) -> list[dict]:
     return runs
 
 
+def iqr(values: list[float]) -> float:
+    """Interquartile range of *values* (0 for fewer than two)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def wins(pairs: list[dict[str, float]], better: str) -> tuple[int, int]:
+    """(pairs the change won, pairs with both sides); ties win for neither.
+
+    Each pair maps a side to its value.
+    """
+    both = [p for p in pairs if len(p) == len(SIDES)]
+    sign = 1 if better == "lower" else -1
+    won = sum(1 for p in both if sign * (p["parent"] - p["change"]) > 0)
+    return won, len(both)
+
+
 def check(runs: list[dict], benchmark: dict[str, Any]) -> tuple[list[str], list[str]]:
     """(report lines, failures) for *runs* against *benchmark*'s bounds."""
     metrics = benchmark["end_to_end"]
     failures = []
-    values: dict[tuple[str, str, str], list[float]] = {}
+    # (workload, metric) -> pair -> side -> value
+    values: dict[tuple[str, str], dict[int, dict[str, float]]] = {}
     for run in runs:
         where = f"pair {run['pair']} {run['side']} {run['workload']}"
         result = run["result"]
@@ -111,19 +136,20 @@ def check(runs: list[dict], benchmark: dict[str, Any]) -> tuple[list[str], list[
             if measured is None:
                 failures.append(f"{where}: metric {spec['name']} missing")
             else:
-                key = (run["side"], run["workload"], spec["name"])
-                values.setdefault(key, []).append(measured["value"])
+                pairs = values.setdefault((run["workload"], spec["name"]), {})
+                pairs.setdefault(run["pair"], {})[run["side"]] = measured["value"]
 
     lines = [f"{'workload':<20} {'metric':<14} {'parent':>12} {'change':>12} "
-             f"{'worse':>7} {'bound':>6}"]
+             f"{'worse':>7} {'bound':>6} {'wins':>6} {'parent IQR':>12}"]
     for workload in (w["name"] for w in benchmark["workloads"]):
         for side in SIDES:
             if not any(r["side"] == side and r["workload"] == workload for r in runs):
                 failures.append(f"{side} {workload}: workload missing")
         for spec in metrics:
             name, bound = spec["name"], spec["bound"]
-            parent = values.get(("parent", workload, name))
-            change = values.get(("change", workload, name))
+            pairs = list(values.get((workload, name), {}).values())
+            parent = [p["parent"] for p in pairs if "parent" in p]
+            change = [p["change"] for p in pairs if "change" in p]
             if not parent or not change:
                 continue
             base, head = statistics.median(parent), statistics.median(change)
@@ -135,8 +161,10 @@ def check(runs: list[dict], benchmark: dict[str, Any]) -> tuple[list[str], list[
                     f"{workload} {name}: median {head:.6g} is {worse:.1%} worse "
                     f"than the parent's {base:.6g} (bound {bound:.0%})"
                 )
+            won, paired = wins(pairs, spec["better"])
             lines.append(f"{workload:<20} {name:<14} {base:>12.6g} {head:>12.6g} "
-                         f"{worse:>7.1%} {bound:>6.0%}{flag}")
+                         f"{worse:>7.1%} {bound:>6.0%} {f'{won}/{paired}':>6} "
+                         f"{iqr(parent):>12.6g}{flag}")
     return lines, failures
 
 
