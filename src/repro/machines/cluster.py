@@ -209,6 +209,33 @@ class Cluster:
         self._energy_by_machine = table
         self._energy_lists = table.tolist()
 
+    def scalar_eet_rows(self, tasks: Sequence[Task]) -> list[list[float]] | None:
+        """Python-float EET rows of *tasks* for the scalar batch pass.
+
+        ``None`` when the cluster has more than ``_SCALAR_ARGMIN_LIMIT``
+        machines or a task type is unknown: the vector form takes both.
+        The rows are the cluster's own cached lists; do not mutate them.
+        """
+        if len(self.machines) > self._SCALAR_ARGMIN_LIMIT:
+            return None
+        row_of = self._row_of
+        eet_lists = self._eet_lists
+        try:
+            return [eet_lists[row_of[t.task_type.name]] for t in tasks]
+        except KeyError:
+            return None
+
+    def scalar_energy_rows(self, tasks: Sequence[Task]) -> list[list[float]]:
+        """Python-float ``energy_table`` rows of *tasks* (known types only).
+
+        The rows are the cluster's own cached lists; do not mutate them.
+        """
+        if self._energy_by_machine is None:
+            self._build_energy_table()
+        row_of = self._row_of
+        energy_lists = self._energy_lists
+        return [energy_lists[row_of[t.task_type.name]] for t in tasks]
+
     def energy_rows(self, tasks: Sequence[Task]) -> np.ndarray:
         """(len(tasks), n_machines) dynamic-energy sub-matrix in one gather."""
         row_of = self._row_of
@@ -234,6 +261,25 @@ class Cluster:
         ready += state.queued_work
         if state.n_down:
             ready[~np.array(state.up)] = np.inf
+        return ready
+
+    def ready_list(self, now: float) -> list[float]:
+        """:meth:`ready_times` as Python floats, by a scalar loop.
+
+        The same IEEE operations in the same order, so each value is
+        bit-identical to the vector form's (a down machine is +inf too).
+        """
+        state = self._state
+        ready = []
+        for f, q in zip(state.finish_at.tolist(), state.queued_work.tolist()):
+            remaining = f - now
+            if remaining < 0.0:
+                remaining = 0.0
+            ready.append(remaining + now + q)
+        if state.n_down:
+            for j, up in enumerate(state.up):
+                if not up:
+                    ready[j] = float("inf")
         return ready
 
     def completion_times(self, task: Task, now: float) -> np.ndarray:

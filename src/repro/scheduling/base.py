@@ -12,6 +12,15 @@ Two policy families mirror the paper's scheduler component (Fig. 3):
   completion-time matrix, let the policy pick one (task, machine) pair, apply
   it virtually, repeat) shared by Min-Min/Max-Min/Sufferage/MSD/MMU/ELARE.
 
+  The matrix pass (NumPy) is every batch policy's reference. Three opt-in
+  shortcuts answer the same pass without building its matrices: a one-task
+  pass asks the cluster for the row's machine (``singleton_argmin``,
+  ``singleton_energy``), and on clusters of up to 64 machines a multi-task
+  pass runs on Python lists (``scalar_pass``, with the policy's
+  :meth:`BatchScheduler.select_pair_scalar` twin). Each gives the same
+  pairs in the same order as the matrix pass; MM, MSD, ELARE and FELARE
+  opt in to the list pass, every other policy keeps the matrix pass.
+
 E2C is "designed to be modular, hence providing the ability ... to modify the
 existing scheduling methods or add their own custom-designed scheduling
 methods" (§3) — that is the :mod:`repro.scheduling.registry` plus these ABCs.
@@ -126,6 +135,12 @@ class BatchScheduler(Scheduler):
     #: minimum of the row; the pass then asks
     #: :meth:`Cluster.argmin_open_energy` for that machine. Off by default.
     singleton_energy: ClassVar[bool] = False
+    #: Opt-in to the list-based multi-task pass on clusters of up to 64
+    #: machines. Set it only together with a :meth:`select_pair_scalar`
+    #: that returns, on the same cells as lists of Python floats, exactly
+    #: the pair :meth:`select_pair` returns on the matrix. Off by default,
+    #: so user-plugged policies always see the matrix.
+    scalar_pass: ClassVar[bool] = False
 
     def schedule(self, ctx: SchedulingContext) -> list[Assignment]:
         pending = ctx.pending
@@ -137,20 +152,22 @@ class BatchScheduler(Scheduler):
             else:
                 j = cluster.argmin_open_energy(task, ctx.now)
             return [] if j is None else [Assignment(task, cluster.machines[j])]
+        if self.scalar_pass:
+            assignments = self._scalar_pass(list(pending), ctx)
+            if assignments is not None:
+                return assignments
         return self._matrix_pass(list(pending), ctx)
 
     def _matrix_pass(
         self, tasks: list[Task], ctx: SchedulingContext
     ) -> list[Assignment]:
         """The matrix pass over *tasks* (every policy's reference path)."""
-        if not tasks:
-            return []
-        slots = ctx.free_slots()
-        if not (slots > 0).any():
+        if not tasks or max(ctx.cluster.state.slots) <= 0:
             # Every machine queue is saturated (or down): no pick is legal,
             # so skip building the planning matrices entirely — the dominant
             # pass shape under bounded queues with a backed-up batch queue.
             return []
+        slots = ctx.free_slots()
         machines = ctx.cluster.machines
         ready = ctx.ready_times().astype(float)  # astype always copies
         eet = ctx.eet_matrix_for(tasks)  # (T, M); fresh gather, safe to mark
@@ -193,6 +210,71 @@ class BatchScheduler(Scheduler):
                 completion[:, j] = np.inf
         return assignments
 
+    def _scalar_pass(
+        self, tasks: list[Task], ctx: SchedulingContext
+    ) -> list[Assignment] | None:
+        """The matrix pass on Python lists, for small clusters.
+
+        The same cells by the same IEEE operations in the same order as
+        :meth:`_matrix_pass` (``Cluster.ready_list``, then
+        ``ready[j] + eet[i][j]``), the same one-column refresh per pick and
+        the same checks, with :meth:`select_pair_scalar` choosing. ``None``
+        when the cluster is too large or a task type is unknown: the matrix
+        pass takes those.
+        """
+        cluster = ctx.cluster
+        if not tasks or max(cluster.state.slots) <= 0:
+            return []
+        eet = cluster.scalar_eet_rows(tasks)
+        if eet is None:
+            return None
+        slots = list(cluster.state.slots)
+        ready = cluster.ready_list(ctx.now)
+        n_machines = len(ready)
+        inf = float("inf")
+        closed = [inf] * n_machines
+        open_ready = [(j, ready[j]) for j, s in enumerate(slots) if s > 0]
+        completion = []
+        for eet_row in eet:
+            row = closed[:]
+            for j, ready_j in open_ready:
+                row[j] = ready_j + eet_row[j]
+            completion.append(row)
+        alive = [True] * len(tasks)
+        n_alive = len(tasks)
+        machines = cluster.machines
+        assignments: list[Assignment] = []
+        while True:
+            pick = self.select_pair_scalar(tasks, completion, alive, ctx)
+            if pick is None:
+                break
+            i, j = pick
+            if not alive[i]:
+                raise SchedulingError(
+                    f"{self.name}: selected already-mapped task index {i}"
+                )
+            if slots[j] <= 0:
+                raise SchedulingError(
+                    f"{self.name}: selected saturated machine index {j}"
+                )
+            assignments.append(Assignment(tasks[i], machines[j]))
+            ready[j] += eet[i][j]
+            slots[j] -= 1
+            alive[i] = False
+            n_alive -= 1
+            if not n_alive or max(slots) <= 0:
+                break
+            completion[i] = closed[:]
+            if slots[j] > 0:
+                ready_j = ready[j]
+                for row, eet_row, live in zip(completion, eet, alive):
+                    if live:
+                        row[j] = ready_j + eet_row[j]
+            else:
+                for row in completion:
+                    row[j] = inf
+        return assignments
+
     @abc.abstractmethod
     def select_pair(
         self,
@@ -208,6 +290,23 @@ class BatchScheduler(Scheduler):
         finite cell.
         """
 
+    def select_pair_scalar(
+        self,
+        tasks: Sequence[Task],
+        completion: list[list[float]],
+        alive: list[bool],
+        ctx: SchedulingContext,
+    ) -> tuple[int, int] | None:
+        """The list twin of :meth:`select_pair`, used when ``scalar_pass`` is set.
+
+        ``completion`` holds the matrix pass's cells as one list of Python
+        floats per task. It must return the pair :meth:`select_pair` would
+        return on the same cells, first-minimum tie-breaks included.
+        """
+        raise NotImplementedError(
+            f"{self.name}: scalar_pass is set but select_pair_scalar is missing"
+        )
+
 
 def argmin_2d(matrix: np.ndarray) -> tuple[int, int] | None:
     """Index of the smallest finite cell, ties broken row-major. None if all inf."""
@@ -216,3 +315,15 @@ def argmin_2d(matrix: np.ndarray) -> tuple[int, int] | None:
     if not np.isfinite(matrix[i, j]):
         return None
     return i, j
+
+
+def argmin_2d_scalar(rows: list[list[float]]) -> tuple[int, int] | None:
+    """:func:`argmin_2d` on a list of rows of Python floats."""
+    best = float("inf")
+    pick = None
+    for i, row in enumerate(rows):
+        low = min(row)
+        if low < best:
+            best = low
+            pick = i, row.index(low)
+    return pick

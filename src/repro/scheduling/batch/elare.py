@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from ...tasks.task import Task
-from ..base import BatchScheduler, argmin_2d
+from ..base import BatchScheduler, argmin_2d, argmin_2d_scalar
 from ..context import SchedulingContext
 from ..registry import register_scheduler
 
@@ -37,6 +37,7 @@ class ELAREScheduler(BatchScheduler):
         "deadline-feasible (task, machine) pairs, Min-Min fallback."
     )
     singleton_energy = True
+    scalar_pass = True
 
     def select_pair(
         self,
@@ -52,3 +53,28 @@ class ELAREScheduler(BatchScheduler):
             scored = np.where(feasible, energy, np.inf)
             return argmin_2d(scored)
         return argmin_2d(completion)
+
+    def select_pair_scalar(
+        self,
+        tasks: Sequence[Task],
+        completion: list[list[float]],
+        alive: list[bool],
+        ctx: SchedulingContext,
+    ) -> tuple[int, int] | None:
+        inf = float("inf")
+        energy = None
+        least = inf
+        pick = None
+        for i, row in enumerate(completion):
+            deadline = tasks[i].deadline
+            for j, c in enumerate(row):
+                if c <= deadline and c < inf:
+                    if energy is None:
+                        # Built only once a pair is feasible, as in select_pair.
+                        energy = ctx.cluster.scalar_energy_rows(tasks)
+                    if energy[i][j] < least:
+                        least = energy[i][j]
+                        pick = i, j
+        if energy is not None:
+            return pick
+        return argmin_2d_scalar(completion)

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from ...tasks.task import Task
-from ..base import BatchScheduler, argmin_2d
+from ..base import BatchScheduler, argmin_2d, argmin_2d_scalar
 from ..context import SchedulingContext
 from ..registry import register_scheduler
 
@@ -42,6 +42,7 @@ class FELAREScheduler(BatchScheduler):
         "on its cheapest-energy deadline-feasible machine."
     )
     singleton_energy = True
+    scalar_pass = True
 
     def select_pair(
         self,
@@ -64,13 +65,53 @@ class FELAREScheduler(BatchScheduler):
             np.where(feasible, completion, np.inf).min(axis=1),
             np.inf,
         )
-        slack = deadlines - best
         # Lexicographic: lowest success rate, then least slack, then task order.
         order_key = np.where(task_has_option, rates, np.inf)
         candidates = np.flatnonzero(order_key == order_key.min())
-        i = int(candidates[int(np.argmin(slack[candidates]))])
+        # Every candidate has an option, so its best completion is finite.
+        slack = deadlines[candidates] - best[candidates]
+        i = int(candidates[int(np.argmin(slack))])
 
         energy = ctx.cluster.energy_rows([tasks[i]])[0]
         scored = np.where(feasible[i], energy, np.inf)
         j = int(np.argmin(scored))
         return i, j
+
+    def select_pair_scalar(
+        self,
+        tasks: Sequence[Task],
+        completion: list[list[float]],
+        alive: list[bool],
+        ctx: SchedulingContext,
+    ) -> tuple[int, int] | None:
+        inf = float("inf")
+        options = []  # (task index, best feasible completion)
+        for i, row in enumerate(completion):
+            deadline = tasks[i].deadline
+            best = inf
+            for c in row:
+                if c <= deadline and c < best:
+                    best = c
+            if best < inf:
+                options.append((i, best))
+        if not options:
+            return argmin_2d_scalar(completion)
+
+        rate = ctx.type_stats.success_rate
+        rates = [rate(tasks[i].task_type.name) for i, _ in options]
+        lowest = min(rates)
+        i = None
+        for (k, best), r in zip(options, rates):
+            if r == lowest:
+                slack = tasks[k].deadline - best
+                if i is None or slack < least_slack:
+                    i, least_slack = k, slack
+
+        deadline = tasks[i].deadline
+        energy = ctx.cluster.scalar_energy_rows([tasks[i]])[0]
+        least = inf
+        for j, c in enumerate(completion[i]):
+            if c <= deadline and c < inf and energy[j] < least:
+                least = energy[j]
+                pick = j
+        return i, pick

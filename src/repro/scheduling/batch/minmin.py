@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from ...tasks.task import Task
-from ..base import BatchScheduler, argmin_2d
+from ..base import BatchScheduler, argmin_2d, argmin_2d_scalar
 from ..context import SchedulingContext
 from ..registry import register_scheduler
 
@@ -33,6 +33,7 @@ class MinMinScheduler(BatchScheduler):
 
     # argmin_2d of one row is its first minimum.
     singleton_argmin = True
+    scalar_pass = True
 
     def select_pair(
         self,
@@ -42,3 +43,12 @@ class MinMinScheduler(BatchScheduler):
         ctx: SchedulingContext,
     ) -> tuple[int, int] | None:
         return argmin_2d(completion)
+
+    def select_pair_scalar(
+        self,
+        tasks: Sequence[Task],
+        completion: list[list[float]],
+        alive: list[bool],
+        ctx: SchedulingContext,
+    ) -> tuple[int, int] | None:
+        return argmin_2d_scalar(completion)

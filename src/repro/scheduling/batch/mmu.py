@@ -53,9 +53,13 @@ class MMUScheduler(BatchScheduler):
         feasible = np.isfinite(best)
         if not feasible.any():
             return None
-        deadlines = ctx.deadlines(tasks)
-        slack = deadlines - best
-        slack = np.where(feasible, slack, np.inf)
+        # Rows with no open machine are masked before subtracting (a +inf
+        # deadline there would give inf - inf).
+        slack = np.full(len(tasks), np.inf)
+        slack[feasible] = ctx.deadlines(tasks)[feasible] - best[feasible]
         i = int(np.argmin(slack))  # least slack == max urgency
+        if not feasible[i]:
+            # Every feasible slack is +inf: the first feasible task.
+            i = int(np.argmax(feasible))
         j = int(np.argmin(completion[i]))
         return i, j

@@ -32,6 +32,7 @@ class MSDScheduler(BatchScheduler):
     # With one row the soonest deadline is row 0; its machine is the row's
     # first minimum.
     singleton_argmin = True
+    scalar_pass = True
 
     def select_pair(
         self,
@@ -46,5 +47,34 @@ class MSDScheduler(BatchScheduler):
             return None
         deadlines = np.where(feasible, ctx.deadlines(tasks), np.inf)
         i = int(np.argmin(deadlines))
+        if not feasible[i]:
+            # Every feasible deadline is +inf: the first feasible task.
+            i = int(np.argmax(feasible))
         j = int(np.argmin(completion[i]))
         return i, j
+
+    def select_pair_scalar(
+        self,
+        tasks: Sequence[Task],
+        completion: list[list[float]],
+        alive: list[bool],
+        ctx: SchedulingContext,
+    ) -> tuple[int, int] | None:
+        inf = float("inf")
+        first = None
+        soonest = inf
+        pick = None
+        for i, row in enumerate(completion):
+            if min(row) == inf:
+                continue
+            if first is None:
+                first = i
+            deadline = tasks[i].deadline
+            if deadline < soonest:
+                soonest = deadline
+                pick = i
+        if first is None:
+            return None
+        i = first if pick is None else pick
+        row = completion[i]
+        return i, row.index(min(row))

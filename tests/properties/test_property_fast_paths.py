@@ -14,10 +14,16 @@
 4. ``Cluster.energy_rows`` gathers from a table built once per run; it is
    bit-equal to the per-task ``watts * eet_vector`` rows it replaces.
 5. FCFS and OLB pick with ``Cluster.argmin_ready``; it equals
-   ``np.argmin(ready_times(now))``, down machines included. MECT's
+   ``np.argmin(ready_times(now))``, down machines included, and
+   ``Cluster.ready_list`` equals ``ready_times(now)`` bit for bit. MECT's
    ``Cluster.argmin_completion`` and the EET-aware gateway's
    ``Cluster.min_completion_time`` equal ``completion_times(task, now)``'s
    ``argmin()`` and ``min()`` on the same clusters.
+6. MM, MSD, ELARE and FELARE set ``scalar_pass`` and answer a multi-task
+   pass on clusters of up to 64 machines with the list-based
+   ``_scalar_pass``. It must return the same (task, machine) pairs in the
+   same order as the matrix pass, over exact ties, passed and +inf
+   deadlines, and tied and unequal FELARE success rates.
 """
 
 import numpy as np
@@ -28,16 +34,22 @@ from hypothesis import strategies as st
 from repro.core.errors import ConfigurationError, EETError
 from repro.machines.cluster import Cluster
 from repro.machines.eet import EETMatrix
+from repro.machines.machine_queue import UNBOUNDED
 from repro.machines.power import PowerProfile
-from repro.scheduling.base import BatchScheduler, argmin_2d
+from repro.scheduling.base import BatchScheduler, SchedulingMode, argmin_2d
 from repro.scheduling.context import LiveTypeStats, SchedulingContext
 from repro.scheduling.federation import GatewayContext, create_gateway
-from repro.scheduling.registry import create_scheduler, scheduler_class
+from repro.scheduling.registry import (
+    available_schedulers,
+    create_scheduler,
+    scheduler_class,
+)
 from repro.tasks.task import Task
 from repro.tasks.task_type import TaskType
 
 OPTED_IN = ["MM", "MSD", "MMU", "MAXMIN", "SUFFERAGE"]
 ENERGY_OPTED_IN = ["ELARE", "FELARE"]
+SCALAR_OPTED_IN = ["MM", "MSD", "ELARE", "FELARE"]
 
 
 # -- gateway: CDF bisect == rng.choice ----------------------------------------------
@@ -94,17 +106,18 @@ def test_random_split_draws_equal_rng_choice(weights, explicit, seed):
 # -- batch: singleton pass == matrix pass -------------------------------------------
 
 TYPES = [TaskType("A", 0), TaskType("B", 1)]
-STATES = ("idle", "running", "queued", "full", "down")
+STATES = ("idle", "running", "queued", "backlog", "full", "down")
 
 
 @st.composite
 def clusters(draw):
     """A cluster in a random mid-run state, plus the time to plan at."""
     n_types = draw(st.integers(1, 4))
-    # Small integers make exact ties between machines common.
+    # Small integers make exact ties between machines common; 0.1 and 0.3
+    # make float sums depend on their order of operations.
     values = draw(
         st.lists(
-            st.sampled_from([1.0, 2.0, 3.0, 0.5, 7.25]),
+            st.sampled_from([1.0, 2.0, 3.0, 0.5, 7.25, 0.1, 0.3]),
             min_size=2 * n_types,
             max_size=2 * n_types,
         )
@@ -116,7 +129,7 @@ def clusters(draw):
     )
     # Occasionally past Cluster._SCALAR_ARGMIN_LIMIT: the vector branch.
     per_type = draw(st.sampled_from([1, 1, 2, 3, 17]))
-    capacity = draw(st.integers(1, 2))
+    capacity = draw(st.sampled_from([1, 2, UNBOUNDED]))
     # Integer and float draws, with per-type overrides down to 0 W: exact
     # energy ties and an int-to-float conversion in the energy table.
     watts = st.sampled_from([0, 0.0, 6, 9.5, 95.0, 250.0, 1e-3])
@@ -138,15 +151,17 @@ def clusters(draw):
         if state == "down":
             machine.fail(0.0)
             continue
-        if state in ("running", "queued"):
+        if state in ("running", "queued", "backlog"):
             machine.enqueue(_task(next(ids), draw), 0.0)
-        if state == "running":
-            runtime = draw(st.sampled_from([0.5, 2.0, 4.0]))
+        if state in ("running", "backlog"):
+            runtime = draw(st.sampled_from([0.5, 2.0, 4.0, 0.7]))
             machine.start_next(0.0, runtime=runtime)
+        if state == "backlog":  # a queued task behind the running one
+            machine.enqueue(_task(next(ids), draw), 0.0)
         if state == "full":
-            for _ in range(capacity):
+            for _ in range(capacity if capacity != UNBOUNDED else 3):
                 machine.enqueue(_task(next(ids), draw), 0.0)
-    now = draw(st.sampled_from([0.0, 1.0, 3.0]))
+    now = draw(st.sampled_from([0.0, 1.0, 3.0, 0.3]))
     return cluster, now
 
 
@@ -161,12 +176,12 @@ def _task(task_id, draw):
     return task
 
 
-def _ctx(cluster, now, tasks):
+def _ctx(cluster, now, tasks, type_stats=None):
     return SchedulingContext(
         now=now,
         pending=tasks,
         cluster=cluster,
-        type_stats=LiveTypeStats(),
+        type_stats=type_stats or LiveTypeStats(),
         rng=np.random.default_rng(0),
     )
 
@@ -246,6 +261,72 @@ def test_deadline_met_exactly_is_feasible(policy, deadline, machine):
     assert _pairs(fast) == _pairs(reference) == [(0, machine)]
 
 
+# -- batch: scalar multi-task pass == matrix pass ------------------------------------
+
+# Exact ties with completion times, deadlines already passed at now = 1.0 or
+# 3.0, and +inf.
+DEADLINES = [0.5, 1.0, 2.5, 3.0, 4.0, 9.0, 50.0, np.inf]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    policy=st.sampled_from(SCALAR_OPTED_IN),
+    system=clusters(),
+    specs=st.lists(
+        st.tuples(st.integers(0, 1), st.sampled_from(DEADLINES)),
+        min_size=2,
+        max_size=8,
+    ),
+    # Outcomes per type: unequal rates, and ties (1/2 == 2/4, or no record).
+    records=st.lists(
+        st.tuples(st.sampled_from(["A", "B"]), st.booleans()), max_size=6
+    ),
+)
+def test_scalar_pass_equals_matrix_pass(policy, system, specs, records):
+    cluster, now = system
+    tasks = []
+    for i, (kind, deadline) in enumerate(specs):
+        task = Task(
+            id=i, task_type=TYPES[kind], arrival_time=0.0, deadline=deadline
+        )
+        task.enqueue_batch()
+        tasks.append(task)
+    stats = LiveTypeStats()
+    for name, on_time in records:
+        stats.record(name, on_time)
+    ctx = _ctx(cluster, now, tasks, stats)
+    scheduler = create_scheduler(policy)
+    reference = _pairs(scheduler._matrix_pass(list(tasks), ctx))
+    scalar = scheduler._scalar_pass(list(tasks), ctx)
+    if len(cluster) > Cluster._SCALAR_ARGMIN_LIMIT:
+        assert scalar is None
+    else:
+        assert _pairs(scalar) == reference
+    assert _pairs(scheduler.schedule(ctx)) == reference
+
+
+def test_non_opted_policies_reach_the_matrix_pass():
+    eet = EETMatrix(np.array([[1.0, 2.0]]), TYPES[:1], ["M0", "M1"])
+    cluster = Cluster.build(eet, [1, 1], queue_capacity=2)
+    tasks = []
+    for i in range(2):
+        task = Task(id=i, task_type=TYPES[0], arrival_time=0.0, deadline=9.0)
+        task.enqueue_batch()
+        tasks.append(task)
+    seen = []
+
+    class Plugged(BatchScheduler):
+        name = "PLUGGED"
+
+        def select_pair(self, tasks, completion, alive, ctx):
+            seen.append(type(completion))
+            return argmin_2d(completion)
+
+    assignments = Plugged().schedule(_ctx(cluster, 0.0, tasks))
+    assert _pairs(assignments) == [(0, 0), (1, 0)]
+    assert seen and set(seen) == {np.ndarray}
+
+
 def _reference_energy(tasks, cluster):
     """The per-task row loop ``Cluster.energy_table`` replaced."""
     machines = cluster.machines
@@ -285,6 +366,9 @@ def test_energy_rows_equal_per_task_rows(system, kinds):
 def test_argmin_ready_equals_ready_times_argmin(system, task_type):
     cluster, now = system
     assert cluster.argmin_ready(now) == int(np.argmin(cluster.ready_times(now)))
+    # The scalar pass's ready times are the vector form's, bit for bit.
+    ready = np.array(cluster.ready_list(now))
+    assert ready.tobytes() == cluster.ready_times(now).tobytes()
     # MECT's pick and the EET-aware gateway's bid take the same split.
     task = Task(id=0, task_type=TYPES[task_type], arrival_time=0.0, deadline=9.0)
     completion = cluster.completion_times(task, now)
@@ -318,16 +402,23 @@ def test_unknown_task_type_fails_alike_on_energy_paths(policy, per_type):
         cluster.energy_rows([task])
 
 
-def test_unknown_task_type_fails_like_the_matrix_pass():
+@pytest.mark.parametrize("policy", SCALAR_OPTED_IN)
+@pytest.mark.parametrize("n_tasks", [1, 3])
+def test_unknown_task_type_fails_like_the_matrix_pass(policy, n_tasks):
     eet = EETMatrix(np.array([[1.0, 2.0]]), TYPES[:1], ["M0", "M1"])
     cluster = Cluster.build(eet, [1, 1], queue_capacity=2)
-    task = Task(id=0, task_type=TYPES[1], arrival_time=0.0, deadline=9.0)
-    task.enqueue_batch()
-    scheduler = create_scheduler("MM")
+    # The cluster knows type A only; the first task is of type B.
+    tasks = []
+    for i in range(n_tasks):
+        kind = TYPES[1] if i == 0 else TYPES[0]
+        task = Task(id=i, task_type=kind, arrival_time=0.0, deadline=9.0)
+        task.enqueue_batch()
+        tasks.append(task)
+    scheduler = create_scheduler(policy)
     with pytest.raises(EETError):
-        scheduler.schedule(_ctx(cluster, 0.0, [task]))
+        scheduler.schedule(_ctx(cluster, 0.0, tasks))
     with pytest.raises(EETError):
-        scheduler._matrix_pass([task], _ctx(cluster, 0.0, [task]))
+        scheduler._matrix_pass(list(tasks), _ctx(cluster, 0.0, tasks))
 
 
 def test_only_row_argmin_policies_opt_in():
@@ -348,3 +439,9 @@ def test_only_row_argmin_policies_opt_in():
 
     assert Plugged.singleton_argmin is False
     assert Plugged.singleton_energy is False
+    assert Plugged.scalar_pass is False
+
+    # Exactly these batch policies map multi-task passes on lists.
+    batch = available_schedulers(SchedulingMode.BATCH)
+    scalar = [name for name in batch if scheduler_class(name).scalar_pass]
+    assert sorted(scalar) == sorted(SCALAR_OPTED_IN)

@@ -8,14 +8,19 @@ System under test (eet_3x2 fixture):
     T3    5.0   6.0
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.machines.cluster import Cluster
+from repro.machines.eet import EETMatrix
 from repro.machines.power import PowerProfile
 from repro.scheduling.context import LiveTypeStats, SchedulingContext
 from repro.scheduling.registry import create_scheduler
 from repro.tasks.task import Task
+from repro.tasks.task_type import TaskType
 
 
 def pending(task_types, specs):
@@ -290,3 +295,25 @@ class TestCapacityAcrossPolicies:
         )
         ids = [a.task.id for a in assignments]
         assert len(ids) == len(set(ids))
+
+
+class TestInfiniteDeadlines:
+    """Once one +inf-deadline task is mapped, every feasible key is +inf."""
+
+    @pytest.mark.parametrize(
+        "policy", ["MM", "MAXMIN", "SUFFERAGE", "MMU", "MSD", "ELARE", "FELARE"]
+    )
+    def test_maps_each_task_once_without_warnings(self, policy):
+        kind = TaskType("A", 0)
+        eet = EETMatrix(np.array([[1.0, 2.0]]), [kind], ["M0", "M1"])
+        cluster = Cluster.build(eet, [1, 1], queue_capacity=2)
+        tasks = pending([kind], [(0, math.inf), (0, math.inf)])
+        scheduler = create_scheduler(policy)
+        ctx = batch_ctx(cluster, tasks)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = scheduler.schedule(ctx)
+            reference = scheduler._matrix_pass(list(tasks), ctx)
+        want = [(0, 0), (1, 0)]
+        assert [(a.task.id, a.machine.id) for a in fast] == want
+        assert [(a.task.id, a.machine.id) for a in reference] == want
