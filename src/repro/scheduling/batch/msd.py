@@ -61,20 +61,14 @@ class MSDScheduler(BatchScheduler):
         ctx: SchedulingContext,
     ) -> tuple[int, int] | None:
         inf = float("inf")
-        first = None
-        soonest = inf
-        pick = None
-        for i, row in enumerate(completion):
-            if min(row) == inf:
-                continue
-            if first is None:
-                first = i
-            deadline = tasks[i].deadline
-            if deadline < soonest:
-                soonest = deadline
-                pick = i
-        if first is None:
+        i = None
+        for k, row in enumerate(completion):
+            if min(row) < inf:
+                deadline = tasks[k].deadline
+                # The first feasible task wins deadline ties, +inf included.
+                if i is None or deadline < soonest:
+                    i, soonest = k, deadline
+        if i is None:
             return None
-        i = first if pick is None else pick
         row = completion[i]
         return i, row.index(min(row))
