@@ -210,14 +210,11 @@ class Cluster:
         self._energy_lists = table.tolist()
 
     def scalar_eet_rows(self, tasks: Sequence[Task]) -> list[list[float]] | None:
-        """Python-float EET rows of *tasks* for the scalar batch pass.
+        """Python-float EET rows of *tasks* for the list batch pass.
 
-        ``None`` when the cluster has more than ``_SCALAR_ARGMIN_LIMIT``
-        machines or a task type is unknown: the vector form takes both.
+        ``None`` when a task type is unknown: the vector form takes it.
         The rows are the cluster's own cached lists; do not mutate them.
         """
-        if len(self.machines) > self._SCALAR_ARGMIN_LIMIT:
-            return None
         row_of = self._row_of
         eet_lists = self._eet_lists
         try:
@@ -268,6 +265,9 @@ class Cluster:
 
         The same IEEE operations in the same order, so each value is
         bit-identical to the vector form's (a down machine is +inf too).
+        The one-call argmins below repeat this loop inline, fused with
+        their pick: building on this list made each 30-100% slower per
+        call at 4-48 machines (BENCH_20.json holds the measurement).
         """
         state = self._state
         ready = []

@@ -15,11 +15,11 @@ Two policy families mirror the paper's scheduler component (Fig. 3):
   The matrix pass (NumPy) is every batch policy's reference. Three opt-in
   shortcuts answer the same pass without building its matrices: a one-task
   pass asks the cluster for the row's machine (``singleton_argmin``,
-  ``singleton_energy``), and on clusters of up to 64 machines a multi-task
-  pass runs on Python lists (``scalar_pass``, with the policy's
-  :meth:`BatchScheduler.select_pair_scalar` twin). Each gives the same
+  ``singleton_energy``), and a multi-task pass of at most 128 cells runs
+  on Python lists when the policy defines a ``select_pair_scalar`` twin
+  of its ``select_pair`` (:func:`has_list_twin`). Each gives the same
   pairs in the same order as the matrix pass; MM, MSD, ELARE and FELARE
-  opt in to the list pass, every other policy keeps the matrix pass.
+  have the twin, every other policy keeps the matrix pass.
 
 E2C is "designed to be modular, hence providing the ability ... to modify the
 existing scheduling methods or add their own custom-designed scheduling
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import abc
 import enum
+import functools
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -46,6 +47,7 @@ __all__ = [
     "Scheduler",
     "ImmediateScheduler",
     "BatchScheduler",
+    "has_list_twin",
 ]
 
 
@@ -135,12 +137,10 @@ class BatchScheduler(Scheduler):
     #: minimum of the row; the pass then asks
     #: :meth:`Cluster.argmin_open_energy` for that machine. Off by default.
     singleton_energy: ClassVar[bool] = False
-    #: Opt-in to the list-based multi-task pass on clusters of up to 64
-    #: machines. Set it only together with a :meth:`select_pair_scalar`
-    #: that returns, on the same cells as lists of Python floats, exactly
-    #: the pair :meth:`select_pair` returns on the matrix. Off by default,
-    #: so user-plugged policies always see the matrix.
-    scalar_pass: ClassVar[bool] = False
+    #: Largest pass (pending tasks x machines) the list pass takes. Past
+    #: it the matrix pass is faster for MM, the policy whose NumPy
+    #: ``select_pair`` is cheapest; BENCH_20.json holds the measurements.
+    _LIST_PASS_CELLS: ClassVar[int] = 128
 
     def schedule(self, ctx: SchedulingContext) -> list[Assignment]:
         pending = ctx.pending
@@ -152,7 +152,7 @@ class BatchScheduler(Scheduler):
             else:
                 j = cluster.argmin_open_energy(task, ctx.now)
             return [] if j is None else [Assignment(task, cluster.machines[j])]
-        if self.scalar_pass:
+        if has_list_twin(type(self)):
             assignments = self._scalar_pass(list(pending), ctx)
             if assignments is not None:
                 return assignments
@@ -213,16 +213,18 @@ class BatchScheduler(Scheduler):
     def _scalar_pass(
         self, tasks: list[Task], ctx: SchedulingContext
     ) -> list[Assignment] | None:
-        """The matrix pass on Python lists, for small clusters.
+        """The matrix pass on Python lists, for small passes.
 
         The same cells by the same IEEE operations in the same order as
         :meth:`_matrix_pass` (``Cluster.ready_list``, then
         ``ready[j] + eet[i][j]``), the same one-column refresh per pick and
-        the same checks, with :meth:`select_pair_scalar` choosing. ``None``
-        when the cluster is too large or a task type is unknown: the matrix
-        pass takes those.
+        the same checks, with the policy's ``select_pair_scalar`` choosing.
+        ``None`` when the pass has more than ``_LIST_PASS_CELLS`` cells or a
+        task type is unknown: the matrix pass takes those.
         """
         cluster = ctx.cluster
+        if len(tasks) * len(cluster.machines) > self._LIST_PASS_CELLS:
+            return None
         if not tasks or max(cluster.state.slots) <= 0:
             return []
         eet = cluster.scalar_eet_rows(tasks)
@@ -290,22 +292,25 @@ class BatchScheduler(Scheduler):
         finite cell.
         """
 
-    def select_pair_scalar(
-        self,
-        tasks: Sequence[Task],
-        completion: list[list[float]],
-        alive: list[bool],
-        ctx: SchedulingContext,
-    ) -> tuple[int, int] | None:
-        """The list twin of :meth:`select_pair`, used when ``scalar_pass`` is set.
 
-        ``completion`` holds the matrix pass's cells as one list of Python
-        floats per task. It must return the pair :meth:`select_pair` would
-        return on the same cells, first-minimum tie-breaks included.
-        """
-        raise NotImplementedError(
-            f"{self.name}: scalar_pass is set but select_pair_scalar is missing"
-        )
+@functools.cache
+def has_list_twin(cls: type) -> bool:
+    """Whether batch policy *cls* maps multi-task passes on lists.
+
+    A policy opts in to the list pass by defining ``select_pair_scalar``:
+    given the matrix pass's cells as one list of Python floats per task
+    (and ``alive`` as a list of bools), it must return exactly the pair
+    its ``select_pair`` returns on the matrix, first-minimum tie-breaks
+    included. The twin counts only when it is defined in the class that
+    defines ``select_pair`` or below it, so a subclass that overrides
+    ``select_pair`` alone keeps the matrix pass: the twin it inherits
+    answers for its parent's ``select_pair``, not its own.
+    """
+    def owner(name):
+        return next((c for c in cls.__mro__ if name in vars(c)), None)
+
+    twin = owner("select_pair_scalar")
+    return twin is not None and issubclass(twin, owner("select_pair"))
 
 
 def argmin_2d(matrix: np.ndarray) -> tuple[int, int] | None:

@@ -37,7 +37,6 @@ class ELAREScheduler(BatchScheduler):
         "deadline-feasible (task, machine) pairs, Min-Min fallback."
     )
     singleton_energy = True
-    scalar_pass = True
 
     def select_pair(
         self,

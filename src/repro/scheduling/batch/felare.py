@@ -42,7 +42,6 @@ class FELAREScheduler(BatchScheduler):
         "on its cheapest-energy deadline-feasible machine."
     )
     singleton_energy = True
-    scalar_pass = True
 
     def select_pair(
         self,

@@ -33,7 +33,6 @@ class MinMinScheduler(BatchScheduler):
 
     # argmin_2d of one row is its first minimum.
     singleton_argmin = True
-    scalar_pass = True
 
     def select_pair(
         self,

@@ -32,7 +32,6 @@ class MSDScheduler(BatchScheduler):
     # With one row the soonest deadline is row 0; its machine is the row's
     # first minimum.
     singleton_argmin = True
-    scalar_pass = True
 
     def select_pair(
         self,

@@ -19,11 +19,12 @@
    ``Cluster.argmin_completion`` and the EET-aware gateway's
    ``Cluster.min_completion_time`` equal ``completion_times(task, now)``'s
    ``argmin()`` and ``min()`` on the same clusters.
-6. MM, MSD, ELARE and FELARE set ``scalar_pass`` and answer a multi-task
-   pass on clusters of up to 64 machines with the list-based
-   ``_scalar_pass``. It must return the same (task, machine) pairs in the
-   same order as the matrix pass, over exact ties, passed and +inf
-   deadlines, and tied and unequal FELARE success rates.
+6. MM, MSD, ELARE and FELARE define a ``select_pair_scalar`` twin and
+   answer a multi-task pass of at most 128 cells (tasks x machines) with
+   the list-based ``_scalar_pass``. It must return the same (task, machine)
+   pairs in the same order as the matrix pass, over exact ties, passed and
+   +inf deadlines, and tied and unequal FELARE success rates. A subclass
+   that overrides ``select_pair`` alone keeps the matrix pass.
 """
 
 import numpy as np
@@ -36,7 +37,13 @@ from repro.machines.cluster import Cluster
 from repro.machines.eet import EETMatrix
 from repro.machines.machine_queue import UNBOUNDED
 from repro.machines.power import PowerProfile
-from repro.scheduling.base import BatchScheduler, SchedulingMode, argmin_2d
+from repro.scheduling.base import (
+    BatchScheduler,
+    SchedulingMode,
+    argmin_2d,
+    has_list_twin,
+)
+from repro.scheduling.batch.minmin import MinMinScheduler
 from repro.scheduling.context import LiveTypeStats, SchedulingContext
 from repro.scheduling.federation import GatewayContext, create_gateway
 from repro.scheduling.registry import (
@@ -298,7 +305,7 @@ def test_scalar_pass_equals_matrix_pass(policy, system, specs, records):
     scheduler = create_scheduler(policy)
     reference = _pairs(scheduler._matrix_pass(list(tasks), ctx))
     scalar = scheduler._scalar_pass(list(tasks), ctx)
-    if len(cluster) > Cluster._SCALAR_ARGMIN_LIMIT:
+    if len(tasks) * len(cluster) > BatchScheduler._LIST_PASS_CELLS:
         assert scalar is None
     else:
         assert _pairs(scalar) == reference
@@ -325,6 +332,34 @@ def test_non_opted_policies_reach_the_matrix_pass():
     assignments = Plugged().schedule(_ctx(cluster, 0.0, tasks))
     assert _pairs(assignments) == [(0, 0), (1, 0)]
     assert seen and set(seen) == {np.ndarray}
+
+
+def test_overriding_select_pair_alone_keeps_the_matrix_pass():
+    eet = EETMatrix(np.array([[1.0, 2.0]]), TYPES[:1], ["M0", "M1"])
+    cluster = Cluster.build(eet, [1, 1], queue_capacity=2)
+    tasks = []
+    for i in range(3):
+        task = Task(id=i, task_type=TYPES[0], arrival_time=0.0, deadline=9.0)
+        task.enqueue_batch()
+        tasks.append(task)
+
+    class LastFirst(MinMinScheduler):
+        """Min-Min's list twin is inherited; it must not answer for this."""
+
+        name = "LAST_FIRST"
+
+        def select_pair(self, tasks, completion, alive, ctx):
+            rows = np.flatnonzero(np.isfinite(completion.min(axis=1)))
+            if len(rows) == 0:
+                return None
+            i = int(rows[-1])
+            return i, int(np.argmin(completion[i]))
+
+    assignments = LastFirst().schedule(_ctx(cluster, 0.0, tasks))
+    assert _pairs(assignments) == [(2, 0), (1, 0), (0, 1)]
+    assert _pairs(MinMinScheduler().schedule(_ctx(cluster, 0.0, tasks))) == [
+        (0, 0), (1, 0), (2, 1),
+    ]
 
 
 def _reference_energy(tasks, cluster):
@@ -439,9 +474,25 @@ def test_only_row_argmin_policies_opt_in():
 
     assert Plugged.singleton_argmin is False
     assert Plugged.singleton_energy is False
-    assert Plugged.scalar_pass is False
+    assert has_list_twin(Plugged) is False
 
     # Exactly these batch policies map multi-task passes on lists.
     batch = available_schedulers(SchedulingMode.BATCH)
-    scalar = [name for name in batch if scheduler_class(name).scalar_pass]
+    scalar = [name for name in batch if has_list_twin(scheduler_class(name))]
     assert sorted(scalar) == sorted(SCALAR_OPTED_IN)
+
+    # A subclass's twin counts only next to (or below) its select_pair.
+    class NewPick(MinMinScheduler):
+        def select_pair(self, tasks, completion, alive, ctx):
+            return argmin_2d(completion)
+
+    class NewPickAndTwin(NewPick):
+        def select_pair_scalar(self, tasks, completion, alive, ctx):
+            return None
+
+    class Renamed(MinMinScheduler):
+        name = "RENAMED"
+
+    assert has_list_twin(NewPick) is False
+    assert has_list_twin(NewPickAndTwin) is True
+    assert has_list_twin(Renamed) is True
