@@ -51,6 +51,12 @@ __all__ = [
 ]
 
 
+#: Largest pass (pending tasks x machines) the list pass takes. Past it the
+#: matrix pass is as fast for MM, the policy whose NumPy ``select_pair`` is
+#: cheapest; BENCH_20.json holds the timings of both passes.
+_LIST_PASS_CELLS = 128
+
+
 class SchedulingMode(enum.Enum):
     """Immediate vs batch scheduling (Maheswaran et al. 1999 taxonomy)."""
 
@@ -137,10 +143,6 @@ class BatchScheduler(Scheduler):
     #: minimum of the row; the pass then asks
     #: :meth:`Cluster.argmin_open_energy` for that machine. Off by default.
     singleton_energy: ClassVar[bool] = False
-    #: Largest pass (pending tasks x machines) the list pass takes. Past
-    #: it the matrix pass is faster for MM, the policy whose NumPy
-    #: ``select_pair`` is cheapest; BENCH_20.json holds the measurements.
-    _LIST_PASS_CELLS: ClassVar[int] = 128
 
     def schedule(self, ctx: SchedulingContext) -> list[Assignment]:
         pending = ctx.pending
@@ -223,7 +225,7 @@ class BatchScheduler(Scheduler):
         task type is unknown: the matrix pass takes those.
         """
         cluster = ctx.cluster
-        if len(tasks) * len(cluster.machines) > self._LIST_PASS_CELLS:
+        if len(tasks) * len(cluster.machines) > _LIST_PASS_CELLS:
             return None
         if not tasks or max(cluster.state.slots) <= 0:
             return []

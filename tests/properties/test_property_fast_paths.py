@@ -38,6 +38,7 @@ from repro.machines.eet import EETMatrix
 from repro.machines.machine_queue import UNBOUNDED
 from repro.machines.power import PowerProfile
 from repro.scheduling.base import (
+    _LIST_PASS_CELLS,
     BatchScheduler,
     SchedulingMode,
     argmin_2d,
@@ -305,7 +306,7 @@ def test_scalar_pass_equals_matrix_pass(policy, system, specs, records):
     scheduler = create_scheduler(policy)
     reference = _pairs(scheduler._matrix_pass(list(tasks), ctx))
     scalar = scheduler._scalar_pass(list(tasks), ctx)
-    if len(tasks) * len(cluster) > BatchScheduler._LIST_PASS_CELLS:
+    if len(tasks) * len(cluster) > _LIST_PASS_CELLS:
         assert scalar is None
     else:
         assert _pairs(scalar) == reference
