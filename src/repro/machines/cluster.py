@@ -266,7 +266,7 @@ class Cluster:
         The same IEEE operations in the same order, so each value is
         bit-identical to the vector form's (a down machine is +inf too).
         The one-call argmins below repeat this loop inline, fused with
-        their pick: building on this list made each 30-100% slower per
+        their pick: building on this list made each 25-120% slower per
         call at 4-48 machines (BENCH_20.json holds the measurement).
         """
         state = self._state
