@@ -22,42 +22,41 @@ class EventQueue:
 
     Supports O(log n) push/pop and O(1) cancellation by event identity.
 
-    The heap stores ``(key, event)`` pairs rather than bare events: tuple
-    comparison runs entirely in C (the unique ``seq`` component guarantees
-    the ``event`` element is never compared), eliminating the Python-level
-    ``__lt__`` calls that previously accounted for ~40% of engine runtime.
+    An event is its own heap entry: :class:`Event` is a tuple whose first
+    three fields are ``(time, priority, seq)``, so ``heapq`` orders events
+    by tuple comparison in C, and the unique ``seq`` keeps it from ever
+    comparing the fields after it. Every cancelled seq stays in the heap
+    until its event is popped, so the live count is the heap size less the
+    cancelled-set size.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[tuple[float, int, int], Event]] = []
+        self._heap: list[Event] = []
         self._cancelled: set[int] = set()
-        self._live = 0
 
     def __len__(self) -> int:
         """Number of live (non-cancelled) events."""
-        return self._live
+        return len(self._heap) - len(self._cancelled)
 
     def __bool__(self) -> bool:
-        return self._live > 0
+        return len(self._heap) > len(self._cancelled)
 
     def push(self, event: Event) -> Event:
         """Insert *event* and return it (handy for keeping a handle)."""
-        heapq.heappush(self._heap, (event.key, event))
-        self._live += 1
+        heapq.heappush(self._heap, event)
         return event
 
     def cancel(self, event: Event) -> bool:
         """Mark *event* cancelled. Returns False if already cancelled/popped."""
-        if event.seq in self._cancelled:
+        cancelled = self._cancelled
+        if event.seq in cancelled:
             return False
-        # An event that was already popped cannot be cancelled retroactively;
-        # callers hold handles only to events they pushed, so membership in
-        # the heap is implied unless it was popped. We track liveness lazily:
-        # cancelling an already-popped event is a caller bug surfaced by the
-        # _live counter going negative, which we guard against explicitly.
-        self._cancelled.add(event.seq)
-        self._live -= 1
-        if self._live < 0:  # pragma: no cover - defensive
+        # Callers hold handles only to events they pushed, so the event is
+        # in the heap unless it was popped. Cancelling a popped event is a
+        # caller bug; it surfaces once more seqs are cancelled than the
+        # heap holds, which we guard against explicitly.
+        cancelled.add(event.seq)
+        if len(cancelled) > len(self._heap):  # pragma: no cover - defensive
             raise SimulationStateError("cancelled an event that already fired")
         return True
 
@@ -76,11 +75,10 @@ class EventQueue:
         heap = self._heap
         cancelled = self._cancelled
         while heap:
-            event = heapq.heappop(heap)[1]
+            event = heapq.heappop(heap)
             if cancelled and event.seq in cancelled:
                 cancelled.discard(event.seq)
                 continue
-            self._live -= 1
             return event
         raise SimulationStateError("pop from an empty event queue")
 
@@ -89,7 +87,7 @@ class EventQueue:
         heap = self._heap
         cancelled = self._cancelled
         while heap:
-            event = heap[0][1]
+            event = heap[0]
             if cancelled and event.seq in cancelled:
                 heapq.heappop(heap)
                 cancelled.discard(event.seq)
@@ -113,4 +111,3 @@ class EventQueue:
         """Remove all events."""
         self._heap.clear()
         self._cancelled.clear()
-        self._live = 0

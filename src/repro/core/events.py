@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = ["EventType", "Event", "EVENT_PRIORITY", "reserve_seqs"]
 
@@ -62,7 +62,7 @@ EVENT_PRIORITY: dict[EventType, int] = {
     EventType.CROSS_TRAFFIC: 8,
 }
 
-# Mirror the priority table onto the members: Event.__init__ runs for every
+# Mirror the priority table onto the members: Event.__new__ runs for every
 # scheduled event, and the plain attribute read beats the enum-keyed dict
 # lookup (enum hashing goes through the member name).
 for _event_type, _rank in EVENT_PRIORITY.items():
@@ -84,34 +84,43 @@ def reserve_seqs(n: int) -> int:
     return first
 
 
-_set = object.__setattr__  # bypasses the frozen __setattr__ during __init__
+class _EventFields(NamedTuple):
+    time: float
+    priority: int
+    seq: int
+    type: EventType
+    payload: Any
+    cluster: int | tuple[int, ...] | None
 
 
-class Event:
+_new_tuple = tuple.__new__
+
+
+class Event(_EventFields):
     """A single simulation event.
 
-    Hand-written immutable slots class (not a dataclass): the engine creates
-    an arrival and a deadline per task plus one per execution, so
-    construction and comparison are hot. The ``(time, priority, seq)``
-    ordering key is precomputed once here; the future-event list compares
-    hundreds of thousands of keys per run, and deriving the tuple per
-    comparison (attribute + enum-dict lookups) previously dominated the
-    engine profile.
+    An immutable tuple laid out as ``(time, priority, seq, type, payload,
+    cluster)`` with C-level field getters. The engine creates an arrival
+    and a deadline per task plus one per execution, so construction is
+    hot: it is one ``tuple.__new__``. The future-event list puts the event
+    on its heap as is, and tuple comparison orders events by their first
+    three fields, ``(time, priority, seq)``; the unique ``seq`` means the
+    fields after it are never compared.
 
     Attributes
     ----------
     time:
         Simulation timestamp at which the event fires.
+    priority:
+        Rank of ``type`` in :data:`EVENT_PRIORITY` (lower fires first).
+    seq:
+        Monotonic tie-break counter; guarantees FIFO stability among events
+        with identical ``(time, priority)``.
     type:
         The :class:`EventType` of this event.
     payload:
         Event-specific data (a task, a machine, ...). Never inspected by the
         queue itself.
-    seq:
-        Monotonic tie-break counter; guarantees FIFO stability among events
-        with identical ``(time, priority)``.
-    key:
-        The precomputed ``(time, priority, seq)`` ordering key.
     cluster:
         Routing address in a federated simulation (see
         :mod:`repro.federation`). A plain ``int`` is the owning cluster
@@ -128,57 +137,31 @@ class Event:
         ordering key.
     """
 
-    __slots__ = ("time", "type", "payload", "seq", "key", "cluster")
+    __slots__ = ()
 
-    time: float
-    type: EventType
-    payload: Any
-    seq: int
-    key: tuple[float, int, int]
-    cluster: int | tuple[int, ...] | None
-
-    def __init__(
-        self,
+    def __new__(
+        cls,
         time: float,
         type: EventType,
         payload: Any = None,
         seq: int | None = None,
         cluster: int | tuple[int, ...] | None = None,
-    ) -> None:
+    ) -> Event:
         if seq is None:
             seq = next(_seq_counter)
-        _set(self, "time", time)
-        _set(self, "type", type)
-        _set(self, "payload", payload)
-        _set(self, "seq", seq)
-        _set(self, "key", (time, type._priority, seq))
-        _set(self, "cluster", cluster)
+        return _new_tuple(cls, (time, type._priority, seq, type, payload, cluster))
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"Event is immutable; cannot set {name!r}")
-
-    def __reduce__(self):
-        # The frozen __setattr__ breaks default pickling/deepcopying;
-        # reconstruct through __init__ with the original seq instead.
+    def __reduce__(self) -> tuple[Any, ...]:
+        # Rebuild through __new__ with the original seq (the inherited
+        # namedtuple pickling would pass the priority as the type).
         return (
             Event,
             (self.time, self.type, self.payload, self.seq, self.cluster),
         )
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Event is immutable; cannot delete {name!r}")
-
-    @property
-    def priority(self) -> int:
-        """Priority rank of this event's type (lower fires first)."""
-        return self.key[1]
-
     def sort_key(self) -> tuple[float, int, int]:
         """Key under which the future-event list orders this event."""
-        return self.key
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.key < other.key
+        return self[:3]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -263,11 +263,10 @@ class EventLoop(Generic[R]):
                 heappop = heapq.heappop
                 processed = 0
                 while heap:
-                    event = heappop(heap)[1]
+                    event = heappop(heap)
                     if cancelled and event.seq in cancelled:
                         cancelled.discard(event.seq)
                         continue
-                    events._live -= 1
                     clock._now = event.time
                     dispatch(event)
                     processed += 1
@@ -711,7 +710,7 @@ class Simulator(ClusterCore, EventLoop[SimulationResult]):
         self.finalize(self.now)
         self._result = self._build_result()
         expected = len(self.workload)
-        if self.drop_on_deadline and self.collector.recorded != expected:
+        if self.collector.recorded != expected:
             raise SimulationStateError(
                 f"conservation violated: {self.collector.recorded} terminal "
                 f"tasks out of {expected}"

@@ -120,10 +120,6 @@ class CohortSpec:
     def n_male(self) -> int:
         return self.n_male_grad + self.n_male_undergrad
 
-    @property
-    def n_grad(self) -> int:
-        return self.n_female_grad + self.n_male_grad
-
 
 #: 23 students: 6 female (26.1%), 17 male; 9 graduate, 14 undergraduate.
 PAPER_COHORT = CohortSpec()

@@ -189,11 +189,6 @@ class FederationTree:
         self.leaves_under: list[tuple[int, ...]] = leaves_under
         self._routes: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    @property
-    def n_nodes(self) -> int:
-        """Total node count: leaves + interior nodes + the root."""
-        return len(self.node_names)
-
     def is_leaf(self, node: int) -> bool:
         """True for shard-backed nodes (ids below ``n_leaves``)."""
         return node < self.n_leaves
@@ -201,10 +196,6 @@ class FederationTree:
     def depth(self, node: int) -> int:
         """Levels below the root (the root itself is depth 0)."""
         return len(self._paths[node])
-
-    def path_of(self, node: int) -> tuple[str, ...]:
-        """Name path of any node (empty for the root)."""
-        return self._paths[node]
 
     def route(self, origin: int, destination: int) -> tuple[int, ...]:
         """Node-id path origin → LCA → destination, endpoints included.

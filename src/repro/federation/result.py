@@ -99,12 +99,6 @@ class FederatedSimulationResult:
         """Mid-queue migrations attempted (evictions shipped into the WAN)."""
         return self.migration_stats.attempted
 
-    @property
-    def migration_rate(self) -> float:
-        """Migrations attempted per workload task (>1 moves can repeat)."""
-        total = self.summary.total_tasks
-        return self.migrated / total if total else 0.0
-
     # -- WAN energy views ---------------------------------------------------------
 
     @property

@@ -527,7 +527,7 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
             shard.finalize(now)
         self._result = self._build_result()
         expected = len(self.workload)
-        if self.drop_on_deadline and self.recorded != expected:
+        if self.recorded != expected:
             raise SimulationStateError(
                 f"conservation violated: {self.recorded} terminal tasks "
                 f"out of {expected} across {len(self.shards)} clusters"

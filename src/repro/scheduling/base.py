@@ -15,11 +15,12 @@ Two policy families mirror the paper's scheduler component (Fig. 3):
   The matrix pass (NumPy) is every batch policy's reference. Three opt-in
   shortcuts answer the same pass without building its matrices: a one-task
   pass asks the cluster for the row's machine (``singleton_argmin``,
-  ``singleton_energy``), and a multi-task pass of at most 128 cells runs
-  on Python lists when the policy defines a ``select_pair_scalar`` twin
-  of its ``select_pair`` (:func:`has_list_twin`). Each gives the same
-  pairs in the same order as the matrix pass; MM, MSD, ELARE and FELARE
-  have the twin, every other policy keeps the matrix pass.
+  ``singleton_energy``; :func:`one_task_query`), and a multi-task pass of
+  at most 128 cells runs on Python lists when the policy defines a
+  ``select_pair_scalar`` twin of its ``select_pair``
+  (:func:`has_list_twin`). Each gives the same pairs in the same order as
+  the matrix pass; MM, MSD, ELARE and FELARE have the twin, every other
+  policy keeps the matrix pass.
 
 E2C is "designed to be modular, hence providing the ability ... to modify the
 existing scheduling methods or add their own custom-designed scheduling
@@ -48,6 +49,7 @@ __all__ = [
     "ImmediateScheduler",
     "BatchScheduler",
     "has_list_twin",
+    "one_task_query",
 ]
 
 
@@ -135,7 +137,8 @@ class BatchScheduler(Scheduler):
     #: single-row completion matrix, :meth:`select_pair` always returns the
     #: first minimum of that row (None when it is all +inf); the pass then
     #: skips the matrix and asks the cluster for that machine directly.
-    #: Off by default, so user-plugged policies always see the matrix.
+    #: Off by default, so user-plugged policies always see the matrix; it
+    #: counts only where :func:`one_task_query` says so.
     singleton_argmin: ClassVar[bool] = False
     #: The energy twin of ``singleton_argmin``: set it only when, given a
     #: single-row completion matrix, :meth:`select_pair` always returns the
@@ -146,14 +149,13 @@ class BatchScheduler(Scheduler):
 
     def schedule(self, ctx: SchedulingContext) -> list[Assignment]:
         pending = ctx.pending
-        if len(pending) == 1 and (self.singleton_argmin or self.singleton_energy):
-            task = pending[0]
-            cluster = ctx.cluster
-            if self.singleton_argmin:
-                j = cluster.argmin_open_completion(task, ctx.now)
-            else:
-                j = cluster.argmin_open_energy(task, ctx.now)
-            return [] if j is None else [Assignment(task, cluster.machines[j])]
+        if len(pending) == 1:
+            query = one_task_query(type(self))
+            if query is not None:
+                task = pending[0]
+                cluster = ctx.cluster
+                j = getattr(cluster, query)(task, ctx.now)
+                return [] if j is None else [Assignment(task, cluster.machines[j])]
         if has_list_twin(type(self)):
             assignments = self._scalar_pass(list(pending), ctx)
             if assignments is not None:
@@ -295,6 +297,17 @@ class BatchScheduler(Scheduler):
         """
 
 
+def _speaks_for_select_pair(cls: type, name: str) -> bool:
+    """Whether *cls* takes *name* from the class defining its ``select_pair``
+    or from a subclass of it (not from above an overriding ``select_pair``).
+    """
+    def owner(attr):
+        return next((c for c in cls.__mro__ if attr in vars(c)), None)
+
+    defined = owner(name)
+    return defined is not None and issubclass(defined, owner("select_pair"))
+
+
 @functools.cache
 def has_list_twin(cls: type) -> bool:
     """Whether batch policy *cls* maps multi-task passes on lists.
@@ -308,11 +321,23 @@ def has_list_twin(cls: type) -> bool:
     ``select_pair`` alone keeps the matrix pass: the twin it inherits
     answers for its parent's ``select_pair``, not its own.
     """
-    def owner(name):
-        return next((c for c in cls.__mro__ if name in vars(c)), None)
+    return _speaks_for_select_pair(cls, "select_pair_scalar")
 
-    twin = owner("select_pair_scalar")
-    return twin is not None and issubclass(twin, owner("select_pair"))
+
+@functools.cache
+def one_task_query(cls: type) -> str | None:
+    """The ``Cluster`` method answering a one-task pass of *cls*, or None.
+
+    ``singleton_argmin`` maps to ``argmin_open_completion`` and
+    ``singleton_energy`` to ``argmin_open_energy``. By the rule of
+    :func:`has_list_twin`, a flag counts only when the class that sets it
+    defines ``select_pair`` or is a subclass of the class that does.
+    """
+    if cls.singleton_argmin and _speaks_for_select_pair(cls, "singleton_argmin"):
+        return "argmin_open_completion"
+    if cls.singleton_energy and _speaks_for_select_pair(cls, "singleton_energy"):
+        return "argmin_open_energy"
+    return None
 
 
 def argmin_2d(matrix: np.ndarray) -> tuple[int, int] | None:

@@ -142,12 +142,6 @@ class GatewayContext:
     migrations: "Sequence[Sequence[int]] | None" = None
     hierarchy: "HierarchyView | None" = None
 
-    def migrations_between(self, source: int, destination: int) -> int:
-        """Tasks migrated source → destination so far (0 without a rebalancer)."""
-        if self.migrations is None:
-            return 0
-        return self.migrations[source][destination]
-
     def migrations_from(self, source: int) -> int:
         """Tasks migrated *off* ``source`` so far (0 without a rebalancer)."""
         if self.migrations is None:

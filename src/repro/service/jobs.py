@@ -485,15 +485,6 @@ class JobQueue:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def worker_pids(self) -> list[int]:
-        """PIDs of the live worker processes (fault-injection hooks)."""
-        with self._lock:
-            return [
-                slot.process.pid
-                for slot in self._slots
-                if slot.alive and slot.process.pid is not None
-            ]
-
     # -- internals -----------------------------------------------------------------
 
     def _next_id(self) -> str:

@@ -50,10 +50,13 @@ class TestEventStructure:
             assert Event(0.0, kind).priority == EVENT_PRIORITY[kind]
 
     def test_sort_key_shape(self):
-        event = Event(1.5, EventType.TASK_ARRIVAL)
+        event = Event(1.5, EventType.TASK_ARRIVAL, payload="p", cluster=(0, 2))
         key = event.sort_key()
         assert key[0] == 1.5
         assert key[1] == EVENT_PRIORITY[EventType.TASK_ARRIVAL]
+        # The event is its own heap entry: the key is its first three fields.
+        assert event[:3] == key == (1.5, event.priority, event.seq)
+        assert event[3:] == (EventType.TASK_ARRIVAL, "p", (0, 2))
 
     def test_payload_carried_verbatim(self):
         sentinel = object()
@@ -63,6 +66,9 @@ class TestEventStructure:
         event = Event(0.0, EventType.CROSS_TRAFFIC)
         with pytest.raises(AttributeError):
             event.time = 1.0  # type: ignore[misc]
+        for field in ("priority", "seq", "type", "payload", "cluster", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(event, field, None)
 
     def test_every_event_type_has_priority(self):
         assert set(EVENT_PRIORITY) == set(EventType)
@@ -72,20 +78,26 @@ class TestEventCopySemantics:
     def test_pickle_round_trip(self):
         import pickle
 
-        event = Event(2.5, EventType.TASK_DEADLINE, payload={"k": 1})
+        event = Event(2.5, EventType.TASK_DEADLINE, payload={"k": 1}, cluster=(3, 1))
         clone = pickle.loads(pickle.dumps(event))
+        assert type(clone) is Event
         assert clone.time == event.time
         assert clone.type is event.type
         assert clone.payload == event.payload
         assert clone.seq == event.seq
+        assert clone.cluster == (3, 1)
         assert clone.sort_key() == event.sort_key()
 
     def test_deepcopy(self):
         import copy
 
-        event = Event(1.0, EventType.TASK_ARRIVAL)
+        event = Event(1.0, EventType.TASK_ARRIVAL, payload=[1], seq=10**9, cluster=2)
         clone = copy.deepcopy(event)
+        assert type(clone) is Event
+        assert clone.seq == 10**9
         assert clone.sort_key() == event.sort_key()
+        assert clone.cluster == 2
+        assert clone.payload == [1] and clone.payload is not event.payload
 
 
 class TestReserveSeqs:

@@ -5,7 +5,9 @@ exact goldens to pin field by field:
 
 * each run simulates at least a preset-specific number of tasks;
 * a federated preset offloads some, but not all, of its tasks;
-* the tree root's WAN attempts are exactly the offloaded tasks.
+* the tree root's WAN attempts are exactly the offloaded tasks;
+* every task ends terminal without deadline drops too, and a run that
+  loses a task raises.
 
 The smaller federated presets are pinned exactly in
 ``test_golden_metrics.py``, which implies the same floors there: task
@@ -16,9 +18,12 @@ and ``test_migration_conservation``) and ``total_tasks == 420`` on
 ``trace_replay`` (``TestGoldenTraceReplay.test_summary_exact``).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import Scenario
+from repro.core.errors import SimulationStateError
 from repro.machines.eet_generation import generate_eet_cvb
 from repro.scenarios import build_scenario
 
@@ -92,3 +97,29 @@ def test_federation_offloads_some_but_not_all(run, preset):
 def test_tree_root_wan_attempts_are_the_offloads(run, preset):
     result = run(preset)
     assert result.tree.root.stats["wan_attempted"] == result.offloaded
+
+
+def _without_drops(preset):
+    scenario = build_scenario(preset)
+    return dataclasses.replace(scenario, drop_on_deadline=False).build_simulator()
+
+
+@pytest.mark.parametrize("preset", ["satellite_imaging", "fed_rebalance"])
+def test_tasks_are_conserved_without_deadline_drops(preset):
+    simulator = _without_drops(preset)
+    summary = simulator.run().summary
+    assert summary.total_tasks == len(simulator.workload)
+    assert summary.completed + summary.cancelled + summary.missed == len(
+        simulator.workload
+    )
+
+
+@pytest.mark.parametrize("preset", ["satellite_imaging", "geo_3site"])
+def test_a_lost_task_raises_without_deadline_drops(preset):
+    simulator = _without_drops(preset)
+    # The first arrival feeds the rest of the workload; cancelling it
+    # leaves every task unrecorded. (A preset with a rebalancer would
+    # tick forever, waiting for the lost tasks.)
+    simulator.events.cancel(simulator.events.peek())
+    with pytest.raises(SimulationStateError, match="conservation violated"):
+        simulator.run()

@@ -1,8 +1,10 @@
 """Property-based tests: the future-event list is a stable priority queue."""
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import SimulationStateError
 from repro.core.event_queue import EventQueue
 from repro.core.events import Event, EventType
 
@@ -74,3 +76,61 @@ def test_peek_always_matches_next_pop(items):
     while queue:
         head = queue.peek()
         assert queue.pop() is head
+
+
+OPS = st.sampled_from(["push", "cancel", "cancel_again", "peek", "pop"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_queue_matches_a_sorted_list_model(data):
+    """Push, cancel, double cancel, peek and pop against a sorted list.
+
+    ``live`` holds the live events in key order; ``dead`` holds the
+    cancelled events whose heap entries have not been popped yet. The
+    queue's length is derived from its heap and cancelled set, so every
+    cancelled seq must stay in the heap until its entry is popped.
+    """
+    queue = EventQueue()
+    live = []
+    dead = []
+    for _ in range(data.draw(st.integers(0, 80))):
+        op = data.draw(OPS)
+        if op == "push":
+            event = Event(data.draw(times), data.draw(event_types))
+            assert queue.push(event) is event
+            live.append(event)
+            live.sort(key=Event.sort_key)
+        elif op == "cancel" and live:
+            event = live.pop(data.draw(st.integers(0, len(live) - 1)))
+            assert queue.cancel(event) is True
+            assert queue.is_cancelled(event)
+            dead.append(event)
+        elif op == "cancel_again" and dead:
+            assert queue.cancel(data.draw(st.sampled_from(dead))) is False
+        elif op == "pop" and live:
+            head = live.pop(0)
+            assert queue.pop() is head
+            # The pop dropped every cancelled entry ahead of the head.
+            dead = [e for e in dead if e.sort_key() > head.sort_key()]
+
+        assert len(queue) == len(live)
+        assert bool(queue) is bool(live)
+        assert queue._cancelled == {e.seq for e in dead}
+        assert queue._cancelled <= {e.seq for e in queue._heap}
+        # A peek drops cancelled entries at the head, so peeking after
+        # every step would leave none in the heap for the next cancel or
+        # len check to meet; check it after a drawn half of the steps.
+        if op == "peek" or not data.draw(st.booleans()):
+            if live:
+                assert queue.peek() is live[0]
+                dead = [e for e in dead if e.sort_key() > live[0].sort_key()]
+            else:
+                with pytest.raises(SimulationStateError):
+                    queue.peek()
+                dead = []
+            assert queue._cancelled == {e.seq for e in dead}
+
+    assert [e.seq for e in queue.drain()] == [e.seq for e in live]
+    assert len(queue) == 0 and not queue
+    assert len(queue._heap) == len(queue._cancelled)

@@ -24,7 +24,8 @@
    the list-based ``_scalar_pass``. It must return the same (task, machine)
    pairs in the same order as the matrix pass, over exact ties, passed and
    +inf deadlines, and tied and unequal FELARE success rates. A subclass
-   that overrides ``select_pair`` alone keeps the matrix pass.
+   that overrides ``select_pair`` alone keeps the matrix pass, for
+   one-task passes as for multi-task ones.
 """
 
 import numpy as np
@@ -43,6 +44,7 @@ from repro.scheduling.base import (
     SchedulingMode,
     argmin_2d,
     has_list_twin,
+    one_task_query,
 )
 from repro.scheduling.batch.minmin import MinMinScheduler
 from repro.scheduling.context import LiveTypeStats, SchedulingContext
@@ -363,6 +365,31 @@ def test_overriding_select_pair_alone_keeps_the_matrix_pass():
     ]
 
 
+def test_overriding_select_pair_alone_keeps_the_one_task_matrix_pass():
+    eet = EETMatrix(np.array([[1.0, 2.0, 3.0]]), TYPES[:1], ["M0", "M1", "M2"])
+    cluster = Cluster.build(eet, [1, 1, 1], queue_capacity=2)
+    task = Task(id=0, task_type=TYPES[0], arrival_time=0.0, deadline=9.0)
+    task.enqueue_batch()
+
+    class LastMachine(MinMinScheduler):
+        """Min-Min's one-task argmin is inherited; it must not answer for this."""
+
+        name = "LAST_MACHINE"
+
+        def select_pair(self, tasks, completion, alive, ctx):
+            cells = np.argwhere(np.isfinite(completion))
+            if len(cells) == 0:
+                return None
+            i, j = cells[-1]
+            return int(i), int(j)
+
+    assert one_task_query(LastMachine) is None
+    assert _pairs(LastMachine().schedule(_ctx(cluster, 0.0, [task]))) == [(0, 2)]
+    assert _pairs(MinMinScheduler().schedule(_ctx(cluster, 0.0, [task]))) == [
+        (0, 0),
+    ]
+
+
 def _reference_energy(tasks, cluster):
     """The per-task row loop ``Cluster.energy_table`` replaced."""
     machines = cluster.machines
@@ -475,7 +502,14 @@ def test_only_row_argmin_policies_opt_in():
 
     assert Plugged.singleton_argmin is False
     assert Plugged.singleton_energy is False
+    assert one_task_query(Plugged) is None
     assert has_list_twin(Plugged) is False
+
+    # The stock flags take the one-task shortcut.
+    for name in OPTED_IN:
+        assert one_task_query(scheduler_class(name)) == "argmin_open_completion"
+    for name in ENERGY_OPTED_IN:
+        assert one_task_query(scheduler_class(name)) == "argmin_open_energy"
 
     # Exactly these batch policies map multi-task passes on lists.
     batch = available_schedulers(SchedulingMode.BATCH)
@@ -497,3 +531,11 @@ def test_only_row_argmin_policies_opt_in():
     assert has_list_twin(NewPick) is False
     assert has_list_twin(NewPickAndTwin) is True
     assert has_list_twin(Renamed) is True
+
+    # So does a one-task flag.
+    class NewPickAndFlag(NewPick):
+        singleton_argmin = True
+
+    assert one_task_query(NewPick) is None
+    assert one_task_query(NewPickAndFlag) == "argmin_open_completion"
+    assert one_task_query(Renamed) == "argmin_open_completion"
