@@ -1,16 +1,16 @@
 """Load driver for the campaign service: duplicate-heavy submission storms.
 
 The service exists for the classroom case where many students submit the
-same handful of specs. This driver models exactly that: *S* submitter
-threads racing over *U* unique scenarios, each submitting *R* times, against
-a fresh service. It returns a :class:`LoadReport` and **asserts the
-single-flight invariant inline** — exactly one engine execution per unique
-canonical key, no matter how contended the submission path was.
+same handful of specs. This driver models exactly that: ``SUBMITTERS``
+threads racing over ``UNIQUE_SPECS`` scenarios, each submitting ``REPEATS``
+times, against a fresh service. It returns a :class:`LoadReport` and
+**asserts the single-flight invariant inline** — exactly one engine
+execution per unique canonical key, no matter how contended the submission
+path was.
 
-Run standalone (``python benchmarks/bench_service_load.py [--smoke]``) or
-through pytest-benchmark via ``test_bench_service_load.py``, whose
-``submissions_per_sec`` figure feeds ``check_regression.py`` against
-``results/service_load_baseline.json``.
+Run standalone (``python benchmarks/bench_service_load.py [--smoke]``).
+``test_bench_service_load.py`` checks one storm's accounting, and
+``tools/perf_gate.py`` times this checkout's storms against its parent's.
 """
 
 from __future__ import annotations
@@ -21,7 +21,11 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
+
+#: The storm's shape: submitter threads, unique specs, submissions per thread.
+SUBMITTERS = 8
+UNIQUE_SPECS = 3
+REPEATS = 4
 
 
 @dataclass(frozen=True)
@@ -47,57 +51,45 @@ class LoadReport:
         )
 
 
-def make_specs(unique_specs: int, duration: float) -> list[dict]:
-    """*unique_specs* distinct scenarios (seed axis) — distinct cache keys."""
+def make_specs(duration: float) -> list[dict]:
+    """``UNIQUE_SPECS`` distinct scenarios (seed axis) — distinct cache keys."""
     return [
         {
             "preset": "classroom_homogeneous",
             "overrides": {"duration": duration, "seed": 100 + i},
         }
-        for i in range(unique_specs)
+        for i in range(UNIQUE_SPECS)
     ]
 
 
-def run_load(
-    *,
-    submitters: int = 8,
-    unique_specs: int = 3,
-    repeats: int = 4,
-    workers: int = 2,
-    duration: float = 30.0,
-    root: str | Path | None = None,
-) -> LoadReport:
+def run_load(*, workers: int = 2, duration: float = 30.0) -> LoadReport:
     """One storm: barrier-released threads submit a duplicate-heavy mix.
 
-    Submitter *i* submits *repeats* specs round-robin starting at offset
-    ``i % unique_specs``, so every unique spec is hit by several threads
+    Submitter *i* submits ``REPEATS`` specs round-robin starting at offset
+    ``i % UNIQUE_SPECS``, so every unique spec is hit by several threads
     at once. Raises ``AssertionError`` if the service executes more (or
     fewer) than one engine run per unique spec.
     """
     from repro.service import CampaignService
 
-    specs = make_specs(unique_specs, duration)
-    tmp = None
-    if root is None:
-        tmp = tempfile.TemporaryDirectory(prefix="e2c-service-load-")
-        root = tmp.name
-    try:
+    specs = make_specs(duration)
+    with tempfile.TemporaryDirectory(prefix="e2c-service-load-") as root:
         with CampaignService(root, workers=workers) as service:
             receipts = []
             lock = threading.Lock()
-            barrier = threading.Barrier(submitters)
+            barrier = threading.Barrier(SUBMITTERS)
 
             def storm(index: int) -> None:
                 barrier.wait()
-                for r in range(repeats):
-                    spec = specs[(index + r) % unique_specs]
+                for r in range(REPEATS):
+                    spec = specs[(index + r) % UNIQUE_SPECS]
                     receipt = service.submit(dict(spec))
                     with lock:
                         receipts.append(receipt)
 
             threads = [
                 threading.Thread(target=storm, args=(i,), name=f"submit-{i}")
-                for i in range(submitters)
+                for i in range(SUBMITTERS)
             ]
             start = time.perf_counter()
             for t in threads:
@@ -109,17 +101,17 @@ def run_load(
             wall = time.perf_counter() - start
 
             keys = {r.key for r in receipts}
-            assert len(keys) == unique_specs, (
-                f"expected {unique_specs} unique keys, got {len(keys)}"
+            assert len(keys) == UNIQUE_SPECS, (
+                f"expected {UNIQUE_SPECS} unique keys, got {len(keys)}"
             )
-            assert service.queue.executions == unique_specs, (
+            assert service.queue.executions == UNIQUE_SPECS, (
                 f"single-flight violated: {service.queue.executions} engine "
-                f"runs for {unique_specs} unique specs"
+                f"runs for {UNIQUE_SPECS} unique specs"
             )
             n = len(receipts)
             return LoadReport(
-                submitters=submitters,
-                unique_specs=unique_specs,
+                submitters=SUBMITTERS,
+                unique_specs=UNIQUE_SPECS,
                 submissions=n,
                 executions=service.queue.executions,
                 cache_hits=service.queue.cache_hits,
@@ -127,33 +119,16 @@ def run_load(
                 wall=wall,
                 submissions_per_sec=n / wall if wall > 0 else 0.0,
             )
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--submitters", type=int, default=8)
-    parser.add_argument("--unique-specs", type=int, default=3)
-    parser.add_argument("--repeats", type=int, default=4)
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--duration", type=float, default=30.0)
     parser.add_argument(
         "--smoke", action="store_true",
         help="single fast storm (CI): tiny scenario, one worker",
     )
     args = parser.parse_args(argv)
-    if args.smoke:
-        args.duration = min(args.duration, 20.0)
-        args.workers = 1
-    report = run_load(
-        submitters=args.submitters,
-        unique_specs=args.unique_specs,
-        repeats=args.repeats,
-        workers=args.workers,
-        duration=args.duration,
-    )
+    report = run_load(workers=1, duration=20.0) if args.smoke else run_load()
     print(report.line())
     return 0
 

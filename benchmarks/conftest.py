@@ -1,9 +1,11 @@
-"""Shared helpers for the benchmark/figure-regeneration harness.
+"""Shared fixtures for the paper-figure regenerations.
 
-Every benchmark regenerates one paper artifact (table, figure, or headline
-number), writes the regenerated content under ``benchmarks/results/`` (so the
-series survive the pytest capture), asserts the paper's qualitative shape,
-and times the generating kernel with pytest-benchmark.
+Every ``test_bench_*`` module regenerates one paper artifact (table, figure,
+or headline number), writes the regenerated content under
+``benchmarks/results/`` (so the series survive the pytest capture) and
+asserts the paper's qualitative shape. They are plain tests: nothing here
+is timed. The regenerations are deterministic, so a run rewrites the files
+byte-identically.
 """
 
 from __future__ import annotations
@@ -13,21 +15,12 @@ from pathlib import Path
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
-#: Git-ignored output of the timing benchmarks: their numbers differ on
-#: every run, so writing them under ``results/`` would dirty the tree.
-BUILD_DIR = Path(__file__).parent.parent / ".bench_build"
 
 
 @pytest.fixture(scope="session")
 def results_dir() -> Path:
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     return RESULTS_DIR
-
-
-@pytest.fixture(scope="session")
-def build_dir() -> Path:
-    BUILD_DIR.mkdir(parents=True, exist_ok=True)
-    return BUILD_DIR
 
 
 @pytest.fixture(scope="session")

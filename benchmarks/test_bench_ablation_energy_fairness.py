@@ -37,8 +37,8 @@ def run_sweep():
     return rows
 
 
-def test_bench_ablation_energy_fairness(benchmark, results_dir):
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_bench_ablation_energy_fairness(results_dir):
+    rows = run_sweep()
 
     chart = GroupedBarChart(
         "ablation — energy & fairness on the edge-AI system (intensity 2.0)",

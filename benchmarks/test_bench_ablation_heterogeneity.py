@@ -66,8 +66,8 @@ def run_consistency_compare():
     return out
 
 
-def test_bench_ablation_heterogeneity(benchmark, results_dir):
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_bench_ablation_heterogeneity(results_dir):
+    rows = run_sweep()
     consistency = run_consistency_compare()
 
     chart = GroupedBarChart(

@@ -49,8 +49,8 @@ def run_sweep():
     return rows
 
 
-def test_bench_ablation_overhead(benchmark, results_dir):
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_bench_ablation_overhead(results_dir):
+    rows = run_sweep()
 
     chart = GroupedBarChart(
         "ablation — completion % vs per-cell scheduling overhead "

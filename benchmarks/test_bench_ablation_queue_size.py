@@ -37,8 +37,8 @@ def run_sweep():
     return outcomes
 
 
-def test_bench_ablation_queue_size(benchmark, results_dir):
-    outcomes = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_bench_ablation_queue_size(results_dir):
+    outcomes = run_sweep()
 
     chart = BarChart(
         "ablation — MM completion % vs machine-queue capacity (high intensity)",

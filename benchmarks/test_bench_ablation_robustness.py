@@ -56,8 +56,8 @@ def run_sweep():
     return rows
 
 
-def test_bench_ablation_robustness(benchmark, results_dir):
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_bench_ablation_robustness(results_dir):
+    rows = run_sweep()
 
     chart = GroupedBarChart(
         "ablation — completion % under machine failures (mttr=15 s)",

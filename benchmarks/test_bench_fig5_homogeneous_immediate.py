@@ -10,19 +10,15 @@ nothing when all machines are identical) while load-blind MEET collapses.
 from repro.education.assignment import build_homogeneous_eet, run_completion_sweep
 
 
-def test_bench_figure5(benchmark, results_dir, assignment_config):
+def test_bench_figure5(results_dir, assignment_config):
     eet = build_homogeneous_eet(assignment_config)
 
-    figure = benchmark.pedantic(
-        run_completion_sweep,
-        args=(eet, ("FCFS", "MECT", "MEET")),
-        kwargs=dict(
-            config=assignment_config,
-            batch=False,
-            title="Fig 5 — completion % of immediate policies, homogeneous system",
-        ),
-        rounds=1,
-        iterations=1,
+    figure = run_completion_sweep(
+        eet,
+        ("FCFS", "MECT", "MEET"),
+        config=assignment_config,
+        batch=False,
+        title="Fig 5 — completion % of immediate policies, homogeneous system",
     )
 
     out = figure.to_text() + "\n\nraw cell means:\n"

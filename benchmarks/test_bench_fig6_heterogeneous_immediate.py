@@ -12,19 +12,15 @@ from repro.education.assignment import (
 )
 
 
-def test_bench_figure6(benchmark, results_dir, assignment_config):
+def test_bench_figure6(results_dir, assignment_config):
     eet = build_heterogeneous_eet(assignment_config)
 
-    figure = benchmark.pedantic(
-        run_completion_sweep,
-        args=(eet, ("FCFS", "MECT", "MEET")),
-        kwargs=dict(
-            config=assignment_config,
-            batch=False,
-            title="Fig 6 — completion % of immediate policies, heterogeneous system",
-        ),
-        rounds=1,
-        iterations=1,
+    figure = run_completion_sweep(
+        eet,
+        ("FCFS", "MECT", "MEET"),
+        config=assignment_config,
+        batch=False,
+        title="Fig 6 — completion % of immediate policies, heterogeneous system",
     )
 
     out = figure.to_text() + "\n\nraw cell means:\n"

@@ -12,19 +12,15 @@ from repro.education.assignment import (
 )
 
 
-def test_bench_figure7(benchmark, results_dir, assignment_config):
+def test_bench_figure7(results_dir, assignment_config):
     eet = build_heterogeneous_eet(assignment_config)
 
-    figure = benchmark.pedantic(
-        run_completion_sweep,
-        args=(eet, ("MM", "MMU", "MSD")),
-        kwargs=dict(
-            config=assignment_config,
-            batch=True,
-            title="Fig 7 — completion % of batch policies, heterogeneous system",
-        ),
-        rounds=1,
-        iterations=1,
+    figure = run_completion_sweep(
+        eet,
+        ("MM", "MMU", "MSD"),
+        config=assignment_config,
+        batch=True,
+        title="Fig 7 — completion % of batch policies, heterogeneous system",
     )
 
     # The immediate-mode reference for the batch-vs-immediate lesson.

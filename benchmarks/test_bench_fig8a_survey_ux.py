@@ -16,8 +16,8 @@ def build_study() -> SurveyStudy:
     return SurveyStudy(generate_cohort(seed=42))
 
 
-def test_bench_figure8a(benchmark, results_dir):
-    study = benchmark(build_study)
+def test_bench_figure8a(results_dir):
+    study = build_study()
     chart = study.figure_8a()
 
     out = chart.to_text() + "\n\npaper targets (overall / female / male):\n"

@@ -15,8 +15,8 @@ def build_study() -> SurveyStudy:
     return SurveyStudy(generate_cohort(seed=42))
 
 
-def test_bench_figure8b(benchmark, results_dir):
-    study = benchmark(build_study)
+def test_bench_figure8b(results_dir):
+    study = build_study()
     chart = study.figure_8b()
 
     out = chart.to_text() + "\n\nmeasured vs paper (gender means):\n"

@@ -25,10 +25,8 @@ def run_replicated_study():
     return [run_quiz_study(seed=seed) for seed in range(N_REPLICATIONS)]
 
 
-def test_bench_quiz_improvement(benchmark, results_dir):
-    studies = benchmark.pedantic(
-        run_replicated_study, rounds=1, iterations=1
-    )
+def test_bench_quiz_improvement(results_dir):
+    studies = run_replicated_study()
     pre = float(np.mean([s.pre_mean for s in studies]))
     post = float(np.mean([s.post_mean for s in studies]))
     improvement = (post - pre) / pre

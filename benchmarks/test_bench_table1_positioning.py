@@ -1,14 +1,14 @@
 """E-T1 — Table 1: positioning of E2C among simulators (§2).
 
 Regenerates the feature matrix; the E2C row is introspected live from this
-library, so the benchmark fails if a claimed capability disappears.
+library, so this test fails if a claimed capability disappears.
 """
 
 from repro.positioning import introspect_e2c, positioning_table, render_table
 
 
-def test_bench_table1(benchmark, results_dir):
-    table = benchmark(positioning_table)
+def test_bench_table1(results_dir):
+    table = positioning_table()
 
     text = render_table()
     (results_dir / "table1_positioning.txt").write_text(

@@ -1,8 +1,8 @@
-"""The perfbench CI gate (``tools/perf_gate.py``) on synthetic runs.
+"""The CI performance gate (``tools/perf_gate.py``) on synthetic runs.
 
-No perfbench process is started: each test hands ``check`` the result
-records a gate run would have collected, with the bounds of the repo's own
-``BENCHMARK.json``.
+No perfbench or storm process is started: each test hands ``check`` the
+result records a gate run would have collected, with the bounds of the
+repo's own ``BENCHMARK.json`` and the gate's storm bound.
 """
 
 import copy
@@ -20,25 +20,32 @@ BENCHMARK = perf_gate.load_benchmark(ROOT)
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 BASE = {"wall_s": 2.0, "setup_s": 0.5, "run_s": 1.5, "tasks_per_s": 10000.0,
         "peak_heap_mb": 40.0}
+STORM = perf_gate.STORM
+STORM_BASE = {"submissions_per_sec": 400.0}
 
 
-def _result(**scale):
-    """A clean perfbench result: BASE, each named metric times its factor."""
+def _result(base=BASE, **scale):
+    """A clean result: *base*, each named metric times its factor."""
     return {
         "correct": True, "attempted": 5, "failed": 0,
         "metrics": {name: {"value": value * scale.get(name, 1.0), "unit": "-"}
-                    for name, value in BASE.items()},
+                    for name, value in base.items()},
     }
 
 
+def _storm(**scale):
+    """A clean storm result, as the gate's storm child prints it."""
+    return _result(STORM_BASE, **scale)
+
+
 def _runs(change=None, workload="fed_scale"):
-    """PAIRS clean pairs on every workload; *workload*'s change side is
-    ``change`` (a result dict) instead."""
+    """PAIRS clean pairs on every workload and the storm; *workload*'s
+    change side is ``change`` (a result dict) instead."""
     runs = []
     for pair in range(1, perf_gate.PAIRS + 1):
-        for name in WORKLOADS:
+        for name in [*WORKLOADS, STORM]:
             for side in perf_gate.SIDES:
-                result = _result()
+                result = _storm() if name == STORM else _result()
                 if side == "change" and name == workload and change is not None:
                     result = copy.deepcopy(change)
                 runs.append({"pair": pair, "side": side, "workload": name,
@@ -53,7 +60,8 @@ def _failures(runs):
 def test_identical_sides_pass():
     lines, failures = perf_gate.check(_runs(), BENCHMARK)
     assert failures == []
-    assert len(lines) == 1 + len(WORKLOADS) * len(BASE)
+    # Header, five end-to-end rows per workload, one storm row.
+    assert len(lines) == 1 + len(WORKLOADS) * len(BASE) + 1
 
 
 @pytest.mark.parametrize("factor,fails", [(1.26, True), (1.24, False)])
@@ -152,3 +160,36 @@ def test_iqr_and_wins_helpers():
     assert perf_gate.iqr([5.0]) == 0.0
     assert perf_gate.wins([{"parent": 2.0, "change": 1.0}, {"parent": 2.0}],
                           "lower") == (1, 1)
+
+
+@pytest.mark.parametrize("factor,fails", [(0.74, True), (0.76, False), (2.0, False)])
+def test_storm_median_bound(factor, fails):
+    failures = _failures(_runs(_storm(submissions_per_sec=factor), workload=STORM))
+    assert bool(failures) is fails
+    if fails:
+        assert failures == [f"{STORM} submissions_per_sec: median 296 is 26.0% worse "
+                            "than the parent's 400 (bound 25%)"]
+
+
+def test_storm_row_has_wins_and_parent_iqr():
+    runs = _vary(_runs(), STORM, "parent", "submissions_per_sec", [380.0, 400.0, 420.0])
+    runs = _vary(runs, STORM, "change", "submissions_per_sec", [390.0, 390.0, 390.0])
+    lines, failures = perf_gate.check(runs, BENCHMARK)
+    assert failures == []
+    row = _row(lines, STORM, "submissions_per_sec")
+    assert row[-3:] == ["25%", "1/3", "40"]
+    assert perf_gate.iqr([380.0, 400.0, 420.0]) == 40.0
+
+
+def test_storm_without_result_fails():
+    """A storm whose single-flight assertion fired exits non-zero: no result."""
+    runs = _runs()
+    (broken,) = [r for r in runs if r["workload"] == STORM and r["pair"] == 2
+                 and r["side"] == "change"]
+    broken["result"] = None
+    assert _failures(runs) == [f"pair 2 change {STORM}: no result"]
+
+
+def test_missing_storm_fails():
+    runs = [r for r in _runs() if not (r["workload"] == STORM and r["side"] == "parent")]
+    assert _failures(runs) == [f"parent {STORM}: workload missing"]

@@ -1,20 +1,25 @@
 #!/usr/bin/env python
-"""Performance gate: perfbench medians of a change against its parent.
+"""Performance gate: perfbench and service-storm medians of a change against its parent.
 
 Runs each checkout's own ``perfbench/run.py --trace 0`` on every workload
-that ``BENCHMARK.json`` declares, for a fixed number of pairs. Odd pairs run
-the parent first and even pairs the change first, so a slow phase of a
-shared machine does not land on one side only. The measuring time per run
-is ``BENCHMARK.json``'s ``run_seconds``; the bounds are its ``end_to_end``
-bounds. Both are read from the change's checkout.
+that ``BENCHMARK.json`` declares, and each checkout's own duplicate-
+submission storm (``benchmarks/bench_service_load.py``'s ``run_load``), for
+a fixed number of pairs. Odd pairs run the parent first and even pairs the
+change first, so a slow phase of a shared machine does not land on one side
+only. The measuring time per perfbench run is ``BENCHMARK.json``'s
+``run_seconds``; the bounds are its ``end_to_end`` bounds. Both are read
+from the change's checkout. A storm run is a child process that does one
+warm-up storm, then ``STORMS`` timed ones, and reports their median
+``submissions_per_sec``; its bound is ``STORM_BOUND``.
 
 The gate fails when
 
-* any run reports ``failed > 0`` or ``correct: false``, or prints no result;
-* a workload, or an end-to-end metric of a run, is missing;
-* on any workload, the change's median of an end-to-end metric is worse
-  than the parent's median by more than that metric's bound (relative to
-  the parent, in the metric's ``better`` direction).
+* any run reports ``failed > 0`` or ``correct: false``, or prints no result
+  (a storm whose single-flight assertion fires prints none);
+* a workload (the storm counts as one), or a metric of a run, is missing;
+* on any workload, the change's median of a metric is worse than the
+  parent's median by more than that metric's bound (relative to the
+  parent, in the metric's ``better`` direction).
 
 Next to each median the table shows the change's wins over the pairs (a
 pair whose two sides tie counts for neither) and the interquartile range
@@ -46,6 +51,27 @@ from typing import Any
 PAIRS = 3
 SIDES = ("parent", "change")
 
+#: The service storm's row in the runs and the table.
+STORM = "service_storm"
+#: Timed storms per storm run, after one warm-up storm.
+STORMS = 5
+#: Largest allowed drop of the storm's median throughput, as for tasks_per_s.
+STORM_BOUND = 0.25
+STORM_METRICS = [{"name": "submissions_per_sec", "unit": "submissions/s",
+                  "better": "higher", "bound": STORM_BOUND}]
+STORM_ARGS = f"run_load(): 1 warm-up, {STORMS} timed"
+#: One storm run, in perfbench's result shape. ``run_load`` asserts the
+#: single-flight invariant on every storm, so a broken run exits non-zero.
+STORM_SCRIPT = """
+import json, statistics, sys
+from bench_service_load import run_load
+storms = int(sys.argv[1])
+run_load()
+rates = [run_load().submissions_per_sec for _ in range(storms)]
+print(json.dumps({"attempted": storms, "failed": 0, "correct": True, "metrics": {
+    "submissions_per_sec": {"value": statistics.median(rates), "unit": "submissions/s"}}}))
+"""
+
 
 def load_benchmark(checkout: Path) -> dict[str, Any]:
     return json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -59,11 +85,16 @@ def git_sha(checkout: Path) -> str | None:
     return out.stdout.strip() if out.returncode == 0 else None
 
 
-def run_perfbench(checkout: Path, workload: str, args: list[str]) -> dict | None:
-    """One perfbench run from *checkout*; its JSON result, or None."""
+def legs(benchmark: dict[str, Any]) -> dict[str, list[dict]]:
+    """Workload name -> the metric specs the gate bounds on it."""
+    perfbench = {w["name"]: benchmark["end_to_end"] for w in benchmark["workloads"]}
+    return {**perfbench, STORM: STORM_METRICS}
+
+
+def run_child(checkout: Path, argv: list[str], env: dict[str, str] | None = None) -> dict | None:
+    """One Python child run from *checkout*; its last line as JSON, or None."""
     out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, *args],
-        cwd=checkout, capture_output=True, text=True,
+        [sys.executable, *argv], cwd=checkout, env=env, capture_output=True, text=True,
     )
     sys.stderr.write(out.stderr)
     lines = out.stdout.strip().splitlines()
@@ -75,18 +106,27 @@ def run_perfbench(checkout: Path, workload: str, args: list[str]) -> dict | None
         return None
 
 
+def run_leg(checkout: Path, workload: str, args: list[str]) -> dict | None:
+    """One perfbench run of *workload*, or one storm run, from *checkout*."""
+    if workload == STORM:
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(("src", "benchmarks"))}
+        return run_child(checkout, ["-c", STORM_SCRIPT, str(STORMS)], env)
+    return run_child(checkout, ["perfbench/run.py", "--workload", workload, *args])
+
+
 def collect(dirs: dict[str, Path], benchmark: dict[str, Any]) -> list[dict]:
     """Every run of every pair, in the order they ran."""
     args = ["--seconds", str(benchmark["run_seconds"]), "--trace", "0"]
     runs = []
     for pair in range(1, PAIRS + 1):
         order = SIDES if pair % 2 else SIDES[::-1]
-        for workload in (w["name"] for w in benchmark["workloads"]):
+        for workload in legs(benchmark):
             for side in order:
-                result = run_perfbench(dirs[side], workload, args)
+                result = run_leg(dirs[side], workload, args)
                 runs.append({
                     "pair": pair, "side": side, "workload": workload,
-                    "args": " ".join(args), "result": result, "set": "perf gate",
+                    "args": STORM_ARGS if workload == STORM else " ".join(args),
+                    "result": result, "set": "perf gate",
                 })
                 print(f"pair {pair} {side:<6} {workload:<20} " + (
                     "no result" if result is None else
@@ -116,8 +156,8 @@ def wins(pairs: list[dict[str, float]], better: str) -> tuple[int, int]:
 
 
 def check(runs: list[dict], benchmark: dict[str, Any]) -> tuple[list[str], list[str]]:
-    """(report lines, failures) for *runs* against *benchmark*'s bounds."""
-    metrics = benchmark["end_to_end"]
+    """(report lines, failures) for *runs* against *benchmark*'s and the storm's bounds."""
+    bounded = legs(benchmark)
     failures = []
     # (workload, metric) -> pair -> side -> value
     values: dict[tuple[str, str], dict[int, dict[str, float]]] = {}
@@ -131,7 +171,7 @@ def check(runs: list[dict], benchmark: dict[str, Any]) -> tuple[list[str], list[
             failures.append(f"{where}: {result['failed']} failed calls")
         if not result["correct"]:
             failures.append(f"{where}: correct is false")
-        for spec in metrics:
+        for spec in bounded[run["workload"]]:
             measured = result["metrics"].get(spec["name"])
             if measured is None:
                 failures.append(f"{where}: metric {spec['name']} missing")
@@ -139,9 +179,9 @@ def check(runs: list[dict], benchmark: dict[str, Any]) -> tuple[list[str], list[
                 pairs = values.setdefault((run["workload"], spec["name"]), {})
                 pairs.setdefault(run["pair"], {})[run["side"]] = measured["value"]
 
-    lines = [f"{'workload':<20} {'metric':<14} {'parent':>12} {'change':>12} "
+    lines = [f"{'workload':<20} {'metric':<19} {'parent':>12} {'change':>12} "
              f"{'worse':>7} {'bound':>6} {'wins':>6} {'parent IQR':>12}"]
-    for workload in (w["name"] for w in benchmark["workloads"]):
+    for workload, metrics in bounded.items():
         for side in SIDES:
             if not any(r["side"] == side and r["workload"] == workload for r in runs):
                 failures.append(f"{side} {workload}: workload missing")
@@ -162,7 +202,7 @@ def check(runs: list[dict], benchmark: dict[str, Any]) -> tuple[list[str], list[
                     f"than the parent's {base:.6g} (bound {bound:.0%})"
                 )
             won, paired = wins(pairs, spec["better"])
-            lines.append(f"{workload:<20} {name:<14} {base:>12.6g} {head:>12.6g} "
+            lines.append(f"{workload:<20} {name:<19} {base:>12.6g} {head:>12.6g} "
                          f"{worse:>7.1%} {bound:>6.0%} {f'{won}/{paired}':>6} "
                          f"{iqr(parent):>12.6g}{flag}")
     return lines, failures
@@ -190,8 +230,10 @@ def main(argv: list[str] | None = None) -> int:
             "host": f"{platform.machine()} {platform.system()}, "
                     f"Python {platform.python_version()}",
             "command": "python3 perfbench/run.py --workload <workload> <args>, "
-                       "run from a checkout of each side; odd pairs run the "
-                       "parent first and even pairs the change first",
+                       f"and for {STORM} a child running bench_service_load."
+                       "run_load with PYTHONPATH=src:benchmarks, run from a "
+                       "checkout of each side; odd pairs run the parent first "
+                       "and even pairs the change first",
             "passed": not failures,
             "failures": failures,
             "runs": runs,
