@@ -60,7 +60,7 @@ from ..metrics.reports import ReportBundle
 from ..net.transfer import transfer_delay
 from ..queues.batch_queue import BatchQueue
 from ..scheduling.base import Assignment, Scheduler, SchedulingMode
-from ..scheduling.context import LiveTypeStats, SchedulingContext
+from ..scheduling.context import SchedulingContext
 from ..scheduling.overhead import SchedulingOverhead
 from ..tasks.task import DropStage, Task, TaskStatus
 from ..tasks.workload import Workload
@@ -368,7 +368,7 @@ class ClusterCore:
 
         self.batch_queue = BatchQueue()
         self.collector = MetricsCollector()
-        self.type_stats = LiveTypeStats()
+        self.type_stats = self.collector.type_stats
         self.scheduler.reset()
 
         self._overhead_free = self.scheduling_overhead.is_free
@@ -434,7 +434,6 @@ class ClusterCore:
             if self.drop_on_deadline and task.deadline <= now:
                 task.cancel(now)
                 self.collector.record_terminal(task)
-                self.type_stats.record(task.task_type.name, False)
                 return
             ctx = self._ctx
             ctx.now = now
@@ -466,7 +465,6 @@ class ClusterCore:
             )
         finished = machine.finish_running(self.clock._now)
         self.collector.record_terminal(finished)
-        self.type_stats.record(finished.task_type.name, finished.on_time)
         self._try_start(machine)
         self._scheduling_pass()
 
@@ -478,7 +476,6 @@ class ClusterCore:
             self.batch_queue.remove(task)
             task.cancel(now)
             self.collector.record_terminal(task)
-            self.type_stats.record(task.task_type.name, False)
             return
         machine = task.machine
         if machine is None:  # pragma: no cover - defensive
@@ -508,7 +505,6 @@ class ClusterCore:
                 f"deadline fired for task {task.id} in state {task.status.name}"
             )
         self.collector.record_terminal(task)
-        self.type_stats.record(task.task_type.name, False)
         self._scheduling_pass()
 
     def _on_delivery(self, payload: tuple[Machine, Task]) -> None:
@@ -570,7 +566,6 @@ class ClusterCore:
         if self.drop_on_deadline:
             for task in self.batch_queue.sweep_expired(now):
                 self.collector.record_terminal(task)
-                self.type_stats.record(task.task_type.name, False)
         pending = self.batch_queue.snapshot()
         if not pending:
             return

@@ -72,7 +72,7 @@ from ..metrics.rollup import (
     offload_energy_split,
     routing_table,
 )
-from ..net.wan import TransferPhase, WanManager, WanTransfer
+from ..net.wan import WanManager, WanTransfer
 from ..scheduling.federation.base import GatewayContext
 from ..scheduling.federation.registry import create_gateway
 from ..scheduling.overhead import SchedulingOverhead
@@ -378,7 +378,6 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
             transfer = self._transfers.pop(task.id, None)
             if transfer is not None:
                 self._wan.on_delivered(transfer, self.clock._now)
-                self._wan.release(transfer)
             path = event.cluster
             if type(path) is tuple:
                 self._forward(task, path)
@@ -396,7 +395,6 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
             self._wan.on_delivered(transfer, self.clock._now)
             assert self._rebalancer is not None
             self._rebalancer.record_delivered(task, transfer)
-            self._wan.release(transfer)
             self.shards[cluster_id]._on_arrival(task)
         else:
             self.shards[cluster_id]._dispatch(event)
@@ -500,21 +498,14 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
             # == delivered + cancelled holds at the end of the run.
             transfer = self._transfers.pop(task.id, None)
             if transfer is not None:
-                # A transfer cancelled while QUEUED stays lazily referenced
-                # by its FIFO channel until _start_next skips it, so only
-                # further-along phases may return their slot to the pool.
-                in_fifo = transfer.phase is TransferPhase.QUEUED
                 self._wan.cancel(transfer, self.now)
                 if transfer.kind is _ARRIVAL:
                     self._inflight_mb[cluster_id] -= task.task_type.data_in
                     self._wan_cancelled[cluster_id] += 1
                 elif self._rebalancer is not None:
                     self._rebalancer.record_cancelled(task)
-                if not in_fifo:
-                    self._wan.release(transfer)
             task.cancel(self.now)
             shard.collector.record_terminal(task)
-            shard.type_stats.record(task.task_type.name, False)
             return
         shard._on_deadline(task)
 

@@ -13,6 +13,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable
 
 from ..core.errors import ReportError
+from ..scheduling.context import LiveTypeStats
 from ..tasks.task import Task, TaskStatus
 from .stats import jain_fairness
 
@@ -100,6 +101,9 @@ class MetricsCollector:
         self._cancelled = 0
         self._missed = 0
         self._on_time = 0
+        #: Per-type on-time rates, live during the run (fairness-aware
+        #: policies such as FELARE read them through the scheduling context).
+        self.type_stats = LiveTypeStats()
         #: Optional observer fired after each terminal task is recorded.
         #: Every terminal path of every engine funnels through
         #: :meth:`record_terminal`, so this single hook sees completions,
@@ -126,6 +130,7 @@ class MetricsCollector:
         arrival = task.arrival_time
         start = task.start_time
         completion = task.completion_time
+        type_name = task.task_type.name
         on_time = (
             status is TaskStatus.COMPLETED
             and completion is not None
@@ -139,7 +144,7 @@ class MetricsCollector:
                 None if completion is None else completion - arrival,
                 completion,
                 on_time,
-                task.task_type.name,
+                type_name,
             )
         )
         if status is TaskStatus.COMPLETED:
@@ -150,6 +155,7 @@ class MetricsCollector:
             self._missed += 1
         if on_time:
             self._on_time += 1
+        self.type_stats.record(type_name, on_time)
         if self.on_terminal is not None:
             self.on_terminal(task)
 
@@ -159,7 +165,9 @@ class MetricsCollector:
         The federation rollup path: per-cluster collectors stay untouched
         (per-cluster summaries remain exact) and a scratch collector absorbs
         them all to aggregate the global summary. Task ids must be disjoint —
-        a task recorded by two shards is a conservation bug.
+        a task recorded by two shards is a conservation bug. The live
+        ``type_stats`` are not folded: the merged collector only builds the
+        global summary.
         """
         duplicate = self._seen & other._seen
         if duplicate:

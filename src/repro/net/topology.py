@@ -15,7 +15,9 @@ every pair routes through one hub (:meth:`InterClusterTopology.from_star`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Any, Iterable, Mapping
 
 from ..core.errors import ConfigurationError
@@ -72,10 +74,12 @@ class Link:
     cross_traffic: "CrossTraffic | None" = None
 
     def __post_init__(self) -> None:
-        if self.latency < 0:
-            raise ConfigurationError(f"latency must be >= 0: {self.latency}")
-        if self.bandwidth < 0:
-            raise ConfigurationError(f"bandwidth must be >= 0: {self.bandwidth}")
+        for key in _NUMERIC_FIELDS:
+            value = getattr(self, key)
+            if not (_is_number(value) and math.isfinite(value) and value >= 0):
+                raise ConfigurationError(
+                    f"link {key} must be a finite number >= 0, got {value!r}"
+                )
         if self.contention not in CONTENTION_MODES:
             raise ConfigurationError(
                 f"contention must be one of {CONTENTION_MODES}, "
@@ -85,15 +89,6 @@ class Link:
             raise ConfigurationError(
                 f"contention {self.contention!r} needs a finite bandwidth; "
                 "a latency-only link has no serialisation to contend for"
-            )
-        if self.energy_per_mb < 0:
-            raise ConfigurationError(
-                f"energy_per_mb must be >= 0: {self.energy_per_mb}"
-            )
-        if self.idle_watts < 0 or self.busy_watts < 0:
-            raise ConfigurationError(
-                f"link power must be >= 0: idle={self.idle_watts}, "
-                f"busy={self.busy_watts}"
             )
         if self.cross_traffic is not None and self.contention == "none":
             raise ConfigurationError(
@@ -175,19 +170,42 @@ class Link:
                 )
             raw_traffic = spec.get("cross_traffic")
             return cls(
-                latency=float(spec.get("latency", 0.0)),
-                bandwidth=float(spec.get("bandwidth", 0.0)),
                 contention=str(spec.get("contention", "none")),
-                energy_per_mb=float(spec.get("energy_per_mb", 0.0)),
-                idle_watts=float(spec.get("idle_watts", 0.0)),
-                busy_watts=float(spec.get("busy_watts", 0.0)),
                 cross_traffic=(
                     None
                     if raw_traffic is None
                     else cross_traffic_from_spec(raw_traffic)
                 ),
+                **{
+                    key: _spec_number(spec.get(key, 0.0), key)
+                    for key in _NUMERIC_FIELDS
+                },
             )
-        return cls(float(spec[0]), float(spec[1]))
+        if not isinstance(spec, (list, tuple)) or len(spec) != 2:
+            raise ConfigurationError(
+                "link spec must be [latency, bandwidth] or a mapping, "
+                f"got {spec!r}"
+            )
+        return cls(
+            _spec_number(spec[0], "latency"), _spec_number(spec[1], "bandwidth")
+        )
+
+
+#: Link fields that must be finite, non-negative numbers.
+_NUMERIC_FIELDS = (
+    "latency", "bandwidth", "energy_per_mb", "idle_watts", "busy_watts"
+)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _spec_number(value: Any, key: str) -> float:
+    """One numeric link-spec field as a float, or a ConfigurationError."""
+    if not _is_number(value):
+        raise ConfigurationError(f"link {key} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass

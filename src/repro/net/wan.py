@@ -78,9 +78,6 @@ __all__ = [
 #: Residual-payload tolerance (MB) under which a PS transfer counts as done.
 _EPS_MB = 1e-9
 
-#: Transfers a WanManager keeps pooled for slot reuse (bounds pool memory).
-_POOL_MAX = 512
-
 # Enum member access costs an attribute lookup per hit on CPython; the WAN
 # channel machinery sits on the contended-federation hot path, so the members
 # it tests/schedules with are bound once at module level.
@@ -110,7 +107,6 @@ class WanTransfer:
     __slots__ = (
         "task",
         "megabytes",
-        "dst_index",
         "submitted_at",
         "started_at",
         "remaining_mb",
@@ -126,15 +122,13 @@ class WanTransfer:
         self,
         task: "Task",
         megabytes: float,
-        dst_index: int,
         submitted_at: float,
         channel: "LinkChannel",
-        kind: EventType = EventType.TASK_ARRIVAL,
-        tag: int | tuple[int, ...] | None = None,
+        kind: EventType,
+        tag: int | tuple[int, ...],
     ) -> None:
         self.task = task
         self.megabytes = megabytes
-        self.dst_index = dst_index
         self.submitted_at = submitted_at
         self.started_at = submitted_at
         self.remaining_mb = megabytes
@@ -146,11 +140,11 @@ class WanTransfer:
         #: TASK_MIGRATION for mid-queue migrations); both kinds share the
         #: link's pipe and pay the same energy — only dispatch differs.
         self.kind = kind
-        #: ``Event.cluster`` value stamped on the delivery event. Defaults
-        #: to ``dst_index`` (the final-hop form); the federation tags the
-        #: relay hops of a tree route with the remaining node path instead
+        #: ``Event.cluster`` value stamped on the delivery event: the
+        #: destination index on a final hop; the federation tags the relay
+        #: hops of a tree route with the remaining node path instead
         #: (:meth:`repro.federation.simulator.FederatedSimulator.route`).
-        self.tag: int | tuple[int, ...] = dst_index if tag is None else tag
+        self.tag = tag
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -695,17 +689,14 @@ class WanManager:
         self._seed = seed
         self._channels: dict[tuple[str, str], LinkChannel] = {}
         #: Per-(origin, destination) resolved route — ``(channel, link,
-        #: is_contended)`` memoized on first use so the submit/estimate hot
+        #: is_contended)`` memoized on first use so the submit/query hot
         #: paths skip the name → link_key → dict resolution chain. Entries
-        #: appear only once traffic (or an estimate against an existing
-        #: channel) touches the pair; channel creation stays exactly as lazy
-        #: as before.
+        #: appear only once traffic (or a query against an existing
+        #: channel) touches the pair.
         n = len(names)
         self._route: list[list[tuple[LinkChannel, Link, bool] | None]] = [
             [None] * n for _ in range(n)
         ]
-        #: Finished transfers parked for slot reuse (see :meth:`release`).
-        self._pool: list[WanTransfer] = []
         #: Sum of every transfer's in-WAN time ("none": planned delay at
         #: submit, PR 3 semantics; contended: actual time, at delivery or
         #: cancellation).
@@ -775,44 +766,50 @@ class WanManager:
 
     # -- gateway-facing signals ---------------------------------------------------------
 
-    def estimated_delay(
-        self, src: str, dst: str, megabytes: float, now: float
-    ) -> float:
-        """Backlog-aware expected in-WAN time of a payload src→dst at *now*."""
-        if src == dst:
-            return 0.0
-        channel = self._channels.get(self._topology.link_key(src, dst))
-        if channel is None:
-            return self._topology.wan_delay(src, dst, megabytes)
-        return channel.estimated_delay(megabytes, now)
+    def _open_channel(self, origin: int, destination: int) -> LinkChannel | None:
+        """The origin→destination channel if one exists; never creates it.
 
-    def estimated_delay_by_index(
+        A query must not materialise a channel: that would add a row to the
+        link report. An existing channel's route is memoized for later
+        queries and submits.
+        """
+        route = self._route[origin][destination]
+        if route is not None:
+            return route[0]
+        channel = self._channels.get(
+            self._topology.link_key(self._names[origin], self._names[destination])
+        )
+        if channel is not None:
+            self._route[origin][destination] = (
+                channel,
+                channel.link,
+                channel.link.is_contended,
+            )
+        return channel
+
+    def estimated_delay(
         self, origin: int, destination: int, megabytes: float, now: float
     ) -> float:
-        """Index-keyed twin of :meth:`estimated_delay` (the gateway hot path).
+        """Backlog-aware expected in-WAN time of a payload at *now*.
 
-        Resolves the route through the memoized table instead of the
-        name → link_key → dict chain. A pair whose channel does not exist
-        yet still answers with the static topology delay — estimating never
-        materialises a channel, exactly like the name-keyed path.
+        ``origin``/``destination`` are node indices, as for :meth:`submit`.
+        A pair no traffic has touched yet answers with the static topology
+        delay.
         """
         if origin == destination:
             return 0.0
-        route = self._route[origin][destination]
-        if route is None:
-            src, dst = self._names[origin], self._names[destination]
-            channel = self._channels.get(self._topology.link_key(src, dst))
-            if channel is None:
-                return self._topology.wan_delay(src, dst, megabytes)
-            route = (channel, channel.link, channel.link.is_contended)
-            self._route[origin][destination] = route
-        return route[0].estimated_delay(megabytes, now)
+        channel = self._open_channel(origin, destination)
+        if channel is None:
+            return self._topology.wan_delay(
+                self._names[origin], self._names[destination], megabytes
+            )
+        return channel.estimated_delay(megabytes, now)
 
-    def queue_depth(self, src: str, dst: str) -> int:
-        """Transfers occupying/waiting for the src→dst physical link."""
-        if src == dst:
+    def queue_depth(self, origin: int, destination: int) -> int:
+        """Transfers occupying/waiting for the origin→destination link."""
+        if origin == destination:
             return 0
-        channel = self._channels.get(self._topology.link_key(src, dst))
+        channel = self._open_channel(origin, destination)
         return 0 if channel is None else channel.queue_depth
 
     # -- transfer lifecycle -------------------------------------------------------------
@@ -839,78 +836,29 @@ class WanManager:
         """
         channel, link, contended = self._route_to(origin, destination)
         megabytes = task.task_type.data_in
+        if tag is None:
+            tag = destination
         if not contended:
             delay = link.delay_for(megabytes)
             if delay <= 0.0:
                 channel.record_instant(megabytes)
                 return None
             self.total_time += delay
-            transfer = self._make_transfer(
-                task, megabytes, destination, now, channel, kind, tag
-            )
+            transfer = WanTransfer(task, megabytes, now, channel, kind, tag)
             channel.submit(transfer, now)
             transfer.delivery_event = self._events.push(
-                Event(
-                    now + delay,
-                    kind,
-                    task,
-                    cluster=transfer.tag,
-                )
+                Event(now + delay, kind, task, cluster=tag)
             )
             return transfer
-        transfer = self._make_transfer(
-            task, megabytes, destination, now, channel, kind, tag
-        )
+        transfer = WanTransfer(task, megabytes, now, channel, kind, tag)
         channel.submit(transfer, now)
         return transfer
 
-    def _make_transfer(
-        self,
-        task: "Task",
-        megabytes: float,
-        destination: int,
-        now: float,
-        channel: LinkChannel,
-        kind: EventType,
-        tag: int | tuple[int, ...] | None = None,
-    ) -> WanTransfer:
-        """A fresh transfer handle, reusing a released slot when one exists."""
-        pool = self._pool
-        if pool:
-            transfer = pool.pop()
-            transfer.task = task
-            transfer.megabytes = megabytes
-            transfer.dst_index = destination
-            transfer.submitted_at = now
-            transfer.started_at = now
-            transfer.remaining_mb = megabytes
-            transfer.phase = TransferPhase.QUEUED
-            transfer.channel = channel
-            transfer.kind = kind
-            transfer.tag = destination if tag is None else tag
-            return transfer
-        return WanTransfer(task, megabytes, destination, now, channel, kind, tag)
-
     def release(self, transfer: WanTransfer) -> None:
-        """Park a finished transfer's slot for reuse by a later submit.
+        """No-op, kept because ``perfbench/tracing.py`` wraps it per engine.
 
-        Only call once no other component holds the handle (the federation
-        does so after the delivery/cancellation bookkeeping ran). Transfers
-        still in flight are ignored defensively; pooled slots drop their
-        task/channel references so the pool never pins simulation state.
+        A transfer is a plain object freed with its last reference.
         """
-        if transfer.phase not in (
-            TransferPhase.DELIVERED,
-            TransferPhase.CANCELLED,
-        ):  # pragma: no cover - defensive
-            return
-        pool = self._pool
-        if len(pool) < _POOL_MAX:
-            transfer.task = None  # type: ignore[assignment]
-            transfer.channel = None  # type: ignore[assignment]
-            transfer.service_event = None
-            transfer.delivery_event = None
-            pool.append(transfer)
 
     def on_delivered(self, transfer: WanTransfer, now: float) -> None:
         """A WAN delivery event fired: the task is at its destination."""

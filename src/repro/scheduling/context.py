@@ -20,7 +20,7 @@ __all__ = ["SchedulingContext", "LiveTypeStats"]
 
 
 class LiveTypeStats:
-    """Running per-task-type outcome counts, updated by the simulator.
+    """Running per-task-type outcome counts, updated by the metrics collector.
 
     ``success_rate(name)`` is the fraction of *finished* tasks of that type
     that completed on time; it returns 1.0 while no task of the type has

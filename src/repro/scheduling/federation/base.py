@@ -166,27 +166,17 @@ class GatewayContext:
         wan = self.wan
         if wan is None:
             return self.wan_delay_to(destination)
-        try:
-            # Index-keyed fast path: shard indices ARE the WAN manager's
-            # name-table indices (both come from federation order).
-            return wan.estimated_delay_by_index(
-                self.origin, destination, self.task.task_type.data_in, self.now
-            )
-        except AttributeError:  # a test double exposing only the name API
-            return wan.estimated_delay(
-                self.shards[self.origin].name,
-                self.shards[destination].name,
-                self.task.task_type.data_in,
-                self.now,
-            )
+        # Shard indices ARE the WAN manager's node indices (both come from
+        # federation order).
+        return wan.estimated_delay(
+            self.origin, destination, self.task.task_type.data_in, self.now
+        )
 
     def link_queue_depth(self, destination: int) -> int:
         """Transfers occupying/awaiting the origin→destination link, now."""
         if self.wan is None:
             return 0
-        return self.wan.queue_depth(
-            self.shards[self.origin].name, self.shards[destination].name
-        )
+        return self.wan.queue_depth(self.origin, destination)
 
     def wan_energy_to(self, destination: int) -> float:
         """Joules the WAN would charge to ship the current task there."""

@@ -92,11 +92,17 @@ class MigrationContext:
 
     def estimated_wan_delay(self, task: "Task") -> float:
         """Backlog-aware expected in-WAN time of migrating *task* now."""
-        src, dst = self.source.name, self.destination.name
         if self.wan is None:
-            return self.topology.wan_delay(src, dst, task.task_type.data_in)
+            return self.topology.wan_delay(
+                self.source.name,
+                self.destination.name,
+                task.task_type.data_in,
+            )
         return self.wan.estimated_delay(
-            src, dst, task.task_type.data_in, self.now
+            self.source.index,
+            self.destination.index,
+            task.task_type.data_in,
+            self.now,
         )
 
     def source_completion(self, task: "Task") -> float:

@@ -39,6 +39,41 @@ class TestLinkParameters:
         with pytest.raises(ConfigurationError):
             Link(idle_watts=-0.1)
 
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [
+            ({"latency": float("nan")}, "latency"),
+            ({"latency": float("inf")}, "latency"),
+            ({"bandwidth": float("nan"), "contention": "fifo"}, "bandwidth"),
+            ({"bandwidth": float("inf")}, "bandwidth"),
+            ({"bandwidth": 1.0, "energy_per_mb": float("nan")}, "energy_per_mb"),
+            ({"idle_watts": float("inf")}, "idle_watts"),
+            ({"busy_watts": float("nan")}, "busy_watts"),
+        ],
+    )
+    def test_non_finite_parameter_rejected(self, kwargs, field):
+        with pytest.raises(ConfigurationError, match=field):
+            Link(**kwargs)
+
+    @pytest.mark.parametrize(
+        "spec,match",
+        [
+            ([1], r"\[latency, bandwidth\]"),
+            ([0.1, 1.0, 2.0], r"\[latency, bandwidth\]"),
+            (0.5, r"\[latency, bandwidth\]"),
+            (["x", 1], "latency"),
+            ([0.1, None], "bandwidth"),
+            ({"latency": 0.1, "bandwidth": "fast"}, "bandwidth"),
+            (
+                {"latency": 0.1, "bandwidth": float("nan"), "contention": "fifo"},
+                "bandwidth",
+            ),
+        ],
+    )
+    def test_malformed_spec_rejected(self, spec, match):
+        with pytest.raises(ConfigurationError, match=match):
+            Link.from_spec(spec)
+
     def test_plain_link_spec_stays_compact(self):
         # Legacy scenario JSON must round-trip byte-identically.
         link = Link(0.5, 10.0)
@@ -430,15 +465,25 @@ class TestGatewaySignals:
         topo.set_link("edge", "cloud", 1.0, 1.0, contention="fifo")
         events = EventQueue()
         manager = WanManager(topo, events, ["edge", "cloud"])
-        assert manager.queue_depth("edge", "cloud") == 0
-        assert manager.estimated_delay("edge", "cloud", 4.0, 0.0) == 5.0
+        assert manager.queue_depth(0, 1) == 0
+        assert manager.estimated_delay(0, 1, 4.0, 0.0) == 5.0
         manager.submit(_task(0, 4.0), 0, 1, 0.0)
         manager.submit(_task(1, 4.0), 0, 1, 0.0)
-        assert manager.queue_depth("edge", "cloud") == 2
+        assert manager.queue_depth(0, 1) == 2
         # Head has 4s service left + 4 MB queued + own 4 MB + latency.
-        assert manager.estimated_delay("edge", "cloud", 4.0, 0.0) == 13.0
+        assert manager.estimated_delay(0, 1, 4.0, 0.0) == 13.0
         # Symmetric: the reverse direction sees the same pipe.
-        assert manager.queue_depth("cloud", "edge") == 2
+        assert manager.queue_depth(1, 0) == 2
+
+    def test_queries_never_open_a_channel(self):
+        # A channel is a row of the link report: asking about a pair no
+        # traffic has touched must answer from the static topology.
+        topo = InterClusterTopology()
+        topo.set_link("edge", "cloud", 1.0, 1.0, contention="fifo")
+        manager = WanManager(topo, EventQueue(), ["edge", "cloud"])
+        assert manager.queue_depth(1, 0) == 0
+        assert manager.estimated_delay(1, 0, 4.0, 0.0) == 5.0
+        assert manager.usage(end_time=1.0) == {}
 
     def test_congestion_aware_gateway_avoids_the_backed_up_link(self):
         # Two remote clusters with identical machines; cloud_a's link is

@@ -7,7 +7,8 @@ exact goldens to pin field by field:
 * a federated preset offloads some, but not all, of its tasks;
 * the tree root's WAN attempts are exactly the offloaded tasks;
 * every task ends terminal without deadline drops too, and a run that
-  loses a task raises.
+  loses a task raises;
+* every WAN link channel of a federated preset ends drained.
 
 The smaller federated presets are pinned exactly in
 ``test_golden_metrics.py``, which implies the same floors there: task
@@ -25,7 +26,8 @@ import pytest
 from repro.core.config import Scenario
 from repro.core.errors import SimulationStateError
 from repro.machines.eet_generation import generate_eet_cvb
-from repro.scenarios import build_scenario
+from repro.net.wan import _EPS_MB, TransferPhase
+from repro.scenarios import available_scenarios, build_scenario
 
 
 def _cvb_mect(machines_per_type):
@@ -47,18 +49,33 @@ def _cvb_mect(machines_per_type):
 CUSTOM = {"cvb_mect_4": lambda: _cvb_mect(1), "cvb_mect_16": lambda: _cvb_mect(4)}
 
 
+#: Every registered preset that builds a federation.
+FEDERATED = [
+    key
+    for key in available_scenarios()
+    if build_scenario(key).federation is not None
+]
+
+
 @pytest.fixture(scope="module")
-def run():
-    """Each scenario's result, run once per module and freed after it."""
-    results = {}
+def ran():
+    """Each scenario's (simulator, result), run once per module and freed after it."""
+    runs = {}
 
-    def _run(key):
-        if key not in results:
+    def _ran(key):
+        if key not in runs:
             scenario = CUSTOM[key]() if key in CUSTOM else build_scenario(key)
-            results[key] = scenario.run()
-        return results[key]
+            simulator = scenario.build_simulator()
+            runs[key] = (simulator, simulator.run())
+        return runs[key]
 
-    return _run
+    return _ran
+
+
+@pytest.fixture(scope="module")
+def run(ran):
+    """Each scenario's result (see ``ran``)."""
+    return lambda key: ran(key)[1]
 
 
 @pytest.mark.parametrize(
@@ -97,6 +114,22 @@ def test_federation_offloads_some_but_not_all(run, preset):
 def test_tree_root_wan_attempts_are_the_offloads(run, preset):
     result = run(preset)
     assert result.tree.root.stats["wan_attempted"] == result.offloaded
+
+
+@pytest.mark.parametrize("preset", FEDERATED)
+def test_wan_channels_drain(ran, preset):
+    simulator, _ = ran(preset)
+    for channel in simulator.wan._channels.values():
+        assert channel._serving is None, channel.label
+        assert not channel._active, channel.label
+        # Cancelled transfers are removed from a FIFO lazily, so only they
+        # may remain queued.
+        assert all(
+            t.phase is TransferPhase.CANCELLED for t in channel._fifo
+        ), channel.label
+        assert channel._tick is None, channel.label
+        assert channel._next_finish is None, channel.label
+        assert abs(channel._queued_mb) < _EPS_MB, channel.label
 
 
 def _without_drops(preset):
