@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -429,24 +430,13 @@ class Scenario:
             execution_model=data.get("execution_model"),
             enable_network=data.get("enable_network", False),
             memory_capacities=data.get("memory_capacities", {}),
-            network={
-                k: (v[0], v[1]) for k, v in data.get("network", {}).items()
-            },
+            network=_number_pairs(data.get("network", {}), "network"),
             scheduling_overhead=data.get("scheduling_overhead"),
             federation=federation,
             failure_model=(
                 None
                 if data.get("failure_model") is None
-                else FailureModel(
-                    mtbf=data["failure_model"]["mtbf"],
-                    mttr=data["failure_model"]["mttr"],
-                    per_machine_type={
-                        k: (v[0], v[1])
-                        for k, v in data["failure_model"]
-                        .get("per_machine_type", {})
-                        .items()
-                    },
-                )
+                else _failure_model_from_dict(data["failure_model"])
             ),
             name=data.get("name", "scenario"),
         )
@@ -575,3 +565,51 @@ class Scenario:
         recipe = dict(self.generator)
         recipe["intensity"] = intensity
         return replace(self, generator=recipe, name=f"{self.name}@{intensity}")
+
+
+def _number_pairs(spec: Any, where: str) -> dict[str, tuple[float, float]]:
+    """A ``{name: [a, b]}`` JSON object as name -> 2-tuple of numbers.
+
+    Anything else (a non-object, a value that is not a two-element list of
+    real numbers, a bool) raises a ConfigurationError naming ``where``.
+    """
+    if not isinstance(spec, Mapping):
+        raise ConfigurationError(
+            f"{where} must be a JSON object, got {type(spec).__name__}"
+        )
+    pairs: dict[str, tuple[float, float]] = {}
+    for name, value in spec.items():
+        if not (
+            isinstance(value, (list, tuple))
+            and len(value) == 2
+            and all(_is_real(v) for v in value)
+        ):
+            raise ConfigurationError(
+                f"{where}[{name!r}] must be a list of two numbers, got {value!r}"
+            )
+        pairs[name] = (value[0], value[1])
+    return pairs
+
+
+def _failure_model_from_dict(spec: Any) -> FailureModel:
+    """The ``failure_model`` JSON object, or a ConfigurationError naming the field."""
+    if not isinstance(spec, Mapping):
+        raise ConfigurationError(
+            f"failure_model must be a JSON object, got {type(spec).__name__}"
+        )
+    for key in ("mtbf", "mttr"):
+        if not _is_real(spec.get(key)):
+            raise ConfigurationError(
+                f"failure_model.{key} must be a number, got {spec.get(key)!r}"
+            )
+    return FailureModel(
+        mtbf=spec["mtbf"],
+        mttr=spec["mttr"],
+        per_machine_type=_number_pairs(
+            spec.get("per_machine_type", {}), "failure_model.per_machine_type"
+        ),
+    )
+
+
+def _is_real(value: Any) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)

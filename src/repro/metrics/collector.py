@@ -1,7 +1,7 @@
 """Metrics collection: the raw material of every report.
 
 The simulator feeds the collector with lifecycle notifications; at the end of
-a run the collector produces columnar task records, machine records and the
+a run the collector produces task records, machine records and the
 summary — the data behind the paper's Full/Task/Machine/Summary reports and
 behind the completion-percentage bar charts of Figures 5–7.
 """
@@ -9,8 +9,8 @@ behind the completion-percentage bar charts of Figures 5–7.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import TYPE_CHECKING, Callable
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..core.errors import ReportError
 from ..scheduling.context import LiveTypeStats
@@ -19,8 +19,9 @@ from .stats import jain_fairness
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..machines.cluster import Cluster
+    from ..machines.machine import Machine
 
-__all__ = ["MetricsCollector", "SummaryMetrics"]
+__all__ = ["MetricsCollector", "SummaryMetrics", "summarize"]
 
 
 @dataclass(frozen=True)
@@ -80,27 +81,22 @@ class SummaryMetrics:
 class MetricsCollector:
     """Accumulates task outcomes and snapshots machine counters.
 
-    Ingestion is append-only: each terminal task contributes one compact
-    column row (scalars only) plus O(1) outcome-counter bumps. Aggregation —
-    means, makespan, per-type rates, fairness — happens once, at
-    :meth:`summary` time, in a single pass over the columnar buffer. Live
-    consumers (the renderer's outcome boxes) read the counters instead of
-    re-scanning every recorded task per frame.
+    Ingestion is append-only: each terminal task is kept as-is (a terminal
+    task never changes again, so it is its own record) plus O(1) live
+    outcome-counter bumps. Aggregation — means, makespan, per-type rates,
+    fairness — happens once, at :meth:`summary` time, in one id-order pass
+    over the recorded tasks (:func:`summarize`). Live consumers (the
+    renderer's outcome boxes) read :meth:`counts` instead of re-scanning
+    every recorded task per frame.
     """
 
     def __init__(self) -> None:
         self._tasks: list[Task] = []
         self._seen: set[int] = set()
-        # Columnar buffer: (id, status, wait, response, completion, on_time,
-        # type name) per terminal task, in record order.
-        self._rows: list[
-            tuple[int, TaskStatus, float | None, float | None, float | None, bool, str]
-        ] = []
         # Live outcome counters (the GUI's completed/cancelled/missed boxes).
         self._completed = 0
         self._cancelled = 0
         self._missed = 0
-        self._on_time = 0
         #: Per-type on-time rates, live during the run (fairness-aware
         #: policies such as FELARE read them through the scheduling context).
         self.type_stats = LiveTypeStats()
@@ -125,62 +121,15 @@ class MetricsCollector:
             raise ReportError(f"task {task.id} recorded twice")
         self._seen.add(task.id)
         self._tasks.append(task)
-        # Derived quantities inlined from the Task properties (wait_time,
-        # response_time, on_time): this runs once per terminal event.
-        arrival = task.arrival_time
-        start = task.start_time
-        completion = task.completion_time
-        type_name = task.task_type.name
-        on_time = (
-            status is TaskStatus.COMPLETED
-            and completion is not None
-            and completion <= task.deadline
-        )
-        self._rows.append(
-            (
-                task.id,
-                status,
-                None if start is None else start - arrival,
-                None if completion is None else completion - arrival,
-                completion,
-                on_time,
-                type_name,
-            )
-        )
         if status is TaskStatus.COMPLETED:
             self._completed += 1
         elif status is TaskStatus.CANCELLED:
             self._cancelled += 1
         else:
             self._missed += 1
-        if on_time:
-            self._on_time += 1
-        self.type_stats.record(type_name, on_time)
+        self.type_stats.record(task.task_type.name, task.on_time)
         if self.on_terminal is not None:
             self.on_terminal(task)
-
-    def merge_from(self, other: "MetricsCollector") -> None:
-        """Fold another collector's recorded tasks into this one.
-
-        The federation rollup path: per-cluster collectors stay untouched
-        (per-cluster summaries remain exact) and a scratch collector absorbs
-        them all to aggregate the global summary. Task ids must be disjoint —
-        a task recorded by two shards is a conservation bug. The live
-        ``type_stats`` are not folded: the merged collector only builds the
-        global summary.
-        """
-        duplicate = self._seen & other._seen
-        if duplicate:
-            raise ReportError(
-                f"tasks {sorted(duplicate)[:5]} recorded by multiple collectors"
-            )
-        self._tasks.extend(other._tasks)
-        self._seen.update(other._seen)
-        self._rows.extend(other._rows)
-        self._completed += other._completed
-        self._cancelled += other._cancelled
-        self._missed += other._missed
-        self._on_time += other._on_time
 
     @property
     def recorded(self) -> int:
@@ -196,7 +145,7 @@ class MetricsCollector:
 
     def tasks(self) -> list[Task]:
         """All recorded tasks, by id (stable across runs with equal seeds)."""
-        return sorted(self._tasks, key=lambda t: t.id)
+        return sorted(self._tasks, key=attrgetter("id"))
 
     # -- record tables -------------------------------------------------------------
 
@@ -252,82 +201,99 @@ class MetricsCollector:
     # -- summary ----------------------------------------------------------------------
 
     def summary(self, cluster: "Cluster", *, end_time: float) -> SummaryMetrics:
-        """Aggregate the run. ``end_time`` is the simulation clock at finish.
+        """Aggregate the run. ``end_time`` is the simulation clock at finish."""
+        return summarize(self._tasks, cluster, end_time=end_time)
 
-        One pass over the columnar buffer, in task-id order — the same
-        element order (and therefore bit-identical float sums) as the
-        previous multi-scan implementation.
-        """
-        rows = sorted(self._rows, key=itemgetter(0))
-        total = len(rows)
-        completed = self._completed
-        cancelled = self._cancelled
-        missed = self._missed
-        on_time = self._on_time
 
-        wait_sum = 0.0
-        wait_n = 0
-        resp_sum = 0.0
-        resp_n = 0
-        makespan = 0.0
-        by_type_total: dict[str, int] = {}
-        by_type_done: dict[str, int] = {}
-        for _id, status, wait, response, completion, _on_time, name in rows:
-            if wait is not None:
-                wait_sum += wait
-                wait_n += 1
-            if response is not None:
-                resp_sum += response
-                resp_n += 1
-            if completion is not None and completion > makespan:
+def summarize(
+    tasks: Iterable[Task],
+    machines: Iterable["Machine"],
+    *,
+    end_time: float,
+) -> SummaryMetrics:
+    """Aggregate terminal ``tasks`` run on ``machines`` into a SummaryMetrics.
+
+    One pass over the tasks in id order, so every float sum sees the same
+    operands in the same order whatever order the tasks were recorded in —
+    a single cluster's summary and a federation's summary over all of its
+    shards' tasks are computed by the same arithmetic. A task id seen twice
+    (recorded by two collectors) is a conservation bug and raises
+    :class:`ReportError`.
+    """
+    ordered = sorted(tasks, key=attrgetter("id"))
+    total = len(ordered)
+    completed = cancelled = missed = on_time = 0
+    wait_sum = 0.0
+    wait_n = 0
+    resp_sum = 0.0
+    resp_n = 0
+    makespan = 0.0
+    by_type_total: dict[str, int] = {}
+    by_type_done: dict[str, int] = {}
+    previous_id: int | None = None
+    for task in ordered:
+        task_id = task.id
+        if task_id == previous_id:
+            raise ReportError(f"task {task_id} recorded by multiple collectors")
+        previous_id = task_id
+        arrival = task.arrival_time
+        start = task.start_time
+        completion = task.completion_time
+        name = task.task_type.name
+        if start is not None:
+            wait_sum += start - arrival
+            wait_n += 1
+        if completion is not None:
+            resp_sum += completion - arrival
+            resp_n += 1
+            if completion > makespan:
                 makespan = completion
-            by_type_total[name] = by_type_total.get(name, 0) + 1
-            if status is TaskStatus.COMPLETED:
-                by_type_done[name] = by_type_done.get(name, 0) + 1
+        by_type_total[name] = by_type_total.get(name, 0) + 1
+        status = task.status
+        if status is TaskStatus.COMPLETED:
+            completed += 1
+            by_type_done[name] = by_type_done.get(name, 0) + 1
+            if completion is not None and completion <= task.deadline:
+                on_time += 1
+        elif status is TaskStatus.CANCELLED:
+            cancelled += 1
+        else:
+            missed += 1
 
-        idle_energy = sum(m.energy.idle_energy for m in cluster)
-        busy_energy = sum(m.energy.busy_energy for m in cluster)
-        total_energy = idle_energy + busy_energy
+    meters = [m.energy for m in machines]
+    idle_energy = sum(meter.idle_energy for meter in meters)
+    busy_energy = sum(meter.busy_energy for meter in meters)
+    total_energy = idle_energy + busy_energy
 
-        rate_by_type = {
-            name: by_type_done.get(name, 0) / count
-            for name, count in by_type_total.items()
-        }
-        fairness = (
-            jain_fairness(list(rate_by_type.values())) if rate_by_type else 1.0
-        )
+    rate_by_type = {
+        name: by_type_done.get(name, 0) / count
+        for name, count in by_type_total.items()
+    }
+    fairness = jain_fairness(list(rate_by_type.values())) if rate_by_type else 1.0
 
-        utils = [m.energy.utilization() for m in cluster]
-        return SummaryMetrics(
-            total_tasks=total,
-            completed=completed,
-            cancelled=cancelled,
-            missed=missed,
-            completion_rate=completed / total if total else 0.0,
-            cancellation_rate=cancelled / total if total else 0.0,
-            miss_rate=missed / total if total else 0.0,
-            on_time=on_time,
-            on_time_rate=on_time / total if total else 0.0,
-            makespan=makespan,
-            total_energy=total_energy,
-            idle_energy=idle_energy,
-            busy_energy=busy_energy,
-            energy_per_completed_task=(
-                total_energy / completed if completed else 0.0
-            ),
-            mean_wait_time=wait_sum / wait_n if wait_n else 0.0,
-            mean_response_time=resp_sum / resp_n if resp_n else 0.0,
-            throughput=completed / end_time if end_time > 0 else 0.0,
-            mean_utilization=sum(utils) / len(utils) if utils else 0.0,
-            completion_rate_by_type=rate_by_type,
-            fairness_index=fairness,
-        )
-
-    def reset(self) -> None:
-        self._tasks.clear()
-        self._seen.clear()
-        self._rows.clear()
-        self._completed = self._cancelled = self._missed = self._on_time = 0
+    utils = [meter.utilization() for meter in meters]
+    return SummaryMetrics(
+        total_tasks=total,
+        completed=completed,
+        cancelled=cancelled,
+        missed=missed,
+        completion_rate=completed / total if total else 0.0,
+        cancellation_rate=cancelled / total if total else 0.0,
+        miss_rate=missed / total if total else 0.0,
+        on_time=on_time,
+        on_time_rate=on_time / total if total else 0.0,
+        makespan=makespan,
+        total_energy=total_energy,
+        idle_energy=idle_energy,
+        busy_energy=busy_energy,
+        energy_per_completed_task=total_energy / completed if completed else 0.0,
+        mean_wait_time=wait_sum / wait_n if wait_n else 0.0,
+        mean_response_time=resp_sum / resp_n if resp_n else 0.0,
+        throughput=completed / end_time if end_time > 0 else 0.0,
+        mean_utilization=sum(utils) / len(utils) if utils else 0.0,
+        completion_rate_by_type=rate_by_type,
+        fairness_index=fairness,
+    )
 
 
 def _opt(value):

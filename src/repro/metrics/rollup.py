@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from ..tasks.task import TaskStatus
-from .collector import MetricsCollector, SummaryMetrics
+from .collector import MetricsCollector, SummaryMetrics, summarize
 from .energy import EnergyBreakdown, energy_breakdown
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,13 +42,15 @@ def global_summary(
     *,
     end_time: float,
 ) -> SummaryMetrics:
-    """Aggregate SummaryMetrics over every shard's tasks and machines."""
-    merged = MetricsCollector()
-    for collector in collectors:
-        merged.merge_from(collector)
-    # MetricsCollector.summary only iterates its cluster argument, so the
-    # federation's flat machine list substitutes for a Cluster.
-    return merged.summary(machines, end_time=end_time)  # type: ignore[arg-type]
+    """Aggregate SummaryMetrics over every shard's tasks and machines.
+
+    The shards' recorded tasks go through the same :func:`summarize` pass a
+    single cluster's summary uses. Shard task ids must be disjoint: a task
+    recorded by two collectors is a conservation bug and raises
+    :class:`~repro.core.errors.ReportError`.
+    """
+    tasks = [task for collector in collectors for task in collector.tasks()]
+    return summarize(tasks, machines, end_time=end_time)
 
 
 def global_energy(machines: Sequence["Machine"]) -> EnergyBreakdown:

@@ -42,16 +42,6 @@ class LiveTypeStats:
             return 1.0
         return self._on_time.get(task_type_name, 0) / finished
 
-    def finished(self, task_type_name: str) -> int:
-        return self._finished.get(task_type_name, 0)
-
-    def rates(self) -> dict[str, float]:
-        return {name: self.success_rate(name) for name in self._finished}
-
-    def reset(self) -> None:
-        self._on_time.clear()
-        self._finished.clear()
-
 
 @dataclass
 class SchedulingContext:

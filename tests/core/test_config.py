@@ -152,6 +152,27 @@ class TestJSON:
         assert data["queue_capacity"] is None
 
 
+class TestFromDictRejects:
+    """Malformed ``network``/``failure_model`` fields fail typed, at load time."""
+
+    @pytest.mark.parametrize(
+        "field,value,named",
+        [
+            ("network", {"M0": [1]}, "network"),
+            ("network", {"M0": "ab"}, "network"),
+            ("failure_model", {"mtbf": -1}, "failure_model.mttr"),
+            ("failure_model", {"mttr": 5}, "failure_model.mtbf"),
+        ],
+    )
+    def test_malformed_field(self, field, value, named):
+        from repro.scenarios import build_scenario
+
+        data = build_scenario("classroom_homogeneous").to_dict()
+        data[field] = value
+        with pytest.raises(ConfigurationError, match=named):
+            Scenario.from_dict(data)
+
+
 class TestDerivedScenarios:
     def test_with_scheduler(self, scenario_factory):
         derived = scenario_factory("MECT").with_scheduler("FCFS")

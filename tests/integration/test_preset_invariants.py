@@ -8,7 +8,11 @@ exact goldens to pin field by field:
 * the tree root's WAN attempts are exactly the offloaded tasks;
 * every task ends terminal without deadline drops too, and a run that
   loses a task raises;
-* every WAN link channel of a federated preset ends drained.
+* every WAN link channel of a federated preset ends drained;
+* on every preset, each collector's live counters and per-type on-time
+  rates equal a recount of its recorded tasks, every machine and WAN link
+  books non-negative energy, and no queueing link is busy for longer than
+  the run.
 
 The smaller federated presets are pinned exactly in
 ``test_golden_metrics.py``, which implies the same floors there: task
@@ -20,6 +24,7 @@ and ``test_migration_conservation``) and ``total_tasks == 420`` on
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -28,6 +33,7 @@ from repro.core.errors import SimulationStateError
 from repro.machines.eet_generation import generate_eet_cvb
 from repro.net.wan import _EPS_MB, TransferPhase
 from repro.scenarios import available_scenarios, build_scenario
+from repro.tasks.task import TaskStatus
 
 
 def _cvb_mect(machines_per_type):
@@ -130,6 +136,57 @@ def test_wan_channels_drain(ran, preset):
         assert channel._tick is None, channel.label
         assert channel._next_finish is None, channel.label
         assert abs(channel._queued_mb) < _EPS_MB, channel.label
+
+
+def _shards(simulator):
+    """The run's single-cluster engines: a federation's shards, or itself."""
+    return getattr(simulator, "shards", None) or [simulator]
+
+
+@pytest.mark.parametrize("preset", available_scenarios())
+def test_collector_counters_match_a_recount(ran, preset):
+    simulator, _ = ran(preset)
+    for shard in _shards(simulator):
+        collector = shard.collector
+        tasks = collector.tasks()
+        statuses = Counter(t.status for t in tasks)
+        assert collector.counts() == {
+            "completed": statuses[TaskStatus.COMPLETED],
+            "cancelled": statuses[TaskStatus.CANCELLED],
+            "missed": statuses[TaskStatus.MISSED],
+        }
+        finished: Counter[str] = Counter()
+        on_time: Counter[str] = Counter()
+        for t in tasks:
+            finished[t.task_type.name] += 1
+            on_time[t.task_type.name] += t.on_time
+        for name, count in finished.items():
+            assert collector.type_stats.success_rate(name) == (
+                on_time[name] / count
+            ), name
+
+
+@pytest.mark.parametrize("preset", available_scenarios())
+def test_energy_books_are_non_negative(ran, preset):
+    simulator, result = ran(preset)
+    for shard in _shards(simulator):
+        for machine in shard.cluster:
+            assert machine.energy.idle_energy >= 0.0, machine.name
+            assert machine.energy.busy_energy >= 0.0, machine.name
+    for label, usage in getattr(result, "wan_links", {}).items():
+        assert usage.transfer_energy >= 0.0, label
+        assert usage.active_energy >= 0.0, label
+        assert usage.idle_energy >= 0.0, label
+
+
+@pytest.mark.parametrize("preset", FEDERATED)
+def test_queueing_links_are_not_busy_past_the_run(ran, preset):
+    # A "none" link's busy time is the sum of its (overlapping) transfers'
+    # serialisation times, so only fifo/ps links are bounded by the run.
+    simulator, result = ran(preset)
+    for channel in simulator.wan._channels.values():
+        if channel.link.contention != "none":
+            assert channel.busy_time <= result.end_time, channel.label
 
 
 def _without_drops(preset):

@@ -1,9 +1,12 @@
 """Metrics collection and summary computation."""
 
+import random
+
 import pytest
 
 from repro.core.errors import ReportError
 from repro.metrics.collector import MetricsCollector
+from repro.metrics.rollup import global_summary
 from repro.tasks.task import DropStage, Task
 from repro.tasks.task_type import TaskType
 
@@ -60,12 +63,6 @@ class TestIngestion:
         collector.record_terminal(completed_task(5))
         collector.record_terminal(completed_task(2))
         assert [t.id for t in collector.tasks()] == [2, 5]
-
-    def test_reset(self):
-        collector = MetricsCollector()
-        collector.record_terminal(completed_task(0))
-        collector.reset()
-        assert collector.recorded == 0
 
 
 class TestTaskRecords:
@@ -153,3 +150,66 @@ class TestSummary:
         d = self._collector().summary(cluster_3x2, end_time=20.0).as_dict()
         assert d["completion_rate[T1]"] == 0.5
         assert "completion_rate_by_type" not in d
+
+
+def mixed_tasks(n=60, seed=7):
+    """Terminal tasks of both types with irregular float arrivals and times."""
+    rng = random.Random(seed)
+    tasks = []
+    for i in range(n):
+        task_type = (T1, T2)[i % 2]
+        arrival = rng.uniform(0.0, 50.0)
+        t = Task(id=i, task_type=task_type, arrival_time=arrival,
+                 deadline=arrival + rng.uniform(1.0, 30.0))
+        t.enqueue_batch()
+        if i % 5 == 4:
+            t.cancel(t.deadline)
+            tasks.append(t)
+            continue
+        t.assign(None, arrival)  # type: ignore[arg-type]
+        start = arrival + rng.uniform(0.0, 7.3)
+        t.start(start)
+        if i % 7 == 6:
+            t.miss(max(start, t.deadline), DropStage.EXECUTING)
+        else:
+            t.complete(start + rng.uniform(0.1, 11.9))
+        tasks.append(t)
+    return tasks
+
+
+class TestSummaryOrder:
+    def test_record_order_does_not_change_summary(self, cluster_3x2):
+        tasks = mixed_tasks()
+        in_order = MetricsCollector()
+        for t in tasks:
+            in_order.record_terminal(t)
+        shuffled = MetricsCollector()
+        for t in random.Random(3).sample(tasks, len(tasks)):
+            shuffled.record_terminal(t)
+        expected = in_order.summary(cluster_3x2, end_time=80.0)
+        assert expected.mean_wait_time > 0.0
+        assert expected.mean_response_time > expected.mean_wait_time
+        assert 0 < expected.on_time < expected.completed
+        assert shuffled.summary(cluster_3x2, end_time=80.0) == expected
+
+    def test_global_summary_matches_one_collector(self, cluster_3x2):
+        tasks = mixed_tasks()
+        whole = MetricsCollector()
+        halves = (MetricsCollector(), MetricsCollector())
+        for t in tasks:
+            whole.record_terminal(t)
+            halves[t.id % 3 == 0].record_terminal(t)
+        machines = list(cluster_3x2)
+        assert global_summary(
+            halves, machines, end_time=80.0
+        ) == whole.summary(cluster_3x2, end_time=80.0)
+
+    def test_task_in_two_collectors_rejected(self, cluster_3x2):
+        first, second = MetricsCollector(), MetricsCollector()
+        first.record_terminal(completed_task(0))
+        first.record_terminal(completed_task(1))
+        second.record_terminal(first.tasks()[1])
+        with pytest.raises(ReportError, match="multiple collectors"):
+            global_summary(
+                [first, second], list(cluster_3x2), end_time=10.0
+            )
