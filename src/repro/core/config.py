@@ -18,13 +18,13 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
 
-from ..machines.cluster import Cluster
+from ..machines.cluster import Cluster, check_machine_count
 from ..machines.eet import EETMatrix
 from ..machines.execution import execution_model_from_spec
 from ..machines.failures import FailureModel
-from ..machines.machine_queue import UNBOUNDED
+from ..machines.machine import UNBOUNDED
 from ..machines.power import PowerProfile
-from ..scheduling.base import Scheduler, SchedulingMode
+from ..scheduling.base import Scheduler
 from ..scheduling.overhead import SchedulingOverhead
 from ..scheduling.registry import create_scheduler
 from ..tasks.generator import TaskTypeSpec, WorkloadGenerator
@@ -59,8 +59,8 @@ class Scenario:
     scheduler_params:
         Keyword arguments for the policy constructor.
     queue_capacity:
-        Machine-queue capacity for batch mode (UNBOUNDED default; immediate
-        mode always forces UNBOUNDED).
+        Machine-queue capacity for batch mode (UNBOUNDED default). The
+        engine lifts it to UNBOUNDED under an immediate policy.
     workload:
         Explicit task trace; exactly one of ``workload``, ``generator``,
         ``trace`` must be set.
@@ -126,11 +126,11 @@ class Scenario:
             self.workload.validate_against_eet(self.eet)
         if self.federation is not None:
             totals = self.federation.total_machine_counts()
-            declared = {
-                name: int(count)
+            counts = {
+                name: check_machine_count(name, count)
                 for name, count in dict(self.machine_counts).items()
-                if int(count) > 0
             }
+            declared = {n: c for n, c in counts.items() if c > 0}
             partitioned = {n: c for n, c in totals.items() if c > 0}
             if declared != partitioned:
                 raise ConfigurationError(
@@ -237,11 +237,6 @@ class Scenario:
         if self.federation is not None:
             return self._build_federated_simulator(replication=replication)
         scheduler = self.build_scheduler()
-        queue_capacity = (
-            UNBOUNDED
-            if scheduler.mode is SchedulingMode.IMMEDIATE
-            else self.queue_capacity
-        )
         return Simulator(
             cluster=self.build_cluster(),
             workload=self.build_workload(replication=replication),
@@ -249,7 +244,6 @@ class Scenario:
             seed=derive_seed(self.seed, "simulation", replication),
             drop_on_deadline=self.drop_on_deadline,
             execution_model=execution_model_from_spec(self.execution_model),
-            queue_capacity=queue_capacity,
             enable_network=self.enable_network,
             failure_model=self.failure_model,
             scheduling_overhead=SchedulingOverhead.from_spec(

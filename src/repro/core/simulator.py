@@ -51,8 +51,7 @@ import numpy as np
 from ..machines.cluster import Cluster
 from ..machines.execution import DeterministicExecution, ExecutionTimeModel
 from ..machines.failures import FailureModel
-from ..machines.machine import Machine
-from ..machines.machine_queue import UNBOUNDED
+from ..machines.machine import UNBOUNDED, Machine
 from ..metrics.collector import MetricsCollector, SummaryMetrics
 from ..metrics.energy import EnergyBreakdown, energy_breakdown
 from ..metrics.records import RecordsSource
@@ -353,6 +352,9 @@ class ClusterCore:
             else SchedulingOverhead()
         )
 
+        # The one home of the capacity rule: the cluster keeps its built
+        # capacity unless one is passed, and immediate policies get unbounded
+        # queues.
         if queue_capacity is not None:
             if (
                 scheduler.mode is SchedulingMode.IMMEDIATE
@@ -629,14 +631,12 @@ class ClusterCore:
         """Start the machine's next task if possible; schedule its completion."""
         if machine.running is not None or not machine.queue:
             return  # busy or nothing queued: the common _apply case
-        head = machine.queue.peek()
-        runtime = None
-        if head is not None:
-            expected = machine.eet_for(head)
-            if self._deterministic_execution:
-                runtime = expected
-            else:
-                runtime = self.execution_model.sample(head, expected, self.rng)
+        head = machine.queue[0]
+        expected = machine.eet_for(head)
+        if self._deterministic_execution:
+            runtime = expected
+        else:
+            runtime = self.execution_model.sample(head, expected, self.rng)
         started = machine.start_next(self.clock._now, runtime)
         if started is not None:
             event = self.events.push(

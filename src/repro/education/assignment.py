@@ -23,7 +23,7 @@ from ..core.config import Scenario
 from ..core.errors import ConfigurationError
 from ..machines.eet import EETMatrix
 from ..machines.eet_generation import generate_eet_cvb
-from ..machines.machine_queue import UNBOUNDED
+from ..machines.machine import UNBOUNDED
 from ..metrics.stats import summarize
 from ..viz.barchart import GroupedBarChart
 

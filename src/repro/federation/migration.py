@@ -67,7 +67,6 @@ class Rebalancer:
         self.policy.reset()
         n = len(federation.shards)
         self._matrix = [[0] * n for _ in range(n)]
-        self.attempted = 0
         self.delivered = 0
         self.cancelled_in_flight = 0
         #: Task id → payload joules charged for that task's migration hops
@@ -200,7 +199,6 @@ class Rebalancer:
         # pressure (and the gateway's load signals) see the move instantly.
         source.routed -= 1
         destination.routed += 1
-        self.attempted += 1
         self._matrix[source.index][destination.index] += 1
         transfer = federation.wan.submit(
             task,
@@ -266,7 +264,7 @@ class Rebalancer:
         """The run's migration conservation + energy account."""
         return migration_stats(
             tasks,
-            attempted=self.attempted,
+            attempted=sum(map(sum, self._matrix)),
             delivered=self.delivered,
             cancelled_in_flight=self.cancelled_in_flight,
             wan_energy_by_task=self._wan_energy_by_task,

@@ -59,8 +59,7 @@ from ..machines.cluster import Cluster
 from ..machines.eet import EETMatrix
 from ..machines.execution import ExecutionTimeModel
 from ..machines.failures import FailureModel
-from ..machines.machine import Machine
-from ..machines.machine_queue import UNBOUNDED
+from ..machines.machine import UNBOUNDED, Machine
 from ..machines.power import PowerProfile
 from ..metrics.collector import SummaryMetrics
 from ..metrics.records import RecordsSource
@@ -217,13 +216,12 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
         )
 
         n = len(self.shards)
+        # Origin × destination gateway decisions; its off-diagonal cells are
+        # the WAN offloads. Per destination, offloads == delivered +
+        # cancelled in flight once the run drains (checked in _finish).
+        # Migrations keep their own account.
         self._routing = [[0] * n for _ in range(n)]
-        self._offloaded = 0
-        # Per-destination WAN conservation counters for gateway offloads:
-        # attempted == delivered + cancelled in flight once the run drains
-        # (checked in _finish). Migrations keep their own account.
         self._inflight_mb: list[float] = [0.0] * n
-        self._wan_attempted: list[int] = [0] * n
         self._wan_delivered: list[int] = [0] * n
         self._wan_cancelled: list[int] = [0] * n
         # WAN link channels: contention disciplines, per-link energy, and
@@ -451,8 +449,6 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
         if destination == origin:
             shard._on_arrival(task)
             return
-        self._offloaded += 1
-        self._wan_attempted[destination] += 1
         self._inflight_mb[destination] += task.task_type.data_in
         self._forward(task, self.route(origin, destination))
 
@@ -524,7 +520,7 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
                 f"out of {expected} across {len(self.shards)} clusters"
             )
         for i, shard in enumerate(self.shards):
-            attempted = self._wan_attempted[i]
+            attempted = self._wan_attempted(i)
             delivered = self._wan_delivered[i]
             cancelled = self._wan_cancelled[i]
             if attempted != delivered + cancelled:
@@ -569,7 +565,7 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
             summary=summary,
             per_cluster=per_cluster,
             routing=routing_table(keys, self._routing),
-            offloaded=self._offloaded,
+            offloaded=sum(map(self._wan_attempted, range(len(self.shards)))),
             wan_time_total=self._wan.total_time,
             records=RecordsSource(
                 [
@@ -591,6 +587,14 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
             tree=None if tree is None else self.tree_rollup(),
         )
 
+    def _wan_attempted(self, destination: int) -> int:
+        """Offloads routed to *destination*: its routing column off the diagonal."""
+        return sum(
+            row[destination]
+            for origin, row in enumerate(self._routing)
+            if origin != destination
+        )
+
     def _leaf_stats(self, index: int) -> dict[str, float]:
         """The per-cluster numbers the tree rollup aggregates."""
         shard = self.shards[index]
@@ -600,7 +604,7 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
             "completed": float(counts["completed"]),
             "missed": float(counts["missed"]),
             "cancelled": float(counts["cancelled"]),
-            "wan_attempted": float(self._wan_attempted[index]),
+            "wan_attempted": float(self._wan_attempted(index)),
             "wan_delivered": float(self._wan_delivered[index]),
             "wan_cancelled_in_flight": float(self._wan_cancelled[index]),
             "machines": float(len(shard.cluster.machines)),

@@ -15,8 +15,7 @@ from .execution import (
     execution_model_from_spec,
 )
 from .failures import FailureModel
-from .machine import Machine
-from .machine_queue import UNBOUNDED, MachineQueue
+from .machine import UNBOUNDED, Machine
 from .machine_type import MachineType
 from .power import EnergyMeter, PowerProfile
 
@@ -27,7 +26,6 @@ __all__ = [
     "make_consistency",
     "Machine",
     "MachineType",
-    "MachineQueue",
     "UNBOUNDED",
     "Cluster",
     "PowerProfile",

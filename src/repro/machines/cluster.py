@@ -8,6 +8,8 @@ machines), load snapshots and energy totals.
 
 from __future__ import annotations
 
+import math
+from numbers import Real
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -15,12 +17,21 @@ import numpy as np
 from ..core.errors import ConfigurationError
 from ..tasks.task import Task
 from .eet import EETMatrix
-from .machine import ClusterState, Machine
-from .machine_queue import UNBOUNDED
+from .machine import UNBOUNDED, ClusterState, Machine, check_queue_capacity
 from .machine_type import MachineType
 from .power import PowerProfile
 
-__all__ = ["Cluster", "ClusterState"]
+__all__ = ["Cluster", "ClusterState", "check_machine_count"]
+
+
+def check_machine_count(name: str, count: object) -> int:
+    """*count* as an int, if it is a non-negative integer (or integral float)."""
+    if isinstance(count, Real) and not isinstance(count, bool):
+        if math.isfinite(count) and count >= 0 and count == int(count):
+            return int(count)
+    raise ConfigurationError(
+        f"machine_counts[{name!r}] must be a non-negative integer, got {count!r}"
+    )
 
 
 class Cluster:
@@ -108,16 +119,14 @@ class Cluster:
                 raise ConfigurationError(
                     f"counts reference unknown machine types {sorted(unknown)}"
                 )
-            count_list = [int(counts.get(n, 0)) for n in names]
+            count_list = [check_machine_count(n, counts.get(n, 0)) for n in names]
         else:
             if len(counts) != len(names):
                 raise ConfigurationError(
                     f"counts sequence length {len(counts)} != machine types "
                     f"{len(names)}"
                 )
-            count_list = [int(c) for c in counts]
-        if any(c < 0 for c in count_list):
-            raise ConfigurationError("machine counts must be >= 0")
+            count_list = [check_machine_count(n, c) for n, c in zip(names, counts)]
         if sum(count_list) == 0:
             raise ConfigurationError("at least one machine is required")
 
@@ -464,14 +473,15 @@ class Cluster:
         return sum(m.energy.total_energy for m in self.machines)
 
     def set_queue_capacity(self, capacity: float) -> None:
-        """Re-create empty queues with a new capacity (pre-run configuration)."""
-        for i, m in enumerate(self.machines):
+        """Give every (empty) machine queue a new capacity (pre-run configuration)."""
+        capacity = check_queue_capacity(capacity)
+        for m in self.machines:
             if len(m.queue) or m.running is not None:
                 raise ConfigurationError(
                     "cannot change queue capacity while tasks are in flight"
                 )
-            m.queue = type(m.queue)(capacity)
-            self._state.slots[i] = float(m.queue.free_slots) if m.up else 0.0
+            m.queue_capacity = capacity
+            m.recount_slots()
 
     def free_slots_snapshot(self) -> np.ndarray:
         """Fresh free-slots-per-machine array (callers may mutate it)."""
@@ -490,7 +500,7 @@ class Cluster:
                 machine_id=m.id,
                 machine_type=m.machine_type,
                 eet=self.eet,
-                queue_capacity=m.queue.capacity,
+                queue_capacity=m.queue_capacity,
                 name=m.name,
             )
             for m in self.machines

@@ -15,22 +15,44 @@ Execution Time" matrix semantics call for.
 
 from __future__ import annotations
 
+import math
+from collections import deque
+from numbers import Real
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.errors import SimulationStateError
+from ..core.errors import ConfigurationError, SimulationStateError
 from ..memory.allocation import fits_in_memory, memory_in_use as _memory_in_use
 from ..tasks.task import Task
 from .eet import EETMatrix
-from .machine_queue import UNBOUNDED, MachineQueue
 from .machine_type import MachineType
 from .power import EnergyMeter
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.events import Event
 
-__all__ = ["ClusterState", "Machine"]
+__all__ = ["ClusterState", "Machine", "UNBOUNDED", "check_queue_capacity"]
+
+#: Sentinel machine-queue capacity meaning "no limit" (immediate-mode default).
+UNBOUNDED = math.inf
+
+
+def check_queue_capacity(capacity: object) -> float:
+    """*capacity* if it is a non-negative integer (or integral float) or UNBOUNDED.
+
+    "The machine queue size is limited to infinite for immediate policies,
+    but can be changed for batch policies" (Fig. 3).
+    """
+    if isinstance(capacity, Real) and not isinstance(capacity, bool):
+        if capacity == UNBOUNDED or (
+            math.isfinite(capacity) and capacity >= 0 and capacity == int(capacity)
+        ):
+            return capacity  # type: ignore[return-value]
+    raise ConfigurationError(
+        "queue_capacity must be a non-negative integer or UNBOUNDED, "
+        f"got {capacity!r}"
+    )
 
 
 class ClusterState:
@@ -45,7 +67,8 @@ class ClusterState:
     - ``finish_at``: the running task's finish time, 0.0 while idle.
     - ``queued_work``: Σ EET of the queued tasks, summed incrementally.
     - ``slots``: free queue slots as floats, 0.0 while down, inf when
-      unbounded; transitions move it by ±1.
+      unbounded; transitions move it by ±1 and ``Machine.recount_slots``
+      resets it. It is the only free-slot count admission reads.
     - ``up`` and ``n_down``: powered-on flags and the count of ``False``.
     """
 
@@ -60,7 +83,13 @@ class ClusterState:
 
 
 class Machine:
-    """One physical machine instance of a given machine type."""
+    """One physical machine instance of a given machine type.
+
+    ``queue`` is the FIFO of tasks waiting on the machine (the "machine
+    queue" boxes of Fig. 1). ``queue_capacity`` bounds it; it counts queued
+    tasks only, so the running task, which sits inside the machine as in
+    the paper's GUI, occupies no slot.
+    """
 
     def __init__(
         self,
@@ -85,7 +114,8 @@ class Machine:
             )
         else:  # standalone machine without an EET column; lookup() will raise
             self._eet_by_type_name = None
-        self.queue = MachineQueue(queue_capacity)
+        self.queue: deque[Task] = deque()
+        self.queue_capacity = check_queue_capacity(queue_capacity)
         self.running: Task | None = None
         self.completion_event: "Event | None" = None
         self.energy = EnergyMeter(machine_type.power)
@@ -95,8 +125,8 @@ class Machine:
         # Planning scalars live in a ClusterState row: a one-row state of
         # its own until a Cluster moves the machine into the shared one.
         self._state = ClusterState(1)
-        self._state.slots[0] = float(self.queue.free_slots)
         self._index = 0
+        self.recount_slots()
 
     # -- EET access -------------------------------------------------------------
 
@@ -121,11 +151,18 @@ class Machine:
         old, j = self._state, self._index
         state.finish_at[index] = old.finish_at[j]
         state.queued_work[index] = old.queued_work[j]
-        state.slots[index] = old.slots[j]
         if not old.up[j]:
             state.up[index] = False
             state.n_down += 1
         self._state, self._index = state, index
+        self.recount_slots()
+
+    def recount_slots(self) -> None:
+        """Set the free-slot count to ``queue_capacity - len(queue)`` (0.0 while down)."""
+        state, i = self._state, self._index
+        state.slots[i] = (
+            float(self.queue_capacity - len(self.queue)) if state.up[i] else 0.0
+        )
 
     # -- planning quantities ------------------------------------------------------
 
@@ -183,8 +220,13 @@ class Machine:
             raise SimulationStateError(
                 f"machine {self.name} is down; cannot enqueue task {task.id}"
             )
+        if state.slots[i] <= 0:
+            raise SimulationStateError(
+                f"machine {self.name}: queue saturated (capacity "
+                f"{self.queue_capacity}); cannot enqueue task {task.id}"
+            )
         task.assign(self, now)
-        self.queue.push(task)
+        self.queue.append(task)
         state.queued_work[i] += self.eet_for(task)
         state.slots[i] -= 1
 
@@ -197,9 +239,7 @@ class Machine:
         queued + running residents (memory extension, see
         :mod:`repro.memory.allocation`).
         """
-        if not self.up:
-            return False
-        if self.queue.is_full:
+        if self._state.slots[self._index] <= 0:  # full, or down (0.0 slots)
             return False
         if task is not None and self.machine_type.memory_capacity > 0:
             if not fits_in_memory(self, task):
@@ -219,14 +259,15 @@ class Machine:
         the completion event for ``run_finishes_at``.
         """
         state, i = self._state, self._index
-        if not state.up[i] or self.running is not None or not self.queue:
+        queue = self.queue
+        if not state.up[i] or self.running is not None or not queue:
             return None
-        head = self.queue.peek()
-        if head is not None and head.available_at is not None and head.available_at > now:
+        head = queue[0]
+        if head.available_at is not None and head.available_at > now:
             return None
         # Close the idle interval that just ended.
         self.energy.advance(now, busy=False)
-        task = self.queue.pop()
+        task = queue.popleft()
         eet = self.eet_for(task)
         state.queued_work[i] -= eet
         state.slots[i] += 1
@@ -263,13 +304,15 @@ class Machine:
 
     def drop_queued(self, task: Task) -> bool:
         """Remove a queued task (deadline miss while waiting). True if found."""
-        removed = self.queue.remove(task)
-        if removed:
-            state, i = self._state, self._index
-            state.queued_work[i] -= self.eet_for(task)
-            state.slots[i] += 1
-            self.missed_count += 1
-        return removed
+        try:
+            self.queue.remove(task)
+        except ValueError:
+            return False
+        state, i = self._state, self._index
+        state.queued_work[i] -= self.eet_for(task)
+        state.slots[i] += 1
+        self.missed_count += 1
+        return True
 
     def _detach_running(self, now: float) -> Task:
         if self.running is None:
@@ -301,7 +344,8 @@ class Machine:
             self.completion_event = None
         else:
             self.energy.advance(now, busy=False)
-        evicted.extend(self.queue.clear())
+        evicted.extend(self.queue)
+        self.queue.clear()
         self.failure_count += 1
         state, i = self._state, self._index
         state.finish_at[i] = 0.0
@@ -319,7 +363,7 @@ class Machine:
         state, i = self._state, self._index
         state.up[i] = True
         state.n_down -= 1
-        state.slots[i] = float(self.queue.free_slots)
+        self.recount_slots()
 
     def finalize_energy(self, now: float) -> None:
         """Close the trailing power interval at end of simulation."""

@@ -29,7 +29,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from ...net.wan import WanManager
     from ...tasks.task import Task
 
-__all__ = ["ShardView", "GatewayContext", "GatewayPolicy", "shard_pressure"]
+__all__ = [
+    "ShardView",
+    "GatewayContext",
+    "GatewayPolicy",
+    "shard_pressure",
+    "least_loaded_cluster",
+]
 
 
 @runtime_checkable
@@ -88,6 +94,22 @@ def shard_pressure(shard: ShardView) -> float:
     if alive <= 0:
         return float("inf")
     return shard.in_system / alive
+
+
+def least_loaded_cluster(ctx: "GatewayContext") -> int:
+    """Index of the least-pressure shard: the origin on ties, then the lowest."""
+    origin = ctx.origin
+    best = origin
+    best_pressure = shard_pressure(ctx.shards[origin])
+    for shard in ctx.shards:
+        if shard.index == origin:
+            continue
+        pressure = shard_pressure(shard)
+        if pressure < best_pressure or (
+            pressure == best_pressure and best != origin and shard.index < best
+        ):
+            best, best_pressure = shard.index, pressure
+    return best
 
 
 @dataclass

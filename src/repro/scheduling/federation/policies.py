@@ -25,7 +25,13 @@ from typing import Sequence
 import numpy as np
 
 from ...core.errors import ConfigurationError, SchedulingError
-from .base import GatewayContext, GatewayPolicy, ShardView, shard_pressure
+from .base import (
+    GatewayContext,
+    GatewayPolicy,
+    ShardView,
+    least_loaded_cluster,
+    shard_pressure,
+)
 from .registry import register_gateway
 
 __all__ = [
@@ -85,20 +91,7 @@ class LeastLoadedGateway(GatewayPolicy):
     description = "route every task to the least-loaded cluster"
 
     def choose_cluster(self, ctx: GatewayContext) -> int:
-        best = ctx.origin
-        best_pressure = shard_pressure(ctx.shards[best])
-        origin = ctx.origin
-        for shard in ctx.shards:
-            if shard.index == origin:
-                continue
-            pressure = shard_pressure(shard)
-            if pressure < best_pressure or (
-                pressure == best_pressure
-                and best != origin
-                and shard.index < best
-            ):
-                best, best_pressure = shard.index, pressure
-        return best
+        return least_loaded_cluster(ctx)
 
 
 @register_gateway(aliases=("EETREMOTE",))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ...core.errors import ConfigurationError
-from .base import GatewayContext, GatewayPolicy, shard_pressure
+from .base import GatewayContext, GatewayPolicy, least_loaded_cluster
 from .registry import register_gateway
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -71,7 +71,7 @@ class TreePressureGateway(GatewayPolicy):
     def choose_cluster(self, ctx: GatewayContext) -> int:
         view = ctx.hierarchy
         if view is None:
-            return self._choose_flat(ctx)
+            return least_loaded_cluster(ctx)
         tree = view.tree
         origin = ctx.origin
         node = tree.root
@@ -117,20 +117,3 @@ class TreePressureGateway(GatewayPolicy):
             + self.migration_weight * migrations
         )
         return load / alive
-
-    def _choose_flat(self, ctx: GatewayContext) -> int:
-        """Depth-1 degenerate walk: argmin leaf pressure, origin on ties."""
-        origin = ctx.origin
-        best = origin
-        best_pressure = shard_pressure(ctx.shards[origin])
-        for shard in ctx.shards:
-            if shard.index == origin:
-                continue
-            pressure = shard_pressure(shard)
-            if pressure < best_pressure or (
-                pressure == best_pressure
-                and best != origin
-                and shard.index < best
-            ):
-                best, best_pressure = shard.index, pressure
-        return best

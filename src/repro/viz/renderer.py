@@ -62,7 +62,7 @@ class SystemRenderer:
             running = f"▶ {self._tag(machine.running)}"
         else:
             running = "▷ idle"
-        cap = machine.queue.capacity
+        cap = machine.queue_capacity
         cap_str = "∞" if cap == float("inf") else str(int(cap))
         queue = self._queue_line(machine.queue, empty="·")
         return (

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import Scenario
 from repro.core.errors import ConfigurationError
-from repro.machines.machine_queue import UNBOUNDED
+from repro.machines import UNBOUNDED
 from repro.machines.power import PowerProfile
 
 
@@ -90,12 +90,12 @@ class TestBuilders:
     def test_immediate_mode_forces_unbounded(self, scenario_factory):
         scenario = scenario_factory("MECT", queue_capacity=3)
         sim = scenario.build_simulator()
-        assert all(m.queue.capacity == UNBOUNDED for m in sim.cluster)
+        assert all(m.queue_capacity == UNBOUNDED for m in sim.cluster)
 
     def test_batch_mode_uses_capacity(self, scenario_factory):
         scenario = scenario_factory("MM", queue_capacity=3)
         sim = scenario.build_simulator()
-        assert all(m.queue.capacity == 3 for m in sim.cluster)
+        assert all(m.queue_capacity == 3 for m in sim.cluster)
 
 
 class TestRun:
@@ -171,6 +171,41 @@ class TestFromDictRejects:
         data[field] = value
         with pytest.raises(ConfigurationError, match=named):
             Scenario.from_dict(data)
+
+
+class TestRunRejects:
+    """A bad queue capacity or machine count fails typed, naming its field."""
+
+    @staticmethod
+    def mutated(field, value, preset="classroom_homogeneous"):
+        from repro.scenarios import build_scenario
+
+        data = build_scenario(preset).to_dict()
+        if field == "machine_counts":
+            data[field][next(iter(data[field]))] = value
+        else:
+            data[field] = value
+        return Scenario.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field,value,preset",
+        [
+            ("queue_capacity", "x", "classroom_homogeneous"),
+            ("queue_capacity", float("nan"), "classroom_homogeneous"),
+            ("queue_capacity", True, "classroom_homogeneous"),
+            ("machine_counts", "two", "classroom_homogeneous"),
+            ("machine_counts", 1.5, "classroom_homogeneous"),
+            ("machine_counts", True, "classroom_homogeneous"),
+            ("machine_counts", "two", "geo_3site"),
+        ],
+    )
+    def test_malformed_field(self, field, value, preset):
+        with pytest.raises(ConfigurationError, match=field):
+            self.mutated(field, value, preset).run()
+
+    @pytest.mark.parametrize("field", ["queue_capacity", "machine_counts"])
+    def test_integral_float_accepted(self, field):
+        assert self.mutated(field, 2.0).run().summary.total_tasks > 0
 
 
 class TestDerivedScenarios:

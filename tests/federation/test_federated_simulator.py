@@ -204,7 +204,7 @@ class TestConservationAndAccounting:
         simulator = build_scenario(preset, duration=100.0).build_simulator()
         for _ in range(10):
             simulator.step()
-        simulator._wan_attempted[1] += 1
+        simulator._wan_delivered[1] += 1
         name = simulator.shards[1].name
         with pytest.raises(SimulationStateError, match=f"'{name}'"):
             simulator.run()

@@ -10,7 +10,9 @@ exact goldens to pin field by field:
   loses a task raises;
 * every WAN link channel of a federated preset ends drained;
 * on every preset, each collector's live counters and per-type on-time
-  rates equal a recount of its recorded tasks, every machine and WAN link
+  rates equal a recount of its recorded tasks, each machine's free queue
+  slots equal ``queue_capacity - len(queue)`` while up and 0.0 while
+  down, every machine and WAN link
   books non-negative energy, and no queueing link is busy for longer than
   the run.
 
@@ -164,6 +166,16 @@ def test_collector_counters_match_a_recount(ran, preset):
             assert collector.type_stats.success_rate(name) == (
                 on_time[name] / count
             ), name
+
+
+@pytest.mark.parametrize("preset", available_scenarios())
+def test_free_slots_match_a_recount(ran, preset):
+    simulator, _ = ran(preset)
+    for shard in _shards(simulator):
+        slots = shard.cluster.state.slots
+        for i, machine in enumerate(shard.cluster):
+            recount = float(machine.queue_capacity - len(machine.queue))
+            assert slots[i] == (recount if machine.up else 0.0), machine.name
 
 
 @pytest.mark.parametrize("preset", available_scenarios())

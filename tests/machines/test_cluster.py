@@ -122,7 +122,7 @@ class TestUtilities:
     def test_set_queue_capacity(self, eet_3x2):
         cluster = Cluster.build(eet_3x2, {"M1": 1, "M2": 1})
         cluster.set_queue_capacity(2)
-        assert all(m.queue.capacity == 2 for m in cluster)
+        assert all(m.queue_capacity == 2 for m in cluster)
 
     def test_set_queue_capacity_with_inflight_rejected(
         self, eet_3x2, task_types

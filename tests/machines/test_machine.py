@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.errors import SimulationStateError
+from repro.core.errors import ConfigurationError, SimulationStateError
 from repro.machines.eet import EETMatrix
-from repro.machines.machine import Machine
+from repro.machines.machine import UNBOUNDED, Machine
 from repro.machines.machine_type import MachineType
 from repro.machines.power import PowerProfile
 from repro.tasks.task import Task, TaskStatus
@@ -79,6 +79,96 @@ class TestPlanning:
         machine.start_next(0.0)
         machine.enqueue(new_task(types, 1), 0.0)
         assert machine.load == 2
+
+
+def slots(machine: Machine) -> float:
+    return machine._state.slots[machine._index]
+
+
+class TestQueue:
+    """The machine queue: a FIFO whose free slots live in ``ClusterState``."""
+
+    def bounded(self, setup, capacity):
+        types, machine = setup
+        return types, Machine(0, machine.machine_type, machine._eet, queue_capacity=capacity)
+
+    def test_unbounded_default(self, setup):
+        _, machine = setup
+        assert machine.queue_capacity == UNBOUNDED
+        assert slots(machine) == UNBOUNDED
+        assert machine.can_accept()
+
+    def test_bounded_slots_shrink_and_refill(self, setup):
+        types, machine = self.bounded(setup, 2)
+        assert slots(machine) == 2.0
+        machine.enqueue(new_task(types, 0), 0.0)
+        assert slots(machine) == 1.0
+        machine.start_next(0.0)
+        assert slots(machine) == 2.0
+
+    @pytest.mark.parametrize("capacity", [0, 2.0, 5])
+    def test_integral_capacities_accepted(self, setup, capacity):
+        _, machine = self.bounded(setup, capacity)
+        assert machine.queue_capacity == capacity
+        assert machine.can_accept() is (capacity > 0)
+
+    @pytest.mark.parametrize(
+        "capacity", [1.5, -1, float("nan"), -UNBOUNDED, True, "x", None]
+    )
+    def test_invalid_capacity_rejected(self, setup, capacity):
+        with pytest.raises(ConfigurationError, match="queue_capacity"):
+            self.bounded(setup, capacity)
+
+    def test_enqueue_onto_full_queue_raises(self, setup):
+        types, machine = self.bounded(setup, 1)
+        machine.enqueue(new_task(types, 0), 0.0)
+        assert not machine.can_accept()
+        refused = new_task(types, 1)
+        with pytest.raises(SimulationStateError, match="saturated"):
+            machine.enqueue(refused, 0.0)
+        assert refused.status is TaskStatus.IN_BATCH_QUEUE  # refused before assign
+        assert len(machine.queue) == 1
+        assert slots(machine) == 0.0
+
+    def test_zero_capacity_always_full(self, setup):
+        types, machine = self.bounded(setup, 0)
+        with pytest.raises(SimulationStateError):
+            machine.enqueue(new_task(types, 0), 0.0)
+
+    def test_fifo_order(self, setup):
+        types, machine = setup
+        tasks = [new_task(types, i) for i in range(3)]
+        for t in tasks:
+            machine.enqueue(t, 0.0)
+        assert machine.queue[0] is tasks[0]
+        assert tasks[1] in machine.queue
+        started = []
+        for now in (0.0, 4.0, 8.0):
+            if machine.running is not None:
+                machine.finish_running(now)
+            started.append(machine.start_next(now))
+        assert started == tasks
+
+    def test_drop_queued_keeps_the_others_in_order(self, setup):
+        types, machine = setup
+        tasks = [new_task(types, i) for i in range(3)]
+        for t in tasks:
+            machine.enqueue(t, 0.0)
+        assert machine.drop_queued(tasks[1])
+        assert list(machine.queue) == [tasks[0], tasks[2]]
+
+    def test_fail_evicts_running_first_then_queue_in_order(self, setup):
+        types, machine = self.bounded(setup, 3)
+        tasks = [new_task(types, i) for i in range(4)]
+        machine.enqueue(tasks[0], 0.0)
+        machine.start_next(0.0)
+        for t in tasks[1:]:
+            machine.enqueue(t, 0.0)
+        assert machine.fail(1.0) == tasks
+        assert len(machine.queue) == 0
+        assert slots(machine) == 0.0
+        machine.repair(2.0)
+        assert slots(machine) == 3.0
 
 
 class TestLifecycle:

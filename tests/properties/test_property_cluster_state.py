@@ -7,7 +7,8 @@ the machines themselves after every step:
 
 - ``finish_at``: the running task's ``start_time + execution_time``, 0.0
   while idle (exact);
-- ``slots``: ``queue.free_slots`` while up, 0.0 while down (exact);
+- ``slots``: ``queue_capacity - len(queue)`` while up, 0.0 while down
+  (exact);
 - ``up`` / ``n_down``: the test's own record of failed machines (exact);
 - ``queued_work``: Σ EET of the queued tasks. The store sums incrementally,
   in transition order, which is the pinned behaviour, so the fresh sum is
@@ -22,10 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import SimulationStateError
+from repro.machines import UNBOUNDED
 from repro.machines.cluster import Cluster
 from repro.machines.eet import EETMatrix
 from repro.machines.machine import Machine
-from repro.machines.machine_queue import UNBOUNDED
 from repro.machines.machine_type import MachineType
 from repro.tasks.task import Task
 from repro.tasks.task_type import TaskType
@@ -62,8 +63,8 @@ def check(cluster: Cluster, down: set[int]) -> None:
             task = m.running
             assert state.finish_at[i] == task.start_time + task.execution_time
             assert m.run_finishes_at == state.finish_at[i]
-        expected_slots = m.queue.free_slots if i not in down else 0.0
-        assert state.slots[i] == expected_slots
+        recount = float(m.queue_capacity - len(m.queue))
+        assert state.slots[i] == (recount if i not in down else 0.0)
         assert isinstance(state.slots[i], float)
         queued = sum(m.eet_for(t) for t in m.queue)
         assert math.isclose(state.queued_work[i], queued, abs_tol=1e-9)
@@ -92,7 +93,7 @@ def test_every_transition_writes_the_one_store(capacity, recapacity, script):
             task.enqueue_batch()
             if m.can_accept(task):
                 m.enqueue(task, now)
-            elif j in down:
+            else:  # down, or the queue is full
                 with pytest.raises(SimulationStateError):
                     m.enqueue(task, now)
         elif op == "start":

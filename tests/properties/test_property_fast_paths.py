@@ -34,9 +34,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError, EETError
+from repro.machines import UNBOUNDED
 from repro.machines.cluster import Cluster
 from repro.machines.eet import EETMatrix
-from repro.machines.machine_queue import UNBOUNDED
 from repro.machines.power import PowerProfile
 from repro.scheduling.base import (
     _LIST_PASS_CELLS,

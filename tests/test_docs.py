@@ -70,6 +70,27 @@ class TestDocsChecker:
         assert "#gone-section" in proc.stdout
         assert "#real-section" not in proc.stdout
 
+    def test_checker_catches_unresolved_repro_name(self, tmp_path):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "GUIDE.md").write_text(
+            "`repro.machines.Machine` lives in `repro.machines.nope`\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "README.md").write_text(">>> 1\n1\n", encoding="utf-8")
+        proc = subprocess.run(
+            [
+                sys.executable,
+                str(REPO / "tools" / "check_docs.py"),
+                "--root",
+                str(tmp_path),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "`repro.machines.nope` does not resolve" in proc.stdout
+        assert "`repro.machines.Machine`" not in proc.stdout
+
     def test_checker_validates_same_page_fragments(self, tmp_path):
         (tmp_path / "docs").mkdir()
         (tmp_path / "README.md").write_text(

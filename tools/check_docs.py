@@ -17,6 +17,10 @@ docs/ guides for the ``>>>`` snippets, whose *outputs* must match):
 3. Every fenced ```` ```python ```` block must at least *compile*. Blocks
    written as interactive sessions (``>>>``) are skipped here; doctest
    executes those for real.
+4. Every backticked dotted name ``repro.…`` in README.md and ``docs/``
+   must resolve: the longest importable module prefix is imported and the
+   rest looked up with ``getattr``, so a doc cannot name a module, class
+   or function the code no longer has.
 
 Usage::
 
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import doctest
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -36,6 +41,7 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 HEADING_RE = re.compile(r"^#{1,6}\s+(.+?)\s*$")
 MD_LINK_IN_HEADING_RE = re.compile(r"\[([^\]]*)\]\([^)]*\)")
+REPRO_NAME_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)`")
 
 SKIP_SCHEMES = ("http://", "https://", "mailto:")
 
@@ -144,6 +150,32 @@ def check_python_fences(path: Path, root: Path) -> list[str]:
     return errors
 
 
+def resolves(dotted: str) -> bool:
+    """Whether *dotted* names a module, or an attribute chain inside one."""
+    parts = dotted.split(".")
+    for k in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:k]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[k:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_repro_names(path: Path, root: Path) -> list[str]:
+    """Backticked ``repro.…`` names in one Markdown file that do not resolve."""
+    text = path.read_text(encoding="utf-8")
+    return [
+        f"{path.relative_to(root)}: `{name}` does not resolve"
+        for name in sorted(set(REPRO_NAME_RE.findall(text)))
+        if not resolves(name)
+    ]
+
+
 def count_doctests(path: Path) -> int:
     """Number of ``>>>`` examples doctest would run over this file."""
     parser = doctest.DocTestParser()
@@ -162,12 +194,20 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     root = args.root.resolve()
 
+    # Resolve names against the checked tree's package when it has one.
+    src = root / "src"
+    if not src.is_dir():
+        src = Path(__file__).resolve().parents[1] / "src"
+    sys.path.insert(0, str(src))
+
     errors: list[str] = []
     checked_links = 0
     anchor_cache: dict[Path, set[str]] = {}
     for path in markdown_files(root):
         errors += check_links(path, root, anchor_cache)
         errors += check_python_fences(path, root)
+        if path.name == "README.md" or path.parent != root:
+            errors += check_repro_names(path, root)
         checked_links += len(LINK_RE.findall(path.read_text(encoding="utf-8")))
 
     # The doctest gate only bites if the snippets exist: losing them all to
@@ -198,8 +238,8 @@ def main(argv: list[str] | None = None) -> int:
     files = markdown_files(root)
     print(
         f"OK: {len(files)} Markdown files, {checked_links} links checked "
-        "(files and #anchors), all python fences compile, doctest snippets "
-        "present"
+        "(files and #anchors), all python fences compile, repro names "
+        "resolve, doctest snippets present"
     )
     return 0
 
