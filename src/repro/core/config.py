@@ -11,14 +11,13 @@ consumes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from numbers import Real
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
 
-from ..machines.cluster import Cluster, check_machine_count
+from ..machines.cluster import Cluster
 from ..machines.eet import EETMatrix
 from ..machines.execution import execution_model_from_spec
 from ..machines.failures import FailureModel
@@ -27,11 +26,16 @@ from ..machines.power import PowerProfile
 from ..scheduling.base import Scheduler
 from ..scheduling.overhead import SchedulingOverhead
 from ..scheduling.registry import create_scheduler
-from ..tasks.generator import TaskTypeSpec, WorkloadGenerator
+from ..tasks.generator import (
+    TaskTypeSpec,
+    WorkloadGenerator,
+    oversubscription_for_level,
+)
 from ..tasks.task_type import TaskType
 from ..tasks.trace_io import TraceSpec, read_workload_csv
 from ..tasks.workload import Workload, WorkloadColumns
 from .errors import ConfigurationError
+from .fields import array, flag, integer, pair, real, record, text
 from .jsonio import load_json_source
 from .rng import derive_seed
 from .simulator import SimulationResult, Simulator
@@ -117,7 +121,11 @@ class Scenario:
                 "exactly one of 'workload', 'generator' or 'trace' must be "
                 f"provided, got {sources}"
             )
-        unknown = set(self.machine_counts) - set(self.eet.machine_type_names)
+        counts = {
+            name: integer(count, f"machine_counts[{name!r}]")
+            for name, count in record(self.machine_counts, "machine_counts").items()
+        }
+        unknown = set(counts) - set(self.eet.machine_type_names)
         if unknown:
             raise ConfigurationError(
                 f"machine_counts reference unknown machine types {sorted(unknown)}"
@@ -126,10 +134,6 @@ class Scenario:
             self.workload.validate_against_eet(self.eet)
         if self.federation is not None:
             totals = self.federation.total_machine_counts()
-            counts = {
-                name: check_machine_count(name, count)
-                for name, count in dict(self.machine_counts).items()
-            }
             declared = {n: c for n, c in counts.items() if c > 0}
             partitioned = {n: c for n, c in totals.items() if c > 0}
             if declared != partitioned:
@@ -195,13 +199,12 @@ class Scenario:
         self._workload_cache = (cache_key, WorkloadColumns.of(workload))
         return workload
 
-    def _generate_workload(self, replication: int) -> Workload:
-        """Sample the generator recipe's workload for *replication*."""
-        assert self.generator is not None
-        recipe = dict(self.generator)
+    def _generator(self) -> tuple[WorkloadGenerator, dict[str, Any]]:
+        """The generator recipe, checked: its generator and its other fields."""
+        recipe = record(self.generator, "generator", _RECIPE_KEYS)
         specs = [
-            TaskTypeSpec.from_dict(s) if isinstance(s, Mapping) else s
-            for s in recipe.get("specs", [])
+            s if isinstance(s, TaskTypeSpec) else TaskTypeSpec.from_dict(s)
+            for s in array(recipe.pop("specs", []), "generator.specs")
         ] or None
         gen = WorkloadGenerator(
             self.eet,
@@ -211,21 +214,25 @@ class Scenario:
                 for n in self.eet.machine_type_names
             ],
         )
+        oversubscription_for_level(recipe.setdefault("intensity", "medium"))
+        if "n_tasks" in recipe:
+            recipe["n_tasks"] = integer(recipe["n_tasks"], "generator.n_tasks", lo=1)
+        elif "duration" in recipe:
+            real(recipe["duration"], "generator.duration", above=0)
+        else:
+            raise ConfigurationError("generator recipe needs 'duration' or 'n_tasks'")
+        return gen, recipe
+
+    def _generate_workload(self, replication: int) -> Workload:
+        """Sample the generator recipe's workload for *replication*."""
+        gen, recipe = self._generator()
         seed = derive_seed(self.seed, "workload", replication)
         if "n_tasks" in recipe:
             return gen.generate_count(
-                recipe["n_tasks"],
-                intensity=recipe.get("intensity", "medium"),
-                seed=seed,
-            )
-        if "duration" not in recipe:
-            raise ConfigurationError(
-                "generator recipe needs 'duration' or 'n_tasks'"
+                recipe["n_tasks"], intensity=recipe["intensity"], seed=seed
             )
         return gen.generate(
-            recipe["duration"],
-            intensity=recipe.get("intensity", "medium"),
-            seed=seed,
+            recipe["duration"], intensity=recipe["intensity"], seed=seed
         )
 
     def build_scheduler(self) -> Scheduler:
@@ -283,12 +290,6 @@ class Scenario:
     ) -> "SimulationResult | FederatedSimulationResult":
         """Build and run once; the one-liner most experiments need."""
         return self.build_simulator(replication=replication).run()
-
-    def run_replications(self, n: int) -> list[SimulationResult]:
-        """Run *n* independent replications (seeds derived from the master)."""
-        if n <= 0:
-            raise ConfigurationError(f"need at least 1 replication, got {n}")
-        return [self.run(replication=i) for i in range(n)]
 
     # -- JSON round-trip ----------------------------------------------------------------
 
@@ -367,73 +368,83 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"scenario must be a JSON object, got {type(data).__name__}"
-            )
-        eet_spec = data["eet"]
-        task_types = [
-            TaskType(
-                name=t["name"],
-                index=i,
-                relative_deadline=t.get("relative_deadline"),
-                data_in=t.get("data_in", 0.0),
-                data_out=t.get("data_out", 0.0),
-                memory=t.get("memory", 0.0),
-            )
-            for i, t in enumerate(eet_spec["task_types"])
-        ]
-        eet = EETMatrix(
-            np.array(eet_spec["values"], dtype=float),
-            task_types,
-            eet_spec["machine_types"],
+        """Load the :meth:`to_dict` form; a malformed field fails naming its path.
+
+        Every key the document may hold is checked here, so a submission is
+        refused when it is loaded, not when its run reaches the bad field.
+        """
+        data = record(
+            data, "scenario", [f.name for f in fields(cls)],
+            ("eet", "machine_counts", "scheduler"),
         )
+        eet = _eet_from_dict(data["eet"])
         workload = None
         if data.get("workload") is not None:
             from ..tasks.trace_io import workload_from_rows
 
+            rows = record(data["workload"], "workload", ("tasks",), ("tasks",))
             workload = workload_from_rows(
-                data["workload"]["tasks"], task_types=task_types
+                array(rows["tasks"], "workload.tasks"), task_types=eet.task_types
             )
-        power = {
-            name: PowerProfile(
-                idle_watts=p.get("idle_watts", 0.0),
-                busy_watts=p.get("busy_watts", 0.0),
-                busy_watts_by_type=p.get("busy_watts_by_type", {}),
-            )
-            for name, p in data.get("power_profiles", {}).items()
-        }
-        capacity = data.get("queue_capacity")
         federation = None
         if data.get("federation") is not None:
             from ..federation.spec import FederationSpec
 
             federation = FederationSpec.from_dict(data["federation"])
-        return cls(
+        # Parsed here only to refuse a bad spec at load; the scenario keeps
+        # the spec dicts, which the engine parses again when it is built.
+        execution_model_from_spec(data.get("execution_model"))
+        SchedulingOverhead.from_spec(data.get("scheduling_overhead"))
+        capacity = data.get("queue_capacity")
+        seed = data.get("seed")
+        failure = data.get("failure_model")
+        scenario = cls(
             eet=eet,
             machine_counts=data["machine_counts"],
-            scheduler=data["scheduler"],
-            scheduler_params=data.get("scheduler_params", {}),
-            queue_capacity=UNBOUNDED if capacity is None else capacity,
+            scheduler=text(data["scheduler"], "scheduler"),
+            scheduler_params=record(
+                data.get("scheduler_params", {}), "scheduler_params"
+            ),
+            queue_capacity=(
+                UNBOUNDED
+                if capacity is None
+                else integer(capacity, "queue_capacity", unbounded=True)
+            ),
             workload=workload,
             generator=data.get("generator"),
             trace=data.get("trace"),
-            power_profiles=power,
-            seed=data.get("seed"),
-            drop_on_deadline=data.get("drop_on_deadline", True),
+            power_profiles={
+                name: _power_profile(p, f"power_profiles[{name!r}]")
+                for name, p in record(
+                    data.get("power_profiles", {}), "power_profiles"
+                ).items()
+            },
+            seed=None if seed is None else integer(seed, "seed"),
+            drop_on_deadline=flag(
+                data.get("drop_on_deadline", True), "drop_on_deadline"
+            ),
             execution_model=data.get("execution_model"),
-            enable_network=data.get("enable_network", False),
-            memory_capacities=data.get("memory_capacities", {}),
-            network=_number_pairs(data.get("network", {}), "network"),
+            enable_network=flag(data.get("enable_network", False), "enable_network"),
+            memory_capacities={
+                name: real(value, f"memory_capacities[{name!r}]", lo=0)
+                for name, value in record(
+                    data.get("memory_capacities", {}), "memory_capacities"
+                ).items()
+            },
+            network={
+                name: pair(value, f"network[{name!r}]")
+                for name, value in record(data.get("network", {}), "network").items()
+            },
             scheduling_overhead=data.get("scheduling_overhead"),
             federation=federation,
-            failure_model=(
-                None
-                if data.get("failure_model") is None
-                else _failure_model_from_dict(data["failure_model"])
-            ),
-            name=data.get("name", "scenario"),
+            failure_model=None if failure is None else _failure_model(failure),
+            name=text(data.get("name", "scenario"), "name"),
         )
+        if scenario.generator is not None:
+            gen, recipe = scenario._generator()
+            if "duration" in recipe:  # refuse a window too long to hold now
+                gen.check_window(recipe["duration"], recipe["intensity"])
+        return scenario
 
     def to_json(self, path: str | Path | None = None, *, indent: int = 2) -> str:
         text = json.dumps(self.to_dict(), indent=indent)
@@ -561,49 +572,57 @@ class Scenario:
         return replace(self, generator=recipe, name=f"{self.name}@{intensity}")
 
 
-def _number_pairs(spec: Any, where: str) -> dict[str, tuple[float, float]]:
-    """A ``{name: [a, b]}`` JSON object as name -> 2-tuple of numbers.
+#: Keys of a ``generator`` recipe and of an ``eet.task_types`` entry.
+_RECIPE_KEYS = ("duration", "intensity", "specs", "n_tasks")
+_TASK_TYPE_KEYS = ("name", "relative_deadline", "data_in", "data_out", "memory")
 
-    Anything else (a non-object, a value that is not a two-element list of
-    real numbers, a bool) raises a ConfigurationError naming ``where``.
-    """
-    if not isinstance(spec, Mapping):
+
+def _eet_from_dict(spec: Any) -> EETMatrix:
+    """The ``eet`` block: task types, machine types and a rectangular matrix."""
+    keys = ("task_types", "machine_types", "values")
+    spec = record(spec, "eet", keys, keys)
+    task_types = [
+        TaskType(index=i, **record(t, f"eet.task_types[{i}]", _TASK_TYPE_KEYS, ("name",)))
+        for i, t in enumerate(array(spec["task_types"], "eet.task_types"))
+    ]
+    rows = [
+        [real(v, f"eet.values[{i}][{j}]") for j, v in enumerate(array(row, f"eet.values[{i}]"))]
+        for i, row in enumerate(array(spec["values"], "eet.values"))
+    ]
+    if len({len(row) for row in rows}) > 1:
         raise ConfigurationError(
-            f"{where} must be a JSON object, got {type(spec).__name__}"
+            f"eet.values must be rectangular, got row lengths {[len(r) for r in rows]}"
         )
-    pairs: dict[str, tuple[float, float]] = {}
-    for name, value in spec.items():
-        if not (
-            isinstance(value, (list, tuple))
-            and len(value) == 2
-            and all(_is_real(v) for v in value)
-        ):
-            raise ConfigurationError(
-                f"{where}[{name!r}] must be a list of two numbers, got {value!r}"
-            )
-        pairs[name] = (value[0], value[1])
-    return pairs
+    machine_types = [
+        text(name, f"eet.machine_types[{j}]")
+        for j, name in enumerate(array(spec["machine_types"], "eet.machine_types"))
+    ]
+    return EETMatrix(np.array(rows, dtype=float), task_types, machine_types)
 
 
-def _failure_model_from_dict(spec: Any) -> FailureModel:
-    """The ``failure_model`` JSON object, or a ConfigurationError naming the field."""
-    if not isinstance(spec, Mapping):
-        raise ConfigurationError(
-            f"failure_model must be a JSON object, got {type(spec).__name__}"
-        )
-    for key in ("mtbf", "mttr"):
-        if not _is_real(spec.get(key)):
-            raise ConfigurationError(
-                f"failure_model.{key} must be a number, got {spec.get(key)!r}"
-            )
-    return FailureModel(
-        mtbf=spec["mtbf"],
-        mttr=spec["mttr"],
-        per_machine_type=_number_pairs(
-            spec.get("per_machine_type", {}), "failure_model.per_machine_type"
-        ),
+def _power_profile(spec: Any, path: str) -> PowerProfile:
+    """One ``power_profiles`` entry, each wattage checked under *path*."""
+    spec = record(spec, path, ("idle_watts", "busy_watts", "busy_watts_by_type"))
+    by_type = record(spec.get("busy_watts_by_type", {}), f"{path}.busy_watts_by_type")
+    return PowerProfile(
+        idle_watts=real(spec.get("idle_watts", 0.0), f"{path}.idle_watts", lo=0),
+        busy_watts=real(spec.get("busy_watts", 0.0), f"{path}.busy_watts", lo=0),
+        busy_watts_by_type={
+            name: real(watts, f"{path}.busy_watts_by_type[{name!r}]", lo=0)
+            for name, watts in by_type.items()
+        },
     )
 
 
-def _is_real(value: Any) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
+def _failure_model(spec: Any) -> FailureModel:
+    """The ``failure_model`` object; FailureModel itself checks the signs."""
+    spec = record(spec, "failure_model", ("mtbf", "mttr", "per_machine_type"))
+    overrides = record(spec.get("per_machine_type", {}), "failure_model.per_machine_type")
+    return FailureModel(
+        mtbf=real(spec.get("mtbf"), "failure_model.mtbf"),
+        mttr=real(spec.get("mttr"), "failure_model.mttr"),
+        per_machine_type={
+            name: pair(value, f"failure_model.per_machine_type[{name!r}]")
+            for name, value in overrides.items()
+        },
+    )

@@ -35,7 +35,7 @@ def load_json_source(
     ):
         try:
             text = Path(source).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             raise ConfigurationError(
                 f"cannot read {what} {source!s}: {exc}"
             ) from exc
@@ -43,5 +43,5 @@ def load_json_source(
         text = source
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also over-long ints
         raise ConfigurationError(f"{what} is not valid JSON: {exc}") from exc

@@ -635,6 +635,10 @@ class ClusterCore:
         expected = machine.eet_for(head)
         if self._deterministic_execution:
             runtime = expected
+        elif not machine.up or (
+            head.available_at is not None and head.available_at > self.clock._now
+        ):
+            return  # start_next would refuse the head: a draw now would be lost
         else:
             runtime = self.execution_model.sample(head, expected, self.rng)
         started = machine.start_next(self.clock._now, runtime)

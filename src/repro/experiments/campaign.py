@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import inspect
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from ..core.errors import ConfigurationError
+from ..core.fields import array, integer, record, text
 from ..core.jsonio import load_json_source
 from ..core.rng import derive_seed
 from ..scenarios import scenario_factory
@@ -54,6 +55,11 @@ class ScenarioRef:
     overrides: Mapping[str, Any] = field(default_factory=dict)
     label: str | None = None
 
+    def __post_init__(self) -> None:
+        text(self.name, "scenario reference name")
+        if self.label is not None:
+            text(self.label, f"scenario {self.name!r}.label")
+
     @property
     def effective_label(self) -> str:
         return self.label or self.name
@@ -78,10 +84,13 @@ class ScenarioRef:
                 raise ConfigurationError(
                     f"scenario reference {dict(value)!r} needs a 'name'"
                 )
+            ref = record(value, "scenario reference", [f.name for f in fields(cls)])
             return cls(
-                name=value["name"],
-                overrides=dict(value.get("overrides", {})),
-                label=value.get("label"),
+                name=ref["name"],
+                overrides=record(
+                    ref.get("overrides", {}), f"scenario {ref['name']!r}.overrides"
+                ),
+                label=ref.get("label"),
             )
         raise ConfigurationError(
             f"cannot interpret {value!r} as a scenario reference"
@@ -143,29 +152,37 @@ class CampaignSpec:
     name: str = "campaign"
 
     def __post_init__(self) -> None:
-        self.scenarios = [ScenarioRef.coerce(s) for s in self.scenarios]
+        self.scenarios = [
+            ScenarioRef.coerce(s) for s in array(self.scenarios, "campaign.scenarios")
+        ]
         # Canonicalise policy names (case/alias) so scheduler_params lookup,
         # reports and CSV columns all show registry names.
         self.schedulers = [
-            scheduler_class(str(s)).name for s in self.schedulers
+            scheduler_class(text(s, f"campaign.schedulers[{i}]")).name
+            for i, s in enumerate(array(self.schedulers, "campaign.schedulers"))
         ]
         self.scheduler_params = {
-            scheduler_class(str(k)).name: dict(v)
-            for k, v in self.scheduler_params.items()
+            scheduler_class(k).name: record(v, f"campaign.scheduler_params[{k!r}]")
+            for k, v in record(
+                self.scheduler_params, "campaign.scheduler_params"
+            ).items()
         }
         try:
-            self.seeds = [int(s) for s in self.seeds]
-            self.seed = int(self.seed)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"campaign seeds must be integers: {exc}"
-            ) from exc
-        if self.seed < 0 or any(s < 0 for s in self.seeds):
             # derive_seed feeds numpy's SeedSequence, which rejects negatives
+            self.seeds = [
+                integer(s, f"seeds[{i}]")
+                for i, s in enumerate(array(self.seeds, "seeds"))
+            ]
+            self.seed = integer(self.seed, "seed")
+        except ConfigurationError as exc:
             raise ConfigurationError(
-                "campaign seeds must be non-negative integers"
-            )
-        self.metrics = [str(m) for m in self.metrics]
+                f"campaign seeds must be non-negative integers: {exc}"
+            ) from None
+        self.metrics = [
+            text(m, f"campaign.metrics[{i}]")
+            for i, m in enumerate(array(self.metrics, "campaign.metrics"))
+        ]
+        self.name = text(self.name, "campaign.name")
         self.validate()
 
     def validate(self) -> None:
@@ -242,26 +259,8 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"campaign spec must be a JSON object, got {type(data).__name__}"
-            )
-        try:
-            scenarios = data["scenarios"]
-            schedulers = data["schedulers"]
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"campaign spec is missing required key {exc.args[0]!r}"
-            ) from None
-        return cls(
-            scenarios=scenarios,
-            schedulers=schedulers,
-            seeds=data.get("seeds", (0,)),
-            seed=data.get("seed", 0),
-            scheduler_params=data.get("scheduler_params", {}),
-            metrics=data.get("metrics", DEFAULT_METRICS),
-            name=data.get("name", "campaign"),
-        )
+        keys = [f.name for f in fields(cls)]
+        return cls(**record(data, "campaign spec", keys, ("scenarios", "schedulers")))
 
     def to_json(self, path: str | Path | None = None, *, indent: int = 2) -> str:
         text = json.dumps(self.to_dict(), indent=indent)

@@ -10,11 +10,11 @@ a federated experiment stays a reproducible artifact.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
 from ..core.errors import ConfigurationError
+from ..core.fields import array, integer, real, record, text
 from ..net.topology import InterClusterTopology, Link
 
 __all__ = ["ClusterSpec", "MigrationSpec", "RegionSpec", "FederationSpec"]
@@ -70,33 +70,19 @@ class MigrationSpec:
     low_watermark: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.policy:
-            raise ConfigurationError("migration policy must be non-empty")
-        if not self.interval > 0:
-            raise ConfigurationError(
-                f"migration interval must be > 0, got {self.interval}"
-            )
-        if self.pressure_gap < 0:
-            raise ConfigurationError(
-                f"pressure_gap must be >= 0, got {self.pressure_gap}"
-            )
-        if self.batch_max < 1:
-            raise ConfigurationError(
-                f"batch_max must be >= 1, got {self.batch_max}"
-            )
-        if self.min_queue < 1:
-            raise ConfigurationError(
-                f"min_queue must be >= 1, got {self.min_queue}"
-            )
+        self.policy = text(self.policy, "migration.policy")
+        self.policy_params = record(self.policy_params, "migration.policy_params")
+        self.interval = real(self.interval, "migration.interval", above=0)
+        self.pressure_gap = real(self.pressure_gap, "migration.pressure_gap", lo=0)
+        self.batch_max = integer(self.batch_max, "migration.batch_max", lo=1)
+        self.min_queue = integer(self.min_queue, "migration.min_queue", lo=1)
         if (self.high_watermark is None) != (self.low_watermark is None):
             raise ConfigurationError(
                 "high_watermark and low_watermark must be set together"
             )
         if self.high_watermark is not None and self.low_watermark is not None:
-            if self.low_watermark < 0:
-                raise ConfigurationError(
-                    f"low_watermark must be >= 0, got {self.low_watermark}"
-                )
+            self.high_watermark = real(self.high_watermark, "migration.high_watermark")
+            self.low_watermark = real(self.low_watermark, "migration.low_watermark", lo=0)
             if self.high_watermark < self.low_watermark:
                 raise ConfigurationError(
                     f"high_watermark ({self.high_watermark}) must be >= "
@@ -121,37 +107,7 @@ class MigrationSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MigrationSpec":
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"migration spec must be a JSON object, got "
-                f"{type(data).__name__}"
-            )
-        unknown = set(data) - {
-            "policy",
-            "policy_params",
-            "interval",
-            "pressure_gap",
-            "batch_max",
-            "min_queue",
-            "high_watermark",
-            "low_watermark",
-        }
-        if unknown:
-            raise ConfigurationError(
-                f"migration spec has unknown key(s) {sorted(unknown)}"
-            )
-        high = data.get("high_watermark")
-        low = data.get("low_watermark")
-        return cls(
-            policy=str(data.get("policy", "LONGEST_WAIT")),
-            policy_params=dict(data.get("policy_params", {})),
-            interval=float(data.get("interval", 20.0)),
-            pressure_gap=float(data.get("pressure_gap", 1.0)),
-            batch_max=int(data.get("batch_max", 4)),
-            min_queue=int(data.get("min_queue", 2)),
-            high_watermark=None if high is None else float(high),
-            low_watermark=None if low is None else float(low),
-        )
+        return cls(**record(data, "migration", [f.name for f in fields(cls)]))
 
 
 @dataclass
@@ -191,35 +147,40 @@ class ClusterSpec:
     uplink: Link | None = None
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("cluster name must be non-empty")
+        self.name = text(self.name, "cluster.name")
+        path = f"cluster {self.name!r}"
         if "->" in self.name:
             # '->' is the serialised topology-link separator ("src->dst");
             # allowing it in a name would break the JSON round-trip.
             raise ConfigurationError(
                 f"cluster name {self.name!r} must not contain '->'"
             )
+        self.machine_counts = {
+            name: integer(count, f"{path}.machine_counts[{name!r}]")
+            for name, count in record(
+                self.machine_counts, f"{path}.machine_counts"
+            ).items()
+        }
         if not self.machine_counts:
             raise ConfigurationError(
                 f"cluster {self.name!r} needs at least one machine type"
             )
-        counts = {str(k): int(v) for k, v in self.machine_counts.items()}
-        if any(c < 0 for c in counts.values()):
-            raise ConfigurationError(
-                f"cluster {self.name!r}: machine counts must be >= 0"
-            )
-        if sum(counts.values()) == 0:
+        if sum(self.machine_counts.values()) == 0:
             raise ConfigurationError(
                 f"cluster {self.name!r} needs at least one machine"
             )
-        self.machine_counts = counts
-        if not (math.isfinite(self.weight) and self.weight >= 0):
-            raise ConfigurationError(
-                f"cluster {self.name!r}: weight must be finite and >= 0, "
-                f"got {self.weight}"
+        if self.scheduler is not None:
+            text(self.scheduler, f"{path}.scheduler")
+        self.scheduler_params = record(
+            self.scheduler_params, f"{path}.scheduler_params"
+        )
+        if self.queue_capacity is not None:
+            self.queue_capacity = integer(
+                self.queue_capacity, f"{path}.queue_capacity", unbounded=True
             )
+        self.weight = real(self.weight, f"{path}.weight", lo=0)
         if self.uplink is not None and not isinstance(self.uplink, Link):
-            self.uplink = Link.from_spec(self.uplink)
+            self.uplink = Link.from_spec(self.uplink, f"{path}.uplink")
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready form (omits unset optional fields)."""
@@ -240,23 +201,8 @@ class ClusterSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ClusterSpec":
-        try:
-            name = data["name"]
-            machine_counts = data["machine_counts"]
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"cluster spec is missing required key {exc.args[0]!r}"
-            ) from None
-        uplink = data.get("uplink")
-        return cls(
-            name=str(name),
-            machine_counts=dict(machine_counts),
-            scheduler=data.get("scheduler"),
-            scheduler_params=dict(data.get("scheduler_params", {})),
-            queue_capacity=data.get("queue_capacity"),
-            weight=float(data.get("weight", 1.0)),
-            uplink=None if uplink is None else Link.from_spec(uplink),
-        )
+        keys = [f.name for f in fields(cls)]
+        return cls(**record(data, "cluster", keys, ("name", "machine_counts")))
 
 
 @dataclass
@@ -288,15 +234,17 @@ class RegionSpec:
     uplink: Link | None = None
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("region name must be non-empty")
-        self.children = [_coerce_node(c) for c in self.children]
+        self.name = text(self.name, "region.name")
+        path = f"region {self.name!r}"
+        self.children = [
+            _coerce_node(c) for c in array(self.children, f"{path}.children")
+        ]
         if not self.children:
             raise ConfigurationError(
                 f"region {self.name!r} needs at least one child node"
             )
         if self.uplink is not None and not isinstance(self.uplink, Link):
-            self.uplink = Link.from_spec(self.uplink)
+            self.uplink = Link.from_spec(self.uplink, f"{path}.uplink")
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready form (child leaves keep their ClusterSpec shape)."""
@@ -310,23 +258,8 @@ class RegionSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RegionSpec":
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"region spec must be a JSON object, got {type(data).__name__}"
-            )
-        try:
-            name = data["name"]
-            children = data["children"]
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"region spec is missing required key {exc.args[0]!r}"
-            ) from None
-        uplink = data.get("uplink")
-        return cls(
-            name=str(name),
-            children=[_coerce_node(c) for c in children],
-            uplink=None if uplink is None else Link.from_spec(uplink),
-        )
+        keys = [f.name for f in fields(cls)]
+        return cls(**record(data, "region", keys, ("name", "children")))
 
 
 def _coerce_node(data: Any) -> "RegionSpec | ClusterSpec":
@@ -404,14 +337,18 @@ class FederationSpec:
     def __post_init__(self) -> None:
         self.clusters = [
             c if isinstance(c, ClusterSpec) else ClusterSpec.from_dict(c)
-            for c in self.clusters
+            for c in array(self.clusters, "federation.clusters")
         ]
+        self.gateway = text(self.gateway, "federation.gateway")
+        self.gateway_params = record(self.gateway_params, "federation.gateway_params")
         if self.migration is not None and not isinstance(
             self.migration, MigrationSpec
         ):
             self.migration = MigrationSpec.from_dict(self.migration)
         if self.children is not None:
-            self.children = [_coerce_node(c) for c in self.children]
+            self.children = [
+                _coerce_node(c) for c in array(self.children, "federation.children")
+            ]
             self._validate_tree()
         if not self.clusters:
             raise ConfigurationError("a federation needs at least one cluster")
@@ -549,33 +486,18 @@ class FederationSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FederationSpec":
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"federation spec must be a JSON object, got "
-                f"{type(data).__name__}"
-            )
-        children = data.get("children")
-        if children is None and "clusters" not in data:
+        spec = record(data, "federation", [f.name for f in fields(cls)])
+        if spec.get("children") is None and "clusters" not in spec:
             raise ConfigurationError(
                 "federation spec is missing required key 'clusters' "
                 "(or 'children' for a hierarchical federation)"
             )
-        clusters = data.get("clusters", [])
-        topology = data.get("topology")
-        migration = data.get("migration")
+        topology = spec.pop("topology", None)
         return cls(
-            clusters=[ClusterSpec.from_dict(c) for c in clusters],
-            gateway=str(data.get("gateway", "LEAST_LOADED")),
-            gateway_params=dict(data.get("gateway_params", {})),
             topology=(
                 InterClusterTopology()
                 if topology is None
-                else InterClusterTopology.from_dict(topology)
+                else InterClusterTopology.from_dict(topology, "federation.topology")
             ),
-            migration=(
-                None if migration is None else MigrationSpec.from_dict(migration)
-            ),
-            children=(
-                None if children is None else [_coerce_node(c) for c in children]
-            ),
+            **spec,
         )

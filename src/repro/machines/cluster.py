@@ -8,30 +8,19 @@ machines), load snapshots and energy totals.
 
 from __future__ import annotations
 
-import math
-from numbers import Real
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..core.errors import ConfigurationError
+from ..core.fields import integer
 from ..tasks.task import Task
 from .eet import EETMatrix
-from .machine import UNBOUNDED, ClusterState, Machine, check_queue_capacity
+from .machine import UNBOUNDED, ClusterState, Machine
 from .machine_type import MachineType
 from .power import PowerProfile
 
-__all__ = ["Cluster", "ClusterState", "check_machine_count"]
-
-
-def check_machine_count(name: str, count: object) -> int:
-    """*count* as an int, if it is a non-negative integer (or integral float)."""
-    if isinstance(count, Real) and not isinstance(count, bool):
-        if math.isfinite(count) and count >= 0 and count == int(count):
-            return int(count)
-    raise ConfigurationError(
-        f"machine_counts[{name!r}] must be a non-negative integer, got {count!r}"
-    )
+__all__ = ["Cluster", "ClusterState"]
 
 
 class Cluster:
@@ -119,14 +108,15 @@ class Cluster:
                 raise ConfigurationError(
                     f"counts reference unknown machine types {sorted(unknown)}"
                 )
-            count_list = [check_machine_count(n, counts.get(n, 0)) for n in names]
-        else:
-            if len(counts) != len(names):
-                raise ConfigurationError(
-                    f"counts sequence length {len(counts)} != machine types "
-                    f"{len(names)}"
-                )
-            count_list = [check_machine_count(n, c) for n, c in zip(names, counts)]
+            counts = [counts.get(n, 0) for n in names]
+        elif len(counts) != len(names):
+            raise ConfigurationError(
+                f"counts sequence length {len(counts)} != machine types "
+                f"{len(names)}"
+            )
+        count_list = [
+            integer(c, f"machine_counts[{n!r}]") for n, c in zip(names, counts)
+        ]
         if sum(count_list) == 0:
             raise ConfigurationError("at least one machine is required")
 
@@ -474,7 +464,7 @@ class Cluster:
 
     def set_queue_capacity(self, capacity: float) -> None:
         """Give every (empty) machine queue a new capacity (pre-run configuration)."""
-        capacity = check_queue_capacity(capacity)
+        capacity = integer(capacity, "queue_capacity", unbounded=True)
         for m in self.machines:
             if len(m.queue) or m.running is not None:
                 raise ConfigurationError(

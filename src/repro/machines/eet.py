@@ -164,25 +164,6 @@ class EETMatrix:
             np.allclose(self._matrix, self._matrix[:, [0]], rtol=rel_tol, atol=0.0)
         )
 
-    def is_consistent(self) -> bool:
-        """Consistent heterogeneity: machine speed order identical for all rows.
-
-        (Ali et al. 2000: machine A faster than B on one task type ⇒ faster on
-        all task types.)
-        """
-        order = np.argsort(self._matrix, axis=1, kind="stable")
-        return bool((order == order[0]).all())
-
-    def heterogeneity_cov(self) -> tuple[float, float]:
-        """(task CoV, machine CoV): coefficients of variation along each axis."""
-        task_cov = float(
-            np.mean(self._matrix.std(axis=0) / self._matrix.mean(axis=0))
-        )
-        machine_cov = float(
-            np.mean(self._matrix.std(axis=1) / self._matrix.mean(axis=1))
-        )
-        return task_cov, machine_cov
-
     # -- construction helpers --------------------------------------------------------
 
     @classmethod
@@ -202,10 +183,6 @@ class EETMatrix:
             list(task_type_names),
             machine_type_names,
         )
-
-    def with_task_types(self, task_types: Sequence[TaskType]) -> "EETMatrix":
-        """Rebind rows to richer TaskType objects (deadlines, footprints)."""
-        return EETMatrix(self._matrix.copy(), task_types, self._machine_names)
 
     # -- CSV I/O -----------------------------------------------------------------------
 

@@ -19,6 +19,7 @@ import abc
 import numpy as np
 
 from ..core.errors import ConfigurationError
+from ..core.fields import real, record, text
 from ..tasks.task import Task
 
 __all__ = [
@@ -62,9 +63,7 @@ class LognormalExecution(ExecutionTimeModel):
     kind = "lognormal"
 
     def __init__(self, sigma: float = 0.25) -> None:
-        if sigma < 0:
-            raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
-        self.sigma = float(sigma)
+        self.sigma = real(sigma, "execution_model.sigma", lo=0)
 
     def sample(self, task: Task, eet: float, rng: np.random.Generator) -> float:
         if self.sigma == 0:
@@ -79,9 +78,7 @@ class GammaExecution(ExecutionTimeModel):
     kind = "gamma"
 
     def __init__(self, cov: float = 0.25) -> None:
-        if cov < 0:
-            raise ConfigurationError(f"cov must be >= 0, got {cov}")
-        self.cov = float(cov)
+        self.cov = real(cov, "execution_model.cov", lo=0)
 
     def sample(self, task: Task, eet: float, rng: np.random.Generator) -> float:
         if self.cov == 0:
@@ -103,12 +100,12 @@ def execution_model_from_spec(spec: dict | None) -> ExecutionTimeModel:
     """Build an execution model from a JSON-style spec (None ⇒ deterministic)."""
     if spec is None:
         return DeterministicExecution()
-    kind = spec.get("kind", "deterministic").lower()
+    kwargs = record(spec, "execution_model")
+    kind = text(kwargs.pop("kind", "deterministic"), "execution_model.kind").lower()
     if kind not in _MODELS:
         raise ConfigurationError(
             f"unknown execution model {kind!r}; available: {sorted(_MODELS)}"
         )
-    kwargs = {k: v for k, v in spec.items() if k != "kind"}
     try:
         return _MODELS[kind](**kwargs)
     except TypeError as exc:

@@ -83,8 +83,3 @@ class FailureModel:
         """Draw the next DOWN duration for *machine*."""
         _, mttr = self.parameters_for(machine)
         return float(rng.exponential(mttr))
-
-    def expected_availability(self, machine: "Machine") -> float:
-        """Steady-state fraction of time *machine* is up."""
-        mtbf, mttr = self.parameters_for(machine)
-        return mtbf / (mtbf + mttr)

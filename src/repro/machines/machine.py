@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from numbers import Real
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.errors import ConfigurationError, SimulationStateError
+from ..core.errors import SimulationStateError
+from ..core.fields import integer
 from ..memory.allocation import fits_in_memory, memory_in_use as _memory_in_use
 from ..tasks.task import Task
 from .eet import EETMatrix
@@ -32,27 +32,10 @@ from .power import EnergyMeter
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.events import Event
 
-__all__ = ["ClusterState", "Machine", "UNBOUNDED", "check_queue_capacity"]
+__all__ = ["ClusterState", "Machine", "UNBOUNDED"]
 
 #: Sentinel machine-queue capacity meaning "no limit" (immediate-mode default).
 UNBOUNDED = math.inf
-
-
-def check_queue_capacity(capacity: object) -> float:
-    """*capacity* if it is a non-negative integer (or integral float) or UNBOUNDED.
-
-    "The machine queue size is limited to infinite for immediate policies,
-    but can be changed for batch policies" (Fig. 3).
-    """
-    if isinstance(capacity, Real) and not isinstance(capacity, bool):
-        if capacity == UNBOUNDED or (
-            math.isfinite(capacity) and capacity >= 0 and capacity == int(capacity)
-        ):
-            return capacity  # type: ignore[return-value]
-    raise ConfigurationError(
-        "queue_capacity must be a non-negative integer or UNBOUNDED, "
-        f"got {capacity!r}"
-    )
 
 
 class ClusterState:
@@ -115,7 +98,9 @@ class Machine:
         else:  # standalone machine without an EET column; lookup() will raise
             self._eet_by_type_name = None
         self.queue: deque[Task] = deque()
-        self.queue_capacity = check_queue_capacity(queue_capacity)
+        self.queue_capacity = integer(
+            queue_capacity, "queue_capacity", unbounded=True
+        )
         self.running: Task | None = None
         self.completion_event: "Event | None" = None
         self.energy = EnergyMeter(machine_type.power)

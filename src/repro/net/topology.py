@@ -15,12 +15,11 @@ every pair routes through one hub (:meth:`InterClusterTopology.from_star`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Any, Iterable, Mapping
 
 from ..core.errors import ConfigurationError
+from ..core.fields import flag, real, record, text
 from .crosstraffic import DiurnalTraffic, MmppTraffic, cross_traffic_from_spec
 
 __all__ = ["Link", "StarTopology", "InterClusterTopology", "CONTENTION_MODES"]
@@ -75,11 +74,7 @@ class Link:
 
     def __post_init__(self) -> None:
         for key in _NUMERIC_FIELDS:
-            value = getattr(self, key)
-            if not (_is_number(value) and math.isfinite(value) and value >= 0):
-                raise ConfigurationError(
-                    f"link {key} must be a finite number >= 0, got {value!r}"
-                )
+            real(getattr(self, key), f"link.{key}", lo=0)
         if self.contention not in CONTENTION_MODES:
             raise ConfigurationError(
                 f"contention must be one of {CONTENTION_MODES}, "
@@ -153,41 +148,21 @@ class Link:
             out["cross_traffic"] = self.cross_traffic.to_spec()
         return out
 
-    _SPEC_KEYS = frozenset(
-        ("latency", "bandwidth", "contention", "energy_per_mb",
-         "idle_watts", "busy_watts", "cross_traffic")
-    )
-
     @classmethod
-    def from_spec(cls, spec: Any) -> "Link":
+    def from_spec(cls, spec: Any, path: str = "link") -> "Link":
         """Inverse of :meth:`to_spec` (accepts both forms)."""
-        if isinstance(spec, Mapping):
-            unknown = set(spec) - cls._SPEC_KEYS
-            if unknown:
+        if not isinstance(spec, Mapping):
+            if not isinstance(spec, (list, tuple)) or len(spec) != 2:
                 raise ConfigurationError(
-                    f"unknown link spec key(s) {sorted(unknown)}; "
-                    f"allowed: {sorted(cls._SPEC_KEYS)}"
+                    f"{path} must be [latency, bandwidth] or a mapping, got {spec!r}"
                 )
-            raw_traffic = spec.get("cross_traffic")
-            return cls(
-                contention=str(spec.get("contention", "none")),
-                cross_traffic=(
-                    None
-                    if raw_traffic is None
-                    else cross_traffic_from_spec(raw_traffic)
-                ),
-                **{
-                    key: _spec_number(spec.get(key, 0.0), key)
-                    for key in _NUMERIC_FIELDS
-                },
-            )
-        if not isinstance(spec, (list, tuple)) or len(spec) != 2:
-            raise ConfigurationError(
-                "link spec must be [latency, bandwidth] or a mapping, "
-                f"got {spec!r}"
-            )
+            spec = dict(zip(("latency", "bandwidth"), spec))
+        spec = record(spec, path, (*_NUMERIC_FIELDS, "contention", "cross_traffic"))
+        traffic = spec.pop("cross_traffic", None)
         return cls(
-            _spec_number(spec[0], "latency"), _spec_number(spec[1], "bandwidth")
+            contention=text(spec.pop("contention", "none"), f"{path}.contention"),
+            cross_traffic=None if traffic is None else cross_traffic_from_spec(traffic),
+            **{key: real(v, f"{path}.{key}", lo=0) for key, v in spec.items()},
         )
 
 
@@ -195,17 +170,6 @@ class Link:
 _NUMERIC_FIELDS = (
     "latency", "bandwidth", "energy_per_mb", "idle_watts", "busy_watts"
 )
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
-
-
-def _spec_number(value: Any, key: str) -> float:
-    """One numeric link-spec field as a float, or a ConfigurationError."""
-    if not _is_number(value):
-        raise ConfigurationError(f"link {key} must be a number, got {value!r}")
-    return float(value)
 
 
 @dataclass
@@ -436,17 +400,22 @@ class InterClusterTopology:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "InterClusterTopology":
+    def from_dict(
+        cls, data: Mapping[str, Any], path: str = "topology"
+    ) -> "InterClusterTopology":
+        data = record(data, path, ("links", "default", "symmetric"))
         links: dict[tuple[str, str], Link] = {}
-        for key, value in dict(data.get("links", {})).items():
-            src, sep, dst = str(key).partition("->")
+        for key, value in record(data.get("links", {}), f"{path}.links").items():
+            src, sep, dst = key.partition("->")
             if not sep or not src or not dst:
                 raise ConfigurationError(
                     f"inter-cluster link key must be 'src->dst', got {key!r}"
                 )
-            links[(src, dst)] = Link.from_spec(value)
+            links[(src, dst)] = Link.from_spec(value, f"{path}.links[{key!r}]")
         return cls(
             links=links,
-            default=Link.from_spec(data.get("default", [0.0, 0.0])),
-            symmetric=bool(data.get("symmetric", True)),
+            default=Link.from_spec(
+                data.get("default", [0.0, 0.0]), f"{path}.default"
+            ),
+            symmetric=flag(data.get("symmetric", True), f"{path}.symmetric"),
         )

@@ -15,11 +15,10 @@ cost grows with the backlog — exactly the trade-off the paper describes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Real
 
 from ..core.errors import ConfigurationError
+from ..core.fields import real, record
 
 __all__ = ["SchedulingOverhead"]
 
@@ -40,18 +39,8 @@ class SchedulingOverhead:
     per_cell: float = 0.0
 
     def __post_init__(self) -> None:
-        for key in ("per_pass", "per_cell"):
-            value = getattr(self, key)
-            if not (
-                isinstance(value, Real)
-                and not isinstance(value, bool)
-                and math.isfinite(value)
-                and value >= 0
-            ):
-                raise ConfigurationError(
-                    f"overhead {key} must be a finite number >= 0, "
-                    f"got {value!r}"
-                )
+        real(self.per_pass, "scheduling_overhead.per_pass", lo=0)
+        real(self.per_cell, "scheduling_overhead.per_cell", lo=0)
 
     @property
     def is_free(self) -> bool:
@@ -70,17 +59,4 @@ class SchedulingOverhead:
     def from_spec(cls, spec: dict | None) -> "SchedulingOverhead":
         if spec is None:
             return cls()
-        if not isinstance(spec, dict):
-            raise ConfigurationError(
-                f"scheduling overhead must map per_pass/per_cell to "
-                f"numbers, got {spec!r}"
-            )
-        unknown = set(spec) - {"per_pass", "per_cell"}
-        if unknown:
-            raise ConfigurationError(
-                f"scheduling overhead has unknown key(s) {sorted(unknown)}"
-            )
-        return cls(
-            per_pass=spec.get("per_pass", 0.0),
-            per_cell=spec.get("per_cell", 0.0),
-        )
+        return cls(**record(spec, "scheduling_overhead", ("per_pass", "per_cell")))

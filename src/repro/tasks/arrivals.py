@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.errors import ConfigurationError
+from ..core.fields import real, record, text
 from ..core.rng import make_rng
 
 __all__ = [
@@ -280,14 +281,13 @@ def arrival_process_from_spec(spec: dict) -> ArrivalProcess:
 
     Example: ``{"kind": "poisson", "rate": 2.5}``.
     """
-    if "kind" not in spec:
-        raise ConfigurationError(f"arrival spec missing 'kind': {spec}")
-    kind = spec["kind"].lower()
+    kwargs = record(spec, "arrival", required=("kind",))
+    kind = text(kwargs.pop("kind"), "arrival.kind").lower()
+    kwargs = {name: real(value, f"arrival.{name}") for name, value in kwargs.items()}
     if kind not in _PROCESS_KINDS:
         raise ConfigurationError(
             f"unknown arrival kind {kind!r}; available: {sorted(_PROCESS_KINDS)}"
         )
-    kwargs = {k: v for k, v in spec.items() if k != "kind"}
     try:
         return _PROCESS_KINDS[kind](**kwargs)
     except TypeError as exc:

@@ -22,12 +22,13 @@ specs. Two pieces reproduce the class-assignment methodology of §4:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..core.errors import ConfigurationError
+from ..core.fields import real, record, text
 from ..core.rng import make_rng, spawn
 from ..machines.eet import EETMatrix
 from .arrivals import ArrivalProcess, PoissonProcess, arrival_process_from_spec
@@ -39,6 +40,11 @@ __all__ = [
     "INTENSITY_LEVELS",
     "oversubscription_for_level",
 ]
+
+#: Most tasks a generated workload may hold. A window whose expected count
+#: (Σ rate × duration) is larger is refused before any array is sized: a
+#: mistyped duration would otherwise ask NumPy for hundreds of GiB.
+MAX_EXPECTED_TASKS = 1_000_000
 
 #: Canonical oversubscription ratios for the class-assignment intensity labels.
 INTENSITY_LEVELS: dict[str, float] = {"low": 0.5, "medium": 1.0, "high": 2.0}
@@ -54,9 +60,7 @@ def oversubscription_for_level(level: str | float) -> float:
                 f"unknown intensity level {level!r}; "
                 f"known: {sorted(INTENSITY_LEVELS)} or a positive float"
             ) from None
-    if level <= 0:
-        raise ConfigurationError(f"intensity ratio must be positive, got {level}")
-    return float(level)
+    return real(level, "intensity", above=0)
 
 
 @dataclass
@@ -84,21 +88,16 @@ class TaskTypeSpec:
     slack_factor: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.share <= 0:
-            raise ConfigurationError(f"share must be positive, got {self.share}")
-        if self.slack_factor <= 0:
-            raise ConfigurationError(
-                f"slack_factor must be positive, got {self.slack_factor}"
-            )
+        path = f"generator spec {text(self.name, 'generator spec name')!r}"
+        self.share = real(self.share, f"{path}.share", above=0)
+        self.slack_factor = real(self.slack_factor, f"{path}.slack_factor", above=0)
 
     @classmethod
     def from_dict(cls, spec: Mapping) -> "TaskTypeSpec":
-        arrival = spec.get("arrival")
+        spec = record(spec, "generator spec", [f.name for f in fields(cls)], ("name",))
+        arrival = spec.pop("arrival", None)
         return cls(
-            name=spec["name"],
-            arrival=arrival_process_from_spec(arrival) if arrival else None,
-            share=spec.get("share", 1.0),
-            slack_factor=spec.get("slack_factor", 4.0),
+            arrival=arrival_process_from_spec(arrival) if arrival else None, **spec
         )
 
 
@@ -186,6 +185,29 @@ class WorkloadGenerator:
 
     # -- generation ---------------------------------------------------------------
 
+    def check_window(
+        self, duration: float, intensity: str | float
+    ) -> tuple[float, dict[str, float]]:
+        """The ratio and calibrated rates, once a window of *duration* is known to fit.
+
+        Refuses a duration that is not a positive number, or whose expected
+        task count (Σ rate × duration) exceeds ``MAX_EXPECTED_TASKS``, before
+        anything is drawn or sized.
+        """
+        real(duration, "generator.duration", above=0)
+        ratio = oversubscription_for_level(intensity)
+        rates = self.rates_for_oversubscription(ratio)
+        expected = duration * sum(
+            rates[s.name] if s.arrival is None else s.arrival.mean_rate() * ratio
+            for s in self.specs
+        )
+        if expected > MAX_EXPECTED_TASKS:
+            raise ConfigurationError(
+                f"generator.duration {duration} expects about {expected:.3g} "
+                f"tasks, more than the {MAX_EXPECTED_TASKS} a workload may hold"
+            )
+        return ratio, rates
+
     def generate(
         self,
         duration: float,
@@ -215,11 +237,8 @@ class WorkloadGenerator:
         start: float,
     ) -> tuple[list[int], list[float], list[float]]:
         """Draw one window's (type index, arrival, deadline) columns."""
-        if duration <= 0:
-            raise ConfigurationError(f"duration must be positive, got {duration}")
-        ratio = oversubscription_for_level(intensity)
+        ratio, calibrated = self.check_window(duration, intensity)
         streams = spawn(rng, len(self.specs))
-        calibrated = self.rates_for_oversubscription(ratio)
 
         type_indices: list[int] = []
         arrivals: list[float] = []

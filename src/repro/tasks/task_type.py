@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.errors import ConfigurationError
+from ..core.fields import integer, real, text
 
 __all__ = ["TaskType"]
 
@@ -48,23 +49,12 @@ class TaskType:
     memory: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("task type name must be non-empty")
-        if self.index < 0:
-            raise ConfigurationError(
-                f"task type {self.name!r}: index must be >= 0, got {self.index}"
-            )
-        if self.relative_deadline is not None and self.relative_deadline <= 0:
-            raise ConfigurationError(
-                f"task type {self.name!r}: relative_deadline must be positive, "
-                f"got {self.relative_deadline}"
-            )
+        path = f"task type {text(self.name, 'task type name')!r}"
+        integer(self.index, f"{path}.index")
+        if self.relative_deadline is not None:
+            real(self.relative_deadline, f"{path}.relative_deadline", above=0)
         for attr in ("data_in", "data_out", "memory"):
-            value = getattr(self, attr)
-            if value < 0:
-                raise ConfigurationError(
-                    f"task type {self.name!r}: {attr} must be >= 0, got {value}"
-                )
+            real(getattr(self, attr), f"{path}.{attr}", lo=0)
 
     def __str__(self) -> str:
         return self.name

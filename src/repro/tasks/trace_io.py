@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from ..core.errors import ConfigurationError, WorkloadError
+from ..core.fields import integer, pair, real, record, text
 from ..core.rng import derive_seed, make_rng
 from .task import Task
 from .task_type import TaskType
@@ -306,39 +307,37 @@ class TraceSpec:
     max_tasks: int | None = None
 
     def __post_init__(self) -> None:
+        text(self.path, "trace.path")
+        self.columns = {
+            role: text(column, f"trace.columns[{role!r}]")
+            for role, column in record(self.columns, "trace.columns").items()
+        }
         unknown_roles = set(self.columns) - set(_CANONICAL)
         if unknown_roles:
             raise ConfigurationError(
                 f"trace column mapping has unknown roles {sorted(unknown_roles)}; "
                 f"canonical roles: {list(_CANONICAL)}"
             )
-        if self.time_unit <= 0:
-            raise ConfigurationError(
-                f"trace time_unit must be > 0, got {self.time_unit}"
-            )
-        if self.time_scale <= 0:
-            raise ConfigurationError(
-                f"trace time_scale must be > 0, got {self.time_scale}"
-            )
+        self.time_unit = real(self.time_unit, "trace.time_unit", above=0)
+        if self.time_offset is not None:
+            self.time_offset = real(self.time_offset, "trace.time_offset")
+        self.time_scale = real(self.time_scale, "trace.time_scale", above=0)
         if self.window is not None:
-            start, end = self.window
-            if not start < end:
+            self.window = pair(self.window, "trace.window")
+            if not self.window[0] < self.window[1]:
                 raise ConfigurationError(
                     f"trace window must satisfy start < end, got {self.window}"
                 )
-            self.window = (float(start), float(end))
-        if not 0.0 < self.sample <= 1.0:
-            raise ConfigurationError(
-                f"trace sample fraction must be in (0, 1], got {self.sample}"
+        if self.bin_column is not None:
+            text(self.bin_column, "trace.bin_column")
+        self.slack_factor = real(self.slack_factor, "trace.slack_factor", above=0)
+        if self.default_relative_deadline is not None:
+            self.default_relative_deadline = real(
+                self.default_relative_deadline, "trace.default_relative_deadline", above=0
             )
-        if self.max_tasks is not None and self.max_tasks <= 0:
-            raise ConfigurationError(
-                f"trace max_tasks must be > 0, got {self.max_tasks}"
-            )
-        if self.slack_factor <= 0:
-            raise ConfigurationError(
-                f"trace slack_factor must be > 0, got {self.slack_factor}"
-            )
+        self.sample = real(self.sample, "trace.sample", above=0, hi=1)
+        if self.max_tasks is not None:
+            self.max_tasks = integer(self.max_tasks, "trace.max_tasks", lo=1)
 
     # -- source access -------------------------------------------------------
 
@@ -606,64 +605,4 @@ class TraceSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "TraceSpec":
         if isinstance(data, TraceSpec):
             return data
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"trace spec must be a mapping, got {type(data).__name__}"
-            )
-        payload = dict(data)
-        known = {
-            "path",
-            "columns",
-            "time_unit",
-            "time_offset",
-            "window",
-            "time_scale",
-            "bin_column",
-            "slack_factor",
-            "default_relative_deadline",
-            "sample",
-            "max_tasks",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(
-                f"trace spec has unknown keys {sorted(unknown)}; "
-                f"known: {sorted(known)}"
-            )
-        if "path" not in payload:
-            raise ConfigurationError("trace spec needs a 'path'")
-        window = payload.get("window")
-        if window is not None:
-            window = (float(window[0]), float(window[1]))
-        return cls(
-            path=str(payload["path"]),
-            columns={
-                str(k): str(v)
-                for k, v in dict(payload.get("columns", {})).items()
-            },
-            time_unit=float(payload.get("time_unit", 1.0)),
-            time_offset=(
-                None
-                if payload.get("time_offset") is None
-                else float(payload["time_offset"])
-            ),
-            window=window,
-            time_scale=float(payload.get("time_scale", 1.0)),
-            bin_column=(
-                None
-                if payload.get("bin_column") is None
-                else str(payload["bin_column"])
-            ),
-            slack_factor=float(payload.get("slack_factor", 1.0)),
-            default_relative_deadline=(
-                None
-                if payload.get("default_relative_deadline") is None
-                else float(payload["default_relative_deadline"])
-            ),
-            sample=float(payload.get("sample", 1.0)),
-            max_tasks=(
-                None
-                if payload.get("max_tasks") is None
-                else int(payload["max_tasks"])
-            ),
-        )
+        return cls(**record(data, "trace", [f.name for f in fields(cls)], ("path",)))

@@ -1,5 +1,7 @@
 """Scenario configuration: validation, builders, JSON round-trips."""
 
+import json
+
 import pytest
 
 from repro.core.config import Scenario
@@ -103,15 +105,10 @@ class TestRun:
         result = scenario_factory().run()
         assert result.summary.total_tasks > 0
 
-    def test_run_replications(self, scenario_factory):
-        results = scenario_factory().run_replications(3)
-        assert len(results) == 3
-        totals = {r.summary.total_tasks for r in results}
-        assert len(totals) > 1  # independent workload draws
-
-    def test_zero_replications_rejected(self, scenario_factory):
-        with pytest.raises(ConfigurationError):
-            scenario_factory().run_replications(0)
+    def test_replications_draw_independent_workloads(self, scenario_factory):
+        scenario = scenario_factory()
+        totals = {scenario.run(replication=i).summary.total_tasks for i in range(3)}
+        assert len(totals) > 1
 
 
 class TestJSON:
@@ -152,8 +149,21 @@ class TestJSON:
         assert data["queue_capacity"] is None
 
 
+def mutated_preset(preset, field, value):
+    """*preset*'s JSON form with the ``/``-separated *field* set to *value*."""
+    from repro.scenarios import build_scenario
+
+    data = json.loads(json.dumps(build_scenario(preset).to_dict()))
+    *parents, last = field.split("/")
+    node = data
+    for key in parents:
+        node = node[int(key) if isinstance(node, list) else key]
+    node[int(last) if isinstance(node, list) else last] = value
+    return data
+
+
 class TestFromDictRejects:
-    """Malformed ``network``/``failure_model`` fields fail typed, at load time."""
+    """A malformed field fails typed at load time, naming its path."""
 
     @pytest.mark.parametrize(
         "field,value,named",
@@ -162,15 +172,72 @@ class TestFromDictRejects:
             ("network", {"M0": "ab"}, "network"),
             ("failure_model", {"mtbf": -1}, "failure_model.mttr"),
             ("failure_model", {"mttr": 5}, "failure_model.mtbf"),
+            ("generator/duration", float("nan"), "generator.duration"),
+            ("generator/duration", 1e12, "generator.duration"),
+            ("seed", "abc", "seed"),
+            ("seed", -1, "seed"),
+            ("seed", 1.5, "seed"),
+            ("eet/values/1", [20.0, 20.0], r"eet\.values"),
+            ("eet/values/1/0", "x", r"eet\.values\[1\]\[0\]"),
+            ("memory_capacities", {"M0": "x"}, r"memory_capacities\['M0'\]"),
+            ("execution_model", "x", "execution_model"),
+            ("eet/task_types/0/relative_deadline", "x", "relative_deadline"),
+            ("drop_on_deadline", "no", "drop_on_deadline"),
+            ("power_profiles", {"M0": {"idle": "x"}}, r"power_profiles\['M0'\].*idle"),
+            ("power_profiles", {"M0": {"idel_watts": 5.0}}, "idel_watts"),
+            ("colour", "blue", r"unknown keys \['colour'\]"),
+            (
+                "generator/specs",
+                [{"name": "T1", "arrival": {"kind": "poisson", "rate": float("nan")}}],
+                r"arrival\.rate",
+            ),
         ],
     )
     def test_malformed_field(self, field, value, named):
-        from repro.scenarios import build_scenario
-
-        data = build_scenario("classroom_homogeneous").to_dict()
-        data[field] = value
+        data = mutated_preset("classroom_homogeneous", field, value)
         with pytest.raises(ConfigurationError, match=named):
             Scenario.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "preset,field,value,named",
+        [
+            ("geo_3site", "clusters/0/machine_counts/ams_big", 1.5,
+             r"cluster 'ams'\.machine_counts\['ams_big'\]"),
+            ("geo_3site", "clusters/0/machine_counts/ams_big", "two",
+             r"cluster 'ams'\.machine_counts\['ams_big'\]"),
+            ("geo_3site", "clusters/0/weight", "x", r"cluster 'ams'\.weight"),
+            ("fed_rebalance", "migration/batch_max", 1.5, r"migration\.batch_max"),
+            ("fed_rebalance", "migration/interval", "x", r"migration\.interval"),
+            ("geo_3site", "gateway_params", [1], r"federation\.gateway_params"),
+            ("geo_3site", "clusters/0/scheduler_params", [1],
+             r"cluster 'ams'\.scheduler_params"),
+            ("fed_rebalance", "migration/policy_params", [1],
+             r"migration\.policy_params"),
+            ("geo_3site", "clusters/0/colour", "blue", r"unknown keys \['colour'\]"),
+            ("geo_3site", "colour", "blue", r"unknown keys \['colour'\]"),
+        ],
+    )
+    def test_malformed_federation_field(self, preset, field, value, named):
+        data = mutated_preset(preset, f"federation/{field}", value)
+        with pytest.raises(ConfigurationError, match=named):
+            Scenario.from_dict(data)
+
+
+class TestFromJsonRejects:
+    """Text that is not a readable scenario document fails typed."""
+
+    @pytest.mark.parametrize(
+        "source,named",
+        [
+            ("no\x00such.json", "cannot read"),
+            ('{"eet": ' + "[" * 100_000, "not valid JSON"),
+            ('{"seed": 1' + "0" * 5000 + "}", "not valid JSON"),
+        ],
+        ids=["nul_in_path", "deep_nesting", "over_long_int"],
+    )
+    def test_unreadable_source(self, source, named):
+        with pytest.raises(ConfigurationError, match=named):
+            Scenario.from_json(source)
 
 
 class TestRunRejects:

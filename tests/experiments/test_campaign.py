@@ -185,3 +185,24 @@ class TestRoundTrip:
         )
         assert spec.schedulers == ["FCFS", "MECT"]
         assert set(spec.scheduler_params) == {"MECT"}
+
+
+class TestCampaignFromDictRejects:
+    """The campaign twin of ``TestFromDictRejects``: one bad field, typed."""
+
+    @pytest.mark.parametrize(
+        "field,value,named",
+        [
+            ("seeds", [1.5], r"seeds\[0\]"),
+            ("seeds", ["1"], r"seeds\[0\]"),
+            ("seeds", [True], r"seeds\[0\]"),
+            ("schedulers", "MM", r"campaign\.schedulers must be a JSON array"),
+            ("scheduler_params", {"FCFS": [1]}, r"scheduler_params\['FCFS'\]"),
+            ("colour", "blue", r"unknown keys \['colour'\]"),
+        ],
+    )
+    def test_malformed_field(self, field, value, named):
+        data = {"scenarios": ["edge_ai"], "schedulers": ["FCFS"], "seeds": [0]}
+        data[field] = value
+        with pytest.raises(ConfigurationError, match=named):
+            CampaignSpec.from_dict(data)

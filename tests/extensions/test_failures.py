@@ -24,10 +24,6 @@ class TestFailureModel:
         with pytest.raises(ConfigurationError):
             FailureModel(mtbf=1.0, mttr=1.0, per_machine_type={"A": (0.0, 1.0)})
 
-    def test_expected_availability(self, cluster_3x2):
-        model = FailureModel(mtbf=90.0, mttr=10.0)
-        assert model.expected_availability(cluster_3x2[0]) == pytest.approx(0.9)
-
     def test_per_type_overrides(self, cluster_3x2):
         model = FailureModel(
             mtbf=100.0, mttr=10.0, per_machine_type={"M2": (50.0, 5.0)}

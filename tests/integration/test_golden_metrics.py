@@ -359,6 +359,36 @@ GOLDEN_DIURNAL_WAN_LINKS = {
 }
 
 
+#: classroom_homogeneous under MM with queue capacity 3, a 2 s / 5 MBps link
+#: to every machine and lognormal runtime noise (sigma 0.3): the network
+#: extension and noisy execution, which no registered preset sets.
+GOLDEN_NOISY_NETWORK_MM = {
+    "total_tasks": 107,
+    "completed": 106,
+    "cancelled": 0,
+    "missed": 1,
+    "completion_rate": 0.9906542056074766,
+    "cancellation_rate": 0.0,
+    "miss_rate": 0.009345794392523364,
+    "on_time": 106,
+    "on_time_rate": 0.9906542056074766,
+    "makespan": 636.4145491819054,
+    "total_energy": 0.0,
+    "idle_energy": 0.0,
+    "busy_energy": 0.0,
+    "energy_per_completed_task": 0.0,
+    "mean_wait_time": 13.727972602007348,
+    "mean_response_time": 33.31324153936933,
+    "throughput": 0.15011053395880625,
+    "mean_utilization": 0.7471222669610187,
+    "fairness_index": 0.9997784424504265,
+    "completion_rate[T1]": 0.96875,
+    "completion_rate[T2]": 1.0,
+    "completion_rate[T3]": 1.0,
+}
+GOLDEN_NOISY_NETWORK_EVENTS = 427
+GOLDEN_NOISY_NETWORK_END_TIME = 706.146312350663
+
 def _assert_exact(actual: dict, expected: dict) -> None:
     assert set(actual) == set(expected)
     mismatches = {
@@ -708,3 +738,48 @@ class TestGoldenStability:
         second = scenario.run()
         assert first.summary == second.summary
         assert first.events_processed == second.events_processed
+
+
+class TestGoldenNoisyNetwork:
+    """Noisy runtimes over the network extension, pinned; each runtime draw
+    belongs to one started task, however often its machine is polled."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        from dataclasses import replace
+
+        base = build_scenario("classroom_homogeneous", scheduler="MM")
+        scenario = replace(
+            base,
+            queue_capacity=3,
+            enable_network=True,
+            network={name: (2.0, 5.0) for name in base.eet.machine_type_names},
+            execution_model={"kind": "lognormal", "sigma": 0.3},
+        )
+        sim = scenario.build_simulator()
+        draws = []
+        sample = sim.execution_model.sample
+
+        def counted(task, eet, rng):
+            draws.append(task.id)
+            return sample(task, eet, rng)
+
+        sim.execution_model.sample = counted
+        return sim.run(), draws
+
+    def test_summary_exact(self, run):
+        _assert_exact(run[0].summary.as_dict(), GOLDEN_NOISY_NETWORK_MM)
+
+    def test_event_count_and_end_time_exact(self, run):
+        result, _ = run
+        assert result.events_processed == GOLDEN_NOISY_NETWORK_EVENTS
+        assert result.end_time == GOLDEN_NOISY_NETWORK_END_TIME
+
+    def test_one_runtime_draw_per_started_task(self, run):
+        result, draws = run
+        started = sorted(
+            row["task_id"]
+            for row in result.task_records
+            if row["start_time"] is not None
+        )
+        assert sorted(draws) == started

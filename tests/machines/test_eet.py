@@ -87,20 +87,6 @@ class TestDiagnostics:
         assert eet_homogeneous.is_homogeneous()
         assert not eet_3x2.is_homogeneous()
 
-    def test_consistency_detection(self):
-        consistent = EETMatrix(
-            [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], ["T1", "T2"], ["A", "B", "C"]
-        )
-        inconsistent = EETMatrix(
-            [[1.0, 2.0, 3.0], [6.0, 5.0, 4.0]], ["T1", "T2"], ["A", "B", "C"]
-        )
-        assert consistent.is_consistent()
-        assert not inconsistent.is_consistent()
-
-    def test_homogeneous_cov_zero(self, eet_homogeneous):
-        _, machine_cov = eet_homogeneous.heterogeneity_cov()
-        assert machine_cov == pytest.approx(0.0)
-
 
 class TestHelpers:
     def test_homogeneous_builder(self):

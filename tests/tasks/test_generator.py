@@ -1,9 +1,17 @@
 """Workload generator: calibration, deadlines, intensity monotonicity."""
 
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
+
 from repro.core.errors import ConfigurationError
+from repro.machines.eet import EETMatrix
 from repro.tasks.generator import (
     INTENSITY_LEVELS,
     TaskTypeSpec,
@@ -115,11 +123,13 @@ class TestGeneration:
             assert task.deadline - task.arrival_time == pytest.approx(expected)
 
     def test_fixed_relative_deadline_wins(self, eet_3x2):
-        fixed = eet_3x2.with_task_types(
+        fixed = EETMatrix(
+            eet_3x2.values,
             [
                 type(t)(name=t.name, index=t.index, relative_deadline=42.0)
                 for t in eet_3x2.task_types
-            ]
+            ],
+            eet_3x2.machine_type_names,
         )
         gen = WorkloadGenerator(fixed)
         w = gen.generate(100.0, seed=4)
@@ -163,3 +173,32 @@ class TestGenerateCount:
     def test_nonpositive_count_rejected(self, eet_3x2):
         with pytest.raises(ConfigurationError):
             WorkloadGenerator(eet_3x2).generate_count(0)
+
+
+def test_huge_duration_refused_before_allocating():
+    """A window too long to hold is refused before NumPy sizes an array.
+
+    Runs in a child limited to 3 GiB of address space, so a build that does
+    allocate (601 GiB for this duration) fails there, not on the host.
+    """
+    child = textwrap.dedent(
+        """
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+        from repro.core.errors import ConfigurationError
+        from repro.scenarios import build_scenario
+        scenario = build_scenario("classroom_homogeneous", duration=1e12)
+        try:
+            scenario.build_workload()
+        except ConfigurationError as exc:
+            print("refused:", exc)
+        """
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": str(Path(repro.__file__).parents[1])},
+    )
+    assert "refused: generator.duration" in out.stdout, out.stderr[-400:]
