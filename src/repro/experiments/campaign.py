@@ -28,6 +28,7 @@ from ..core.errors import ConfigurationError
 from ..core.fields import array, integer, record, text
 from ..core.jsonio import load_json_source
 from ..core.rng import derive_seed
+from ..metrics.collector import SummaryMetrics
 from ..scenarios import scenario_factory
 from ..scheduling.registry import scheduler_class
 
@@ -38,6 +39,11 @@ DEFAULT_METRICS = (
     "completion_rate",
     "mean_response_time",
     "total_energy",
+)
+
+#: Names a campaign may report on: the numeric SummaryMetrics fields.
+_METRIC_NAMES = tuple(
+    f.name for f in fields(SummaryMetrics) if f.type in ("int", "float")
 )
 
 
@@ -178,10 +184,13 @@ class CampaignSpec:
             raise ConfigurationError(
                 f"campaign seeds must be non-negative integers: {exc}"
             ) from None
-        self.metrics = [
-            text(m, f"campaign.metrics[{i}]")
-            for i, m in enumerate(array(self.metrics, "campaign.metrics"))
-        ]
+        self.metrics = array(self.metrics, "campaign.metrics")
+        for i, metric in enumerate(self.metrics):
+            if text(metric, f"campaign.metrics[{i}]") not in _METRIC_NAMES:
+                raise ConfigurationError(
+                    f"campaign.metrics[{i}] is not a summary metric: "
+                    f"{metric!r}; known: {list(_METRIC_NAMES)}"
+                )
         self.name = text(self.name, "campaign.name")
         self.validate()
 

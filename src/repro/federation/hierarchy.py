@@ -13,7 +13,8 @@ uplink back-pressures every site beneath it. This module is that tree:
   :class:`~repro.net.topology.InterClusterTopology`, and cached
   lowest-common-ancestor routes.
 * :class:`HierarchyView` — what a tree-capable gateway policy sees: the
-  tree plus live per-leaf in-flight WAN megabytes.
+  tree, live per-leaf in-flight WAN megabytes and live per-node load
+  counters.
 
 The engine is the one :class:`~repro.federation.simulator.FederatedSimulator`:
 given a spec with ``children`` it routes offloads along
@@ -187,7 +188,19 @@ class FederationTree:
 
         collect(root)
         self.leaves_under: list[tuple[int, ...]] = leaves_under
+        # Each leaf's chain up to the root, the leaf itself first: the
+        # nodes whose subtree counters a change at that leaf moves.
+        ancestors: list[tuple[int, ...]] = []
+        for leaf in range(n_leaves):
+            chain: list[int] = []
+            idx = leaf
+            while idx != -1:
+                chain.append(idx)
+                idx = parent[idx]
+            ancestors.append(tuple(chain))
+        self.ancestors: list[tuple[int, ...]] = ancestors
         self._routes: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._route_links: dict[tuple[int, int], tuple[Link, ...]] = {}
 
     def is_leaf(self, node: int) -> bool:
         """True for shard-backed nodes (ids below ``n_leaves``)."""
@@ -208,18 +221,14 @@ class FederationTree:
         key = (origin, destination)
         route = self._routes.get(key)
         if route is None:
-            chain = []
-            idx = origin
-            while idx != -1:
-                chain.append(idx)
-                idx = self.parent[idx]
+            chain = self.ancestors[origin]
             position = {node: i for i, node in enumerate(chain)}
             down: list[int] = []
             idx = destination
             while idx not in position:
                 down.append(idx)
                 idx = self.parent[idx]
-            route = tuple(chain[: position[idx] + 1] + down[::-1])
+            route = chain[: position[idx] + 1] + tuple(down[::-1])
             self._routes[key] = route
         return route
 
@@ -235,21 +244,35 @@ class FederationTree:
         """J/MB payload cost summed over every uplink hop of the route."""
         if origin == destination:
             return 0.0
-        route = self.route(origin, destination)
-        return sum(
-            self.edge_link(a, b).transfer_energy(megabytes)
-            for a, b in zip(route, route[1:])
-        )
+        key = (origin, destination)
+        links = self._route_links.get(key)
+        if links is None:
+            route = self.route(origin, destination)
+            links = tuple(self.edge_link(a, b) for a, b in zip(route, route[1:]))
+            self._route_links[key] = links
+        return sum(link.transfer_energy(megabytes) for link in links)
 
 
 @dataclasses.dataclass
 class HierarchyView:
     """Live tree state a tree-capable gateway policy may consult.
 
-    ``inflight_mb`` is the engine's per-leaf in-flight WAN payload
-    (megabytes routed toward that leaf and not yet delivered or
-    cancelled) — a live reference, updated as transfers start and end.
+    Every field is a live reference the engine updates in place:
+
+    * ``inflight_mb`` — per *leaf*, the in-flight WAN payload (megabytes
+      routed toward that leaf and not yet delivered or cancelled);
+    * ``in_system`` — per *node*, the tasks routed into its subtree that
+      have not reached a terminal state (Σ routed − recorded);
+    * ``alive`` — per *node*, the machines of its subtree that are up
+      (Σ machines − down).
+
+    The two per-node counters move only where their inputs do: a gateway
+    decision, a terminal record, a machine failure or repair, each bumping
+    the leaf and its :attr:`FederationTree.ancestors`. So a policy reads a
+    subtree's totals in O(1) instead of re-summing its leaves.
     """
 
     tree: FederationTree
     inflight_mb: Sequence[float]
+    in_system: list[int]
+    alive: list[int]

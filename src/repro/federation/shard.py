@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Any
 
 from ..core.simulator import ClusterCore
 from ..machines.cluster import Cluster
+from ..machines.machine import Machine
 from ..scheduling.base import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,6 +52,19 @@ class ClusterShard(ClusterCore):
         self._n_machines = len(cluster.machines)
         #: Tasks the gateway routed to this shard (local or via WAN).
         self.routed = 0
+        # On a tree: the live per-node ``alive`` counters and this leaf's
+        # ancestors, which a failure or repair moves (see ``join_tree``).
+        self._tree_alive: list[int] = []
+        self._tree_nodes: tuple[int, ...] = ()
+
+    def join_tree(self, alive: list[int], nodes: tuple[int, ...]) -> None:
+        """Add this shard's live machines to ``alive[node]`` for every node
+        of ``nodes``, and keep them there through failures and repairs."""
+        up = self._n_machines - self.cluster.state.n_down
+        for node in nodes:
+            alive[node] += up
+        self._tree_alive = alive
+        self._tree_nodes = nodes
 
     @property
     def in_system(self) -> int:
@@ -69,6 +83,19 @@ class ClusterShard(ClusterCore):
         if alive <= 0:
             return float("inf")
         return (self.routed - self.collector.recorded) / alive
+
+    def _on_failure(self, machine: Machine) -> None:
+        if machine.up:
+            alive = self._tree_alive
+            for node in self._tree_nodes:
+                alive[node] -= 1
+        super()._on_failure(machine)
+
+    def _on_repair(self, machine: Machine) -> None:
+        super()._on_repair(machine)
+        alive = self._tree_alive
+        for node in self._tree_nodes:
+            alive[node] += 1
 
     def _all_tasks_terminal(self) -> bool:
         # Repairs keep the failure process alive only while the *federation*

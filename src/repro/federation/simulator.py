@@ -97,6 +97,22 @@ _CROSS_TRAFFIC = EventType.CROSS_TRAFFIC
 _CREATED = TaskStatus.CREATED
 
 
+def _leave_subtrees(
+    in_system: list[int],
+    nodes: tuple[int, ...],
+    then: Callable[[Task], None] | None,
+) -> Callable[[Task], None]:
+    """A collector hook taking each terminal task off ``nodes``' counters."""
+
+    def on_terminal(task: Task) -> None:
+        for node in nodes:
+            in_system[node] -= 1
+        if then is not None:
+            then(task)
+
+    return on_terminal
+
+
 class FederatedSimulator(EventLoop[FederatedSimulationResult]):
     """Discrete-event simulator for one federated (multi-cluster) run."""
 
@@ -246,6 +262,21 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
             if spec.migration is not None
             else None
         )
+        view: HierarchyView | None = None
+        # Leaf → root node chains whose in_system counters a routing
+        # decision bumps; None on a flat mesh, which keeps no counters.
+        self._ancestors: list[tuple[int, ...]] | None = None
+        self._in_system: list[int] = []
+        if tree is not None:
+            n_nodes = len(tree.node_names)
+            view = HierarchyView(
+                tree=tree,
+                inflight_mb=self._inflight_mb,
+                in_system=[0] * n_nodes,
+                alive=[0] * n_nodes,
+            )
+            self._ancestors = tree.ancestors
+            self._in_system = view.in_system
         self._ctx = GatewayContext(
             now=0.0,
             task=None,  # type: ignore[arg-type]  (set before every decision)
@@ -261,22 +292,25 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
                 if self._rebalancer is None
                 else self._rebalancer.matrix_counts
             ),
-            hierarchy=(
-                None
-                if tree is None
-                else HierarchyView(tree=tree, inflight_mb=self._inflight_mb)
-            ),
+            hierarchy=view,
         )
-        if self.gateway.wants_feedback:
-            # Every terminal task funnels through exactly one shard
-            # collector (completions, deadline misses, in-WAN
-            # cancellations), so hooking record_terminal there pays the
-            # learning gateway for precisely the tasks it routed.
-            def _feed_back(task: Task) -> None:
-                self.gateway.record_outcome(task, self.clock._now)
+        # Every terminal task funnels through exactly one shard collector
+        # (completions, deadline misses, in-WAN cancellations): the one
+        # hook there pays the learning gateway for precisely the tasks it
+        # routed and, on a tree, takes the task off its subtree counters.
+        def _feed_back(task: Task) -> None:
+            self.gateway.record_outcome(task, self.clock._now)
 
-            for shard in self.shards:
-                shard.collector.on_terminal = _feed_back
+        feed_back = _feed_back if self.gateway.wants_feedback else None
+        for shard in self.shards:
+            if view is not None:
+                nodes = view.tree.ancestors[shard.index]
+                shard.join_tree(view.alive, nodes)
+                shard.collector.on_terminal = _leave_subtrees(
+                    view.in_system, nodes, feed_back
+                )
+            elif feed_back is not None:
+                shard.collector.on_terminal = feed_back
 
         # Gateway arrivals and global deadlines (cluster None) come from the
         # feed, one arrival ahead of the clock.
@@ -446,6 +480,11 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
         self._routing[origin][destination] += 1
         shard = self.shards[destination]
         shard.routed += 1
+        ancestors = self._ancestors
+        if ancestors is not None:
+            in_system = self._in_system
+            for node in ancestors[destination]:
+                in_system[node] += 1
         if destination == origin:
             shard._on_arrival(task)
             return

@@ -147,11 +147,12 @@ class GatewayContext:
         decisions are being corrected after the fact — e.g. back off a
         destination the rebalancer keeps draining.
     hierarchy:
-        The federation tree and its live per-leaf WAN counters
+        The federation tree with its live per-leaf WAN payload and
+        per-node load counters
         (:class:`repro.federation.hierarchy.HierarchyView`) when the run
         is hierarchical; ``None`` on flat federations. Tree-capable
-        gateways (``supports_hierarchy``) roll leaf pressure up this view
-        to pick subtrees level by level.
+        gateways (``supports_hierarchy``) read subtree pressure off this
+        view to pick subtrees level by level.
     """
 
     now: float
@@ -163,12 +164,6 @@ class GatewayContext:
     wan: "WanManager | None" = None
     migrations: "Sequence[Sequence[int]] | None" = None
     hierarchy: "HierarchyView | None" = None
-
-    def migrations_from(self, source: int) -> int:
-        """Tasks migrated *off* ``source`` so far (0 without a rebalancer)."""
-        if self.migrations is None:
-            return 0
-        return sum(self.migrations[source])
 
     def wan_delay_to(self, destination: int) -> float:
         """Static (contention-blind) transfer delay of the current task."""

@@ -30,11 +30,13 @@ class TreePressureGateway(GatewayPolicy):
     At each interior node, every child subtree is scored by its rolled-up
     pressure::
 
-        (Σ leaf in_system
-         + wan_mb_weight · Σ leaf in-flight WAN MB
-         + migration_weight · Σ leaf migrations-from) / Σ leaf live machines
+        (Σ leaf in_system + wan_mb_weight · Σ leaf in-flight WAN MB)
+            / Σ leaf live machines
 
     and the walk continues into the argmin child until it reaches a leaf.
+    The two integer totals are the view's live per-node counters; only the
+    in-flight megabytes are summed per decision, leaf by leaf in leaf
+    order, so the float result does not depend on how the counters moved.
     In-flight WAN payload counts *toward* a subtree's pressure, so traffic
     already converging on a region steers later arrivals elsewhere before
     any of it lands in a queue — the rolled-up analogue of link backlog.
@@ -51,37 +53,28 @@ class TreePressureGateway(GatewayPolicy):
     description = "descend the federation tree into the least-pressured subtree"
     supports_hierarchy = True
 
-    def __init__(
-        self,
-        *,
-        wan_mb_weight: float = 0.05,
-        migration_weight: float = 0.0,
-    ) -> None:
+    def __init__(self, *, wan_mb_weight: float = 0.05) -> None:
         if wan_mb_weight < 0:
             raise ConfigurationError(
                 f"wan_mb_weight must be >= 0, got {wan_mb_weight}"
             )
-        if migration_weight < 0:
-            raise ConfigurationError(
-                f"migration_weight must be >= 0, got {migration_weight}"
-            )
         self.wan_mb_weight = wan_mb_weight
-        self.migration_weight = migration_weight
 
     def choose_cluster(self, ctx: GatewayContext) -> int:
         view = ctx.hierarchy
         if view is None:
             return least_loaded_cluster(ctx)
         tree = view.tree
-        origin = ctx.origin
+        # A child subtree holds the origin iff the child is on its root path.
+        local_nodes = tree.ancestors[ctx.origin]
         node = tree.root
         while not tree.is_leaf(node):
             best = -1
             best_pressure = float("inf")
             best_local = False
             for child in tree.children[node]:
-                pressure = self._subtree_pressure(ctx, view, child)
-                local = origin in tree.leaves_under[child]
+                pressure = self._subtree_pressure(view, child)
+                local = child in local_nodes
                 if (
                     best < 0
                     or pressure < best_pressure
@@ -91,29 +84,16 @@ class TreePressureGateway(GatewayPolicy):
             node = best
         return node
 
-    def _subtree_pressure(
-        self, ctx: GatewayContext, view: "HierarchyView", node: int
-    ) -> float:
+    def _subtree_pressure(self, view: "HierarchyView", node: int) -> float:
         """Aggregate pressure of one subtree (leaves beneath ``node``)."""
-        tree = view.tree
-        inflight = view.inflight_mb
-        in_system = 0
-        inflight_mb = 0.0
-        migrations = 0
-        alive = 0
-        for leaf in tree.leaves_under[node]:
-            shard = ctx.shards[leaf]
-            in_system += shard.in_system
-            inflight_mb += inflight[leaf]
-            cluster = shard.cluster
-            alive += len(cluster.machines) - cluster.state.n_down
-            if self.migration_weight and ctx.migrations is not None:
-                migrations += ctx.migrations_from(leaf)
+        alive = view.alive[node]
         if alive <= 0:
             return float("inf")
-        load = (
-            in_system
-            + self.wan_mb_weight * inflight_mb
-            + self.migration_weight * migrations
-        )
-        return load / alive
+        # Leaf order, from 0.0: the pinned runs depend on this float sum's
+        # operand order, so neither a running total nor ``sum()`` (which
+        # compensates on newer Pythons) may replace it.
+        inflight = view.inflight_mb
+        inflight_mb = 0.0
+        for leaf in view.tree.leaves_under[node]:
+            inflight_mb += inflight[leaf]
+        return (view.in_system[node] + self.wan_mb_weight * inflight_mb) / alive

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.education.survey import (
-    PAPER_COHORT,
     PAPER_METRICS,
     SurveyStudy,
     generate_cohort,

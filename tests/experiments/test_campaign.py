@@ -199,6 +199,14 @@ class TestCampaignFromDictRejects:
             ("schedulers", "MM", r"campaign\.schedulers must be a JSON array"),
             ("scheduler_params", {"FCFS": [1]}, r"scheduler_params\['FCFS'\]"),
             ("colour", "blue", r"unknown keys \['colour'\]"),
+            # A metric name is checked at load, not when the report renders
+            # after every cell has run; only numeric summary fields qualify.
+            ("metrics", ["bogus"], r"campaign\.metrics\[0\] is not a summary"),
+            (
+                "metrics",
+                ["completion_rate", "completion_rate_by_type"],
+                r"campaign\.metrics\[1\] is not a summary",
+            ),
         ],
     )
     def test_malformed_field(self, field, value, named):

@@ -14,7 +14,6 @@ the single contended resource: every site→cloud offload pays it, 4 MB at
 computable by hand.
 """
 
-import dataclasses
 import inspect
 import json
 
@@ -35,7 +34,6 @@ from repro.machines.eet import EETMatrix
 from repro.metrics.rollup import TreeRollup
 from repro.net import InterClusterTopology
 from repro.net.topology import Link
-from repro.scheduling.federation import TreePressureGateway
 from repro.tasks.task import Task
 from repro.tasks.task_type import TaskType
 from repro.tasks.workload import Workload
@@ -321,11 +319,19 @@ class TestRefusals:
         assert type(mesh.build_simulator()) is FederatedSimulator
 
     @pytest.mark.parametrize(
-        "params", [{"wan_mb_weight": -1.0}, {"migration_weight": -0.5}]
+        "params,match",
+        [
+            ({"wan_mb_weight": -1.0}, ">= 0"),
+            # The migration knob is gone (a tree refuses migration, so it
+            # never acted); the registry now refuses it as an unknown name.
+            ({"migration_weight": 0.5}, "bad parameters"),
+        ],
     )
-    def test_gateway_rejects_negative_weights(self, params):
-        with pytest.raises(ConfigurationError, match=">= 0"):
-            TreePressureGateway(**params)
+    def test_gateway_rejects_negative_weights(self, params, match):
+        scenario = hier_scenario([(0.0, 100.0)])
+        scenario.federation.gateway_params = params
+        with pytest.raises(ConfigurationError, match=match):
+            scenario.build_simulator()
 
 
 class TestHierarchicalExecution:

@@ -6,6 +6,8 @@ exact goldens to pin field by field:
 * each run simulates at least a preset-specific number of tasks;
 * a federated preset offloads some, but not all, of its tasks;
 * the tree root's WAN attempts are exactly the offloaded tasks;
+* on a tree preset, each node's live ``in_system`` and ``alive`` counters
+  (what the gateway reads) equal a recount over its leaves at the end;
 * every task ends terminal without deadline drops too, and a run that
   loses a task raises;
 * every WAN link channel of a federated preset ends drained;
@@ -122,6 +124,19 @@ def test_federation_offloads_some_but_not_all(run, preset):
 def test_tree_root_wan_attempts_are_the_offloads(run, preset):
     result = run(preset)
     assert result.tree.root.stats["wan_attempted"] == result.offloaded
+
+
+@pytest.mark.parametrize("preset", ["hier_3region", "hier_deep"])
+def test_tree_counters_match_a_leaf_recount(ran, preset):
+    simulator, _ = ran(preset)
+    view = simulator._ctx.hierarchy
+    for node, leaves in enumerate(view.tree.leaves_under):
+        shards = [simulator.shards[leaf] for leaf in leaves]
+        # A drained run leaves nothing in any subtree.
+        assert view.in_system[node] == sum(s.in_system for s in shards) == 0
+        assert view.alive[node] == sum(
+            len(s.cluster.machines) - s.cluster.state.n_down for s in shards
+        )
 
 
 @pytest.mark.parametrize("preset", FEDERATED)

@@ -9,7 +9,11 @@ presets:
    holds at every node of a finished run, interior nodes included,
 4. a route never leaves the origin/destination subtrees: every hop is an
    ancestor-or-self of one endpoint (no sibling subtree ever relays
-   foreign traffic).
+   foreign traffic),
+5. at every gateway decision, with and without machine failures, each
+   node's live ``in_system`` and ``alive`` counters equal a recount over
+   its leaves, and ``TREE_PRESSURE`` picks the leaf a leaf-summing
+   reference picks.
 """
 
 import itertools
@@ -24,6 +28,7 @@ from repro.core.config import Scenario
 from repro.federation import ClusterSpec, FederationSpec, RegionSpec
 from repro.federation.hierarchy import FederationTree
 from repro.machines.eet import EETMatrix
+from repro.machines.failures import FailureModel
 from repro.metrics.rollup import TreeRollup
 from repro.net import InterClusterTopology
 from repro.net.topology import Link
@@ -76,7 +81,7 @@ def federation_specs(draw, max_depth=3):
     )
 
 
-def _scenario(spec, tasks, *, seed):
+def _scenario(spec, tasks, *, seed, failure_model=None):
     task_types = [TaskType("T1", 0, data_in=2.0)]
     eet = EETMatrix(np.array([[3.0]]), task_types, ["M"])
     workload = Workload(
@@ -92,6 +97,7 @@ def _scenario(spec, tasks, *, seed):
         scheduler="MECT",
         workload=workload,
         federation=spec,
+        failure_model=failure_model,
         seed=seed,
         name="prop-hier",
     )
@@ -184,3 +190,89 @@ def test_routes_never_leave_the_endpoint_subtrees(spec):
             # Ancestor-or-self of an endpoint: no sibling subtree relays.
             leaves = tree.leaves_under[node]
             assert origin in leaves or destination in leaves
+
+
+def _leaf_recount(ctx, leaves):
+    """(in_system, alive) of a subtree, summed leaf by leaf from the shards."""
+    in_system = alive = 0
+    for leaf in leaves:
+        shard = ctx.shards[leaf]
+        in_system += shard.in_system
+        cluster = shard.cluster
+        alive += len(cluster.machines) - cluster.state.n_down
+    return in_system, alive
+
+
+def _reference_pick(ctx, wan_mb_weight):
+    """TREE_PRESSURE as it was before the live counters: every subtree's
+    pressure re-summed over its leaves, locality tested on leaf sets."""
+    view = ctx.hierarchy
+    tree = view.tree
+    node = tree.root
+    while not tree.is_leaf(node):
+        best, best_pressure, best_local = -1, float("inf"), False
+        for child in tree.children[node]:
+            leaves = tree.leaves_under[child]
+            in_system, alive = _leaf_recount(ctx, leaves)
+            inflight_mb = 0.0
+            for leaf in leaves:
+                inflight_mb += view.inflight_mb[leaf]
+            pressure = (
+                float("inf")
+                if alive <= 0
+                else (in_system + wan_mb_weight * inflight_mb) / alive
+            )
+            local = ctx.origin in leaves
+            if (
+                best < 0
+                or pressure < best_pressure
+                or (pressure == best_pressure and local and not best_local)
+            ):
+                best, best_pressure, best_local = child, pressure, local
+        node = best
+    return node
+
+
+@given(
+    spec=federation_specs(),
+    seed=st.integers(min_value=0, max_value=2**16),
+    tight=st.booleans(),
+    failures=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_live_counters_equal_a_leaf_recount_at_every_decision(
+    spec, seed, tight, failures
+):
+    deadline = 4.0 if tight else 500.0
+    tasks = [(0.4 * i, 0.4 * i + deadline) for i in range(20)]
+    failure_model = FailureModel(mtbf=2.0, mttr=0.5) if failures else None
+    simulator = _scenario(
+        spec, tasks, seed=seed, failure_model=failure_model
+    ).build_simulator()
+    gateway = simulator.gateway
+    choose = gateway.choose_cluster
+    decisions = []
+
+    def checked_choose(ctx):
+        view = ctx.hierarchy
+        tree = view.tree
+        for node in range(len(tree.node_names)):
+            recount = _leaf_recount(ctx, tree.leaves_under[node])
+            assert (view.in_system[node], view.alive[node]) == recount, node
+        expected = _reference_pick(ctx, gateway.wan_mb_weight)
+        picked = choose(ctx)
+        assert picked == expected
+        decisions.append(picked)
+        return picked
+
+    gateway.choose_cluster = checked_choose
+    simulator.run()
+    assert len(decisions) == len(tasks)
+    # Drained: nothing is left in any subtree, and every machine that is
+    # up is counted.
+    view = simulator._ctx.hierarchy
+    assert view.in_system == [0] * len(view.tree.node_names)
+    assert view.alive == [
+        _leaf_recount(simulator._ctx, leaves)[1]
+        for leaves in view.tree.leaves_under
+    ]

@@ -13,7 +13,6 @@ import repro
 from repro.core.errors import ConfigurationError
 from repro.machines.eet import EETMatrix
 from repro.tasks.generator import (
-    INTENSITY_LEVELS,
     TaskTypeSpec,
     WorkloadGenerator,
     oversubscription_for_level,
