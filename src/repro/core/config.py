@@ -121,6 +121,8 @@ class Scenario:
                 "exactly one of 'workload', 'generator' or 'trace' must be "
                 f"provided, got {sources}"
             )
+        if self.seed is not None:
+            self.seed = integer(self.seed, "seed")
         counts = {
             name: integer(count, f"machine_counts[{name!r}]")
             for name, count in record(self.machine_counts, "machine_counts").items()
@@ -396,7 +398,6 @@ class Scenario:
         execution_model_from_spec(data.get("execution_model"))
         SchedulingOverhead.from_spec(data.get("scheduling_overhead"))
         capacity = data.get("queue_capacity")
-        seed = data.get("seed")
         failure = data.get("failure_model")
         scenario = cls(
             eet=eet,
@@ -419,7 +420,7 @@ class Scenario:
                     data.get("power_profiles", {}), "power_profiles"
                 ).items()
             },
-            seed=None if seed is None else integer(seed, "seed"),
+            seed=data.get("seed"),
             drop_on_deadline=flag(
                 data.get("drop_on_deadline", True), "drop_on_deadline"
             ),
@@ -444,6 +445,10 @@ class Scenario:
             gen, recipe = scenario._generator()
             if "duration" in recipe:  # refuse a window too long to hold now
                 gen.check_window(recipe["duration"], recipe["intensity"])
+                if scenario.failure_model is not None:
+                    scenario.failure_model.check_window(
+                        scenario.machine_counts, recipe["duration"]
+                    )
         return scenario
 
     def to_json(self, path: str | Path | None = None, *, indent: int = 2) -> str:

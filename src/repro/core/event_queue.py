@@ -60,10 +60,6 @@ class EventQueue:
             raise SimulationStateError("cancelled an event that already fired")
         return True
 
-    def is_cancelled(self, event: Event) -> bool:
-        """True if *event* has been cancelled and will never fire."""
-        return event.seq in self._cancelled
-
     def pop(self) -> Event:
         """Remove and return the earliest live event.
 

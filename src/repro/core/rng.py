@@ -9,8 +9,6 @@ draw to one component never perturbs another.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 __all__ = ["make_rng", "spawn", "derive_seed"]
@@ -53,17 +51,3 @@ def _label_to_int(label: int | str) -> int:
         acc = (acc * 131 + ord(ch)) % (2**31 - 1)
     return acc
 
-
-def choice_index(
-    rng: np.random.Generator, weights: Sequence[float]
-) -> int:
-    """Draw an index proportionally to *weights* (need not be normalised)."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a non-empty 1-D sequence")
-    if np.any(w < 0) or not np.isfinite(w).all():
-        raise ValueError("weights must be finite and non-negative")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("weights must not sum to zero")
-    return int(rng.choice(w.size, p=w / total))

@@ -64,7 +64,7 @@ from ..scheduling.overhead import SchedulingOverhead
 from ..tasks.task import DropStage, Task, TaskStatus
 from ..tasks.workload import Workload
 from .clock import SimulationClock
-from .errors import ConfigurationError, SchedulingError, SimulationStateError
+from .errors import SchedulingError, SimulationStateError
 from .event_queue import EventQueue
 from .events import Event, EventType, reserve_seqs
 from .rng import make_rng
@@ -218,10 +218,6 @@ class EventLoop(Generic[R]):
     def events_processed(self) -> int:
         return self._events_processed
 
-    def next_event_time(self) -> float | None:
-        """Timestamp of the next pending event (None when drained)."""
-        return self.events.next_time()
-
     def step(self) -> Event | None:
         """Process exactly one event (the GUI's Increment button).
 
@@ -327,7 +323,6 @@ class ClusterCore:
         shard_id: int | None = None,
         drop_on_deadline: bool = True,
         execution_model: ExecutionTimeModel | None = None,
-        queue_capacity: float | None = None,
         enable_network: bool = False,
         failure_model: FailureModel | None = None,
         scheduling_overhead: SchedulingOverhead | None = None,
@@ -353,19 +348,9 @@ class ClusterCore:
         )
 
         # The one home of the capacity rule: the cluster keeps its built
-        # capacity unless one is passed, and immediate policies get unbounded
-        # queues.
-        if queue_capacity is not None:
-            if (
-                scheduler.mode is SchedulingMode.IMMEDIATE
-                and queue_capacity != UNBOUNDED
-            ):
-                raise ConfigurationError(
-                    "immediate policies require unbounded machine queues "
-                    "(Fig. 3: 'limited to infinite for immediate policies')"
-                )
-            cluster.set_queue_capacity(queue_capacity)
-        elif scheduler.mode is SchedulingMode.IMMEDIATE:
+        # capacity, and immediate policies get unbounded queues (Fig. 3:
+        # "limited to infinite for immediate policies").
+        if scheduler.mode is SchedulingMode.IMMEDIATE:
             cluster.set_queue_capacity(UNBOUNDED)
 
         self.batch_queue = BatchQueue()
@@ -666,7 +651,6 @@ class Simulator(ClusterCore, EventLoop[SimulationResult]):
         seed: int | None | np.random.Generator = None,
         drop_on_deadline: bool = True,
         execution_model: ExecutionTimeModel | None = None,
-        queue_capacity: float | None = None,
         enable_network: bool = False,
         failure_model: FailureModel | None = None,
         scheduling_overhead: SchedulingOverhead | None = None,
@@ -683,7 +667,6 @@ class Simulator(ClusterCore, EventLoop[SimulationResult]):
             rng=make_rng(seed),
             drop_on_deadline=drop_on_deadline,
             execution_model=execution_model,
-            queue_capacity=queue_capacity,
             enable_network=enable_network,
             failure_model=failure_model,
             scheduling_overhead=scheduling_overhead,

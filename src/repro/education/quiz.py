@@ -44,10 +44,6 @@ class QuizResult:
     max_points: int
     per_method: dict[str, int]
 
-    @property
-    def score_fraction(self) -> float:
-        return self.points / self.max_points if self.max_points else 0.0
-
 
 @dataclass
 class QuizQuestion:

@@ -17,11 +17,8 @@ here, so this module provides:
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,14 +47,6 @@ class SurveyMetric:
     female_target: float
     male_target: float
     grad_only: bool = False
-
-    def overall_target(self, n_female: int, n_male: int) -> float:
-        total = n_female + n_male
-        if total == 0:
-            raise ConfigurationError("empty cohort")
-        return (
-            self.female_target * n_female + self.male_target * n_male
-        ) / total
 
 
 #: The ten metrics of Fig. 8 with the gender means reported in §5.
@@ -111,14 +100,6 @@ class CohortSpec:
             + self.n_male_grad
             + self.n_male_undergrad
         )
-
-    @property
-    def n_female(self) -> int:
-        return self.n_female_grad + self.n_female_undergrad
-
-    @property
-    def n_male(self) -> int:
-        return self.n_male_grad + self.n_male_undergrad
 
 
 #: 23 students: 6 female (26.1%), 17 male; 9 graduate, 14 undergraduate.
@@ -295,59 +276,3 @@ class SurveyStudy:
             "learning", "Fig 8b — learning outcomes via E2C (score /10)"
         )
 
-    # -- I/O ----------------------------------------------------------------------------
-
-    def to_csv(self, target: str | Path | TextIO | None = None) -> str:
-        keys = [m.key for m in self.metrics]
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(
-            ["respondent_id", "gender", "level", "years_programming",
-             "passed_os_course", *keys]
-        )
-        for r in self.respondents:
-            writer.writerow(
-                [
-                    r.respondent_id, r.gender, r.level, r.years_programming,
-                    str(r.passed_os_course).lower(),
-                    *[r.scores.get(k, "") for k in keys],
-                ]
-            )
-        text = buffer.getvalue()
-        if target is not None:
-            if isinstance(target, (str, Path)):
-                Path(target).write_text(text, encoding="utf-8")
-            else:
-                target.write(text)
-        return text
-
-    @classmethod
-    def from_csv(
-        cls,
-        source: str | Path | TextIO,
-        metrics: Sequence[SurveyMetric] = PAPER_METRICS,
-    ) -> "SurveyStudy":
-        if isinstance(source, (str, Path)):
-            text = Path(source).read_text(encoding="utf-8")
-        else:
-            text = source.read()
-        reader = csv.DictReader(io.StringIO(text))
-        keys = {m.key for m in metrics}
-        respondents = []
-        for row in reader:
-            scores = {
-                k: int(v)
-                for k, v in row.items()
-                if k in keys and v not in (None, "")
-            }
-            respondents.append(
-                Respondent(
-                    respondent_id=int(row["respondent_id"]),
-                    gender=row["gender"],
-                    level=row["level"],
-                    years_programming=float(row["years_programming"]),
-                    passed_os_course=row["passed_os_course"] == "true",
-                    scores=scores,
-                )
-            )
-        return cls(respondents, metrics)

@@ -79,11 +79,6 @@ class ClusterPath(tuple[str, ...]):
         """The ``/``-joined serialised form."""
         return "/".join(self)
 
-    @classmethod
-    def from_wire(cls, wire: str) -> "ClusterPath":
-        """Inverse of :attr:`wire`."""
-        return cls(wire.split("/"))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ClusterPath({self.wire!r})"
 

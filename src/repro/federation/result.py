@@ -117,19 +117,6 @@ class FederatedSimulationResult:
         completed = self.summary.completed
         return self.total_energy_with_wan / completed if completed else 0.0
 
-    # -- routing views -----------------------------------------------------------
-
-    def origins_by_cluster(self) -> dict[str, int]:
-        """Tasks that *arrived* at each cluster (routing-matrix row sums)."""
-        return {src: sum(row.values()) for src, row in self.routing.items()}
-
-    def arrivals_by_cluster(self) -> dict[str, int]:
-        """Tasks *routed to* each cluster (routing-matrix column sums)."""
-        names = list(self.routing)
-        return {
-            dst: sum(self.routing[src][dst] for src in names) for dst in names
-        }
-
     # -- rendering ----------------------------------------------------------------
 
     def to_text(self) -> str:

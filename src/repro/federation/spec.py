@@ -431,15 +431,6 @@ class FederationSpec:
     def names(self) -> list[str]:
         return [c.name for c in self.clusters]
 
-    def index_of(self, name: str) -> int:
-        """Shard index of the cluster called *name*."""
-        for i, cluster in enumerate(self.clusters):
-            if cluster.name == name:
-                return i
-        raise ConfigurationError(
-            f"unknown cluster {name!r}; clusters: {self.names}"
-        )
-
     def total_machine_counts(self) -> dict[str, int]:
         """Machines per machine type summed across all clusters.
 

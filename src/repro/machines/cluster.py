@@ -42,20 +42,18 @@ class Cluster:
                 )
         self.machines = list(machines)
         self.eet = eet
-        # Cache the EET column index per machine for vectorised lookups.
         col_of = {n: j for j, n in enumerate(eet.machine_type_names)}
-        self._machine_cols = np.array(
+        machine_cols = np.array(
             [col_of[m.machine_type.name] for m in machines], dtype=int
         )
         # (n_task_types, n_machines) EET expanded to machine granularity —
         # one fancy-index gather per batch pass instead of per-task vstacks.
-        self._eet_by_machine = np.ascontiguousarray(
-            eet.values[:, self._machine_cols]
-        )
+        self._eet_by_machine = np.ascontiguousarray(eet.values[:, machine_cols])
         # eet_vector hands out row views of this cache; keep it immutable so
         # a policy mutating its "own" EET vector cannot corrupt the cluster.
         self._eet_by_machine.setflags(write=False)
-        self._row_of = {t.name: t.index for t in eet.task_types}
+        # The EET's own row index: an unknown task type raises EETError.
+        self._row_of = eet.row_of
         # Python-float copies of the EET rows for the small-cluster scalar
         # fast path (argmin_completion): plain list indexing avoids NumPy
         # scalar boxing inside the per-machine loop.
@@ -95,8 +93,8 @@ class Cluster:
         power_profiles:
             Optional per-machine-type power profiles.
         queue_capacity:
-            Initial machine-queue capacity applied to all machines (the
-            simulator overrides this per scheduling mode).
+            Machine-queue capacity applied to all machines; the engine lifts
+            it to unbounded under an immediate policy.
         memory_capacities / network:
             Optional extension parameters per machine type; ``network`` maps
             type name to ``(latency_s, bandwidth_MBps)``.
@@ -165,19 +163,12 @@ class Cluster:
 
     def eet_vector(self, task: Task) -> np.ndarray:
         """EET of *task* on each machine (aligned with machine order)."""
-        row = self._row_of.get(task.task_type.name)
-        if row is None:  # unknown type: defer to EETMatrix for its error
-            return self.eet.row(task.task_type)[self._machine_cols]
-        return self._eet_by_machine[row]
+        return self._eet_by_machine[self._row_of[task.task_type.name]]
 
     def eet_rows(self, tasks: Sequence[Task]) -> np.ndarray:
         """(len(tasks), n_machines) EET sub-matrix in one gather."""
         row_of = self._row_of
-        try:
-            rows = [row_of[t.task_type.name] for t in tasks]
-        except KeyError:  # unknown type: defer to EETMatrix for its error
-            return np.vstack([self.eet_vector(t) for t in tasks])
-        return self._eet_by_machine[rows]
+        return self._eet_by_machine[[row_of[t.task_type.name] for t in tasks]]
 
     @property
     def energy_table(self) -> np.ndarray:
@@ -208,21 +199,17 @@ class Cluster:
         self._energy_by_machine = table
         self._energy_lists = table.tolist()
 
-    def scalar_eet_rows(self, tasks: Sequence[Task]) -> list[list[float]] | None:
+    def scalar_eet_rows(self, tasks: Sequence[Task]) -> list[list[float]]:
         """Python-float EET rows of *tasks* for the list batch pass.
 
-        ``None`` when a task type is unknown: the vector form takes it.
         The rows are the cluster's own cached lists; do not mutate them.
         """
         row_of = self._row_of
         eet_lists = self._eet_lists
-        try:
-            return [eet_lists[row_of[t.task_type.name]] for t in tasks]
-        except KeyError:
-            return None
+        return [eet_lists[row_of[t.task_type.name]] for t in tasks]
 
     def scalar_energy_rows(self, tasks: Sequence[Task]) -> list[list[float]]:
-        """Python-float ``energy_table`` rows of *tasks* (known types only).
+        """Python-float ``energy_table`` rows of *tasks*.
 
         The rows are the cluster's own cached lists; do not mutate them.
         """
@@ -235,11 +222,7 @@ class Cluster:
     def energy_rows(self, tasks: Sequence[Task]) -> np.ndarray:
         """(len(tasks), n_machines) dynamic-energy sub-matrix in one gather."""
         row_of = self._row_of
-        try:
-            rows = [row_of[t.task_type.name] for t in tasks]
-        except KeyError:  # unknown type: let eet_rows raise EETMatrix's error
-            self.eet_rows(tasks)
-            raise
+        rows = [row_of[t.task_type.name] for t in tasks]
         return self.energy_table[rows]
 
     def ready_times(self, now: float) -> np.ndarray:
@@ -303,21 +286,19 @@ class Cluster:
         """
         state = self._state
         if not state.n_down and len(self.machines) <= self._SCALAR_ARGMIN_LIMIT:
-            row = self._row_of.get(task.task_type.name)
-            if row is not None:
-                eet_row = self._eet_lists[row]
-                queued = state.queued_work.tolist()
-                best = float("inf")
-                best_j = 0
-                for j, f in enumerate(state.finish_at.tolist()):
-                    remaining = f - now
-                    if remaining < 0.0:
-                        remaining = 0.0
-                    v = now + remaining + queued[j] + eet_row[j]
-                    if v < best:
-                        best = v
-                        best_j = j
-                return best_j
+            eet_row = self._eet_lists[self._row_of[task.task_type.name]]
+            queued = state.queued_work.tolist()
+            best = float("inf")
+            best_j = 0
+            for j, f in enumerate(state.finish_at.tolist()):
+                remaining = f - now
+                if remaining < 0.0:
+                    remaining = 0.0
+                v = now + remaining + queued[j] + eet_row[j]
+                if v < best:
+                    best = v
+                    best_j = j
+            return best_j
         return int(self.completion_times(task, now).argmin())
 
     def min_completion_time(self, task: Task, now: float) -> float:
@@ -329,19 +310,17 @@ class Cluster:
         """
         state = self._state
         if not state.n_down and len(self.machines) <= self._SCALAR_ARGMIN_LIMIT:
-            row = self._row_of.get(task.task_type.name)
-            if row is not None:
-                eet_row = self._eet_lists[row]
-                queued = state.queued_work.tolist()
-                best = float("inf")
-                for j, f in enumerate(state.finish_at.tolist()):
-                    remaining = f - now
-                    if remaining < 0.0:
-                        remaining = 0.0
-                    v = now + remaining + queued[j] + eet_row[j]
-                    if v < best:
-                        best = v
-                return best
+            eet_row = self._eet_lists[self._row_of[task.task_type.name]]
+            queued = state.queued_work.tolist()
+            best = float("inf")
+            for j, f in enumerate(state.finish_at.tolist()):
+                remaining = f - now
+                if remaining < 0.0:
+                    remaining = 0.0
+                v = now + remaining + queued[j] + eet_row[j]
+                if v < best:
+                    best = v
+            return best
         return float(self.completion_times(task, now).min())
 
     def argmin_open_completion(self, task: Task, now: float) -> int | None:
@@ -354,20 +333,15 @@ class Cluster:
         1×M completion matrix. Fully-up clusters up to
         ``_SCALAR_ARGMIN_LIMIT`` machines take a scalar loop over the
         :class:`ClusterState` rows with the same IEEE operations in the same
-        order; down machines or an unknown task type take the vector form.
+        order; down machines take the vector form.
         """
         state = self._state
-        row = self._row_of.get(task.task_type.name)
-        if (
-            state.n_down
-            or row is None
-            or len(self.machines) > self._SCALAR_ARGMIN_LIMIT
-        ):
+        if state.n_down or len(self.machines) > self._SCALAR_ARGMIN_LIMIT:
             completion = self.completion_times(task, now)
             completion[np.array(state.slots) <= 0] = np.inf
             j = int(completion.argmin())
             return j if np.isfinite(completion[j]) else None
-        eet_row = self._eet_lists[row]
+        eet_row = self._eet_lists[self._row_of[task.task_type.name]]
         queued = state.queued_work.tolist()
         slots = state.slots
         best = float("inf")
@@ -396,13 +370,9 @@ class Cluster:
         the same order on both branches.
         """
         state = self._state
-        row = self._row_of.get(task.task_type.name)
+        row = self._row_of[task.task_type.name]
         deadline = float(task.deadline)
-        if (
-            state.n_down
-            or row is None
-            or len(self.machines) > self._SCALAR_ARGMIN_LIMIT
-        ):
+        if state.n_down or len(self.machines) > self._SCALAR_ARGMIN_LIMIT:
             completion = self.completion_times(task, now)
             completion[np.array(state.slots) <= 0] = np.inf
             feasible = np.isfinite(completion) & (completion <= deadline)

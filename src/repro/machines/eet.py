@@ -30,6 +30,13 @@ from ..tasks.task_type import TaskType
 __all__ = ["EETMatrix"]
 
 
+class _RowIndex(dict):
+    """Task-type name -> EET row; looking up an unknown name raises EETError."""
+
+    def __missing__(self, name: str) -> int:
+        raise EETError(f"unknown task type {name!r}; defined: {list(self)}")
+
+
 class EETMatrix:
     """Immutable (task type × machine type) expected-execution-time table."""
 
@@ -80,7 +87,8 @@ class EETMatrix:
         self._matrix.setflags(write=False)
         self._task_types: list[TaskType] = task_types
         self._machine_names = machine_type_names
-        self._row_of = {t.name: t.index for t in task_types}
+        #: Task-type name -> row index; an unknown name raises EETError.
+        self.row_of = _RowIndex((t.name, t.index) for t in task_types)
         self._col_of = {n: j for j, n in enumerate(machine_type_names)}
 
     # -- basic accessors ---------------------------------------------------------
@@ -111,18 +119,13 @@ class EETMatrix:
         return self._matrix.shape[1]
 
     def has_task_type(self, name: str) -> bool:
-        return name in self._row_of
+        return name in self.row_of
 
     def has_machine_type(self, name: str) -> bool:
         return name in self._col_of
 
     def task_type(self, name: str) -> TaskType:
-        try:
-            return self._task_types[self._row_of[name]]
-        except KeyError:
-            raise EETError(
-                f"unknown task type {name!r}; defined: {self.task_type_names}"
-            ) from None
+        return self._task_types[self.row_of[name]]
 
     def lookup(self, task_type: TaskType | str, machine_type: str) -> float:
         """EET of one task type on one machine type, in seconds."""
@@ -149,12 +152,7 @@ class EETMatrix:
 
     def _row_index(self, task_type: TaskType | str) -> int:
         name = task_type if isinstance(task_type, str) else task_type.name
-        try:
-            return self._row_of[name]
-        except KeyError:
-            raise EETError(
-                f"unknown task type {name!r}; defined: {self.task_type_names}"
-            ) from None
+        return self.row_of[name]
 
     # -- heterogeneity diagnostics -------------------------------------------------
 

@@ -32,6 +32,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["FailureModel"]
 
+#: Most fail and repair events a failure model may expect over a workload
+#: window (two per up/down cycle, summed over machines). The run processes
+#: every one of them, so a tiny ``mtbf + mttr`` keeps it busy for hours while
+#: its clock barely moves.
+MAX_EXPECTED_FAILURE_EVENTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class FailureModel:
@@ -63,6 +69,28 @@ class FailureModel:
                 raise ConfigurationError(
                     f"override for {name!r}: mtbf/mttr must be positive"
                 )
+
+    def check_window(
+        self, machine_counts: Mapping[str, int], duration: float
+    ) -> float:
+        """Expected fail and repair events over *duration*, once known to fit.
+
+        The estimate is 2 × Σ machines × duration / (mtbf + mttr), with the
+        per-type overrides; above ``MAX_EXPECTED_FAILURE_EVENTS`` it is
+        refused before the run starts.
+        """
+        cycles_per_s = sum(
+            count / sum(self.per_machine_type.get(name, (self.mtbf, self.mttr)))
+            for name, count in machine_counts.items()
+        )
+        expected = 2.0 * duration * cycles_per_s
+        if expected > MAX_EXPECTED_FAILURE_EVENTS:
+            raise ConfigurationError(
+                f"failure_model expects about {expected:.3g} fail and repair "
+                f"events over generator.duration {duration}, more than the "
+                f"{MAX_EXPECTED_FAILURE_EVENTS} a run may hold"
+            )
+        return expected
 
     def parameters_for(self, machine: "Machine") -> tuple[float, float]:
         """(mtbf, mttr) effective for *machine*."""

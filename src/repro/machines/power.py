@@ -154,10 +154,6 @@ class EnergyMeter:
     def total_energy(self) -> float:
         return self._idle_energy + self._busy_energy
 
-    @property
-    def last_time(self) -> float:
-        return self._last_time
-
     def utilization(self) -> float:
         """Fraction of metered wall time spent busy (0 when nothing metered)."""
         total = self._idle_time + self._busy_time + self._off_time

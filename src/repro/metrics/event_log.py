@@ -121,22 +121,6 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.records)
 
-    def of_type(self, event_type: EventType | str) -> list[EventRecord]:
-        key = (
-            event_type.value
-            if isinstance(event_type, EventType)
-            else event_type
-        )
-        return [r for r in self.records if r.event_type == key]
-
-    def for_task(self, task_id: int) -> list[EventRecord]:
-        """The life story of one task, in event order."""
-        return [r for r in self.records if r.task_id == task_id]
-
-    def peak_backlog(self) -> int:
-        """Largest batch-queue length observed."""
-        return max((r.batch_queue_length for r in self.records), default=0)
-
     # -- export ----------------------------------------------------------------------
 
     def to_csv(self, target: str | Path | TextIO | None = None) -> str:

@@ -382,15 +382,6 @@ class TreeRollup:
                 f"no federation tree node {wire!r}; known: {known}"
             ) from None
 
-    def children_of(self, node: TreeNodeStats) -> list[TreeNodeStats]:
-        """Direct children of ``node``, in path order."""
-        depth = len(node.path) + 1
-        return [
-            n
-            for n in self
-            if len(n.path) == depth and n.path[:-1] == node.path
-        ]
-
     def as_dict(self) -> dict[str, dict[str, float]]:
         """Wire-path-keyed JSON form (stable key order)."""
         return {n.wire: dict(sorted(n.stats.items())) for n in self}

@@ -223,8 +223,8 @@ class BatchScheduler(Scheduler):
         :meth:`_matrix_pass` (``Cluster.ready_list``, then
         ``ready[j] + eet[i][j]``), the same one-column refresh per pick and
         the same checks, with the policy's ``select_pair_scalar`` choosing.
-        ``None`` when the pass has more than ``_LIST_PASS_CELLS`` cells or a
-        task type is unknown: the matrix pass takes those.
+        ``None`` when the pass has more than ``_LIST_PASS_CELLS`` cells:
+        the matrix pass takes those.
         """
         cluster = ctx.cluster
         if len(tasks) * len(cluster.machines) > _LIST_PASS_CELLS:
@@ -232,8 +232,6 @@ class BatchScheduler(Scheduler):
         if not tasks or max(cluster.state.slots) <= 0:
             return []
         eet = cluster.scalar_eet_rows(tasks)
-        if eet is None:
-            return None
         slots = list(cluster.state.slots)
         ready = cluster.ready_list(ctx.now)
         n_machines = len(ready)

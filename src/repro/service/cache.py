@@ -62,13 +62,6 @@ class ResultCache:
             return None
         return payload if isinstance(payload, dict) else None
 
-    def get_bytes(self, key: str) -> bytes | None:
-        """The raw stored bytes for *key* (for bit-identity assertions)."""
-        try:
-            return self.path(key).read_bytes()
-        except OSError:
-            return None
-
     def put(self, key: str, payload: dict[str, Any]) -> Path:
         """Atomically store *payload* under *key*; returns the entry path.
 

@@ -66,39 +66,11 @@ class Workload:
 
     # -- lookups ---------------------------------------------------------------
 
-    def type_by_name(self, name: str) -> TaskType:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise IncompatibleWorkloadError(
-                f"unknown task type {name!r}; defined: {sorted(self._by_name)}"
-            ) from None
-
     def counts_by_type(self) -> dict[str, int]:
         counts = {t.name: 0 for t in self.task_types}
         for task in self.tasks:
             counts[task.task_type.name] += 1
         return counts
-
-    # -- derived properties ------------------------------------------------------
-
-    @property
-    def makespan_window(self) -> tuple[float, float]:
-        """(first arrival, last arrival); (0, 0) when empty."""
-        if not self.tasks:
-            return (0.0, 0.0)
-        return (self.tasks[0].arrival_time, self.tasks[-1].arrival_time)
-
-    @property
-    def duration(self) -> float:
-        first, last = self.makespan_window
-        return last - first
-
-    def mean_arrival_rate(self) -> float:
-        """Empirical arrivals per second over the arrival window."""
-        if len(self.tasks) < 2 or self.duration == 0:
-            return 0.0
-        return (len(self.tasks) - 1) / self.duration
 
     # -- validation / utilities --------------------------------------------------
 

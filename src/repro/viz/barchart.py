@@ -154,14 +154,6 @@ class GroupedBarChart:
         _maybe_write(text, target)
         return text
 
-    def series_values(self, series: str) -> list[float]:
-        """Values of one series across groups (group order)."""
-        return [
-            self._data[(g, series)]
-            for g in self.groups
-            if (g, series) in self._data
-        ]
-
 
 def _maybe_write(text: str, target: str | Path | TextIO | None) -> None:
     if target is None:

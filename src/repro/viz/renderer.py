@@ -98,15 +98,6 @@ class SystemRenderer:
         lines.append(bar)
         return "\n".join(lines)
 
-    def render_counts(self, sim: "Simulator") -> str:
-        """Compact one-line status (for dense logs)."""
-        counts = sim.counts()
-        return (
-            f"t={sim.now:9.3f} batch={len(sim.batch_queue)} "
-            f"done={counts['completed']} cancel={counts['cancelled']} "
-            f"miss={counts['missed']}"
-        )
-
     def render_missed_tasks(self, sim: "Simulator") -> str:
         """The Missed Tasks component (Fig. 4): one row per missed task."""
         from ..tasks.task import TaskStatus

@@ -208,7 +208,7 @@ class TestDrivingModes:
         else:
             sim = federated(eet, types)
             sim = FederatedSimulator(sim.spec, eet, workload(types, late))
-        assert sim.next_event_time() == 2.5
+        assert sim.events.next_time() == 2.5
         first = sim.step()
         assert first.type is EventType.TASK_ARRIVAL
         assert first.payload.id == 0

@@ -38,6 +38,13 @@ class TestValidation:
                 generator={"duration": 10.0},
             )
 
+    @pytest.mark.parametrize("seed", ["abc", -1, 1.5])
+    def test_preset_seed_fails_typed(self, seed):
+        from repro.scenarios import build_scenario
+
+        with pytest.raises(ConfigurationError, match="seed"):
+            build_scenario("classroom_homogeneous", seed=seed)
+
 
 class TestBuilders:
     def test_build_cluster(self, scenario_factory):
@@ -190,6 +197,12 @@ class TestFromDictRejects:
                 "generator/specs",
                 [{"name": "T1", "arrival": {"kind": "poisson", "rate": float("nan")}}],
                 r"arrival\.rate",
+            ),
+            ("failure_model", {"mtbf": 1e-6, "mttr": 1e-6}, "fail and repair events"),
+            (
+                "failure_model",
+                {"mtbf": 1e9, "mttr": 1e9, "per_machine_type": {"M0": [1e-6, 1e-6]}},
+                "fail and repair events",
             ),
         ],
     )

@@ -101,13 +101,6 @@ class TestCancellation:
         assert queue.cancel(doomed)
         assert not queue.cancel(doomed)
 
-    def test_is_cancelled(self):
-        queue = EventQueue()
-        doomed = queue.push(ev(1.0))
-        assert not queue.is_cancelled(doomed)
-        queue.cancel(doomed)
-        assert queue.is_cancelled(doomed)
-
     def test_peek_skips_cancelled_head(self):
         queue = EventQueue()
         doomed = queue.push(ev(1.0))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.rng import choice_index, derive_seed, make_rng, spawn
+from repro.core.rng import derive_seed, make_rng, spawn
 
 
 class TestMakeRng:
@@ -56,26 +56,3 @@ class TestDeriveSeed:
     def test_string_labels_stable_across_processes(self):
         # The label hash must not rely on salted builtins.hash.
         assert derive_seed(1, "abc") == derive_seed(1, "abc")
-
-
-class TestChoiceIndex:
-    def test_degenerate_weight_always_chosen(self):
-        rng = make_rng(0)
-        assert all(
-            choice_index(rng, [0.0, 1.0, 0.0]) == 1 for _ in range(10)
-        )
-
-    def test_rejects_bad_weights(self):
-        rng = make_rng(0)
-        with pytest.raises(ValueError):
-            choice_index(rng, [])
-        with pytest.raises(ValueError):
-            choice_index(rng, [-1.0, 2.0])
-        with pytest.raises(ValueError):
-            choice_index(rng, [0.0, 0.0])
-
-    def test_distribution_roughly_matches_weights(self):
-        rng = make_rng(123)
-        draws = [choice_index(rng, [1, 3]) for _ in range(4000)]
-        fraction_of_ones = sum(draws) / len(draws)
-        assert 0.70 < fraction_of_ones < 0.80

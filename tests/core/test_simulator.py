@@ -2,15 +2,20 @@
 
 import pytest
 
-from repro.core.errors import ConfigurationError, SimulationStateError
+from repro.core.errors import SimulationStateError
 from repro.core.events import EventType
 from repro.core.simulator import Simulator
 from repro.machines.cluster import Cluster
+from repro.machines.machine import UNBOUNDED
 from repro.scheduling.registry import create_scheduler
 
 
-def build_sim(eet, make_workload, triples, scheduler="MECT", **kwargs):
-    cluster = Cluster.build(eet, {n: 1 for n in eet.machine_type_names})
+def build_sim(
+    eet, make_workload, triples, scheduler="MECT", queue_capacity=UNBOUNDED, **kwargs
+):
+    cluster = Cluster.build(
+        eet, {n: 1 for n in eet.machine_type_names}, queue_capacity=queue_capacity
+    )
     return Simulator(
         cluster=cluster,
         workload=make_workload(triples),
@@ -52,7 +57,7 @@ class TestStepping:
 
     def test_next_event_time(self, eet_3x2, make_workload):
         sim = build_sim(eet_3x2, make_workload, [(0, 1.0, 100.0)])
-        assert sim.next_event_time() == 1.0
+        assert sim.events.next_time() == 1.0
 
 
 class TestRun:
@@ -108,16 +113,6 @@ class TestObservers:
 
 
 class TestConfigurationGuards:
-    def test_immediate_with_bounded_queue_rejected(self, eet_3x2, make_workload):
-        with pytest.raises(ConfigurationError):
-            build_sim(
-                eet_3x2,
-                make_workload,
-                [(0, 0.0, 100.0)],
-                scheduler="MECT",
-                queue_capacity=3,
-            )
-
     def test_batch_with_bounded_queue_allowed(self, eet_3x2, make_workload):
         sim = build_sim(
             eet_3x2,

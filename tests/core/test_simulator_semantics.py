@@ -9,6 +9,7 @@ import numpy as np
 from repro.core.simulator import Simulator
 from repro.machines.cluster import Cluster
 from repro.machines.eet import EETMatrix
+from repro.machines.machine import UNBOUNDED
 from repro.scheduling.registry import create_scheduler
 from repro.tasks.task import DropStage, Task, TaskStatus
 from repro.tasks.task_type import TaskType
@@ -22,14 +23,16 @@ def single_machine_setup(eet_value=10.0):
     return task_type, eet
 
 
-def run_tasks(eet, task_type, specs, scheduler="FCFS", **kwargs):
+def run_tasks(
+    eet, task_type, specs, scheduler="FCFS", queue_capacity=UNBOUNDED, **kwargs
+):
     """specs: list of (arrival, deadline). Returns tasks after the run."""
     tasks = [
         Task(id=i, task_type=task_type, arrival_time=a, deadline=d)
         for i, (a, d) in enumerate(specs)
     ]
     workload = Workload(task_types=[task_type], tasks=tasks)
-    cluster = Cluster.build(eet, {"M": 1})
+    cluster = Cluster.build(eet, {"M": 1}, queue_capacity=queue_capacity)
     sim = Simulator(
         cluster=cluster,
         workload=workload,

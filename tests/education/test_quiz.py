@@ -83,7 +83,6 @@ class TestGrading:
     def test_perfect_score(self, hand_quiz):
         result = hand_quiz.grade(hand_quiz.answer_key())
         assert result.points == result.max_points == 12
-        assert result.score_fraction == 1.0
 
     def test_blank_answers_zero(self, hand_quiz):
         result = hand_quiz.grade({})

@@ -31,6 +31,15 @@ class TestFailureModel:
         assert model.parameters_for(cluster_3x2[0]) == (100.0, 10.0)
         assert model.parameters_for(cluster_3x2[1]) == (50.0, 5.0)
 
+    def test_expected_events_over_a_window(self):
+        model = FailureModel(
+            mtbf=10.0, mttr=10.0, per_machine_type={"GPU": (40.0, 10.0)}
+        )
+        # 2 events per cycle x 100 s x (2 CPUs / 20 s + 1 GPU / 50 s) = 24.
+        assert model.check_window({"CPU": 2, "GPU": 1}, 100.0) == pytest.approx(24.0)
+        with pytest.raises(ConfigurationError, match="fail and repair events"):
+            FailureModel(mtbf=1e-6, mttr=1e-6).check_window({"CPU": 4}, 60.0)
+
     def test_samples_positive(self, cluster_3x2):
         model = FailureModel(mtbf=10.0, mttr=2.0)
         rng = np.random.default_rng(0)

@@ -120,9 +120,6 @@ class TestFederationSpec:
         spec = two_site_spec()
         assert spec.total_machine_counts() == {"CPU": 3, "GPU": 1}
         assert spec.names == ["edge", "cloud"]
-        assert spec.index_of("cloud") == 1
-        with pytest.raises(ConfigurationError):
-            spec.index_of("mars")
         assert spec.arrival_weights() == [1.0, 0.0]
 
     def test_json_round_trip(self):

@@ -108,10 +108,9 @@ class TestSingleMachineSingleTask:
         task_type, eet = one_type_system([1.0], ["M"])
         task = Task(id=0, task_type=task_type, arrival_time=0.0, deadline=2.0)
         sim = Simulator(
-            cluster=Cluster.build(eet, {"M": 1}),
+            cluster=Cluster.build(eet, {"M": 1}, queue_capacity=1),
             workload=Workload(task_types=[task_type], tasks=[task]),
             scheduler=create_scheduler("MM"),
-            queue_capacity=1,
         )
         result = sim.run()
         assert result.summary.completed == 1
@@ -128,10 +127,9 @@ class TestZeroCapacityBatchQueue:
             for i in range(4)
         ]
         sim = Simulator(
-            cluster=Cluster.build(eet, {"M": 1}),
+            cluster=Cluster.build(eet, {"M": 1}, queue_capacity=0),
             workload=Workload(task_types=[task_type], tasks=tasks),
             scheduler=create_scheduler("MM"),
-            queue_capacity=0,
         )
         result = sim.run()
         assert result.summary.cancelled == 4

@@ -85,7 +85,8 @@ class TestEnergyMeter:
         meter.advance(10.0, busy=False)
         meter.reset(start_time=2.0)
         assert meter.total_energy == 0.0
-        assert meter.last_time == 2.0
+        meter.advance(3.0, busy=False)
+        assert meter.idle_energy == 1.0
 
     def test_custom_start_time(self):
         meter = EnergyMeter(PowerProfile(idle_watts=10.0), start_time=5.0)

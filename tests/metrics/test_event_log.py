@@ -4,7 +4,6 @@ import io
 
 import pytest
 
-from repro.core.events import EventType
 from repro.metrics.event_log import EventLog
 from repro.scenarios import build_scenario
 
@@ -31,14 +30,16 @@ class TestCollection:
 
     def test_arrival_records_carry_task(self, logged_run):
         log, _ = logged_run
-        arrivals = log.of_type(EventType.TASK_ARRIVAL)
+        arrivals = [r for r in log.records if r.event_type == "task_arrival"]
         assert arrivals
         assert all(r.task_id is not None for r in arrivals)
         assert all(r.task_type for r in arrivals)
 
     def test_completion_records_carry_machine(self, logged_run):
         log, _ = logged_run
-        completions = log.of_type("task_completion")
+        completions = [
+            r for r in log.records if r.event_type == "task_completion"
+        ]
         assert completions
         assert all(r.machine for r in completions)
 
@@ -50,14 +51,14 @@ class TestCollection:
     def test_for_task_life_story(self, logged_run):
         log, sim = logged_run
         task = sim.workload[0]
-        story = log.for_task(task.id)
+        story = [r for r in log.records if r.task_id == task.id]
         kinds = [r.event_type for r in story]
         assert kinds[0] == "task_arrival"
         assert "task_completion" in kinds or "task_deadline" in kinds
 
     def test_peak_backlog_nonnegative(self, logged_run):
         log, _ = logged_run
-        assert log.peak_backlog() >= 0
+        assert min(r.batch_queue_length for r in log.records) >= 0
 
     def test_max_records_guard(self, scenario_factory):
         log = EventLog(max_records=5)
@@ -110,8 +111,8 @@ class TestFailureEvents:
             observers=[log],
         )
         sim.run()
-        failures = log.of_type("machine_failure")
-        repairs = log.of_type("machine_repair")
+        failures = [r for r in log.records if r.event_type == "machine_failure"]
+        repairs = [r for r in log.records if r.event_type == "machine_repair"]
         assert failures and repairs
         assert all(r.machine for r in failures)
 
@@ -133,6 +134,8 @@ class TestFederatedEngine:
         sim = build_scenario("fed_rebalance").build_simulator()
         sim.observers.append(log)
         sim.run()
-        assert log.peak_backlog() > 0
-        migrations = log.of_type(EventType.TASK_MIGRATION)
+        assert max(r.batch_queue_length for r in log.records) > 0
+        migrations = [
+            r for r in log.records if r.event_type == "task_migration"
+        ]
         assert any(r.task_id is not None for r in migrations)

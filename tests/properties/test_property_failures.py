@@ -54,10 +54,11 @@ def run(eet, specs, mtbf, mttr, policy, seed):
     scheduler = create_scheduler(policy)
     capacity = 2 if scheduler.mode is SchedulingMode.BATCH else float("inf")
     sim = Simulator(
-        cluster=Cluster.build(eet, {n: 1 for n in eet.machine_type_names}),
+        cluster=Cluster.build(
+            eet, {n: 1 for n in eet.machine_type_names}, queue_capacity=capacity
+        ),
         workload=workload,
         scheduler=scheduler,
-        queue_capacity=capacity,
         failure_model=FailureModel(mtbf=mtbf, mttr=mttr),
         seed=seed,
     )

@@ -139,7 +139,11 @@ def test_rollup_root_equals_flat_leaf_sum(spec, values):
     # integer-valued so exact; "v" only up to float association order —
     # the fold accumulates leaf-by-leaf, the check child-by-child).
     for node in rollup:
-        children = rollup.children_of(node)
+        children = [
+            n
+            for n in rollup
+            if len(n.path) == len(node.path) + 1 and n.path[:-1] == node.path
+        ]
         if not children:
             continue
         assert node.stats["one"] == sum(c.stats["one"] for c in children)

@@ -59,17 +59,16 @@ def build_and_run(eet, task_specs, policy, capacity, sim_seed):
         for i, ti, arr, slack in task_specs
     ]
     workload = Workload(task_types=task_types, tasks=tasks)
-    cluster = Cluster.build(
-        eet, {n: 1 for n in eet.machine_type_names}
-    )
     scheduler = create_scheduler(policy)
     if scheduler.mode is SchedulingMode.IMMEDIATE:
         capacity = float("inf")
+    cluster = Cluster.build(
+        eet, {n: 1 for n in eet.machine_type_names}, queue_capacity=capacity
+    )
     sim = Simulator(
         cluster=cluster,
         workload=workload,
         scheduler=scheduler,
-        queue_capacity=capacity,
         seed=sim_seed,
     )
     return sim.run(), workload, sim

@@ -95,7 +95,6 @@ class TestInSimulation:
             cluster=Cluster.build(eet, {"M": 1}, queue_capacity=1),
             workload=Workload(task_types=[task_type], tasks=tasks),
             scheduler=create_scheduler("MM"),
-            queue_capacity=1,
             scheduling_overhead=SchedulingOverhead(per_cell=0.1),
         )
         sim.run()

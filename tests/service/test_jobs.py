@@ -124,13 +124,12 @@ class TestCacheBitIdentity:
         with CampaignService(tmp_path / "a", workers=1) as first:
             receipt_a = first.submit(dict(SMALL_SCENARIO))
             first.wait(receipt_a.job_id, timeout=60)
-            bytes_a = first.cache.get_bytes(receipt_a.key)
+            bytes_a = first.cache.path(receipt_a.key).read_bytes()
         with CampaignService(tmp_path / "b", workers=1) as second:
             receipt_b = second.submit(dict(SMALL_SCENARIO))
             second.wait(receipt_b.job_id, timeout=60)
-            bytes_b = second.cache.get_bytes(receipt_b.key)
+            bytes_b = second.cache.path(receipt_b.key).read_bytes()
         assert receipt_a.key == receipt_b.key
-        assert bytes_a is not None
         assert bytes_a == bytes_b
 
     def test_cache_hit_serves_without_resimulating(self, tmp_path):

@@ -43,34 +43,9 @@ class TestConstruction:
 
 
 class TestLookups:
-    def test_type_by_name(self, make_workload, task_types):
-        w = make_workload([(0, 0.0, 10.0)])
-        assert w.type_by_name("T2") is task_types[1]
-
-    def test_type_by_name_unknown(self, make_workload):
-        w = make_workload([(0, 0.0, 10.0)])
-        with pytest.raises(IncompatibleWorkloadError):
-            w.type_by_name("nope")
-
     def test_counts_by_type(self, make_workload):
         w = make_workload([(0, 0.0, 10.0), (0, 1.0, 11.0), (2, 2.0, 12.0)])
         assert w.counts_by_type() == {"T1": 2, "T2": 0, "T3": 1}
-
-
-class TestDerived:
-    def test_makespan_window(self, make_workload):
-        w = make_workload([(0, 2.0, 10.0), (1, 8.0, 20.0)])
-        assert w.makespan_window == (2.0, 8.0)
-        assert w.duration == 6.0
-
-    def test_empty_window(self, task_types):
-        w = Workload(task_types=task_types)
-        assert w.makespan_window == (0.0, 0.0)
-        assert w.mean_arrival_rate() == 0.0
-
-    def test_mean_arrival_rate(self, make_workload):
-        w = make_workload([(0, 0.0, 10.0), (0, 1.0, 11.0), (0, 2.0, 12.0)])
-        assert w.mean_arrival_rate() == pytest.approx(1.0)
 
 
 class TestFreshCopy:

@@ -86,7 +86,7 @@ class TestRuns:
 
     def test_edge_cloud_arrivals_originate_at_the_edge(self):
         result = build_scenario("edge_cloud", duration=120.0).run()
-        origins = result.origins_by_cluster()
+        origins = {src: sum(row.values()) for src, row in result.routing.items()}
         assert origins["cloud"] == 0
         assert origins["edge"] == result.summary.total_tasks
 

@@ -99,7 +99,7 @@ class TestGroupedBarChart:
 
     def test_series_values(self):
         chart = self._chart()
-        assert chart.series_values("FCFS") == [90.0, 40.0]
+        assert [chart.get(g, "FCFS") for g in chart.groups] == [90.0, 40.0]
 
     def test_set_overwrites(self):
         chart = self._chart()

@@ -61,10 +61,6 @@ class TestFrame:
                 break
         assert "\x1b[" in renderer.render(simulator)
 
-    def test_compact_counts_line(self, simulator):
-        line = SystemRenderer().render_counts(simulator)
-        assert "t=" in line and "done=0" in line
-
 
 class TestMissedTasksComponent:
     def test_empty_when_no_misses(self, simulator):
