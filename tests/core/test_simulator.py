@@ -124,6 +124,21 @@ class TestConfigurationGuards:
         result = sim.run()
         assert result.summary.completed == 1
 
+    def test_immediate_lifts_built_capacity_to_unbounded(
+        self, eet_3x2, make_workload
+    ):
+        sim = build_sim(
+            eet_3x2, make_workload, [(0, 0.0, 100.0)], queue_capacity=3
+        )
+        assert all(m.queue_capacity == UNBOUNDED for m in sim.cluster)
+
+    def test_batch_keeps_built_capacity(self, eet_3x2, make_workload):
+        sim = build_sim(
+            eet_3x2, make_workload, [(0, 0.0, 100.0)], scheduler="MM",
+            queue_capacity=3,
+        )
+        assert all(m.queue_capacity == 3 for m in sim.cluster)
+
     def test_workload_must_match_eet(self, eet_3x2):
         from repro.core.errors import IncompatibleWorkloadError
         from repro.tasks.task import Task

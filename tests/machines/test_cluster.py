@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, EETError
 from repro.machines.cluster import Cluster
 from repro.machines.power import PowerProfile
 from repro.tasks.task import Task
+from repro.tasks.task_type import TaskType
 
 
 def t1_task(task_types, i=0):
@@ -116,6 +117,33 @@ class TestVectorViews:
         snapshot[0] -= 1
         np.testing.assert_array_equal(cluster.free_slots_snapshot(), [2.0, 2.0])
         assert cluster[0].can_accept()
+
+
+class TestUnknownTaskType:
+    """Every planning helper raises the EET's own error for an unknown type."""
+
+    HELPERS = {
+        "eet_vector": lambda c, t: c.eet_vector(t),
+        "eet_rows": lambda c, t: c.eet_rows([t]),
+        "scalar_eet_rows": lambda c, t: c.scalar_eet_rows([t]),
+        "energy_rows": lambda c, t: c.energy_rows([t]),
+        "scalar_energy_rows": lambda c, t: c.scalar_energy_rows([t]),
+        "completion_times": lambda c, t: c.completion_times(t, 0.0),
+        "argmin_completion": lambda c, t: c.argmin_completion(t, 0.0),
+        "min_completion_time": lambda c, t: c.min_completion_time(t, 0.0),
+        "argmin_open_completion": lambda c, t: c.argmin_open_completion(t, 0.0),
+        "argmin_open_energy": lambda c, t: c.argmin_open_energy(t, 0.0),
+    }
+
+    @pytest.mark.parametrize("helper", sorted(HELPERS))
+    @pytest.mark.parametrize("per_type", [1, 40])  # scalar and vector branch
+    def test_helper_raises_eet_error(self, eet_3x2, helper, per_type):
+        cluster = Cluster.build(eet_3x2, {"M1": per_type, "M2": per_type})
+        alien = Task(
+            id=0, task_type=TaskType("ALIEN", 0), arrival_time=0.0, deadline=9.0
+        )
+        with pytest.raises(EETError, match="unknown task type 'ALIEN'"):
+            self.HELPERS[helper](cluster, alien)
 
 
 class TestUtilities:

@@ -68,6 +68,12 @@ class TestAccessors:
         with pytest.raises(EETError):
             eet_3x2.lookup("T1", "MX")
 
+    def test_row_of_unknown_task_raises_eet_error(self, eet_3x2):
+        assert eet_3x2.row_of["T3"] == 2
+        assert "TX" not in eet_3x2.row_of
+        with pytest.raises(EETError, match="unknown task type 'TX'"):
+            eet_3x2.row_of["TX"]
+
     def test_row_and_column(self, eet_3x2):
         np.testing.assert_array_equal(eet_3x2.row("T2"), [9.0, 3.0])
         np.testing.assert_array_equal(eet_3x2.column("M1"), [4.0, 9.0, 5.0])
