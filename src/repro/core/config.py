@@ -441,14 +441,17 @@ class Scenario:
             failure_model=None if failure is None else _failure_model(failure),
             name=text(data.get("name", "scenario"), "name"),
         )
-        if scenario.generator is not None:
+        if scenario.generator is not None:  # refuse a window too long to hold now
             gen, recipe = scenario._generator()
-            if "duration" in recipe:  # refuse a window too long to hold now
+            if "duration" in recipe:
                 gen.check_window(recipe["duration"], recipe["intensity"])
-                if scenario.failure_model is not None:
-                    scenario.failure_model.check_window(
-                        scenario.machine_counts, recipe["duration"]
-                    )
+            if scenario.failure_model is not None:
+                window = (
+                    recipe["duration"]
+                    if "duration" in recipe
+                    else gen.count_window(recipe["n_tasks"], recipe["intensity"])
+                )
+                scenario.failure_model.check_window(scenario.machine_counts, window)
         return scenario
 
     def to_json(self, path: str | Path | None = None, *, indent: int = 2) -> str:

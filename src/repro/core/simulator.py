@@ -51,7 +51,7 @@ import numpy as np
 from ..machines.cluster import Cluster
 from ..machines.execution import DeterministicExecution, ExecutionTimeModel
 from ..machines.failures import FailureModel
-from ..machines.machine import UNBOUNDED, Machine
+from ..machines.machine import Machine
 from ..metrics.collector import MetricsCollector, SummaryMetrics
 from ..metrics.energy import EnergyBreakdown, energy_breakdown
 from ..metrics.records import RecordsSource
@@ -351,7 +351,7 @@ class ClusterCore:
         # capacity, and immediate policies get unbounded queues (Fig. 3:
         # "limited to infinite for immediate policies").
         if scheduler.mode is SchedulingMode.IMMEDIATE:
-            cluster.set_queue_capacity(UNBOUNDED)
+            cluster.unbound_queues()
 
         self.batch_queue = BatchQueue()
         self.collector = MetricsCollector()

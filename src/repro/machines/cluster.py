@@ -52,8 +52,9 @@ class Cluster:
         # eet_vector hands out row views of this cache; keep it immutable so
         # a policy mutating its "own" EET vector cannot corrupt the cluster.
         self._eet_by_machine.setflags(write=False)
-        # The EET's own row index: an unknown task type raises EETError.
-        self._row_of = eet.row_of
+        # The EET's own private row index, shared and never written: an
+        # unknown task type raises EETError.
+        self._row_of = eet._row_of
         # Python-float copies of the EET rows for the small-cluster scalar
         # fast path (argmin_completion): plain list indexing avoids NumPy
         # scalar boxing inside the per-machine loop.
@@ -432,15 +433,14 @@ class Cluster:
     def total_energy(self) -> float:
         return sum(m.energy.total_energy for m in self.machines)
 
-    def set_queue_capacity(self, capacity: float) -> None:
-        """Give every (empty) machine queue a new capacity (pre-run configuration)."""
-        capacity = integer(capacity, "queue_capacity", unbounded=True)
+    def unbound_queues(self) -> None:
+        """Lift every (empty) machine queue to unbounded (pre-run configuration)."""
         for m in self.machines:
             if len(m.queue) or m.running is not None:
                 raise ConfigurationError(
                     "cannot change queue capacity while tasks are in flight"
                 )
-            m.queue_capacity = capacity
+            m.queue_capacity = UNBOUNDED
             m.recount_slots()
 
     def free_slots_snapshot(self) -> np.ndarray:

@@ -88,7 +88,7 @@ class EETMatrix:
         self._task_types: list[TaskType] = task_types
         self._machine_names = machine_type_names
         #: Task-type name -> row index; an unknown name raises EETError.
-        self.row_of = _RowIndex((t.name, t.index) for t in task_types)
+        self._row_of = _RowIndex((t.name, t.index) for t in task_types)
         self._col_of = {n: j for j, n in enumerate(machine_type_names)}
 
     # -- basic accessors ---------------------------------------------------------
@@ -119,13 +119,13 @@ class EETMatrix:
         return self._matrix.shape[1]
 
     def has_task_type(self, name: str) -> bool:
-        return name in self.row_of
+        return name in self._row_of
 
     def has_machine_type(self, name: str) -> bool:
         return name in self._col_of
 
     def task_type(self, name: str) -> TaskType:
-        return self._task_types[self.row_of[name]]
+        return self._task_types[self._row_of[name]]
 
     def lookup(self, task_type: TaskType | str, machine_type: str) -> float:
         """EET of one task type on one machine type, in seconds."""
@@ -152,7 +152,7 @@ class EETMatrix:
 
     def _row_index(self, task_type: TaskType | str) -> int:
         name = task_type if isinstance(task_type, str) else task_type.name
-        return self.row_of[name]
+        return self._row_of[name]
 
     # -- heterogeneity diagnostics -------------------------------------------------
 

@@ -87,7 +87,7 @@ class FailureModel:
         if expected > MAX_EXPECTED_FAILURE_EVENTS:
             raise ConfigurationError(
                 f"failure_model expects about {expected:.3g} fail and repair "
-                f"events over generator.duration {duration}, more than the "
+                f"events over a {duration:.3g} s workload window, more than the "
                 f"{MAX_EXPECTED_FAILURE_EVENTS} a run may hold"
             )
         return expected

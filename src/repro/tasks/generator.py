@@ -208,6 +208,11 @@ class WorkloadGenerator:
             )
         return ratio, rates
 
+    def count_window(self, n_tasks: int, intensity: str | float) -> float:
+        """Seconds the calibrated rates take, on average, to offer *n_tasks*."""
+        ratio = oversubscription_for_level(intensity)
+        return n_tasks / sum(self.rates_for_oversubscription(ratio).values())
+
     def generate(
         self,
         duration: float,
@@ -275,9 +280,7 @@ class WorkloadGenerator:
         """
         if n_tasks <= 0:
             raise ConfigurationError(f"n_tasks must be positive, got {n_tasks}")
-        ratio = oversubscription_for_level(intensity)
-        total_rate = sum(self.rates_for_oversubscription(ratio).values())
-        duration = max(n_tasks / total_rate * 1.5, 1e-6)
+        duration = max(self.count_window(n_tasks, intensity) * 1.5, 1e-6)
         rng = make_rng(seed)
         type_indices, arrivals, deadlines = self._sample(
             duration, intensity, rng, start

@@ -211,6 +211,17 @@ class TestFromDictRejects:
         with pytest.raises(ConfigurationError, match=named):
             Scenario.from_dict(data)
 
+    def test_failure_storm_over_an_n_tasks_window(self):
+        # The window of a count recipe is n_tasks / Σ calibrated rate.
+        data = mutated_preset(
+            "classroom_homogeneous", "generator", {"n_tasks": 50, "intensity": "medium"}
+        )
+        data["failure_model"] = {"mtbf": 1e-6, "mttr": 1e-6}
+        with pytest.raises(ConfigurationError, match="fail and repair events"):
+            Scenario.from_dict(data)
+        data["failure_model"] = {"mtbf": 100.0, "mttr": 10.0}
+        assert Scenario.from_dict(data).failure_model.mtbf == 100.0
+
     @pytest.mark.parametrize(
         "preset,field,value,named",
         [

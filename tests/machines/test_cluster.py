@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import ConfigurationError, EETError
+from repro.machines import UNBOUNDED
 from repro.machines.cluster import Cluster
 from repro.machines.power import PowerProfile
 from repro.tasks.task import Task
@@ -147,18 +148,24 @@ class TestUnknownTaskType:
 
 
 class TestUtilities:
-    def test_set_queue_capacity(self, eet_3x2):
-        cluster = Cluster.build(eet_3x2, {"M1": 1, "M2": 1})
-        cluster.set_queue_capacity(2)
+    def test_build_queue_capacity(self, eet_3x2):
+        cluster = Cluster.build(eet_3x2, {"M1": 1, "M2": 1}, queue_capacity=2)
         assert all(m.queue_capacity == 2 for m in cluster)
+        assert cluster.state.slots == [2.0, 2.0]
+        with pytest.raises(ConfigurationError, match="queue_capacity"):
+            Cluster.build(eet_3x2, {"M1": 1, "M2": 1}, queue_capacity=1.5)
 
-    def test_set_queue_capacity_with_inflight_rejected(
-        self, eet_3x2, task_types
-    ):
-        cluster = Cluster.build(eet_3x2, {"M1": 1, "M2": 1})
+    def test_unbound_queues(self, eet_3x2):
+        cluster = Cluster.build(eet_3x2, {"M1": 1, "M2": 1}, queue_capacity=2)
+        cluster.unbound_queues()
+        assert all(m.queue_capacity == UNBOUNDED for m in cluster)
+        assert cluster.state.slots == [UNBOUNDED, UNBOUNDED]
+
+    def test_unbound_queues_with_inflight_rejected(self, eet_3x2, task_types):
+        cluster = Cluster.build(eet_3x2, {"M1": 1, "M2": 1}, queue_capacity=2)
         cluster[0].enqueue(t1_task(task_types), 0.0)
         with pytest.raises(ConfigurationError):
-            cluster.set_queue_capacity(2)
+            cluster.unbound_queues()
 
     def test_total_energy_starts_zero(self, powered_cluster):
         assert powered_cluster.total_energy() == 0.0

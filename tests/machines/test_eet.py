@@ -68,11 +68,13 @@ class TestAccessors:
         with pytest.raises(EETError):
             eet_3x2.lookup("T1", "MX")
 
-    def test_row_of_unknown_task_raises_eet_error(self, eet_3x2):
-        assert eet_3x2.row_of["T3"] == 2
-        assert "TX" not in eet_3x2.row_of
+    def test_unknown_task_type_raises_eet_error(self, eet_3x2):
+        assert eet_3x2.task_type("T3").index == 2
+        assert not eet_3x2.has_task_type("TX")
         with pytest.raises(EETError, match="unknown task type 'TX'"):
-            eet_3x2.row_of["TX"]
+            eet_3x2.task_type("TX")
+        with pytest.raises(EETError, match="unknown task type 'TX'"):
+            eet_3x2.row("TX")
 
     def test_row_and_column(self, eet_3x2):
         np.testing.assert_array_equal(eet_3x2.row("T2"), [9.0, 3.0])

@@ -74,13 +74,13 @@ def check(cluster: Cluster, down: set[int]) -> None:
 @settings(max_examples=200, deadline=None)
 @given(
     capacity=st.sampled_from([1, 2, UNBOUNDED]),
-    recapacity=st.sampled_from([None, 1, 3, UNBOUNDED]),
+    unbound=st.booleans(),
     script=steps,
 )
-def test_every_transition_writes_the_one_store(capacity, recapacity, script):
+def test_every_transition_writes_the_one_store(capacity, unbound, script):
     cluster = Cluster.build(EET, [2, 1], queue_capacity=capacity)
-    if recapacity is not None:
-        cluster.set_queue_capacity(recapacity)
+    if unbound:
+        cluster.unbound_queues()
     down: set[int] = set()
     ids = iter(range(10_000))
     now = 0.0

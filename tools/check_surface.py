@@ -15,15 +15,13 @@ Dunder methods are skipped (the interpreter calls them).
 The check also fails when a :data:`KEEP` entry is no longer flagged (it
 gained a caller or was deleted), so the list stays true.
 
-Usage::
+Usage (it checks the tree it sits in, one level above ``tools/``)::
 
-    python tools/check_surface.py            # check the repo it lives in
-    python tools/check_surface.py --root DIR # check another tree
+    python tools/check_surface.py
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import re
 import sys
@@ -95,17 +93,8 @@ def census(root: Path) -> list[tuple[str, Path, int]]:
     ]
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--root",
-        type=Path,
-        default=Path(__file__).resolve().parents[1],
-        help="repository root to check (default: this repo)",
-    )
-    root = parser.parse_args(argv).root.resolve()
-
-    flagged = census(root)
+def main() -> int:
+    flagged = census(Path(__file__).resolve().parents[1])
     names = {qualname for qualname, _, _ in flagged}
     errors = [
         f"{path}:{line}: {qualname} is reached only by tests; delete it "
