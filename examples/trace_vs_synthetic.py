@@ -30,22 +30,26 @@ LOCAL_POLICIES = ("FCFS", "MECT", "MSD")
 GATEWAYS = ("LOCALITY_FIRST", "LEAST_LOADED", "EET_AWARE_REMOTE")
 
 
-def synthetic_twin(scenario, total_tasks: int, span: float):
-    """A Poisson-fed copy of a trace-driven scenario, matched in size."""
-    workload = scenario.build_workload()
-    shares: dict[str, float] = {}
+def synthetic_twin(scenario, workload, span: float):
+    """A Poisson-fed copy of a trace-driven scenario, matched in size and span.
+
+    Each task type arrives as a Poisson stream at its trace count / span, so
+    the twin expects the trace's size over the trace's span (intensity 1.0
+    leaves the explicit rates unscaled).
+    """
+    counts: dict[str, int] = {}
     for task in workload:
         name = task.task_type.name
-        shares[name] = shares.get(name, 0.0) + 1.0
+        counts[name] = counts.get(name, 0) + 1
     return replace(
         scenario,
         trace=None,
         generator={
             "duration": span,
-            "count": total_tasks,
+            "intensity": 1.0,
             "specs": [
-                {"name": name, "share": share}
-                for name, share in sorted(shares.items())
+                {"name": name, "arrival": {"kind": "poisson", "rate": n / span}}
+                for name, n in sorted(counts.items())
             ],
         },
         name=f"{scenario.name}-synthetic",
@@ -78,7 +82,7 @@ def main() -> None:
     base = build_scenario("trace_replay", **trace_kwargs)
     trace_workload = base.build_workload()
     span = max(t.arrival_time for t in trace_workload) or 1.0
-    twin = synthetic_twin(base, len(trace_workload), span)
+    twin = synthetic_twin(base, trace_workload, span)
 
     print(f"Part 1 — local policies on {len(trace_workload)} tasks "
           f"({span:.0f} s span): trace-driven vs matched synthetic")

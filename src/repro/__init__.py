@@ -75,7 +75,6 @@ from .metrics import (
     Report,
     ReportBundle,
     SummaryMetrics,
-    compare_policies,
     confidence_interval,
     energy_breakdown,
     jain_fairness,
@@ -168,7 +167,6 @@ __all__ = [
     "jain_fairness",
     "energy_breakdown",
     "PolicyComparison",
-    "compare_policies",
     # scenarios
     "register_scenario",
     "build_scenario",

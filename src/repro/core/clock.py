@@ -14,28 +14,15 @@ __all__ = ["SimulationClock"]
 
 
 class SimulationClock:
-    """Monotonic simulation clock measured in simulated seconds."""
+    """Monotonic simulation clock measured in simulated seconds, from 0."""
 
-    def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise SimulationStateError(f"clock cannot start at negative time {start}")
-        self._start = float(start)
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def start(self) -> float:
-        """Time at which the clock (re)started."""
-        return self._start
-
-    @property
-    def elapsed(self) -> float:
-        """Simulated time elapsed since the start."""
-        return self._now - self._start
 
     def advance_to(self, time: float) -> float:
         """Move the clock forward to *time* (never backwards).
@@ -51,16 +38,6 @@ class SimulationClock:
             )
         self._now = float(time)
         return self._now
-
-    def reset(self, start: float | None = None) -> None:
-        """Rewind the clock, optionally to a new start time."""
-        if start is not None:
-            if start < 0:
-                raise SimulationStateError(
-                    f"clock cannot restart at negative time {start}"
-                )
-            self._start = float(start)
-        self._now = self._start
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimulationClock(now={self._now:.6g})"

@@ -70,7 +70,8 @@ class Scenario:
         ``trace`` must be set.
     generator:
         Recipe dict: ``{"duration": 400, "intensity": "high",
-        "specs": [...], "n_tasks": optional}``.
+        "specs": [...]}``, with ``"n_tasks"`` in place of ``"duration"``
+        for a fixed task count.
     trace:
         A :class:`~repro.tasks.trace_io.TraceSpec` (or its dict form)
         importing a cluster-trace CSV at build time.
@@ -217,6 +218,10 @@ class Scenario:
             ],
         )
         oversubscription_for_level(recipe.setdefault("intensity", "medium"))
+        if "n_tasks" in recipe and "duration" in recipe:
+            raise ConfigurationError(
+                "generator recipe takes 'duration' or 'n_tasks', not both"
+            )
         if "n_tasks" in recipe:
             recipe["n_tasks"] = integer(recipe["n_tasks"], "generator.n_tasks", lo=1)
         elif "duration" in recipe:
@@ -566,18 +571,6 @@ class Scenario:
         return replace(
             self, federation=federation, name=f"{self.name}{suffix}"
         )
-
-    def with_intensity(self, intensity: str | float) -> "Scenario":
-        """Copy with a different generator intensity (low/medium/high sweeps)."""
-        if self.generator is None:
-            raise ConfigurationError(
-                "with_intensity requires a generator-based scenario"
-            )
-        from dataclasses import replace
-
-        recipe = dict(self.generator)
-        recipe["intensity"] = intensity
-        return replace(self, generator=recipe, name=f"{self.name}@{intensity}")
 
 
 #: Keys of a ``generator`` recipe and of an ``eet.task_types`` entry.

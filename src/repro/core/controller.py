@@ -23,9 +23,9 @@ from __future__ import annotations
 import time as _time
 from typing import Callable
 
-from .errors import ConfigurationError, SimulationStateError
+from .errors import ConfigurationError
 from .events import Event
-from .simulator import SimulationResult, Simulator
+from .simulator import Simulator
 
 __all__ = ["SimulationController"]
 
@@ -121,19 +121,6 @@ class SimulationController:
         self.paused = False
         self.simulator = self._factory()
         return self.simulator
-
-    # -- conveniences -----------------------------------------------------------------
-
-    def run_to_completion(self) -> SimulationResult:
-        """Play with pacing disabled and return the result."""
-        speed, self.speed = self.speed, 0.0
-        try:
-            finished = self.play()
-        finally:
-            self.speed = speed
-        if not finished:
-            raise SimulationStateError("run_to_completion was paused mid-run")
-        return self.simulator.result()
 
     @property
     def now(self) -> float:

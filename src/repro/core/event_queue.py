@@ -9,7 +9,6 @@ idiom, O(log n) per operation amortised.
 from __future__ import annotations
 
 import heapq
-from typing import Iterator
 
 from .errors import SimulationStateError
 from .events import Event
@@ -77,33 +76,3 @@ class EventQueue:
                 continue
             return event
         raise SimulationStateError("pop from an empty event queue")
-
-    def peek(self) -> Event:
-        """Return (without removing) the earliest live event."""
-        heap = self._heap
-        cancelled = self._cancelled
-        while heap:
-            event = heap[0]
-            if cancelled and event.seq in cancelled:
-                heapq.heappop(heap)
-                cancelled.discard(event.seq)
-                continue
-            return event
-        raise SimulationStateError("peek into an empty event queue")
-
-    def next_time(self) -> float | None:
-        """Timestamp of the next live event, or None if empty."""
-        try:
-            return self.peek().time
-        except SimulationStateError:
-            return None
-
-    def drain(self) -> Iterator[Event]:
-        """Pop every live event in order (useful in tests)."""
-        while self:
-            yield self.pop()
-
-    def clear(self) -> None:
-        """Remove all events."""
-        self._heap.clear()
-        self._cancelled.clear()

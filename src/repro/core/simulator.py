@@ -193,9 +193,9 @@ class EventLoop(Generic[R]):
     """The discrete-event loop both engines run on.
 
     Owns the clock, the future-event list, the observers and the counters.
-    A subclass supplies ``_dispatch(event)`` (handle one popped event),
+    A subclass supplies ``_dispatch(event)`` (handle one popped event) and
     ``_finish()`` (called once, when the heap drains: finalize and store
-    ``self._result``) and ``_build_result()``.
+    ``self._result``).
     """
 
     def __init__(self, observers: Sequence[Observer] = ()) -> None:
@@ -239,46 +239,36 @@ class EventLoop(Generic[R]):
             self._finish()
         return event
 
-    def run(self, until: float | None = None) -> R:
-        """Run to completion (or to simulated time *until*) and return results."""
-        if until is None:
-            if self.observers:
-                while not self._finished:
-                    self.step()
-            else:
-                # Hot path: the step() body inlined with the event-queue pop
-                # unrolled — direct heap access saves a call layer per event,
-                # and the heap's ordering guarantee stands in for the clock's
-                # monotonicity check. Semantics identical to step().
-                events = self.events
-                heap = events._heap
-                cancelled = events._cancelled
-                clock = self.clock
-                dispatch = self._dispatch
-                heappop = heapq.heappop
-                processed = 0
-                while heap:
-                    event = heappop(heap)
-                    if cancelled and event.seq in cancelled:
-                        cancelled.discard(event.seq)
-                        continue
-                    clock._now = event.time
-                    dispatch(event)
-                    processed += 1
-                self._events_processed += processed
-                if not self._finished:
-                    self._finish()
-            assert self._result is not None
-            return self._result
-        while not self._finished:
-            next_time = self.events.next_time()
-            if next_time is None:
-                break
-            if next_time > until:
-                self.clock.advance_to(until)
-                break
-            self.step()
-        return self._build_result()
+    def run(self) -> R:
+        """Run to completion and return the results."""
+        if self.observers:
+            while not self._finished:
+                self.step()
+        else:
+            # Hot path: the step() body inlined with the event-queue pop
+            # unrolled — direct heap access saves a call layer per event,
+            # and the heap's ordering guarantee stands in for the clock's
+            # monotonicity check. Semantics identical to step().
+            events = self.events
+            heap = events._heap
+            cancelled = events._cancelled
+            clock = self.clock
+            dispatch = self._dispatch
+            heappop = heapq.heappop
+            processed = 0
+            while heap:
+                event = heappop(heap)
+                if cancelled and event.seq in cancelled:
+                    cancelled.discard(event.seq)
+                    continue
+                clock._now = event.time
+                dispatch(event)
+                processed += 1
+            self._events_processed += processed
+            if not self._finished:
+                self._finish()
+        assert self._result is not None
+        return self._result
 
     def result(self) -> R:
         """Result of a finished run."""
@@ -294,9 +284,6 @@ class EventLoop(Generic[R]):
         raise NotImplementedError
 
     def _finish(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _build_result(self) -> R:  # pragma: no cover - abstract
         raise NotImplementedError
 
 

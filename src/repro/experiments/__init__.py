@@ -40,7 +40,6 @@ from .tournament import (
     TournamentSpec,
     build_leaderboard,
     leaderboard_json,
-    leaderboard_rows_from_csv,
     leaderboard_text,
     run_tournament,
     tournament_campaign,
@@ -62,7 +61,6 @@ __all__ = [
     "tournament_campaign",
     "run_tournament",
     "build_leaderboard",
-    "leaderboard_rows_from_csv",
     "leaderboard_json",
     "leaderboard_text",
 ]

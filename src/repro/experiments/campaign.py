@@ -12,8 +12,7 @@ Seeding: every cell's scenario seed is derived from the campaign master seed
 and the (scenario label, grid seed) pair via :func:`repro.core.rng.derive_seed`.
 The scheduler deliberately does *not* enter the derivation, so every policy
 faces the identical workload for a given (scenario, seed) cell — paired
-comparisons with common random numbers, the same discipline
-:func:`repro.metrics.comparison.compare_policies` uses.
+comparisons with common random numbers.
 """
 
 from __future__ import annotations

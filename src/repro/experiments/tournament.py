@@ -20,8 +20,6 @@ regression surface CI's tournament job and the determinism suite pin.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
@@ -37,7 +35,6 @@ __all__ = [
     "tournament_campaign",
     "run_tournament",
     "build_leaderboard",
-    "leaderboard_rows_from_csv",
     "leaderboard_json",
     "leaderboard_text",
 ]
@@ -150,11 +147,11 @@ def build_leaderboard(
 
     ``rows`` is any iterable of tidy-table rows — straight from
     :meth:`~.runner.CampaignResult.table` or re-parsed from the canonical
-    CSV a service cache hit returns (:func:`leaderboard_rows_from_csv`);
-    both sources yield the identical document because the CSV stores
-    ``repr``-precision floats. Cells aggregate per (gateway, eviction) in
-    sorted (label, seed) order, so the float means — and therefore the
-    rendered bytes — do not depend on the order rows arrived in.
+    CSV a service cache hit returns; both sources yield the identical
+    document because the CSV stores ``repr``-precision floats. Cells
+    aggregate per (gateway, eviction) in sorted (label, seed) order, so the
+    float means — and therefore the rendered bytes — do not depend on the
+    order rows arrived in.
     """
     groups: dict[tuple[str, str], list[Mapping[str, Any]]] = {}
     for row in rows:
@@ -196,12 +193,6 @@ def build_leaderboard(
         "metrics": list(LEADERBOARD_METRICS),
         "entries": entries,
     }
-
-
-def leaderboard_rows_from_csv(csv_text: str) -> list[dict[str, str]]:
-    """Tidy rows back out of the canonical campaign CSV (service cache)."""
-    reader = csv.DictReader(io.StringIO(csv_text))
-    return [dict(row) for row in reader]
 
 
 def leaderboard_json(board: Mapping[str, Any]) -> str:

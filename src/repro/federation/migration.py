@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING
 from ..core.errors import SimulationStateError
 from ..core.events import Event, EventType
 from ..metrics.rollup import MigrationStats, migration_stats, routing_table
-from ..scheduling.federation.base import shard_pressure
 from ..scheduling.federation.eviction import MigrationContext, create_eviction
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,7 +71,6 @@ class Rebalancer:
         #: Task id → payload joules charged for that task's migration hops
         #: (full link cost, added as each migration finishes its crossing).
         self._wan_energy_by_task: dict[int, float] = {}
-        self._ticks = 0
         #: Sources currently shedding load (between the watermarks of the
         #: hysteresis trigger); empty while no watermarks are configured.
         self._shedding: set[int] = set()
@@ -96,7 +94,6 @@ class Rebalancer:
         bounded and the federation terminates. At most one trailing tick
         can fire after the last task resolves.
         """
-        self._ticks += 1
         if self.federation.all_tasks_terminal():
             return
         self._rebalance(now)
@@ -119,7 +116,7 @@ class Rebalancer:
             destination = self._drain_target(source)
             if destination is None:
                 continue
-            gap = shard_pressure(source) - shard_pressure(destination)
+            gap = source.pressure() - destination.pressure()
             if not self._should_fire(source.index, gap):
                 continue
             candidates = [
@@ -173,7 +170,7 @@ class Rebalancer:
         for shard in self.federation.shards:
             if shard.index == source.index:
                 continue
-            pressure = shard_pressure(shard)
+            pressure = shard.pressure()
             if pressure < best_pressure:
                 best, best_pressure = shard, pressure
         return best
@@ -240,16 +237,6 @@ class Rebalancer:
         self.cancelled_in_flight += 1
 
     # -- reporting ----------------------------------------------------------------------
-
-    @property
-    def ticks(self) -> int:
-        """Rebalance passes executed (including no-op passes)."""
-        return self._ticks
-
-    @property
-    def shedding(self) -> frozenset[int]:
-        """Shard indices currently in the shedding state (hysteresis only)."""
-        return frozenset(self._shedding)
 
     @property
     def matrix_counts(self) -> list[list[int]]:

@@ -94,11 +94,6 @@ class FederatedSimulationResult:
         total = self.summary.total_tasks
         return self.offloaded / total if total else 0.0
 
-    @property
-    def migrated(self) -> int:
-        """Mid-queue migrations attempted (evictions shipped into the WAN)."""
-        return self.migration_stats.attempted
-
     # -- WAN energy views ---------------------------------------------------------
 
     @property

@@ -74,8 +74,7 @@ class ClusterShard(ClusterCore):
     def pressure(self) -> float:
         """Outstanding tasks per live machine (the gateway load signal).
 
-        Same arithmetic as :func:`repro.scheduling.federation.base.shard_pressure`
-        with the attribute chains flattened — this runs several times per
+        The attribute chains are flattened: this runs several times per
         routing decision.
         """
         state = self.cluster._state

@@ -53,7 +53,7 @@ from ..core.errors import (
     SimulationStateError,
 )
 from ..core.events import Event, EventType
-from ..core.rng import derive_seed, make_rng, spawn
+from ..core.rng import derive_seed, make_rng
 from ..core.simulator import ArrivalFeed, EventLoop, Observer
 from ..machines.cluster import Cluster
 from ..machines.eet import EETMatrix
@@ -122,7 +122,7 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
         eet: EETMatrix,
         workload: Workload,
         *,
-        seed: int | None | np.random.Generator = None,
+        seed: int | None = None,
         drop_on_deadline: bool = True,
         execution_model: ExecutionTimeModel | None = None,
         queue_capacity: float = UNBOUNDED,
@@ -146,25 +146,13 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
         # Independent substreams: origin assignment, gateway draws, one per
         # shard — so adding a draw to one component never perturbs another,
         # and sweeping the gateway policy never changes where tasks arrive.
-        wan_seed: int | None
-        if isinstance(seed, np.random.Generator):
-            # Spawn keys are sequential, so asking for one extra child
-            # (the WAN cross-traffic root) leaves the first n+2 substreams
-            # exactly where pre-cross-traffic builds drew them.
-            children = spawn(seed, len(spec.clusters) + 3)
-            origins_rng, self._gateway_rng = children[0], children[1]
-            shard_rngs = children[2:-1]
-            wan_seed = int(children[-1].integers(0, 2**31 - 1))
-        else:
-            origins_rng = make_rng(derive_seed(seed, "federation", "origins"))
-            self._gateway_rng = make_rng(
-                derive_seed(seed, "federation", "gateway")
-            )
-            shard_rngs = [
-                make_rng(derive_seed(seed, "federation", "shard", i))
-                for i in range(len(spec.clusters))
-            ]
-            wan_seed = derive_seed(seed, "federation", "crosstraffic")
+        origins_rng = make_rng(derive_seed(seed, "federation", "origins"))
+        self._gateway_rng = make_rng(derive_seed(seed, "federation", "gateway"))
+        shard_rngs = [
+            make_rng(derive_seed(seed, "federation", "shard", i))
+            for i in range(len(spec.clusters))
+        ]
+        wan_seed = derive_seed(seed, "federation", "crosstraffic")
 
         # A tree spec routes over its uplinks, so a gateway must understand
         # the tree to price a destination.

@@ -447,12 +447,6 @@ class Cluster:
         """Fresh free-slots-per-machine array (callers may mutate it)."""
         return np.array(self._state.slots)
 
-    def counts_by_type(self) -> dict[str, int]:
-        out: dict[str, int] = {n: 0 for n in self.eet.machine_type_names}
-        for m in self.machines:
-            out[m.machine_type.name] += 1
-        return out
-
     def fresh_copy(self) -> "Cluster":
         """New cluster with identical topology and pristine runtime state."""
         machines = [

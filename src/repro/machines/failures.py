@@ -12,8 +12,9 @@ machines crash and recover, and the scheduler must absorb it. The model:
   into the batch queue (retry counters incremented) — they compete again at
   the next scheduling pass; deadlines keep ticking, so a crash near a
   deadline still costs the task its life via the normal cancel path;
-* a failed machine draws no power; downtime is metered separately
-  (``EnergyMeter.off_time``) so utilisation and availability stay separable.
+* a failed machine draws no power; downtime is metered separately from idle
+  and busy time, so utilisation and availability
+  (``EnergyMeter.availability``) stay separable.
 
 Expected steady-state availability is mtbf / (mtbf + mttr).
 """

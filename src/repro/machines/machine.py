@@ -2,11 +2,11 @@
 
 A machine executes its FIFO queue sequentially (§3: "Tasks are executed on the
 assigned machine in a sequential manner"). The scheduler plans against
-:meth:`ready_time` / :meth:`completion_time_for`, the standard quantities of
-the MCT/Min-Min heuristic family:
+:meth:`ready_time` plus :meth:`eet_for`, the standard quantities of the
+MCT/Min-Min heuristic family:
 
-    ready_time(now)      = now + remaining(running) + Σ EET(queued)
-    completion_time_for  = ready_time + EET(candidate)
+    ready_time(now)  = now + remaining(running) + Σ EET(queued)
+    completion time  = ready_time(now) + eet_for(candidate)
 
 With deterministic execution these are exact; with an execution-noise model
 they are the *expected* values — which is precisely what the "Expected
@@ -186,15 +186,6 @@ class Machine:
         if not self.up:
             return float("inf")
         return now + self.remaining_runtime(now) + self.queued_work()
-
-    def completion_time_for(self, task: Task, now: float) -> float:
-        """Expected completion time of *task* if appended to this queue now."""
-        return self.ready_time(now) + self.eet_for(task)
-
-    @property
-    def load(self) -> int:
-        """Queued + running task count."""
-        return len(self.queue) + (0 if self.running is None else 1)
 
     # -- execution lifecycle --------------------------------------------------------
 

@@ -136,11 +136,6 @@ class EnergyMeter:
         return self._busy_time
 
     @property
-    def off_time(self) -> float:
-        """Time spent powered off (failed)."""
-        return self._off_time
-
-    @property
     def idle_energy(self) -> float:
         """Joules consumed while idle."""
         return self._idle_energy

@@ -1,5 +1,5 @@
 """Memory / multi-tenancy extension."""
 
-from .allocation import fits_in_memory, memory_in_use, memory_pressure
+from .allocation import fits_in_memory, memory_in_use
 
-__all__ = ["fits_in_memory", "memory_in_use", "memory_pressure"]
+__all__ = ["fits_in_memory", "memory_in_use"]

@@ -12,14 +12,14 @@ node defers new tenants.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from ..tasks.task import Task
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..machines.machine import Machine
 
-__all__ = ["memory_in_use", "fits_in_memory", "memory_pressure"]
+__all__ = ["memory_in_use", "fits_in_memory"]
 
 
 def memory_in_use(machine: "Machine") -> float:
@@ -40,13 +40,3 @@ def fits_in_memory(machine: "Machine", task: Task) -> bool:
         return True
     return memory_in_use(machine) + task.task_type.memory <= capacity
 
-
-def memory_pressure(machines: Iterable["Machine"]) -> dict[str, float]:
-    """Per-machine occupancy fraction (0 for unconstrained machines)."""
-    out: dict[str, float] = {}
-    for machine in machines:
-        capacity = machine.machine_type.memory_capacity
-        out[machine.name] = (
-            memory_in_use(machine) / capacity if capacity > 0 else 0.0
-        )
-    return out

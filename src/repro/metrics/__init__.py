@@ -1,13 +1,12 @@
 """Metrics, reports, energy accounting and statistics helpers."""
 
 from .collector import MetricsCollector, SummaryMetrics
-from .comparison import PolicyComparison, compare_policies
+from .comparison import PolicyComparison
 from .energy import EnergyBreakdown, energy_breakdown
 from .event_log import EventLog, EventRecord
 from .queueing import (
     md1_mean_wait,
     mg1_mean_wait,
-    mm1_mean_in_system,
     mm1_mean_wait,
     utilization,
 )
@@ -30,12 +29,10 @@ __all__ = [
     "confidence_interval",
     "jain_fairness",
     "PolicyComparison",
-    "compare_policies",
     "EventLog",
     "EventRecord",
     "utilization",
     "mg1_mean_wait",
     "md1_mean_wait",
     "mm1_mean_wait",
-    "mm1_mean_in_system",
 ]

@@ -17,12 +17,11 @@ from ..core.errors import ConfigurationError
 from .stats import confidence_interval, summarize
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..core.config import Scenario
     from ..core.simulator import SimulationResult
     from ..viz.barchart import BarChart
     from .collector import SummaryMetrics
 
-__all__ = ["PolicyComparison", "compare_policies"]
+__all__ = ["PolicyComparison"]
 
 
 def _summary_of(result):
@@ -122,27 +121,3 @@ class PolicyComparison:
             chart.add(label, scale * value)
         return chart
 
-
-def compare_policies(
-    scenario: "Scenario",
-    policies: Sequence[str],
-    *,
-    replications: int = 3,
-    policy_params: dict[str, dict] | None = None,
-) -> PolicyComparison:
-    """Run *scenario* under each policy with paired replications.
-
-    Replication *i* of every policy uses the same derived workload seed, so
-    comparisons are paired (common random numbers).
-    """
-    if replications < 1:
-        raise ConfigurationError("need at least one replication")
-    policy_params = policy_params or {}
-    comparison = PolicyComparison()
-    for policy in policies:
-        variant = scenario.with_scheduler(
-            policy, **policy_params.get(policy, {})
-        )
-        for rep in range(replications):
-            comparison.add(policy, variant.run(replication=rep))
-    return comparison

@@ -6,8 +6,7 @@ formulas used by the validation suite
 (``tests/integration/test_queueing_validation.py``):
 
 * M/M/1 — Poisson arrivals (rate λ), exponential service (rate μ):
-  mean wait in queue  Wq = λ / (μ (μ − λ)),
-  mean number in system L = ρ / (1 − ρ).
+  mean wait in queue  Wq = λ / (μ (μ − λ)).
 * M/D/1 — deterministic service time S (a machine running a single task type
   with an exact EET): Wq = ρ S / (2 (1 − ρ)).
 * M/G/1 (Pollaczek–Khinchine) — general service with E[S], E[S²]:
@@ -25,7 +24,6 @@ __all__ = [
     "mg1_mean_wait",
     "md1_mean_wait",
     "mm1_mean_wait",
-    "mm1_mean_in_system",
 ]
 
 
@@ -68,9 +66,3 @@ def mm1_mean_wait(arrival_rate: float, mean_service: float) -> float:
     # E[S²] of Exp(mean m) is 2 m².
     return mg1_mean_wait(arrival_rate, mean_service, 2.0 * mean_service**2)
 
-
-def mm1_mean_in_system(arrival_rate: float, mean_service: float) -> float:
-    """Mean number of tasks in an M/M/1 system: L = ρ / (1 − ρ)."""
-    rho = utilization(arrival_rate, mean_service)
-    _check_stability(rho)
-    return rho / (1.0 - rho)

@@ -1,22 +1,20 @@
 """Communication extension: topologies, transfer delays, WAN queueing.
 
-Star and inter-cluster topologies (:mod:`repro.net.topology`), the Fig-1
+Links and inter-cluster topologies (:mod:`repro.net.topology`), the Fig-1
 scheduler→machine delivery delays (:mod:`repro.net.transfer`), and the WAN
 contention + energy layer that turns federation links into queueing
 resources (:mod:`repro.net.wan`).
 """
 
-from .topology import CONTENTION_MODES, InterClusterTopology, Link, StarTopology
-from .transfer import output_return_delay, transfer_delay
+from .topology import CONTENTION_MODES, InterClusterTopology, Link
+from .transfer import transfer_delay
 from .wan import LinkChannel, LinkUsage, TransferPhase, WanManager, WanTransfer
 
 __all__ = [
     "Link",
-    "StarTopology",
     "InterClusterTopology",
     "CONTENTION_MODES",
     "transfer_delay",
-    "output_return_delay",
     "WanManager",
     "LinkChannel",
     "LinkUsage",

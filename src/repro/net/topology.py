@@ -1,28 +1,26 @@
 """Network topology descriptions for the communication extensions.
 
 E2C's architecture (Fig. 1) is a star: one scheduler node fanning out to all
-machines. :class:`StarTopology` is the declarative description — per
-machine-type link latency and bandwidth — that plugs into
-:meth:`repro.core.config.Scenario` (its ``network`` field) and feeds
-:func:`repro.net.transfer.transfer_delay`.
+machines, with one :class:`Link` per machine type (the ``network`` mapping
+of :class:`repro.core.config.Scenario`, read by
+:func:`repro.net.transfer.transfer_delay`).
 
 The federation layer (:mod:`repro.federation`) generalises the star into
 :class:`InterClusterTopology`: per cluster-*pair* WAN links, so offloading a
 task from its origin cluster to a remote one pays a transfer delay before the
-remote cluster's local policy even sees it. A star is the special case where
-every pair routes through one hub (:meth:`InterClusterTopology.from_star`).
+remote cluster's local policy even sees it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from ..core.errors import ConfigurationError
 from ..core.fields import flag, real, record, text
 from .crosstraffic import DiurnalTraffic, MmppTraffic, cross_traffic_from_spec
 
-__all__ = ["Link", "StarTopology", "InterClusterTopology", "CONTENTION_MODES"]
+__all__ = ["Link", "InterClusterTopology", "CONTENTION_MODES"]
 
 #: Either cross-traffic spec a WAN link may carry (see crosstraffic.py).
 CrossTraffic = DiurnalTraffic | MmppTraffic
@@ -172,74 +170,6 @@ _NUMERIC_FIELDS = (
 )
 
 
-@dataclass
-class StarTopology:
-    """Scheduler-to-machines star with per-machine-type links."""
-
-    links: dict[str, Link] = field(default_factory=dict)
-    default: Link = field(default_factory=Link)
-
-    def link_for(self, machine_type_name: str) -> Link:
-        """Effective link toward one machine type (falls back to default)."""
-        return self.links.get(machine_type_name, self.default)
-
-    def set_link(
-        self, machine_type_name: str, latency: float, bandwidth: float = 0.0
-    ) -> "StarTopology":
-        """Set the link toward one machine type (chainable)."""
-        self.links[machine_type_name] = Link(latency, bandwidth)
-        return self
-
-    def as_scenario_network(
-        self, machine_type_names: Iterable[str] | None = None
-    ) -> dict[str, tuple[float, float]]:
-        """The ``network=`` mapping a Scenario expects.
-
-        Pass *machine_type_names* (the EET columns) to materialise an entry
-        for **every** machine type, explicit or defaulted — a round-trip
-        through :class:`~repro.core.config.Scenario` only preserves the
-        entries of this mapping, so machine types that silently fell back to
-        ``self.default`` would otherwise come back with a zero link.
-        Without the names, a non-trivial default cannot be exported and this
-        raises instead of silently dropping it.
-        """
-        if machine_type_names is not None:
-            names = list(dict.fromkeys(machine_type_names))
-            out = {
-                name: (link.latency, link.bandwidth)
-                for name, link in self.links.items()
-            }
-            for name in names:
-                link = self.link_for(name)
-                out.setdefault(name, (link.latency, link.bandwidth))
-            return out
-        if self.default.latency > 0 or self.default.bandwidth > 0:
-            raise ConfigurationError(
-                "StarTopology has a non-trivial default link; pass "
-                "machine_type_names to as_scenario_network() so machine "
-                "types without an explicit link keep the default instead "
-                "of dropping to a zero link"
-            )
-        return {
-            name: (link.latency, link.bandwidth)
-            for name, link in self.links.items()
-        }
-
-    @classmethod
-    def uniform(
-        cls,
-        machine_type_names: Mapping[str, object] | list[str],
-        latency: float,
-        bandwidth: float = 0.0,
-    ) -> "StarTopology":
-        """Same link characteristics toward every machine type."""
-        names = list(machine_type_names)
-        topo = cls()
-        for name in names:
-            topo.set_link(str(name), latency, bandwidth)
-        return topo
-
-
 _ZERO_LINK = Link()
 
 
@@ -319,72 +249,6 @@ class InterClusterTopology:
         if src == dst:
             return 0.0
         return self.link_between(src, dst).delay_for(megabytes)
-
-    @classmethod
-    def uniform(
-        cls,
-        cluster_names: Iterable[str],
-        latency: float,
-        bandwidth: float = 0.0,
-        *,
-        contention: str = "none",
-        energy_per_mb: float = 0.0,
-        idle_watts: float = 0.0,
-        busy_watts: float = 0.0,
-        cross_traffic: "CrossTraffic | None" = None,
-    ) -> "InterClusterTopology":
-        """Same WAN characteristics between every pair of clusters.
-
-        Expressed purely through the ``default`` link — ``link_between``
-        already falls back to it for every pair, so no per-pair entries are
-        materialised (or serialised). ``cluster_names`` is accepted for
-        symmetry with :meth:`StarTopology.uniform` but only documents intent.
-        Each cluster pair still gets its *own* contention/energy state
-        (falling back to one shared parameter set is not one shared pipe).
-        """
-        return cls(
-            default=Link(
-                latency,
-                bandwidth,
-                contention=contention,
-                energy_per_mb=energy_per_mb,
-                idle_watts=idle_watts,
-                busy_watts=busy_watts,
-                cross_traffic=cross_traffic,
-            )
-        )
-
-    @classmethod
-    def from_star(
-        cls, star: StarTopology, cluster_names: Iterable[str], hub: str
-    ) -> "InterClusterTopology":
-        """Lift a scheduler-centric star into a cluster-pair topology.
-
-        Every cluster keeps the link it had toward the star hub; traffic
-        between two non-hub clusters pays both spoke links in sequence,
-        approximated here as the sum of latencies over the minimum
-        bandwidth (the bottleneck spoke).
-        """
-        names = [str(n) for n in cluster_names]
-        topo = cls(default=star.default)
-        for name in names:
-            if name == hub:
-                continue
-            spoke = star.link_for(name)
-            topo.set_link(hub, name, spoke.latency, spoke.bandwidth)
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                if hub in (a, b):
-                    continue
-                la, lb = star.link_for(a), star.link_for(b)
-                bandwidths = [x for x in (la.bandwidth, lb.bandwidth) if x > 0]
-                topo.set_link(
-                    a,
-                    b,
-                    la.latency + lb.latency,
-                    min(bandwidths) if bandwidths else 0.0,
-                )
-        return topo
 
     # -- JSON round-trip ----------------------------------------------------------
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from ..machines.machine_type import MachineType
 from ..tasks.task_type import TaskType
 
-__all__ = ["transfer_delay", "output_return_delay"]
+__all__ = ["transfer_delay"]
 
 
 def transfer_delay(task_type: TaskType, machine_type: MachineType) -> float:
@@ -27,14 +27,3 @@ def transfer_delay(task_type: TaskType, machine_type: MachineType) -> float:
         delay += task_type.data_in / machine_type.network_bandwidth
     return delay
 
-
-def output_return_delay(task_type: TaskType, machine_type: MachineType) -> float:
-    """Seconds to ship the task's results back over the same link.
-
-    Not on the critical path of the machine (the machine is free once
-    execution ends); exposed for end-to-end latency studies.
-    """
-    delay = machine_type.network_latency
-    if machine_type.network_bandwidth > 0 and task_type.data_out > 0:
-        delay += task_type.data_out / machine_type.network_bandwidth
-    return delay

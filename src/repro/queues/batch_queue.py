@@ -50,9 +50,6 @@ class BatchQueue:
             )
         self._queue.append(task)
 
-    def peek(self) -> Task | None:
-        return self._queue[0] if self._queue else None
-
     def pop(self) -> Task:
         if not self._queue:
             raise SimulationStateError("pop from an empty batch queue")

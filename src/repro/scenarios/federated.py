@@ -30,7 +30,7 @@ from ..federation.spec import ClusterSpec, FederationSpec, MigrationSpec
 from ..machines.eet import EETMatrix
 from ..machines.eet_generation import generate_eet_cvb
 from ..machines.power import PowerProfile
-from ..net.topology import InterClusterTopology
+from ..net.topology import InterClusterTopology, Link
 from ..tasks.task_type import TaskType
 from .registry import register_scenario
 
@@ -104,12 +104,13 @@ def edge_cloud(
         ],
         gateway=gateway,
         gateway_params=dict(gateway_params or {}),
-        topology=InterClusterTopology.uniform(
-            ["edge", "cloud"],
-            latency=wan_latency,
-            bandwidth=wan_bandwidth,
-            contention=wan_contention,
-            energy_per_mb=wan_energy_per_mb,
+        topology=InterClusterTopology(
+            default=Link(
+                wan_latency,
+                wan_bandwidth,
+                contention=wan_contention,
+                energy_per_mb=wan_energy_per_mb,
+            )
         ),
     )
     return Scenario(
@@ -279,9 +280,7 @@ def fed_heavytail(
         ],
         gateway=gateway,
         gateway_params=gparams,
-        topology=InterClusterTopology.uniform(
-            ["access", "core"], latency=0.06, bandwidth=0.0
-        ),
+        topology=InterClusterTopology(default=Link(0.06, 0.0)),
     )
     return Scenario(
         eet=eet,

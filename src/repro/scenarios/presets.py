@@ -14,7 +14,7 @@ reference them by name:
   assignment's homogeneous part.
 
 All return a :class:`~repro.core.config.Scenario` you can re-parameterise via
-``with_scheduler`` / ``with_intensity``.
+``with_scheduler``.
 """
 
 from __future__ import annotations

@@ -214,7 +214,7 @@ def scale_federation(
     24-shard result build.
     """
     from ..federation.spec import ClusterSpec, FederationSpec
-    from ..net.topology import InterClusterTopology
+    from ..net.topology import InterClusterTopology, Link
 
     n_task_types = 6
     n_machine_types = 6
@@ -239,8 +239,8 @@ def scale_federation(
             for name in names
         ],
         gateway=gateway,
-        topology=InterClusterTopology.uniform(
-            names, latency=wan_latency, bandwidth=wan_bandwidth
+        topology=InterClusterTopology(
+            default=Link(wan_latency, wan_bandwidth)
         ),
     )
     return Scenario(

@@ -15,7 +15,7 @@ deadline-slack, EET-gain).
 """
 
 from .adaptive import AdaptiveGateway, ArmStats
-from .base import GatewayContext, GatewayPolicy, ShardView, shard_pressure
+from .base import GatewayContext, GatewayPolicy, ShardView
 from .eviction import (
     DeadlineSlackEviction,
     EETGainEviction,
@@ -45,7 +45,6 @@ __all__ = [
     "GatewayContext",
     "GatewayPolicy",
     "ShardView",
-    "shard_pressure",
     "LocalityFirstGateway",
     "LeastLoadedGateway",
     "EETAwareRemoteGateway",

@@ -33,7 +33,6 @@ __all__ = [
     "ShardView",
     "GatewayContext",
     "GatewayPolicy",
-    "shard_pressure",
     "least_loaded_cluster",
 ]
 
@@ -75,36 +74,25 @@ class ShardView(Protocol):
         """
         ...  # pragma: no cover - protocol
 
+    def pressure(self) -> float:
+        """Outstanding tasks per live machine (``inf`` when the shard is dark).
 
-def shard_pressure(shard: ShardView) -> float:
-    """Outstanding tasks per live machine (``inf`` when the shard is dark).
-
-    The load signal the stock gateway policies share: cheap (O(1)),
-    monotone in backlog, and comparable across clusters of different sizes.
-    Real shards answer through their own ``pressure()`` (same arithmetic,
-    fewer property hops — this is called several times per routing
-    decision); protocol stubs take the generic path.
-    """
-    try:
-        return shard.pressure()  # type: ignore[attr-defined]
-    except AttributeError:
-        pass
-    cluster = shard.cluster
-    alive = len(cluster.machines) - cluster.state.n_down
-    if alive <= 0:
-        return float("inf")
-    return shard.in_system / alive
+        The load signal the stock gateway policies share: cheap (O(1)),
+        monotone in backlog, and comparable across clusters of different
+        sizes.
+        """
+        ...  # pragma: no cover - protocol
 
 
 def least_loaded_cluster(ctx: "GatewayContext") -> int:
     """Index of the least-pressure shard: the origin on ties, then the lowest."""
     origin = ctx.origin
     best = origin
-    best_pressure = shard_pressure(ctx.shards[origin])
+    best_pressure = ctx.shards[origin].pressure()
     for shard in ctx.shards:
         if shard.index == origin:
             continue
-        pressure = shard_pressure(shard)
+        pressure = shard.pressure()
         if pressure < best_pressure or (
             pressure == best_pressure and best != origin and shard.index < best
         ):
@@ -137,9 +125,7 @@ class GatewayContext:
         Seeded generator for stochastic gateways (random-split).
     wan:
         Live WAN link state (:class:`repro.net.wan.WanManager`) — the
-        congestion and energy signals. ``None`` in lightweight test
-        harnesses; the signal methods below then fall back to the static
-        topology numbers.
+        congestion and energy signals.
     migrations:
         Live source × destination mid-queue migration counters (the
         rebalancer's matrix, shard-index keyed), or ``None`` when the run
@@ -161,39 +147,22 @@ class GatewayContext:
     shards: Sequence[ShardView]
     topology: "InterClusterTopology"
     rng: np.random.Generator
-    wan: "WanManager | None" = None
+    wan: "WanManager"
     migrations: "Sequence[Sequence[int]] | None" = None
     hierarchy: "HierarchyView | None" = None
-
-    def wan_delay_to(self, destination: int) -> float:
-        """Static (contention-blind) transfer delay of the current task."""
-        return self.topology.wan_delay(
-            self.shards[self.origin].name,
-            self.shards[destination].name,
-            self.task.task_type.data_in,
-        )
 
     def estimated_wan_delay_to(self, destination: int) -> float:
         """Backlog-aware expected in-WAN time of the current task.
 
-        On an uncontended (``"none"``) link — or without live WAN state —
-        this equals :meth:`wan_delay_to`, so congestion-aware policies
-        degrade exactly to their PR-3 behaviour when contention is off.
+        On an uncontended (``"none"``) link this equals the static topology
+        delay (latency + size/bandwidth), so congestion-aware policies
+        degrade exactly to it when contention is off.
         """
-        wan = self.wan
-        if wan is None:
-            return self.wan_delay_to(destination)
         # Shard indices ARE the WAN manager's node indices (both come from
         # federation order).
-        return wan.estimated_delay(
+        return self.wan.estimated_delay(
             self.origin, destination, self.task.task_type.data_in, self.now
         )
-
-    def link_queue_depth(self, destination: int) -> int:
-        """Transfers occupying/awaiting the origin→destination link, now."""
-        if self.wan is None:
-            return 0
-        return self.wan.queue_depth(self.origin, destination)
 
     def wan_energy_to(self, destination: int) -> float:
         """Joules the WAN would charge to ship the current task there."""

@@ -77,9 +77,7 @@ class MigrationContext:
     topology:
         Inter-cluster WAN links (static delays and energy).
     wan:
-        Live WAN link state for backlog-aware delay estimates; ``None`` in
-        lightweight test harnesses (estimates fall back to the static
-        topology numbers).
+        Live WAN link state for backlog-aware delay estimates.
     """
 
     now: float
@@ -88,16 +86,10 @@ class MigrationContext:
     candidates: Sequence["Task"]
     limit: int
     topology: "InterClusterTopology"
-    wan: "WanManager | None" = None
+    wan: "WanManager"
 
     def estimated_wan_delay(self, task: "Task") -> float:
         """Backlog-aware expected in-WAN time of migrating *task* now."""
-        if self.wan is None:
-            return self.topology.wan_delay(
-                self.source.name,
-                self.destination.name,
-                task.task_type.data_in,
-            )
         return self.wan.estimated_delay(
             self.source.index,
             self.destination.index,

@@ -30,7 +30,6 @@ from .base import (
     GatewayPolicy,
     ShardView,
     least_loaded_cluster,
-    shard_pressure,
 )
 from .registry import register_gateway
 
@@ -65,14 +64,14 @@ class LocalityFirstGateway(GatewayPolicy):
 
     def choose_cluster(self, ctx: GatewayContext) -> int:
         origin = ctx.origin
-        origin_pressure = shard_pressure(ctx.shards[origin])
+        origin_pressure = ctx.shards[origin].pressure()
         if origin_pressure <= self.threshold:
             return origin
         best, best_pressure = origin, origin_pressure
         for shard in ctx.shards:
             if shard.index == origin:
                 continue
-            pressure = shard_pressure(shard)
+            pressure = shard.pressure()
             if pressure < best_pressure:
                 best, best_pressure = shard.index, pressure
         return best

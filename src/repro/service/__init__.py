@@ -23,7 +23,6 @@ filesystem spool transport over this same façade).
 from .api import CampaignService, SubmitReceipt
 from .cache import ResultCache
 from .hashing import (
-    campaign_hash,
     canonical_dumps,
     canonical_hash,
     canonical_json,
@@ -45,7 +44,6 @@ __all__ = [
     "canonical_dumps",
     "canonical_hash",
     "scenario_hash",
-    "campaign_hash",
     "normalize_request",
     "request_key",
 ]

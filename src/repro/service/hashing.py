@@ -41,7 +41,6 @@ __all__ = [
     "canonical_dumps",
     "canonical_hash",
     "scenario_hash",
-    "campaign_hash",
     "normalize_request",
     "request_key",
 ]
@@ -119,23 +118,6 @@ def scenario_hash(scenario: Any) -> str:
         scenario = Scenario.from_dict(scenario)
     return canonical_hash(
         {"kind": "scenario", "spec": _strip_cosmetic("scenario", scenario.to_dict())}
-    )
-
-
-def campaign_hash(spec: Any) -> str:
-    """Canonical key of a :class:`~repro.experiments.CampaignSpec` (or dict).
-
-    The campaign ``name`` and report ``metrics`` selection are cosmetic (they
-    shape headers, not records) and are excluded; the scenario refs, policy
-    list, seed axes and master seed — everything that determines the record
-    table — are included.
-    """
-    from ..experiments import CampaignSpec
-
-    if not isinstance(spec, CampaignSpec):
-        spec = CampaignSpec.from_dict(spec)
-    return canonical_hash(
-        {"kind": "campaign", "spec": _strip_cosmetic("campaign", spec.to_dict())}
     )
 
 

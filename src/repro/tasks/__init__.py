@@ -16,7 +16,7 @@ from .generator import (
     oversubscription_for_level,
 )
 from .task import DropStage, Task, TaskStatus
-from .task_type import TaskType, build_task_types
+from .task_type import TaskType
 from .trace_io import read_workload_csv, workload_from_rows, write_workload_csv
 from .workload import Workload
 
@@ -25,7 +25,6 @@ __all__ = [
     "TaskStatus",
     "DropStage",
     "TaskType",
-    "build_task_types",
     "Workload",
     "ArrivalProcess",
     "PoissonProcess",

@@ -199,18 +199,6 @@ class Task:
         )
 
     @property
-    def slack(self) -> float:
-        """Time remaining until the deadline at arrival."""
-        return self.deadline - self.arrival_time
-
-    def urgency(self, now: float) -> float:
-        """Inverse of remaining laxity; larger = more urgent."""
-        remaining = self.deadline - now
-        if remaining <= 0:
-            return math.inf
-        return 1.0 / remaining
-
-    @property
     def wait_time(self) -> float | None:
         """Batch-queue + machine-queue waiting before execution began."""
         if self.start_time is None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.errors import ConfigurationError
 from ..core.fields import integer, real, text
 
 __all__ = ["TaskType"]
@@ -58,27 +57,3 @@ class TaskType:
 
     def __str__(self) -> str:
         return self.name
-
-
-def build_task_types(
-    names: list[str],
-    *,
-    relative_deadlines: list[float] | None = None,
-) -> list[TaskType]:
-    """Construct a consistently-indexed task-type list from plain names."""
-    if len(set(names)) != len(names):
-        raise ConfigurationError(f"duplicate task type names in {names}")
-    deadlines: list[float | None]
-    if relative_deadlines is None:
-        deadlines = [None] * len(names)
-    else:
-        if len(relative_deadlines) != len(names):
-            raise ConfigurationError(
-                "relative_deadlines must match names in length "
-                f"({len(relative_deadlines)} vs {len(names)})"
-            )
-        deadlines = list(relative_deadlines)
-    return [
-        TaskType(name=n, index=i, relative_deadline=d)
-        for i, (n, d) in enumerate(zip(names, deadlines))
-    ]

@@ -64,14 +64,6 @@ class Workload:
     def __getitem__(self, i: int) -> Task:
         return self.tasks[i]
 
-    # -- lookups ---------------------------------------------------------------
-
-    def counts_by_type(self) -> dict[str, int]:
-        counts = {t.name: 0 for t in self.task_types}
-        for task in self.tasks:
-            counts[task.task_type.name] += 1
-        return counts
-
     # -- validation / utilities --------------------------------------------------
 
     def validate_against_eet(self, eet: "EETMatrix") -> None:
@@ -100,27 +92,6 @@ class Workload:
                 task_type=t.task_type,
                 arrival_time=t.arrival_time,
                 deadline=t.deadline,
-                extras=t.extras,
-            )
-            for t in self.tasks
-        ]
-        return Workload(task_types=list(self.task_types), tasks=clones)
-
-    def scaled(self, time_factor: float) -> "Workload":
-        """Return a copy with arrivals & deadlines compressed by *time_factor*.
-
-        ``time_factor`` < 1 squeezes the same tasks into a shorter window —
-        an alternative way to raise intensity on a fixed trace.
-        """
-        if time_factor <= 0:
-            raise WorkloadError(f"time_factor must be positive, got {time_factor}")
-        clones = [
-            Task(
-                id=t.id,
-                task_type=t.task_type,
-                arrival_time=t.arrival_time * time_factor,
-                deadline=t.arrival_time * time_factor
-                + (t.deadline - t.arrival_time),
                 extras=t.extras,
             )
             for t in self.tasks

@@ -178,7 +178,7 @@ class TestEventOrder:
 
 class TestDrivingModes:
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_run_step_and_run_until_agree(self, eet, types, engine):
+    def test_run_step_and_mixed_agree(self, eet, types, engine):
         whole = build(engine, eet, types).run()
 
         stepped = build(engine, eet, types)
@@ -187,7 +187,8 @@ class TestDrivingModes:
         stepped = stepped.result()
 
         split = build(engine, eet, types)
-        split.run(until=5.0)
+        while split.now <= 5.0:
+            split.step()
         assert not split.is_finished
         split = split.run()
 
@@ -195,6 +196,14 @@ class TestDrivingModes:
             assert result.summary.as_dict() == whole.summary.as_dict()
             assert result.events_processed == whole.events_processed
             assert result.end_time == whole.end_time
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_run_again_returns_the_same_result(self, eet, types, engine):
+        sim = build(engine, eet, types)
+        first = sim.run()
+        events = sim.events_processed
+        assert sim.run() is first
+        assert sim.events_processed == events
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_next_event_time_is_first_arrival(self, eet, types, engine):
@@ -208,8 +217,8 @@ class TestDrivingModes:
         else:
             sim = federated(eet, types)
             sim = FederatedSimulator(sim.spec, eet, workload(types, late))
-        assert sim.events.next_time() == 2.5
         first = sim.step()
+        assert first.time == 2.5
         assert first.type is EventType.TASK_ARRIVAL
         assert first.payload.id == 0
 
@@ -234,7 +243,8 @@ class TestHeapAfterConstruction:
     @staticmethod
     def kinds(sim):
         counts = {}
-        for event in sim.events.drain():
+        while sim.events:
+            event = sim.events.pop()
             counts[event.type] = counts.get(event.type, 0) + 1
         return counts
 

@@ -1,4 +1,4 @@
-"""Simulation clock: monotonicity and reset."""
+"""Simulation clock: starts at zero and only moves forward."""
 
 import pytest
 
@@ -9,15 +9,6 @@ from repro.core.errors import SimulationStateError
 class TestClock:
     def test_starts_at_zero_by_default(self):
         assert SimulationClock().now == 0.0
-
-    def test_custom_start(self):
-        clock = SimulationClock(start=5.0)
-        assert clock.now == 5.0
-        assert clock.start == 5.0
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(SimulationStateError):
-            SimulationClock(start=-1.0)
 
     def test_advance(self):
         clock = SimulationClock()
@@ -35,26 +26,3 @@ class TestClock:
         clock.advance_to(4.0)
         with pytest.raises(SimulationStateError):
             clock.advance_to(3.0)
-
-    def test_elapsed(self):
-        clock = SimulationClock(start=2.0)
-        clock.advance_to(7.0)
-        assert clock.elapsed == 5.0
-
-    def test_reset_to_original_start(self):
-        clock = SimulationClock(start=1.0)
-        clock.advance_to(9.0)
-        clock.reset()
-        assert clock.now == 1.0
-
-    def test_reset_to_new_start(self):
-        clock = SimulationClock()
-        clock.advance_to(9.0)
-        clock.reset(start=4.0)
-        assert clock.now == 4.0
-        assert clock.start == 4.0
-
-    def test_reset_negative_rejected(self):
-        clock = SimulationClock()
-        with pytest.raises(SimulationStateError):
-            clock.reset(start=-0.5)

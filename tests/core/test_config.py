@@ -96,6 +96,19 @@ class TestBuilders:
         )
         assert len(scenario.build_workload()) == 17
 
+    @pytest.mark.parametrize("duration", [5.0, 5000.0])
+    def test_generator_refuses_duration_with_n_tasks(self, eet_3x2, duration):
+        # Either key alone sets the window; together one was silently dropped.
+        scenario = Scenario(
+            eet=eet_3x2,
+            machine_counts={"M1": 1, "M2": 1},
+            scheduler="MECT",
+            generator={"n_tasks": 40, "duration": duration},
+            seed=1,
+        )
+        with pytest.raises(ConfigurationError, match="generator recipe"):
+            scenario.build_workload()
+
     def test_immediate_mode_forces_unbounded(self, scenario_factory):
         scenario = scenario_factory("MECT", queue_capacity=3)
         sim = scenario.build_simulator()
@@ -204,6 +217,7 @@ class TestFromDictRejects:
                 {"mtbf": 1e9, "mttr": 1e9, "per_machine_type": {"M0": [1e-6, 1e-6]}},
                 "fail and repair events",
             ),
+            ("generator/n_tasks", 40, r"generator.*'duration' or 'n_tasks', not both"),
         ],
     )
     def test_malformed_field(self, field, value, named):
@@ -304,21 +318,6 @@ class TestDerivedScenarios:
         derived = scenario_factory("MECT").with_scheduler("FCFS")
         assert derived.scheduler == "FCFS"
         assert derived.run().scheduler_name == "FCFS"
-
-    def test_with_intensity(self, scenario_factory):
-        low = scenario_factory().with_intensity("low")
-        high = scenario_factory().with_intensity("high")
-        assert len(high.build_workload()) > len(low.build_workload())
-
-    def test_with_intensity_requires_generator(self, eet_3x2, make_workload):
-        scenario = Scenario(
-            eet=eet_3x2,
-            machine_counts={"M1": 1, "M2": 1},
-            scheduler="MECT",
-            workload=make_workload([(0, 0.0, 50.0)]),
-        )
-        with pytest.raises(ConfigurationError):
-            scenario.with_intensity("high")
 
 
 class TestFromCsvFiles:

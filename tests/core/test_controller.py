@@ -136,14 +136,3 @@ class TestReset:
         controller.reset()
         assert controller.paused is False
 
-
-class TestRunToCompletion:
-    def test_returns_result(self, factory):
-        controller = SimulationController(factory)
-        result = controller.run_to_completion()
-        assert result.summary.total_tasks > 0
-
-    def test_restores_speed(self, factory):
-        controller = SimulationController(factory, speed=3.0, sleeper=lambda s: None)
-        controller.run_to_completion()
-        assert controller.speed == 3.0

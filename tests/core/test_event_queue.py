@@ -28,22 +28,6 @@ class TestBasicOps:
         with pytest.raises(SimulationStateError):
             EventQueue().pop()
 
-    def test_peek_does_not_remove(self):
-        queue = EventQueue()
-        queue.push(ev(1.0))
-        assert queue.peek().time == 1.0
-        assert len(queue) == 1
-
-    def test_peek_empty_raises(self):
-        with pytest.raises(SimulationStateError):
-            EventQueue().peek()
-
-    def test_next_time(self):
-        queue = EventQueue()
-        assert queue.next_time() is None
-        queue.push(ev(4.5))
-        assert queue.next_time() == 4.5
-
     def test_len_counts_live_events(self):
         queue = EventQueue()
         for t in (1.0, 2.0, 3.0):
@@ -51,20 +35,6 @@ class TestBasicOps:
         assert len(queue) == 3
         queue.pop()
         assert len(queue) == 2
-
-    def test_clear(self):
-        queue = EventQueue()
-        queue.push(ev(1.0))
-        queue.clear()
-        assert not queue
-
-    def test_drain_yields_in_order(self):
-        queue = EventQueue()
-        for t in (5.0, 1.0, 3.0):
-            queue.push(ev(t))
-        assert [e.time for e in queue.drain()] == [1.0, 3.0, 5.0]
-        assert not queue
-
 
 class TestPriorityInterleaving:
     def test_same_time_priority_order(self):
@@ -100,13 +70,6 @@ class TestCancellation:
         doomed = queue.push(ev(1.0))
         assert queue.cancel(doomed)
         assert not queue.cancel(doomed)
-
-    def test_peek_skips_cancelled_head(self):
-        queue = EventQueue()
-        doomed = queue.push(ev(1.0))
-        live = queue.push(ev(2.0))
-        queue.cancel(doomed)
-        assert queue.peek() is live
 
     def test_cancel_all_then_empty(self):
         queue = EventQueue()

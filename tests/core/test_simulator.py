@@ -57,7 +57,7 @@ class TestStepping:
 
     def test_next_event_time(self, eet_3x2, make_workload):
         sim = build_sim(eet_3x2, make_workload, [(0, 1.0, 100.0)])
-        assert sim.events.next_time() == 1.0
+        assert sim.step().time == 1.0
 
 
 class TestRun:
@@ -70,16 +70,6 @@ class TestRun:
         result = sim.run()
         assert result.summary.completed == 3
         assert result.summary.completion_rate == 1.0
-
-    def test_run_until_partial(self, eet_3x2, make_workload):
-        sim = build_sim(
-            eet_3x2, make_workload, [(0, 0.0, 100.0), (0, 50.0, 200.0)]
-        )
-        partial = sim.run(until=10.0)
-        assert not sim.is_finished
-        assert partial.summary.completed == 1
-        full = sim.run()
-        assert full.summary.completed == 2
 
     def test_result_before_finish_raises(self, eet_3x2, make_workload):
         sim = build_sim(eet_3x2, make_workload, [(0, 0.0, 100.0)])

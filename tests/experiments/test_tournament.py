@@ -8,6 +8,8 @@ paths against each other, plus the per-cell seed derivation one drifted
 hash away from silently re-seeding every run.
 """
 
+import csv
+import io
 import json
 
 import pytest
@@ -18,7 +20,6 @@ from repro.experiments import (
     TournamentSpec,
     build_leaderboard,
     leaderboard_json,
-    leaderboard_rows_from_csv,
     leaderboard_text,
     run_tournament,
     tournament_campaign,
@@ -141,7 +142,7 @@ class TestLeaderboardDeterminism:
         # The service cache stores the campaign CSV; rebuilding the board
         # from it must reproduce the leaderboard bytes exactly (repr floats
         # round-trip through text).
-        rows = leaderboard_rows_from_csv(serial.campaign.to_csv())
+        rows = list(csv.DictReader(io.StringIO(serial.campaign.to_csv())))
         rebuilt = build_leaderboard(SMALL, rows)
         assert leaderboard_json(rebuilt) == serial.to_json()
 
@@ -160,10 +161,10 @@ class TestTournamentThroughTheService:
         assert cold_payload["kind"] == "campaign"
         assert cold_payload["csv"] == hit_payload["csv"]
         cold_board = build_leaderboard(
-            SMALL, leaderboard_rows_from_csv(cold_payload["csv"])
+            SMALL, list(csv.DictReader(io.StringIO(cold_payload["csv"])))
         )
         hit_board = build_leaderboard(
-            SMALL, leaderboard_rows_from_csv(hit_payload["csv"])
+            SMALL, list(csv.DictReader(io.StringIO(hit_payload["csv"])))
         )
         assert leaderboard_json(cold_board) == leaderboard_json(hit_board)
         # ... and both match running the tournament in-process.

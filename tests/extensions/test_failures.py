@@ -93,7 +93,7 @@ class TestMachineFailMechanics:
         machine, *_ = self._machine_with_work(task_types, eet_3x2)
         machine.fail(2.0)
         machine.repair(7.0)
-        assert machine.energy.off_time == pytest.approx(5.0)
+        assert machine.energy._off_time == pytest.approx(5.0)
         assert machine.energy.busy_time == pytest.approx(2.0)
         assert machine.energy.availability() == pytest.approx(2.0 / 7.0)
 

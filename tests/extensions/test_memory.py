@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.config import Scenario
 from repro.machines.eet import EETMatrix
-from repro.memory.allocation import fits_in_memory, memory_in_use, memory_pressure
+from repro.memory.allocation import fits_in_memory, memory_in_use
 from repro.tasks.task import Task
 from repro.tasks.task_type import TaskType
 from repro.tasks.workload import Workload
@@ -55,18 +55,6 @@ class TestAllocationHelpers:
         cluster = Cluster.build(eet, {"M": 1})
         t = Task(id=0, task_type=types[0], arrival_time=0.0, deadline=99.0)
         assert fits_in_memory(cluster[0], t)
-
-    def test_memory_pressure(self):
-        from repro.machines.cluster import Cluster
-
-        types, eet = build_system()
-        cluster = Cluster.build(eet, {"M": 1}, memory_capacities={"M": 1400.0})
-        machine = cluster[0]
-        t0 = Task(id=0, task_type=types[0], arrival_time=0.0, deadline=99.0)
-        t0.enqueue_batch()
-        machine.enqueue(t0, 0.0)
-        pressure = memory_pressure(cluster)
-        assert pressure["M-0"] == pytest.approx(0.5)
 
 
 class TestInSimulation:

@@ -7,8 +7,8 @@ from repro.core.config import Scenario
 from repro.core.errors import ConfigurationError
 from repro.machines.eet import EETMatrix
 from repro.machines.machine_type import MachineType
-from repro.net.topology import Link, StarTopology
-from repro.net.transfer import output_return_delay, transfer_delay
+from repro.net.topology import Link
+from repro.net.transfer import transfer_delay
 from repro.tasks.task_type import TaskType
 
 
@@ -37,45 +37,6 @@ class TestLink:
 
 
 class TestTopology:
-    def test_default_link(self):
-        topo = StarTopology()
-        assert topo.link_for("anything") == Link()
-
-    def test_set_and_get(self):
-        topo = StarTopology().set_link("GPU", 0.2, 100.0)
-        assert topo.link_for("GPU") == Link(0.2, 100.0)
-
-    def test_uniform(self):
-        topo = StarTopology.uniform(["A", "B"], latency=0.3)
-        assert topo.link_for("A").latency == 0.3
-        assert topo.link_for("B").latency == 0.3
-
-    def test_as_scenario_network(self):
-        topo = StarTopology().set_link("A", 0.1, 50.0)
-        assert topo.as_scenario_network() == {"A": (0.1, 50.0)}
-
-    def test_as_scenario_network_exports_default_for_named_types(self):
-        """Regression: the default link used to be silently dropped.
-
-        A machine type without an explicit link fell back to ``default``
-        in-process, but ``as_scenario_network()`` omitted it — after a
-        round-trip through Scenario the type got a zero link instead.
-        """
-        topo = StarTopology(default=Link(0.25, 10.0)).set_link("GPU", 0.1, 50.0)
-        network = topo.as_scenario_network(["CPU", "GPU", "FPGA"])
-        assert network == {
-            "CPU": (0.25, 10.0),
-            "GPU": (0.1, 50.0),
-            "FPGA": (0.25, 10.0),
-        }
-
-    def test_as_scenario_network_nontrivial_default_requires_names(self):
-        from repro.core.errors import ConfigurationError
-
-        topo = StarTopology(default=Link(0.25, 10.0)).set_link("GPU", 0.1)
-        with pytest.raises(ConfigurationError):
-            topo.as_scenario_network()
-
     def test_default_link_survives_scenario_round_trip(self):
         import numpy as np
 
@@ -85,13 +46,12 @@ class TestTopology:
         eet = EETMatrix(
             np.array([[4.0, 2.0]]), ["T"], ["CPU", "GPU"]
         )
-        topo = StarTopology(default=Link(0.25, 10.0)).set_link("GPU", 0.1, 50.0)
         scenario = Scenario(
             eet=eet,
             machine_counts={"CPU": 1, "GPU": 1},
             scheduler="MECT",
             generator={"duration": 10.0},
-            network=topo.as_scenario_network(eet.machine_type_names),
+            network={"CPU": (0.25, 10.0), "GPU": (0.1, 50.0)},
             enable_network=True,
         )
         rebuilt = Scenario.from_dict(scenario.to_dict())
@@ -106,7 +66,6 @@ class TestTransferDelay:
         task_type = TaskType("T", 0, data_in=10.0, data_out=2.0)
         mtype = MachineType("M", 0, network_latency=0.5, network_bandwidth=5.0)
         assert transfer_delay(task_type, mtype) == pytest.approx(2.5)
-        assert output_return_delay(task_type, mtype) == pytest.approx(0.9)
 
     def test_zero_bandwidth_is_latency_only(self):
         task_type = TaskType("T", 0, data_in=10.0)

@@ -273,7 +273,7 @@ class TestProcessorSharing:
         transfers = {0: manager.submit(_task(0, 4.0), 0, 1, 0.0)}
         # At t=2 the first flow has 2 MB left; a 2 MB joiner halves its rate.
         # Pop nothing before 2.0; manually submit the joiner mid-flight.
-        assert events.next_time() == 4.0
+        assert events._heap[0].time == 4.0
         transfers[1] = manager.submit(_task(1, 2.0), 0, 1, 2.0)
         deliveries = {}
         while events:

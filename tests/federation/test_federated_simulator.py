@@ -302,7 +302,7 @@ class TestResultSurface:
         assert result.gateway_name == "EET_AWARE_REMOTE"
 
 
-class TestStepAndPartialRun:
+class TestStep:
     def test_step_until_finished(self):
         simulator = offload_scenario(tasks=[(0.0, 100.0)]).build_simulator()
         steps = 0
@@ -311,12 +311,3 @@ class TestStepAndPartialRun:
         assert simulator.is_finished
         assert steps == simulator.events_processed
         assert simulator.result().summary.completed == 1
-
-    def test_run_until_partial(self):
-        scenario = offload_scenario(tasks=[(0.0, 100.0), (0.1, 100.0)])
-        simulator = scenario.build_simulator()
-        partial = simulator.run(until=0.05)
-        assert partial.summary.total_tasks <= 2
-        assert not simulator.is_finished
-        full = simulator.run()
-        assert full.summary.completed == 2

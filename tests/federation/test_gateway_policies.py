@@ -8,17 +8,20 @@ from repro.core.errors import (
     SchedulingError,
     UnknownGatewayError,
 )
+from repro.core.event_queue import EventQueue
+from repro.federation import ClusterSpec, FederatedSimulator, FederationSpec
 from repro.machines.cluster import Cluster
 from repro.machines.eet import EETMatrix
-from repro.net import InterClusterTopology
+from repro.net import InterClusterTopology, WanManager
+from repro.scenarios import build_scenario
 from repro.scheduling.federation import (
     GatewayContext,
     create_gateway,
     gateway_class,
-    shard_pressure,
 )
 from repro.tasks.task import Task
 from repro.tasks.task_type import TaskType
+from repro.tasks.workload import Workload
 
 TASK_TYPES = [TaskType("T1", 0, data_in=10.0)]
 EET = EETMatrix(np.array([[4.0, 2.0]]), TASK_TYPES, ["SLOW", "FAST"])
@@ -34,29 +37,100 @@ class StubShard:
         self.cluster = Cluster.build(EET, counts)
         self.in_system = in_system
 
+    def pressure(self):
+        alive = len(self.cluster.machines) - self.cluster.state.n_down
+        return self.in_system / alive if alive > 0 else float("inf")
+
 
 def make_ctx(shards, *, topology=None, origin=0, now=0.0, seed=0):
     task = Task(id=0, task_type=TASK_TYPES[0], arrival_time=now, deadline=1e9)
     task.origin_cluster = origin
+    topology = topology or InterClusterTopology()
     return GatewayContext(
         now=now,
         task=task,
         origin=origin,
         shards=shards,
-        topology=topology or InterClusterTopology(),
+        topology=topology,
         rng=np.random.default_rng(seed),
+        wan=WanManager(topology, EventQueue(), [s.name for s in shards]),
     )
+
+
+def real_shard(counts, routed):
+    """Shard 0 of a one-cluster federation, with *routed* tasks outstanding."""
+    spec = FederationSpec(clusters=[ClusterSpec("a", counts)])
+    simulator = FederatedSimulator(
+        spec, EET, Workload(task_types=TASK_TYPES, tasks=[])
+    )
+    shard = simulator.shards[0]
+    shard.routed = routed
+    return shard
 
 
 class TestShardPressure:
     def test_counts_outstanding_per_live_machine(self):
-        shard = StubShard(0, "a", counts={"SLOW": 2}, in_system=4)
-        assert shard_pressure(shard) == pytest.approx(2.0)
+        shard = real_shard({"SLOW": 2}, routed=4)
+        assert shard.pressure() == pytest.approx(2.0)
 
     def test_all_down_is_infinite(self):
-        shard = StubShard(0, "a", counts={"SLOW": 1}, in_system=0)
+        shard = real_shard({"SLOW": 1}, routed=0)
         shard.cluster.machines[0].fail(0.0)
-        assert shard_pressure(shard) == float("inf")
+        assert shard.pressure() == float("inf")
+
+    @pytest.mark.parametrize(
+        "preset",
+        [
+            "geo_3site",
+            "edge_cloud",
+            "fed_rebalance",
+            "fed_heavytail",
+            "hier_3region",
+            "fed_congested",
+            "diurnal_wan",
+            "hier_deep",
+            "fed_adaptive",
+        ],
+    )
+    def test_matches_its_definition_at_every_event(self, preset):
+        """``pressure()`` is in_system per live machine all through a run."""
+        simulator = build_scenario(preset, duration=100.0).build_simulator()
+        while simulator.step() is not None:
+            for shard in simulator.shards:
+                alive = len(shard.cluster.machines) - shard.cluster.state.n_down
+                expected = shard.in_system / alive if alive else float("inf")
+                assert shard.pressure() == expected
+
+
+UNCONTENDED = [(0.5, 0.0, 10.0), (0.2, 25.0, 10.0), (0.0, 4.0, 0.0), (1.5, 8.0, 64.0)]
+
+
+class TestWanSignals:
+    """On an uncontended link the live estimate is the static topology delay."""
+
+    @pytest.mark.parametrize("latency,bandwidth,megabytes", UNCONTENDED)
+    def test_estimate_is_the_static_delay(self, latency, bandwidth, megabytes):
+        shards = [
+            StubShard(0, "a", counts={"SLOW": 1}),
+            StubShard(1, "b", counts={"FAST": 1}),
+        ]
+        topo = InterClusterTopology()
+        topo.set_link("a", "b", latency, bandwidth)
+        ctx = make_ctx(shards, topology=topo)
+        ctx.task = Task(
+            id=0,
+            task_type=TaskType("T1", 0, data_in=megabytes),
+            arrival_time=0.0,
+            deadline=1e9,
+        )
+        static = topo.wan_delay("a", "b", megabytes)
+        assert ctx.estimated_wan_delay_to(1) == static
+        assert ctx.estimated_wan_delay_to(0) == 0.0
+        # Traffic on the link opens its channel; a "none" link still
+        # answers with the static delay.
+        ctx.wan.submit(ctx.task, 0, 1, 0.0)
+        assert ctx.estimated_wan_delay_to(1) == static
+        assert ctx.wan.queue_depth(0, 1) == 0
 
 
 class TestLocalityFirst:

@@ -25,9 +25,7 @@ def two_site_spec(**overrides):
             ),
         ],
         gateway="LEAST_LOADED",
-        topology=InterClusterTopology.uniform(
-            ["edge", "cloud"], latency=0.05, bandwidth=40.0
-        ),
+        topology=InterClusterTopology(default=Link(0.05, 40.0)),
     )
     kwargs.update(overrides)
     return FederationSpec(**kwargs)
@@ -175,16 +173,3 @@ class TestInterClusterTopology:
     def test_from_dict_rejects_bad_key(self):
         with pytest.raises(ConfigurationError):
             InterClusterTopology.from_dict({"links": {"a-b": [0.1, 0.0]}})
-
-    def test_from_star(self):
-        from repro.net import StarTopology
-
-        star = StarTopology(default=Link(0.5, 0.0))
-        star.set_link("edge", 0.1, 20.0)
-        star.set_link("cloud", 0.2, 40.0)
-        topo = InterClusterTopology.from_star(
-            star, ["hub", "edge", "cloud"], hub="hub"
-        )
-        assert topo.link_between("hub", "edge") == Link(0.1, 20.0)
-        # Non-hub pair: latencies add, bandwidth is the bottleneck spoke.
-        assert topo.link_between("edge", "cloud") == Link(0.1 + 0.2, 20.0)

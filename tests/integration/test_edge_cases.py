@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import Scenario
+from repro.core.events import EventType
 from repro.core.simulator import Simulator
 from repro.machines.cluster import Cluster
 from repro.machines.eet import EETMatrix
@@ -40,7 +41,8 @@ class TestAllMachinesDown:
         for machine in cluster:
             machine.fail(0.0)
         # Let the engine deliver the arrival; nothing can accept the task.
-        sim.run(until=2.0)
+        assert sim.step().type is EventType.TASK_ARRIVAL
+        sim.clock.advance_to(2.0)
         assert task.status is TaskStatus.IN_BATCH_QUEUE
         # Repair one machine; the next scheduling trigger maps the task.
         cluster[0].repair(2.0)

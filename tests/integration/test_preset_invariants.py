@@ -237,6 +237,6 @@ def test_a_lost_task_raises_without_deadline_drops(preset):
     # The first arrival feeds the rest of the workload; cancelling it
     # leaves every task unrecorded. (A preset with a rebalancer would
     # tick forever, waiting for the lost tasks.)
-    simulator.events.cancel(simulator.events.peek())
+    simulator.events.cancel(simulator.events._heap[0])
     with pytest.raises(SimulationStateError, match="conservation violated"):
         simulator.run()

@@ -127,8 +127,3 @@ class TestFormulas:
 
         with pytest.raises(ConfigurationError):
             mg1_mean_wait(0.5, 1.0, 0.5)
-
-    def test_mean_in_system(self):
-        from repro.metrics.queueing import mm1_mean_in_system
-
-        assert mm1_mean_in_system(0.5, 1.0) == pytest.approx(1.0)

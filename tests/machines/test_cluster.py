@@ -1,5 +1,7 @@
 """Cluster construction and vectorised planning views."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,11 @@ class TestBuild:
     def test_counts_mapping(self, eet_3x2):
         cluster = Cluster.build(eet_3x2, {"M1": 2, "M2": 1})
         assert len(cluster) == 3
-        assert cluster.counts_by_type() == {"M1": 2, "M2": 1}
+        assert Counter(m.machine_type.name for m in cluster) == {"M1": 2, "M2": 1}
 
     def test_counts_sequence(self, eet_3x2):
         cluster = Cluster.build(eet_3x2, [1, 2])
-        assert cluster.counts_by_type() == {"M1": 1, "M2": 2}
+        assert Counter(m.machine_type.name for m in cluster) == {"M1": 1, "M2": 2}
 
     def test_machine_ids_sequential(self, eet_3x2):
         cluster = Cluster.build(eet_3x2, {"M1": 2, "M2": 2})

@@ -54,11 +54,6 @@ class TestPlanning:
         # at t=0: 4 remaining + 6 queued
         assert machine.ready_time(0.0) == 10.0
 
-    def test_completion_time_for(self, setup):
-        types, machine = setup
-        candidate = new_task(types, 5, type_idx=1)
-        assert machine.completion_time_for(candidate, 2.0) == 8.0
-
     def test_queued_work_incremental_consistency(self, setup):
         types, machine = setup
         tasks = [new_task(types, i, type_idx=i % 2) for i in range(4)]
@@ -71,14 +66,6 @@ class TestPlanning:
         machine.drop_queued(tasks[2])
         expected = sum(machine.eet_for(t) for t in machine.queue)
         assert machine.queued_work() == pytest.approx(expected)
-
-    def test_load(self, setup):
-        types, machine = setup
-        assert machine.load == 0
-        machine.enqueue(new_task(types, 0), 0.0)
-        machine.start_next(0.0)
-        machine.enqueue(new_task(types, 1), 0.0)
-        assert machine.load == 2
 
 
 def slots(machine: Machine) -> float:

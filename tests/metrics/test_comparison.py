@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.metrics.comparison import PolicyComparison, compare_policies
+from repro.metrics.comparison import PolicyComparison
 
 
 @pytest.fixture(scope="module")
@@ -26,9 +26,13 @@ def comparison(request):
         generator={"duration": 150.0, "intensity": "high"},
         seed=4,
     )
-    return compare_policies(
-        scenario, ["FCFS", "MECT", "RANDOM"], replications=3
-    )
+    # Replication i of every policy runs the same derived workload.
+    comparison = PolicyComparison()
+    for policy in ("FCFS", "MECT", "RANDOM"):
+        for rep in range(3):
+            result = scenario.with_scheduler(policy).run(replication=rep)
+            comparison.add(policy, result)
+    return comparison
 
 
 class TestPolicyComparison:
@@ -92,21 +96,3 @@ class TestPolicyComparison:
         for a, b in zip(fcfs, mect):
             assert a.summary.total_tasks == b.summary.total_tasks
 
-
-class TestCompareValidation:
-    def test_zero_replications_rejected(self):
-        import numpy as np
-
-        from repro.core.config import Scenario
-        from repro.machines.eet import EETMatrix
-
-        eet = EETMatrix(np.array([[4.0]]), ["T1"], ["M1"])
-        scenario = Scenario(
-            eet=eet,
-            machine_counts={"M1": 1},
-            scheduler="MECT",
-            generator={"duration": 10.0},
-            seed=1,
-        )
-        with pytest.raises(ConfigurationError):
-            compare_policies(scenario, ["FCFS"], replications=0)

@@ -180,7 +180,7 @@ def test_hysteresis_never_starts_in_the_dead_band(marks, gap):
     rebalancer = _fresh_rebalancer(high, low)
     fired = rebalancer._should_fire(0, gap)
     assert fired == (gap >= high)
-    assert (0 in rebalancer.shedding) == fired
+    assert (0 in rebalancer._shedding) == fired
 
 
 @given(
@@ -202,7 +202,7 @@ def test_hysteresis_state_machine(marks, gaps):
         expected = (gap > low) if shedding else (gap >= high)
         shedding = expected
         assert rebalancer._should_fire(0, gap) == expected
-        assert (0 in rebalancer.shedding) == shedding
+        assert (0 in rebalancer._shedding) == shedding
 
 
 @given(
@@ -218,4 +218,4 @@ def test_no_watermarks_is_the_plain_threshold(gap, threshold):
         federation, MigrationSpec(pressure_gap=threshold)
     )
     assert rebalancer._should_fire(0, gap) == (gap >= threshold)
-    assert not rebalancer.shedding
+    assert not rebalancer._shedding

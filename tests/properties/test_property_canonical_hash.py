@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.experiments import CampaignSpec
 from repro.scenarios import build_scenario
 from repro.service import (
-    campaign_hash,
     canonical_dumps,
     canonical_hash,
     request_key,
@@ -162,13 +161,13 @@ def test_campaign_default_elision_and_aliases(seed_list, master):
         "metrics": ["completion_rate"],
     }
     normalised = CampaignSpec.from_dict(minimal).to_dict()
-    assert campaign_hash(minimal) == campaign_hash(normalised)
-    assert campaign_hash(shouty) == campaign_hash(minimal)
+    assert request_key(minimal)[2] == request_key(normalised)[2]
+    assert request_key(shouty)[2] == request_key(minimal)[2]
 
     reordered = dict(minimal, schedulers=["mect", "fcfs"])
-    assert campaign_hash(reordered) != campaign_hash(minimal)
+    assert request_key(reordered)[2] != request_key(minimal)[2]
     reseeded = dict(minimal, seed=master + 1)
-    assert campaign_hash(reseeded) != campaign_hash(minimal)
+    assert request_key(reseeded)[2] != request_key(minimal)[2]
 
 
 @given(campaign_seed_lists)
@@ -180,4 +179,4 @@ def test_campaign_int_float_seed_spellings_match(seed_list):
         "seeds": seed_list,
     }
     floated = dict(base, seeds=[float(s) for s in seed_list])
-    assert campaign_hash(floated) == campaign_hash(base)
+    assert request_key(floated)[2] == request_key(base)[2]

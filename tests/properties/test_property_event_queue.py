@@ -1,10 +1,8 @@
 """Property-based tests: the future-event list is a stable priority queue."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import SimulationStateError
 from repro.core.event_queue import EventQueue
 from repro.core.events import Event, EventType
 
@@ -14,12 +12,17 @@ times = st.floats(
 )
 
 
+def drain(queue):
+    """Pop every live event, in order."""
+    return [queue.pop() for _ in range(len(queue))]
+
+
 @given(st.lists(st.tuples(times, event_types), max_size=200))
 def test_pop_order_is_total_order(items):
     queue = EventQueue()
     for t, kind in items:
         queue.push(Event(t, kind))
-    popped = list(queue.drain())
+    popped = drain(queue)
     keys = [e.sort_key() for e in popped]
     assert keys == sorted(keys)
 
@@ -49,7 +52,7 @@ def test_cancellation_removes_exactly_the_cancelled(items, data):
     for i in to_cancel:
         queue.cancel(handles[i])
     survivors = {h.seq for i, h in enumerate(handles) if i not in set(to_cancel)}
-    popped = {e.seq for e in queue.drain()}
+    popped = {e.seq for e in drain(queue)}
     assert popped == survivors
 
 
@@ -64,27 +67,17 @@ def test_fifo_stability_at_equal_keys(ts):
     ]
     for e in events:
         queue.push(e)
-    payloads = [e.payload for e in queue.drain()]
+    payloads = [e.payload for e in drain(queue)]
     assert payloads == list(range(len(ts)))
 
 
-@given(st.lists(st.tuples(times, event_types), min_size=1, max_size=100))
-def test_peek_always_matches_next_pop(items):
-    queue = EventQueue()
-    for t, kind in items:
-        queue.push(Event(t, kind))
-    while queue:
-        head = queue.peek()
-        assert queue.pop() is head
-
-
-OPS = st.sampled_from(["push", "cancel", "cancel_again", "peek", "pop"])
+OPS = st.sampled_from(["push", "cancel", "cancel_again", "pop"])
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_queue_matches_a_sorted_list_model(data):
-    """Push, cancel, double cancel, peek and pop against a sorted list.
+    """Push, cancel, double cancel and pop against a sorted list.
 
     ``live`` holds the live events in key order; ``dead`` holds the
     cancelled events whose heap entries have not been popped yet. The
@@ -118,19 +111,7 @@ def test_queue_matches_a_sorted_list_model(data):
         assert bool(queue) is bool(live)
         assert queue._cancelled == {e.seq for e in dead}
         assert queue._cancelled <= {e.seq for e in queue._heap}
-        # A peek drops cancelled entries at the head, so peeking after
-        # every step would leave none in the heap for the next cancel or
-        # len check to meet; check it after a drawn half of the steps.
-        if op == "peek" or not data.draw(st.booleans()):
-            if live:
-                assert queue.peek() is live[0]
-                dead = [e for e in dead if e.sort_key() > live[0].sort_key()]
-            else:
-                with pytest.raises(SimulationStateError):
-                    queue.peek()
-                dead = []
-            assert queue._cancelled == {e.seq for e in dead}
 
-    assert [e.seq for e in queue.drain()] == [e.seq for e in live]
+    assert [e.seq for e in drain(queue)] == [e.seq for e in live]
     assert len(queue) == 0 and not queue
     assert len(queue._heap) == len(queue._cancelled)

@@ -89,7 +89,7 @@ def test_wall_time_partition_includes_downtime(scenario):
     """idle + busy + off == simulated wall time, per machine."""
     result, _, sim = run(*scenario)
     for m in sim.cluster:
-        total = m.energy.idle_time + m.energy.busy_time + m.energy.off_time
+        total = m.energy.idle_time + m.energy.busy_time + m.energy._off_time
         assert abs(total - sim.now) < 1e-6 or sim.now == 0.0
 
 

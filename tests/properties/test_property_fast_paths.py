@@ -34,10 +34,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError, EETError
+from repro.core.event_queue import EventQueue
 from repro.machines import UNBOUNDED
 from repro.machines.cluster import Cluster
 from repro.machines.eet import EETMatrix
 from repro.machines.power import PowerProfile
+from repro.net import InterClusterTopology, WanManager
 from repro.scheduling.base import (
     _LIST_PASS_CELLS,
     BatchScheduler,
@@ -96,13 +98,15 @@ def test_random_split_draws_equal_rng_choice(weights, explicit, seed):
     else:
         shards = [_Shard(i, w) for i, w in enumerate(weights)]
         gateway = create_gateway("RANDOM_SPLIT")
+    topology = InterClusterTopology()
     ctx = GatewayContext(
         now=0.0,
         task=None,
         origin=0,
         shards=shards,
-        topology=None,
+        topology=topology,
         rng=np.random.default_rng(seed),
+        wan=WanManager(topology, EventQueue(), [s.name for s in shards]),
     )
     twin = np.random.default_rng(seed)
     w = np.asarray(weights, dtype=float)

@@ -132,19 +132,6 @@ class TestDerived:
         task.miss(4.0, DropStage.MACHINE_QUEUE)
         assert not task.on_time
 
-    def test_slack(self):
-        task = Task(id=0, task_type=T, arrival_time=2.0, deadline=12.0)
-        assert task.slack == 10.0
-
-    def test_urgency_increases_toward_deadline(self):
-        task = fresh(deadline=10.0)
-        assert task.urgency(0.0) < task.urgency(8.0)
-
-    def test_urgency_infinite_past_deadline(self):
-        task = fresh(deadline=10.0)
-        assert task.urgency(10.0) == math.inf
-        assert task.urgency(11.0) == math.inf
-
     def test_wait_and_response_none_before_events(self):
         task = fresh()
         assert task.wait_time is None

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.tasks.task_type import TaskType, build_task_types
+from repro.tasks.task_type import TaskType
 
 
 class TestTaskType:
@@ -35,22 +35,3 @@ class TestTaskType:
         t = TaskType("x", 0)
         with pytest.raises(AttributeError):
             t.name = "y"  # type: ignore[misc]
-
-
-class TestBuildTaskTypes:
-    def test_indices_assigned_in_order(self):
-        types = build_task_types(["a", "b", "c"])
-        assert [t.index for t in types] == [0, 1, 2]
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ConfigurationError):
-            build_task_types(["a", "a"])
-
-    def test_deadlines_attached(self):
-        types = build_task_types(["a", "b"], relative_deadlines=[3.0, 4.0])
-        assert types[0].relative_deadline == 3.0
-        assert types[1].relative_deadline == 4.0
-
-    def test_deadline_length_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            build_task_types(["a", "b"], relative_deadlines=[3.0])

@@ -140,10 +140,9 @@ class TestExtras:
         text = write_workload_csv(read_workload_csv(io.StringIO(CSV_EXTRAS)))
         assert text == CSV_EXTRAS
 
-    def test_extras_survive_fresh_copy_and_scaled(self):
+    def test_extras_survive_fresh_copy(self):
         w = read_workload_csv(io.StringIO(CSV_EXTRAS))
         assert w.fresh_copy()[0].extras == w[0].extras
-        assert w.scaled(2.0)[1].extras == w[1].extras
 
     def test_missing_deadline_error_names_task_and_line(self):
         with pytest.raises(

@@ -42,12 +42,6 @@ class TestConstruction:
         assert [t.id for t in w] == [0, 1]
 
 
-class TestLookups:
-    def test_counts_by_type(self, make_workload):
-        w = make_workload([(0, 0.0, 10.0), (0, 1.0, 11.0), (2, 2.0, 12.0)])
-        assert w.counts_by_type() == {"T1": 2, "T2": 0, "T3": 1}
-
-
 class TestFreshCopy:
     def test_copy_resets_status(self, make_workload):
         w = make_workload([(0, 0.0, 10.0)])
@@ -67,21 +61,6 @@ class TestFreshCopy:
     def test_copy_is_distinct_objects(self, make_workload):
         w = make_workload([(0, 0.0, 10.0)])
         assert w.fresh_copy()[0] is not w[0]
-
-
-class TestScaled:
-    def test_scaling_compresses_arrivals_keeps_relative_deadlines(
-        self, make_workload
-    ):
-        w = make_workload([(0, 10.0, 15.0)])
-        half = w.scaled(0.5)
-        assert half[0].arrival_time == 5.0
-        assert half[0].deadline == 10.0  # relative deadline 5 preserved
-
-    def test_nonpositive_factor_rejected(self, make_workload):
-        w = make_workload([(0, 0.0, 10.0)])
-        with pytest.raises(WorkloadError):
-            w.scaled(0.0)
 
 
 class TestFromArrays:
