@@ -75,7 +75,6 @@ from .metrics import (
     Report,
     ReportBundle,
     SummaryMetrics,
-    confidence_interval,
     energy_breakdown,
     jain_fairness,
     summarize,
@@ -163,7 +162,6 @@ __all__ = [
     "Report",
     "ReportBundle",
     "summarize",
-    "confidence_interval",
     "jain_fairness",
     "energy_breakdown",
     "PolicyComparison",

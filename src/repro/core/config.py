@@ -33,7 +33,7 @@ from ..tasks.generator import (
 )
 from ..tasks.task_type import TaskType
 from ..tasks.trace_io import TraceSpec, read_workload_csv
-from ..tasks.workload import Workload, WorkloadColumns
+from ..tasks.workload import Workload
 from .errors import ConfigurationError
 from .fields import array, flag, integer, pair, real, record, text
 from .jsonio import load_json_source
@@ -159,48 +159,21 @@ class Scenario:
         )
 
     def build_workload(self, *, replication: int = 0) -> Workload:
-        """Materialise the task trace.
+        """Materialise the task trace, each task built once.
 
         ``replication`` offsets the derived seed so replicated runs of the
         same scenario draw independent workloads while staying reproducible.
-
-        Generation is a pure function of (EET, machine counts, recipe, seed,
-        replication), so repeated builds of the same scenario — replications,
-        benchmark rounds, campaign cells — memoise the trace's pristine
-        columns (:class:`~repro.tasks.workload.WorkloadColumns`) instead of
-        re-sampling the arrival processes each time. The first build returns
-        the workload it generated; a later one builds each task once from
-        the columns. An explicit ``workload`` is handed out as a fresh copy.
+        An explicit ``workload`` is handed out as a fresh copy.
         """
         if self.workload is not None:
             return self.workload.fresh_copy()
-        if self.trace is not None:
-            cache_key: tuple = (
-                replication,
-                self.seed,
-                id(self.eet),
-                repr(self.trace),
-            )
-        else:
-            cache_key = (
-                replication,
-                self.seed,
-                id(self.eet),
-                repr(dict(self.machine_counts)),
-                repr(self.generator),
-            )
-        cached = getattr(self, "_workload_cache", None)
-        if cached is not None and cached[0] == cache_key:
-            return cached[1].build()
         if self.trace is not None:
             workload = self.trace.build_workload(
                 self.eet, seed=self.seed, replication=replication
             )
             workload.validate_against_eet(self.eet)
-        else:
-            workload = self._generate_workload(replication)
-        self._workload_cache = (cache_key, WorkloadColumns.of(workload))
-        return workload
+            return workload
+        return self._generate_workload(replication)
 
     def _generator(self) -> tuple[WorkloadGenerator, dict[str, Any]]:
         """The generator recipe, checked: its generator and its other fields."""
@@ -229,6 +202,25 @@ class Scenario:
         else:
             raise ConfigurationError("generator recipe needs 'duration' or 'n_tasks'")
         return gen, recipe
+
+    def check_recipe(self) -> None:
+        """Refuse a generator recipe now, not when its run reaches it.
+
+        A bad field, a window too long to hold, or a failure storm over the
+        window fails here; a trace or explicit workload passes unchecked.
+        """
+        if self.generator is None:
+            return
+        gen, recipe = self._generator()
+        if "duration" in recipe:
+            gen.check_window(recipe["duration"], recipe["intensity"])
+        if self.failure_model is not None:
+            window = (
+                recipe["duration"]
+                if "duration" in recipe
+                else gen.count_window(recipe["n_tasks"], recipe["intensity"])
+            )
+            self.failure_model.check_window(self.machine_counts, window)
 
     def _generate_workload(self, replication: int) -> Workload:
         """Sample the generator recipe's workload for *replication*."""
@@ -446,17 +438,7 @@ class Scenario:
             failure_model=None if failure is None else _failure_model(failure),
             name=text(data.get("name", "scenario"), "name"),
         )
-        if scenario.generator is not None:  # refuse a window too long to hold now
-            gen, recipe = scenario._generator()
-            if "duration" in recipe:
-                gen.check_window(recipe["duration"], recipe["intensity"])
-            if scenario.failure_model is not None:
-                window = (
-                    recipe["duration"]
-                    if "duration" in recipe
-                    else gen.count_window(recipe["n_tasks"], recipe["intensity"])
-                )
-                scenario.failure_model.check_window(scenario.machine_counts, window)
+        scenario.check_recipe()
         return scenario
 
     def to_json(self, path: str | Path | None = None, *, indent: int = 2) -> str:
@@ -469,18 +451,6 @@ class Scenario:
     def from_json(cls, source: str | Path) -> "Scenario":
         """Load from a JSON file path or a JSON string."""
         return cls.from_dict(load_json_source(source, what="scenario"))
-
-    def fingerprint(self) -> str:
-        """Canonical content hash of this scenario (the service cache key).
-
-        Two scenarios share a fingerprint exactly when the deterministic
-        engine would produce identical results for them — display ``name``
-        excluded, everything else (EET, machines, policy, workload recipe,
-        seed, federation) included. See :mod:`repro.service.hashing`.
-        """
-        from ..service.hashing import scenario_hash
-
-        return scenario_hash(self)
 
     # -- conveniences ------------------------------------------------------------------------
 

@@ -148,7 +148,6 @@ class FederationTree:
         self.leaf_paths: list[ClusterPath] = [
             ClusterPath(paths[i]) for i in range(n_leaves)
         ]
-        self._paths = paths
         # Child→parent uplink edges, one per non-root node. Symmetric: both
         # directions share the physical port. The *default* link of the hop
         # topology is inert on purpose — every real edge is explicit, so a
@@ -200,10 +199,6 @@ class FederationTree:
     def is_leaf(self, node: int) -> bool:
         """True for shard-backed nodes (ids below ``n_leaves``)."""
         return node < self.n_leaves
-
-    def depth(self, node: int) -> int:
-        """Levels below the root (the root itself is depth 0)."""
-        return len(self._paths[node])
 
     def route(self, origin: int, destination: int) -> tuple[int, ...]:
         """Node-id path origin → LCA → destination, endpoints included.

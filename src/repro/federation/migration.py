@@ -132,7 +132,6 @@ class Rebalancer:
                 destination=destination,
                 candidates=candidates,
                 limit=spec.batch_max,
-                topology=self.federation.topology,
                 wan=self.federation.wan,
             )
             for task in self.policy.select(ctx)[: spec.batch_max]:

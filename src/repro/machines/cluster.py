@@ -227,12 +227,11 @@ class Cluster:
         return self.energy_table[rows]
 
     def ready_times(self, now: float) -> np.ndarray:
-        """ready_time(now) per machine.
+        """Each machine's ready time: when a newly queued task could start.
 
         Computed from the incrementally-maintained :class:`ClusterState`
-        arrays with the exact same arithmetic as ``Machine.ready_time``
-        (``now + max(0, finish_at - now) + queued_work``), so results are
-        bit-identical to the per-machine scalar path.
+        arrays as ``now + max(0, finish_at - now) + queued_work``; a machine
+        that is down is never ready (+inf).
         """
         state = self._state
         ready = state.finish_at - now
@@ -428,10 +427,7 @@ class Cluster:
             return best_j
         return int(self.ready_times(now).argmin())
 
-    # -- aggregates ------------------------------------------------------------------------
-
-    def total_energy(self) -> float:
-        return sum(m.energy.total_energy for m in self.machines)
+    # -- queue slots ---------------------------------------------------------------------------
 
     def unbound_queues(self) -> None:
         """Lift every (empty) machine queue to unbounded (pre-run configuration)."""
@@ -446,17 +442,3 @@ class Cluster:
     def free_slots_snapshot(self) -> np.ndarray:
         """Fresh free-slots-per-machine array (callers may mutate it)."""
         return np.array(self._state.slots)
-
-    def fresh_copy(self) -> "Cluster":
-        """New cluster with identical topology and pristine runtime state."""
-        machines = [
-            Machine(
-                machine_id=m.id,
-                machine_type=m.machine_type,
-                eet=self.eet,
-                queue_capacity=m.queue_capacity,
-                name=m.name,
-            )
-            for m in self.machines
-        ]
-        return Cluster(machines, self.eet)

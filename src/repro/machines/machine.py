@@ -1,12 +1,16 @@
 """Machine runtime state: queue, running task, readiness and energy.
 
 A machine executes its FIFO queue sequentially (§3: "Tasks are executed on the
-assigned machine in a sequential manner"). The scheduler plans against
-:meth:`ready_time` plus :meth:`eet_for`, the standard quantities of the
+assigned machine in a sequential manner"). The scheduler plans against a
+machine's ready time plus :meth:`eet_for`, the standard quantities of the
 MCT/Min-Min heuristic family:
 
-    ready_time(now)  = now + remaining(running) + Σ EET(queued)
-    completion time  = ready_time(now) + eet_for(candidate)
+    ready time       = now + remaining(running) + Σ EET(queued)
+    completion time  = ready time + eet_for(candidate)
+
+A machine keeps the two terms in its :class:`ClusterState` row
+(``finish_at`` and ``queued_work``); ``Cluster.ready_times`` evaluates the
+ready time of every machine at once, +inf for a machine that is down.
 
 With deterministic execution these are exact; with an execution-noise model
 they are the *expected* values — which is precisely what the "Expected
@@ -166,26 +170,6 @@ class Machine:
     @property
     def is_idle(self) -> bool:
         return self.running is None
-
-    def remaining_runtime(self, now: float) -> float:
-        """Time until the running task finishes (0 when idle)."""
-        if self.running is None:
-            return 0.0
-        return max(0.0, float(self._state.finish_at[self._index]) - now)
-
-    def queued_work(self) -> float:
-        """Σ EET of queued (not yet running) tasks (incrementally tracked)."""
-        return float(self._state.queued_work[self._index])
-
-    def ready_time(self, now: float) -> float:
-        """Earliest time a newly queued task could start.
-
-        A failed machine is never ready (infinite), steering every
-        completion-time-based policy away from it while it is down.
-        """
-        if not self.up:
-            return float("inf")
-        return now + self.remaining_runtime(now) + self.queued_work()
 
     # -- execution lifecycle --------------------------------------------------------
 

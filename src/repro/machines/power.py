@@ -160,8 +160,3 @@ class EnergyMeter:
         if total <= 0:
             return 1.0
         return (self._idle_time + self._busy_time) / total
-
-    def reset(self, start_time: float = 0.0) -> None:
-        self._last_time = start_time
-        self._idle_time = self._busy_time = self._off_time = 0.0
-        self._idle_energy = self._busy_energy = 0.0

@@ -12,7 +12,7 @@ from .queueing import (
 )
 from .reports import Report, ReportBundle
 from .rollup import global_energy, global_summary, routing_table
-from .stats import SummaryStats, confidence_interval, jain_fairness, summarize
+from .stats import SummaryStats, jain_fairness, summarize
 
 __all__ = [
     "global_summary",
@@ -26,7 +26,6 @@ __all__ = [
     "energy_breakdown",
     "SummaryStats",
     "summarize",
-    "confidence_interval",
     "jain_fairness",
     "PolicyComparison",
     "EventLog",

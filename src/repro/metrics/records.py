@@ -8,9 +8,9 @@ finished run produced and materialises the rows on first access; the result
 dataclasses expose them through ``functools.cached_property``, so consumers
 see the exact same list objects they always did, just built on demand.
 
-Pickling materialises the rows (``__reduce__``), so a result shipped across
-a process boundary carries plain row lists rather than the collector/cluster
-object graph.
+A result stays in the process that ran it: campaign workers send back
+``RunRecord`` summaries and the service sends payload dicts, so a source
+never needs to cross a process boundary.
 """
 
 from __future__ import annotations
@@ -65,35 +65,3 @@ class RecordsSource:
                 row["cluster"] = label
                 rows.append(row)
         return rows
-
-    def __reduce__(self):
-        return (_materialized, (self.task_rows(), self.machine_rows()))
-
-
-class _MaterializedRecords:
-    """A :class:`RecordsSource` stand-in holding pre-built rows (pickling)."""
-
-    __slots__ = ("_task_rows", "_machine_rows")
-
-    def __init__(
-        self,
-        task_rows: list[dict[str, Any]],
-        machine_rows: list[dict[str, Any]],
-    ) -> None:
-        self._task_rows = task_rows
-        self._machine_rows = machine_rows
-
-    def task_rows(self) -> list[dict[str, Any]]:
-        return self._task_rows
-
-    def machine_rows(self) -> list[dict[str, Any]]:
-        return self._machine_rows
-
-    def __reduce__(self):
-        return (_materialized, (self._task_rows, self._machine_rows))
-
-
-def _materialized(
-    task_rows: list[dict[str, Any]], machine_rows: list[dict[str, Any]]
-) -> _MaterializedRecords:
-    return _MaterializedRecords(task_rows, machine_rows)

@@ -366,11 +366,6 @@ class TreeRollup:
         """The federation-wide totals (path ``()``, wire ``*``)."""
         return self._nodes[()]
 
-    @property
-    def leaves(self) -> list[TreeNodeStats]:
-        """Leaf nodes in path order."""
-        return [n for n in self if n.n_leaves == 1 and n.path]
-
     def at(self, wire: str) -> TreeNodeStats:
         """Node by wire path (``region/site/cluster``; ``*`` = root)."""
         path = () if wire == "*" else tuple(wire.split("/"))

@@ -1,13 +1,11 @@
 """Statistics helpers used by reports, comparisons and the survey analysis.
 
-Small, dependency-light functions: summary statistics, Student-t confidence
-intervals (for replicated experiment series) and Jain's fairness index (used
-to quantify FELARE's cross-task-type fairness).
+Small, dependency-light functions: summary statistics and Jain's fairness
+index (used to quantify FELARE's cross-task-type fairness).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,7 +14,6 @@ import numpy as np
 __all__ = [
     "SummaryStats",
     "summarize",
-    "confidence_interval",
     "jain_fairness",
 ]
 
@@ -57,45 +54,6 @@ def summarize(values: Sequence[float]) -> SummaryStats:
         median=float(np.median(arr)),
         maximum=float(arr.max()),
     )
-
-
-# Two-sided Student-t 97.5% quantiles for small df; ~1.96 beyond the table.
-_T_975 = {
-    1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447, 7: 2.365,
-    8: 2.306, 9: 2.262, 10: 2.228, 11: 2.201, 12: 2.179, 13: 2.160,
-    14: 2.145, 15: 2.131, 16: 2.120, 17: 2.110, 18: 2.101, 19: 2.093,
-    20: 2.086, 25: 2.060, 30: 2.042, 40: 2.021, 60: 2.000, 120: 1.980,
-}
-
-
-def _t_quantile(df: int) -> float:
-    if df <= 0:
-        raise ValueError("confidence interval needs at least 2 samples")
-    keys = sorted(_T_975)
-    for k in keys:
-        if df <= k:
-            return _T_975[k]
-    return 1.96
-
-
-def confidence_interval(
-    values: Sequence[float], level: float = 0.95
-) -> tuple[float, float]:
-    """Two-sided Student-t CI of the mean (95% only; table-based, no scipy).
-
-    Returns (low, high); degenerate (mean, mean) for a single sample.
-    """
-    if not math.isclose(level, 0.95):
-        raise ValueError("only the 95% level is supported")
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot build a CI from an empty sample")
-    mean = float(arr.mean())
-    if arr.size == 1:
-        return (mean, mean)
-    sem = float(arr.std(ddof=1)) / math.sqrt(arr.size)
-    half = _t_quantile(arr.size - 1) * sem
-    return (mean - half, mean + half)
 
 
 def jain_fairness(values: Sequence[float]) -> float:

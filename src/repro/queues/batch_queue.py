@@ -30,9 +30,6 @@ class BatchQueue:
     def __iter__(self) -> Iterator[Task]:
         return iter(self._queue)
 
-    def __contains__(self, task: Task) -> bool:
-        return task in self._queue
-
     @property
     def is_empty(self) -> bool:
         return not self._queue
@@ -49,11 +46,6 @@ class BatchQueue:
                 f"task {task.id} cannot be readmitted in state {task.status.name}"
             )
         self._queue.append(task)
-
-    def pop(self) -> Task:
-        if not self._queue:
-            raise SimulationStateError("pop from an empty batch queue")
-        return self._queue.popleft()
 
     def remove(self, task: Task) -> bool:
         """Remove a specific task (a mapping decision took it). False if absent."""
@@ -90,8 +82,3 @@ class BatchQueue:
     def snapshot(self) -> list[Task]:
         """Current contents in FIFO order (copy)."""
         return list(self._queue)
-
-    def clear(self) -> list[Task]:
-        out = list(self._queue)
-        self._queue.clear()
-        return out

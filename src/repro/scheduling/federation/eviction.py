@@ -38,7 +38,6 @@ from ...core.registry import NameRegistry
 from .base import ShardView
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ...net.topology import InterClusterTopology
     from ...net.wan import WanManager
     from ...tasks.task import Task
 
@@ -74,8 +73,6 @@ class MigrationContext:
     limit:
         Maximum number of tasks the rebalancer will accept this pass
         (returning more is allowed; the surplus is ignored).
-    topology:
-        Inter-cluster WAN links (static delays and energy).
     wan:
         Live WAN link state for backlog-aware delay estimates.
     """
@@ -85,7 +82,6 @@ class MigrationContext:
     destination: ShardView
     candidates: Sequence["Task"]
     limit: int
-    topology: "InterClusterTopology"
     wan: "WanManager"
 
     def estimated_wan_delay(self, task: "Task") -> float:

@@ -28,7 +28,6 @@ from .hashing import (
     canonical_json,
     normalize_request,
     request_key,
-    scenario_hash,
 )
 from .jobs import Job, JobQueue, JobState, execute_request
 
@@ -43,7 +42,6 @@ __all__ = [
     "canonical_json",
     "canonical_dumps",
     "canonical_hash",
-    "scenario_hash",
     "normalize_request",
     "request_key",
 ]

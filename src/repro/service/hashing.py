@@ -40,7 +40,6 @@ __all__ = [
     "canonical_json",
     "canonical_dumps",
     "canonical_hash",
-    "scenario_hash",
     "normalize_request",
     "request_key",
 ]
@@ -105,22 +104,6 @@ def _strip_cosmetic(kind: str, spec: Mapping[str, Any]) -> dict[str, Any]:
     return {k: v for k, v in spec.items() if k not in drop}
 
 
-def scenario_hash(scenario: Any) -> str:
-    """Canonical key of a :class:`~repro.core.config.Scenario` (or its dict).
-
-    Display-only fields (``name``) do not enter the digest; everything the
-    engine consumes — EET, machine population, policy + params, workload
-    recipe or trace, seed, federation/migration spec — does.
-    """
-    from ..core.config import Scenario
-
-    if not isinstance(scenario, Scenario):
-        scenario = Scenario.from_dict(scenario)
-    return canonical_hash(
-        {"kind": "scenario", "spec": _strip_cosmetic("scenario", scenario.to_dict())}
-    )
-
-
 def normalize_request(data: Mapping[str, Any]) -> tuple[str, dict[str, Any]]:
     """Classify and normalise one submission document.
 
@@ -129,8 +112,9 @@ def normalize_request(data: Mapping[str, Any]) -> tuple[str, dict[str, Any]]:
     * a scenario JSON object (has an ``"eet"`` key) — the
       :meth:`Scenario.to_dict` shape,
     * a preset reference ``{"preset": name, "overrides": {...}}`` — resolved
-      through the scenario registry, so a preset submission and its expanded
-      JSON share one cache entry,
+      through the scenario registry and its recipe checked as
+      :meth:`Scenario.from_dict` checks it, so a preset submission and its
+      expanded JSON share one cache entry,
     * a campaign JSON object (has ``"scenarios"`` and ``"schedulers"``) —
       the :meth:`CampaignSpec.to_dict` shape.
 
@@ -159,6 +143,7 @@ def normalize_request(data: Mapping[str, Any]) -> tuple[str, dict[str, Any]]:
                 f"preset {data['preset']!r} does not accept these "
                 f"overrides: {exc}"
             ) from exc
+        scenario.check_recipe()
         return "scenario", scenario.to_dict()
     if "eet" in data:
         from ..core.config import Scenario

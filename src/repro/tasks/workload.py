@@ -21,7 +21,7 @@ from .task_type import TaskType
 if TYPE_CHECKING:  # pragma: no cover
     from ..machines.eet import EETMatrix
 
-__all__ = ["Workload", "WorkloadColumns"]
+__all__ = ["Workload"]
 
 
 @dataclass
@@ -127,47 +127,3 @@ class Workload:
             for rank, i in enumerate(order)
         ]
         return cls(task_types=task_types, tasks=tasks)
-
-
-@dataclass(frozen=True)
-class WorkloadColumns:
-    """A workload's pristine task fields as parallel columns, no ``Task``.
-
-    What a re-run needs to rebuild the workload in its ``CREATED`` state:
-    each task's id, task-type index, arrival time, deadline and trace
-    ``extras``. :meth:`build` constructs every task exactly once.
-    """
-
-    task_types: tuple[TaskType, ...]
-    ids: list[int]
-    type_indices: list[int]
-    arrival_times: list[float]
-    deadlines: list[float]
-    extras: list[tuple[tuple[str, str], ...]]
-
-    @classmethod
-    def of(cls, workload: Workload) -> "WorkloadColumns":
-        tasks = workload.tasks
-        return cls(
-            task_types=tuple(workload.task_types),
-            ids=[t.id for t in tasks],
-            type_indices=[t.task_type.index for t in tasks],
-            arrival_times=[t.arrival_time for t in tasks],
-            deadlines=[t.deadline for t in tasks],
-            extras=[t.extras for t in tasks],
-        )
-
-    def build(self) -> Workload:
-        """A fresh workload: every task built once, ``CREATED``."""
-        by_index = {t.index: t for t in self.task_types}
-        tasks = [
-            Task(task_id, by_index[k], arrival, deadline, extras=extras)
-            for task_id, k, arrival, deadline, extras in zip(
-                self.ids,
-                self.type_indices,
-                self.arrival_times,
-                self.deadlines,
-                self.extras,
-            )
-        ]
-        return Workload(task_types=list(self.task_types), tasks=tasks)

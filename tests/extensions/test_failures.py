@@ -49,7 +49,7 @@ class TestFailureModel:
 
 
 class TestMachineFailMechanics:
-    def _machine_with_work(self, task_types, eet_3x2):
+    def _cluster_with_work(self, task_types, eet_3x2):
         cluster = Cluster.build(eet_3x2, {"M1": 1, "M2": 1})
         machine = cluster[0]
         running = Task(
@@ -63,7 +63,11 @@ class TestMachineFailMechanics:
         )
         queued.enqueue_batch()
         machine.enqueue(queued, 0.0)
-        return machine, running, queued
+        return cluster, running, queued
+
+    def _machine_with_work(self, task_types, eet_3x2):
+        cluster, running, queued = self._cluster_with_work(task_types, eet_3x2)
+        return cluster[0], running, queued
 
     def test_fail_evicts_running_and_queued(self, task_types, eet_3x2):
         machine, running, queued = self._machine_with_work(task_types, eet_3x2)
@@ -75,19 +79,21 @@ class TestMachineFailMechanics:
         assert machine.failure_count == 1
 
     def test_down_machine_rejects_everything(self, task_types, eet_3x2):
-        machine, *_ = self._machine_with_work(task_types, eet_3x2)
+        cluster, *_ = self._cluster_with_work(task_types, eet_3x2)
+        machine = cluster[0]
         machine.fail(2.0)
         assert not machine.can_accept()
-        assert machine.ready_time(5.0) == math.inf
+        assert cluster.ready_times(5.0)[0] == math.inf
         assert machine.start_next(5.0) is None
 
     def test_repair_restores(self, task_types, eet_3x2):
-        machine, *_ = self._machine_with_work(task_types, eet_3x2)
+        cluster, *_ = self._cluster_with_work(task_types, eet_3x2)
+        machine = cluster[0]
         machine.fail(2.0)
         machine.repair(7.0)
         assert machine.up
         assert machine.can_accept()
-        assert machine.ready_time(7.0) == 7.0
+        assert cluster.ready_times(7.0)[0] == 7.0
 
     def test_downtime_metered_as_off(self, task_types, eet_3x2):
         machine, *_ = self._machine_with_work(task_types, eet_3x2)

@@ -226,9 +226,11 @@ class TestFederationTree:
         region = tree.node_names.index("region")
         assert tree.leaves_under[tree.root] == (0, 1, 2)
         assert tree.leaves_under[region] == (0, 1)
-        assert tree.depth(tree.root) == 0
-        assert tree.depth(region) == 1
-        assert tree.depth(0) == 2
+        # Depth: the root has no parent, the region hangs off the root and
+        # leaf 0's chain up to the root is leaf, region, root.
+        assert tree.parent[tree.root] == -1
+        assert tree.parent[region] == tree.root
+        assert tree.ancestors[0] == (0, region, tree.root)
 
     def test_path_transfer_energy_sums_the_hops(self):
         tree = FederationTree(tree_spec())
@@ -262,7 +264,7 @@ class TestTreeRollup:
         rollup = TreeRollup.from_leaves(self.PATHS, self.STATS)
         wires = [n.wire for n in rollup]
         assert wires == ["*", "eu", "eu/lyon", "eu/paris", "us"]
-        assert [n.wire for n in rollup.leaves] == [
+        assert [n.wire for n in rollup if n.n_leaves == 1 and n.path] == [
             "eu/lyon", "eu/paris", "us",
         ]
         assert [n.wire for n in rollup if len(n.path) == 1] == [

@@ -159,17 +159,20 @@ class _StubShard:
         self.in_system = 0
 
 
-def _context(candidates, *, limit=8, src_completion=50.0, dst_completion=1.0):
+def _topology():
     topology = InterClusterTopology()
     topology.set_link("src", "dst", latency=1.0, bandwidth=1.0)
+    return topology
+
+
+def _context(candidates, *, limit=8, src_completion=50.0, dst_completion=1.0):
     return MigrationContext(
         now=10.0,
         source=_StubShard(0, "src", src_completion),
         destination=_StubShard(1, "dst", dst_completion),
         candidates=candidates,
         limit=limit,
-        topology=topology,
-        wan=WanManager(topology, EventQueue(), ["src", "dst"]),
+        wan=WanManager(_topology(), EventQueue(), ["src", "dst"]),
     )
 
 
@@ -178,7 +181,7 @@ def test_migration_estimate_is_the_static_delay(mb):
     """On an uncontended link the live WAN estimate is the topology delay."""
     ctx = _context([])
     task = _task(0, mb=mb)
-    static = ctx.topology.wan_delay("src", "dst", mb)
+    static = _topology().wan_delay("src", "dst", mb)
     assert ctx.estimated_wan_delay(task) == static == 1.0 + mb
     assert ctx.destination_completion(task) == static + 1.0
 

@@ -14,9 +14,11 @@ exact goldens to pin field by field:
 * on every preset, each collector's live counters and per-type on-time
   rates equal a recount of its recorded tasks, each machine's free queue
   slots equal ``queue_capacity - len(queue)`` while up and 0.0 while
-  down, every machine and WAN link
+  down, each machine's ``queued_work`` equals the EET sum of its queue
+  (up to float residue), every machine and WAN link
   books non-negative energy, and no queueing link is busy for longer than
-  the run.
+  the run;
+* building and running a preset leaves its ``Scenario`` unchanged.
 
 The smaller federated presets are pinned exactly in
 ``test_golden_metrics.py``, which implies the same floors there: task
@@ -28,6 +30,7 @@ and ``test_migration_conservation``) and ``total_tasks == 420`` on
 """
 
 import dataclasses
+import math
 from collections import Counter
 
 import pytest
@@ -69,16 +72,22 @@ FEDERATED = [
 
 @pytest.fixture(scope="module")
 def ran():
-    """Each scenario's (simulator, result), run once per module and freed after it."""
+    """Each scenario's (simulator, result), run once per module and freed after it.
+
+    ``ran.before[key]`` holds the scenario with its attributes and document
+    as they were before the build.
+    """
     runs = {}
 
     def _ran(key):
         if key not in runs:
             scenario = CUSTOM[key]() if key in CUSTOM else build_scenario(key)
+            _ran.before[key] = (scenario, dict(vars(scenario)), scenario.to_dict())
             simulator = scenario.build_simulator()
             runs[key] = (simulator, simulator.run())
         return runs[key]
 
+    _ran.before = {}
     return _ran
 
 
@@ -191,6 +200,24 @@ def test_free_slots_match_a_recount(ran, preset):
         for i, machine in enumerate(shard.cluster):
             recount = float(machine.queue_capacity - len(machine.queue))
             assert slots[i] == (recount if machine.up else 0.0), machine.name
+
+
+@pytest.mark.parametrize("preset", available_scenarios())
+def test_queued_work_matches_a_recount(ran, preset):
+    simulator, _ = ran(preset)
+    for shard in _shards(simulator):
+        queued_work = shard.cluster.state.queued_work
+        for i, machine in enumerate(shard.cluster):
+            recount = sum(machine.eet_for(t) for t in machine.queue)
+            assert math.isclose(queued_work[i], recount, abs_tol=1e-9), machine.name
+
+
+@pytest.mark.parametrize("preset", available_scenarios())
+def test_a_run_leaves_the_scenario_unchanged(ran, preset):
+    ran(preset)
+    scenario, attributes, document = ran.before[preset]
+    assert vars(scenario) == attributes
+    assert scenario.to_dict() == document
 
 
 @pytest.mark.parametrize("preset", available_scenarios())

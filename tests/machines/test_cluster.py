@@ -169,18 +169,6 @@ class TestUtilities:
         with pytest.raises(ConfigurationError):
             cluster.unbound_queues()
 
-    def test_total_energy_starts_zero(self, powered_cluster):
-        assert powered_cluster.total_energy() == 0.0
-
-    def test_fresh_copy_pristine(self, eet_3x2, task_types):
-        cluster = Cluster.build(eet_3x2, {"M1": 1, "M2": 1})
-        cluster[0].enqueue(t1_task(task_types), 0.0)
-        cluster[0].start_next(0.0)
-        clone = cluster.fresh_copy()
-        assert clone[0].is_idle
-        assert len(clone[0].queue) == 0
-        assert clone[0].name == cluster[0].name
-
 
 class TestEETCacheImmutability:
     def test_eet_vector_view_is_read_only(self, eet_3x2, task_types):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import ConfigurationError, SimulationStateError
+from repro.machines.cluster import Cluster
 from repro.machines.eet import EETMatrix
 from repro.machines.machine import UNBOUNDED, Machine
 from repro.machines.machine_type import MachineType
@@ -31,6 +32,15 @@ def new_task(types, i=0, type_idx=0, deadline=100.0) -> Task:
     return t
 
 
+def ready_time(machine: Machine, now: float) -> float:
+    """The machine's ready time, read through a one-machine cluster."""
+    return float(Cluster([machine], machine._eet).ready_times(now)[0])
+
+
+def queued_work(machine: Machine) -> float:
+    return float(machine._state.queued_work[machine._index])
+
+
 class TestPlanning:
     def test_eet_for(self, setup):
         types, machine = setup
@@ -38,13 +48,13 @@ class TestPlanning:
 
     def test_idle_ready_time_is_now(self, setup):
         types, machine = setup
-        assert machine.ready_time(5.0) == 5.0
+        assert ready_time(machine, 5.0) == 5.0
 
     def test_ready_time_includes_running_remainder(self, setup):
         types, machine = setup
         machine.enqueue(new_task(types, 0), now=0.0)
         machine.start_next(0.0)
-        assert machine.ready_time(1.0) == 4.0  # 3 remaining at t=1 + 0 queued
+        assert ready_time(machine, 1.0) == 4.0  # 3 remaining at t=1 + 0 queued
 
     def test_ready_time_includes_queued_work(self, setup):
         types, machine = setup
@@ -52,7 +62,7 @@ class TestPlanning:
         machine.start_next(0.0)
         machine.enqueue(new_task(types, 1, type_idx=1), now=0.0)
         # at t=0: 4 remaining + 6 queued
-        assert machine.ready_time(0.0) == 10.0
+        assert ready_time(machine, 0.0) == 10.0
 
     def test_queued_work_incremental_consistency(self, setup):
         types, machine = setup
@@ -62,10 +72,10 @@ class TestPlanning:
         for t in tasks[1:]:
             machine.enqueue(t, 0.0)
         expected = sum(machine.eet_for(t) for t in machine.queue)
-        assert machine.queued_work() == pytest.approx(expected)
+        assert queued_work(machine) == pytest.approx(expected)
         machine.drop_queued(tasks[2])
         expected = sum(machine.eet_for(t) for t in machine.queue)
-        assert machine.queued_work() == pytest.approx(expected)
+        assert queued_work(machine) == pytest.approx(expected)
 
 
 def slots(machine: Machine) -> float:

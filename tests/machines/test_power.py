@@ -80,14 +80,6 @@ class TestEnergyMeter:
     def test_utilization_empty(self):
         assert EnergyMeter(PowerProfile()).utilization() == 0.0
 
-    def test_reset(self):
-        meter = EnergyMeter(PowerProfile(idle_watts=1.0), start_time=0.0)
-        meter.advance(10.0, busy=False)
-        meter.reset(start_time=2.0)
-        assert meter.total_energy == 0.0
-        meter.advance(3.0, busy=False)
-        assert meter.idle_energy == 1.0
-
     def test_custom_start_time(self):
         meter = EnergyMeter(PowerProfile(idle_watts=10.0), start_time=5.0)
         meter.advance(6.0, busy=False)

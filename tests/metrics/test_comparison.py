@@ -47,10 +47,6 @@ class TestPolicyComparison:
         for label in comparison.labels:
             assert 0.0 <= comparison.mean(label, "completion_rate") <= 1.0
 
-    def test_interval_brackets_mean(self, comparison):
-        lo, hi = comparison.interval("MECT", "completion_rate")
-        assert lo <= comparison.mean("MECT", "completion_rate") <= hi
-
     def test_ranking_sorted(self, comparison):
         ranking = comparison.ranking("completion_rate")
         values = [v for _, v in ranking]
@@ -59,23 +55,6 @@ class TestPolicyComparison:
     def test_winner_beats_random(self, comparison):
         # On a contended heterogeneous system the winner shouldn't be RANDOM.
         assert comparison.winner("completion_rate") in ("FCFS", "MECT")
-
-    def test_table_rows(self, comparison):
-        rows = comparison.table(["completion_rate", "mean_wait_time"])
-        assert len(rows) == 3 * 2
-        assert {r["metric"] for r in rows} == {
-            "completion_rate",
-            "mean_wait_time",
-        }
-        for row in rows:
-            assert row["ci_low"] <= row["mean"] <= row["ci_high"]
-
-    def test_chart(self, comparison):
-        chart = comparison.chart(
-            "completion_rate", scale=100.0, unit="%"
-        )
-        assert len(chart.labels) == 3
-        assert "comparison" in chart.to_text()
 
     def test_unknown_label_rejected(self, comparison):
         with pytest.raises(ConfigurationError):

@@ -4,11 +4,7 @@ import math
 
 import pytest
 
-from repro.metrics.stats import (
-    confidence_interval,
-    jain_fairness,
-    summarize,
-)
+from repro.metrics.stats import jain_fairness, summarize
 
 
 class TestSummarize:
@@ -34,36 +30,6 @@ class TestSummarize:
     def test_as_dict_keys(self):
         d = summarize([1.0, 2.0]).as_dict()
         assert set(d) == {"n", "mean", "std", "min", "median", "max"}
-
-
-class TestConfidenceInterval:
-    def test_contains_mean(self):
-        lo, hi = confidence_interval([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert lo < 3.0 < hi
-
-    def test_symmetric_around_mean(self):
-        lo, hi = confidence_interval([2.0, 4.0, 6.0])
-        assert (lo + hi) / 2 == pytest.approx(4.0)
-
-    def test_single_sample_degenerate(self):
-        assert confidence_interval([7.0]) == (7.0, 7.0)
-
-    def test_zero_variance_collapses(self):
-        lo, hi = confidence_interval([3.0, 3.0, 3.0])
-        assert lo == hi == 3.0
-
-    def test_more_samples_tighter(self):
-        wide = confidence_interval([1.0, 5.0, 3.0])
-        narrow = confidence_interval([1.0, 5.0, 3.0] * 10)
-        assert (narrow[1] - narrow[0]) < (wide[1] - wide[0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            confidence_interval([])
-
-    def test_unsupported_level_rejected(self):
-        with pytest.raises(ValueError):
-            confidence_interval([1.0, 2.0], level=0.99)
 
 
 class TestJainFairness:

@@ -18,12 +18,7 @@ from hypothesis import strategies as st
 
 from repro.experiments import CampaignSpec
 from repro.scenarios import build_scenario
-from repro.service import (
-    canonical_dumps,
-    canonical_hash,
-    request_key,
-    scenario_hash,
-)
+from repro.service import canonical_dumps, canonical_hash, request_key
 
 # -- generic canonical-JSON properties -------------------------------------------
 
@@ -111,12 +106,12 @@ def test_scenario_name_is_cosmetic_but_seed_is_not(duration, seed):
         "classroom_homogeneous", duration=duration, seed=seed
     ).to_dict()
     renamed = dict(base, name=f"{base['name']}-copy")
-    assert scenario_hash(renamed) == scenario_hash(base)
+    assert request_key(renamed)[2] == request_key(base)[2]
     reseeded = dict(base, seed=seed + 1)
-    assert scenario_hash(reseeded) != scenario_hash(base)
+    assert request_key(reseeded)[2] != request_key(base)[2]
     stretched = json.loads(json.dumps(base))
     stretched["generator"]["duration"] = duration + 1.0
-    assert scenario_hash(stretched) != scenario_hash(base)
+    assert request_key(stretched)[2] != request_key(base)[2]
 
 
 @given(durations, seeds)
@@ -128,11 +123,11 @@ def test_machine_and_eet_perturbations_change_the_hash(duration, seed):
     fewer = json.loads(json.dumps(base))
     name, count = next(iter(fewer["machine_counts"].items()))
     fewer["machine_counts"][name] = count + 1
-    assert scenario_hash(fewer) != scenario_hash(base)
+    assert request_key(fewer)[2] != request_key(base)[2]
 
     slower = json.loads(json.dumps(base))
     slower["eet"]["values"][0][0] += 1.0
-    assert scenario_hash(slower) != scenario_hash(base)
+    assert request_key(slower)[2] != request_key(base)[2]
 
 
 # -- campaign-level properties ---------------------------------------------------

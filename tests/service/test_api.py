@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.errors import ServiceError, UnknownJobError
+from repro.core.errors import ConfigurationError, ServiceError, UnknownJobError
 from repro.experiments import CampaignSpec, run_campaign
 from repro.scenarios import build_scenario
 from repro.service import CampaignService, JobState, request_key
@@ -121,3 +121,17 @@ class TestErrors:
             with pytest.raises(ServiceError, match="unknown key"):
                 service.submit({"preset": "classroom_homogeneous",
                                 "override": {"duration": 1.0}})
+
+    @pytest.mark.parametrize(
+        "overrides,match",
+        [
+            ({"duration": "abc"}, "generator.duration must be a finite number"),
+            ({"duration": -5}, "generator.duration must be > 0"),
+            ({"intensity": "extreme"}, "unknown intensity level"),
+            ({"intensity": 1e9}, "expects about 1.16e\\+11 tasks"),
+        ],
+        ids=["duration-text", "duration-negative", "intensity-unknown", "intensity-huge"],
+    )
+    def test_bad_preset_overrides_get_no_key(self, overrides, match):
+        with pytest.raises(ConfigurationError, match=match):
+            request_key({"preset": "classroom_homogeneous", "overrides": overrides})
