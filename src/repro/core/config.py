@@ -34,7 +34,7 @@ from ..tasks.generator import (
 from ..tasks.task_type import TaskType
 from ..tasks.trace_io import TraceSpec, read_workload_csv
 from ..tasks.workload import Workload
-from .errors import ConfigurationError
+from .errors import ConfigurationError, UnknownSchedulerError
 from .fields import array, flag, integer, pair, real, record, text
 from .jsonio import load_json_source
 from .rng import derive_seed
@@ -204,11 +204,22 @@ class Scenario:
         return gen, recipe
 
     def check_recipe(self) -> None:
-        """Refuse a generator recipe now, not when its run reaches it.
+        """Refuse bad policies and generator recipes now, not when a run needs them.
 
-        A bad field, a window too long to hold, or a failure storm over the
-        window fails here; a trace or explicit workload passes unchecked.
+        An unknown scheduler, or parameters its constructor refuses, at the
+        top level or on a federation cluster, fails here. So do a bad recipe
+        field, a window too long to hold, or a failure storm over the
+        window; a trace or explicit workload passes the recipe checks.
         """
+        _check_scheduler(self.scheduler, self.scheduler_params, "scheduler")
+        if self.federation is not None:
+            for cluster in self.federation.clusters:
+                if cluster.scheduler is not None:
+                    _check_scheduler(
+                        cluster.scheduler,
+                        cluster.scheduler_params,
+                        f"cluster {cluster.name!r}.scheduler",
+                    )
         if self.generator is None:
             return
         gen, recipe = self._generator()
@@ -546,6 +557,14 @@ class Scenario:
 #: Keys of a ``generator`` recipe and of an ``eet.task_types`` entry.
 _RECIPE_KEYS = ("duration", "intensity", "specs", "n_tasks")
 _TASK_TYPE_KEYS = ("name", "relative_deadline", "data_in", "data_out", "memory")
+
+
+def _check_scheduler(name: str, params: Mapping[str, Any], path: str) -> None:
+    """Build policy *name* once, so a bad name or parameter fails naming *path*."""
+    try:
+        create_scheduler(name, **params)
+    except (UnknownSchedulerError, ConfigurationError) as exc:
+        raise ConfigurationError(f"{path}: {exc.args[0]}") from exc
 
 
 def _eet_from_dict(spec: Any) -> EETMatrix:

@@ -58,7 +58,14 @@ from ..metrics.records import RecordsSource
 from ..metrics.reports import ReportBundle
 from ..net.transfer import transfer_delay
 from ..queues.batch_queue import BatchQueue
-from ..scheduling.base import Assignment, Scheduler, SchedulingMode
+from ..scheduling.base import (
+    Assignment,
+    BatchScheduler,
+    ImmediateScheduler,
+    Scheduler,
+    SchedulingMode,
+    one_task_query,
+)
 from ..scheduling.context import SchedulingContext
 from ..scheduling.overhead import SchedulingOverhead
 from ..tasks.task import DropStage, Task, TaskStatus
@@ -346,15 +353,24 @@ class ClusterCore:
         self.scheduler.reset()
 
         self._overhead_free = self.scheduling_overhead.is_free
-        # Immediate policies with zero decision overhead and no network can
-        # map an arriving task on the spot whenever the batch queue is empty,
-        # skipping the queue push / sweep / snapshot / Assignment machinery —
-        # the dominant arrival shape for every immediate preset.
-        self._immediate_fast = (
-            scheduler.mode is SchedulingMode.IMMEDIATE
-            and self._overhead_free
-            and not enable_network
-        )
+        # With zero decision overhead and no network, an arriving task that
+        # finds the batch queue empty is placed on the spot, skipping the
+        # batch round trip (push, sweep, snapshot, Assignment, _apply) with
+        # the decision that pass would make. An immediate policy answers
+        # with choose_machine; a batch policy whose one-task pass a Cluster
+        # query answers (one_task_query) with that query. A policy that
+        # overrides its family's schedule sees every arrival's pass.
+        self._one_task_shortcut = False
+        self._one_task_query: Callable[[Task, float], int | None] | None = None
+        if self._overhead_free and not enable_network:
+            policy = type(scheduler)
+            if policy.schedule is ImmediateScheduler.schedule:
+                self._one_task_shortcut = True
+            elif policy.schedule is BatchScheduler.schedule:
+                query = one_task_query(policy)
+                if query is not None:
+                    self._one_task_shortcut = True
+                    self._one_task_query = getattr(cluster, query)
         # One context object reused across passes (policies treat it as a
         # read-only view; only now/pending vary between passes).
         self._ctx = SchedulingContext(
@@ -400,30 +416,34 @@ class ClusterCore:
         raise NotImplementedError
 
     def _on_arrival(self, task: Task) -> None:
-        if self._immediate_fast and self.batch_queue.is_empty:
+        if self._one_task_shortcut and self.batch_queue.is_empty:
             # Same decisions, records, and RNG consumption as the general
-            # path below — merely without materialising the single-task
-            # batch pass (push, sweep, snapshot, Assignment, remove).
+            # path below, without materialising the one-task batch pass.
             now = self.clock._now
             if self.drop_on_deadline and task.deadline <= now:
                 task.cancel(now)
                 self.collector.record_terminal(task)
                 return
-            ctx = self._ctx
-            ctx.now = now
-            ctx.pending = (task,)
-            machine = self.scheduler.choose_machine(task, ctx)
-            if machine is None:  # pragma: no cover - defensive
-                raise SchedulingError(
-                    f"{self.scheduler.name}: immediate policy returned no "
-                    f"machine for task {task.id}"
-                )
-            if machine.can_accept(task):
+            query = self._one_task_query
+            if query is not None:
+                j = query(task, now)
+                machine = None if j is None else self.cluster.machines[j]
+            else:
+                ctx = self._ctx
+                ctx.now = now
+                ctx.pending = (task,)
+                machine = self.scheduler.choose_machine(task, ctx)
+                if machine is None:  # pragma: no cover - defensive
+                    raise SchedulingError(
+                        f"{self.scheduler.name}: immediate policy returned no "
+                        f"machine for task {task.id}"
+                    )
+            if machine is not None and machine.can_accept(task):
                 machine.enqueue(task, now)
                 self._try_start(machine)
             else:
-                # Admission refused: buffer it exactly as the general path
-                # would have left it, awaiting the next scheduling pass.
+                # No open machine, or admission refused: buffer it exactly
+                # as the general path would, awaiting the next pass.
                 self.batch_queue.push(task)
             return
         self.batch_queue.push(task)

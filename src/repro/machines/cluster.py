@@ -56,9 +56,24 @@ class Cluster:
         # unknown task type raises EETError.
         self._row_of = eet._row_of
         # Python-float copies of the EET rows for the small-cluster scalar
-        # fast path (argmin_completion): plain list indexing avoids NumPy
-        # scalar boxing inside the per-machine loop.
+        # paths (argmin_open_energy, the list batch pass): plain list
+        # indexing avoids NumPy scalar boxing inside the per-machine loop.
         self._eet_lists = [row.tolist() for row in self._eet_by_machine]
+        # Per task-type row, the machine types in ascending EET (ties by
+        # column), each as (EET, its machine indices in ascending order):
+        # the scalar completion scans below visit the cheapest types first
+        # and stop once a type's EET alone cannot beat the best found.
+        members: list[list[int]] = [[] for _ in eet.machine_type_names]
+        for i, col in enumerate(machine_cols.tolist()):
+            members[col].append(i)
+        self._eet_groups = [
+            tuple(
+                (e, tuple(members[col]))
+                for e, col in sorted(zip(row, range(len(row))))
+                if members[col]
+            )
+            for row in eet.values.tolist()
+        ]
         # Built on first use by the energy-aware policies (energy_table).
         self._energy_by_machine: np.ndarray | None = None
         self._energy_lists: list[list[float]] = []
@@ -274,30 +289,42 @@ class Cluster:
     #: loop (its ~6 ufunc dispatches cost about as much as ~64 loop bodies).
     _SCALAR_ARGMIN_LIMIT = 64
 
+    # The scalar branches of the three completion scans below visit the
+    # machine types of the task's EET row cheapest first (``_eet_groups``)
+    # and stop at the first type whose ``now + e`` is strictly greater than
+    # the best completion found: with ``remaining >= 0`` and
+    # ``queued_work >= 0`` every sum of the type's machines is at least
+    # ``now + e``, because IEEE rounding is monotone. An equal completion
+    # goes to the lower machine index, so the pick is the first minimum the
+    # full scan in machine order returns.
+
     def argmin_completion(self, task: Task, now: float) -> int:
         """Index of the machine minimising completion time (MCT argmin).
 
-        For fully-up clusters up to ``_SCALAR_ARGMIN_LIMIT`` machines a
-        scalar Python loop over the :class:`ClusterState` rows (one
-        ``tolist()`` per field) beats the fixed overhead of the ~6 NumPy
-        ufunc dispatches the vectorised path costs; both branches perform the identical IEEE
-        operations (and first-minimum tie-break), so the chosen index — and
-        therefore the simulation trajectory — is the same.
+        ``int(completion_times(task, now).argmin())``. Fully-up clusters up
+        to ``_SCALAR_ARGMIN_LIMIT`` machines take the scalar scan, cheapest
+        machine type first and stopping early (see above), which beats the
+        fixed cost of the ~6 NumPy ufunc dispatches of the vector form; both
+        perform the identical IEEE operations and pick the first minimum,
+        so the chosen index, and with it the trajectory, is the same.
         """
         state = self._state
         if not state.n_down and len(self.machines) <= self._SCALAR_ARGMIN_LIMIT:
-            eet_row = self._eet_lists[self._row_of[task.task_type.name]]
+            finish = state.finish_at.tolist()
             queued = state.queued_work.tolist()
             best = float("inf")
             best_j = 0
-            for j, f in enumerate(state.finish_at.tolist()):
-                remaining = f - now
-                if remaining < 0.0:
-                    remaining = 0.0
-                v = now + remaining + queued[j] + eet_row[j]
-                if v < best:
-                    best = v
-                    best_j = j
+            for e, group in self._eet_groups[self._row_of[task.task_type.name]]:
+                if now + e > best:
+                    break
+                for j in group:
+                    remaining = finish[j] - now
+                    if remaining < 0.0:
+                        remaining = 0.0
+                    v = now + remaining + queued[j] + e
+                    if v < best or (v == best and j < best_j):
+                        best = v
+                        best_j = j
             return best_j
         return int(self.completion_times(task, now).argmin())
 
@@ -305,21 +332,25 @@ class Cluster:
         """Smallest expected completion time of *task* across machines.
 
         Scalar twin of ``float(completion_times(task, now).min())`` — the
-        same IEEE operations in the same order, without materialising the
-        vector (the gateway's EET-aware policy calls this per decision).
+        same IEEE operations, the same scan and split as
+        :meth:`argmin_completion`, without materialising the vector (the
+        gateway's EET-aware policy calls this per decision).
         """
         state = self._state
         if not state.n_down and len(self.machines) <= self._SCALAR_ARGMIN_LIMIT:
-            eet_row = self._eet_lists[self._row_of[task.task_type.name]]
+            finish = state.finish_at.tolist()
             queued = state.queued_work.tolist()
             best = float("inf")
-            for j, f in enumerate(state.finish_at.tolist()):
-                remaining = f - now
-                if remaining < 0.0:
-                    remaining = 0.0
-                v = now + remaining + queued[j] + eet_row[j]
-                if v < best:
-                    best = v
+            for e, group in self._eet_groups[self._row_of[task.task_type.name]]:
+                if now + e > best:
+                    break
+                for j in group:
+                    remaining = finish[j] - now
+                    if remaining < 0.0:
+                        remaining = 0.0
+                    v = now + remaining + queued[j] + e
+                    if v < best:
+                        best = v
             return best
         return float(self.completion_times(task, now).min())
 
@@ -331,9 +362,9 @@ class Cluster:
         minimum of ``ready_times(now) + eet_vector(task)`` with saturated
         columns masked to +inf, which is what ``argmin_2d`` picks from a
         1×M completion matrix. Fully-up clusters up to
-        ``_SCALAR_ARGMIN_LIMIT`` machines take a scalar loop over the
-        :class:`ClusterState` rows with the same IEEE operations in the same
-        order; down machines take the vector form.
+        ``_SCALAR_ARGMIN_LIMIT`` machines take the scalar scan of
+        :meth:`argmin_completion`, skipping closed machines, with the same
+        IEEE operations; down machines take the vector form.
         """
         state = self._state
         if state.n_down or len(self.machines) > self._SCALAR_ARGMIN_LIMIT:
@@ -341,22 +372,25 @@ class Cluster:
             completion[np.array(state.slots) <= 0] = np.inf
             j = int(completion.argmin())
             return j if np.isfinite(completion[j]) else None
-        eet_row = self._eet_lists[self._row_of[task.task_type.name]]
+        finish = state.finish_at.tolist()
         queued = state.queued_work.tolist()
         slots = state.slots
         best = float("inf")
-        best_j = None
-        for j, f in enumerate(state.finish_at.tolist()):
-            if slots[j] <= 0:
-                continue
-            remaining = f - now
-            if remaining < 0.0:
-                remaining = 0.0
-            v = remaining + now + queued[j] + eet_row[j]
-            if v < best:
-                best = v
-                best_j = j
-        return best_j
+        best_j = -1  # below every index, so an equal +inf never takes it
+        for e, group in self._eet_groups[self._row_of[task.task_type.name]]:
+            if now + e > best:
+                break
+            for j in group:
+                if slots[j] <= 0:
+                    continue
+                remaining = finish[j] - now
+                if remaining < 0.0:
+                    remaining = 0.0
+                v = remaining + now + queued[j] + e
+                if v < best or (v == best and j < best_j):
+                    best = v
+                    best_j = j
+        return best_j if best_j >= 0 else None
 
     def argmin_open_energy(self, task: Task, now: float) -> int | None:
         """First open machine of least energy that meets *task*'s deadline.

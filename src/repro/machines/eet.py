@@ -127,18 +127,6 @@ class EETMatrix:
     def task_type(self, name: str) -> TaskType:
         return self._task_types[self._row_of[name]]
 
-    def lookup(self, task_type: TaskType | str, machine_type: str) -> float:
-        """EET of one task type on one machine type, in seconds."""
-        row = self._row_index(task_type)
-        try:
-            col = self._col_of[machine_type]
-        except KeyError:
-            raise EETError(
-                f"unknown machine type {machine_type!r}; "
-                f"defined: {self._machine_names}"
-            ) from None
-        return float(self._matrix[row, col])
-
     def row(self, task_type: TaskType | str) -> np.ndarray:
         """EETs of one task type across all machine types (read-only view)."""
         return self._matrix[self._row_index(task_type)]

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.errors import SimulationStateError
+from ..core.errors import EETError, SimulationStateError
 from ..core.fields import integer
 from ..memory.allocation import fits_in_memory, memory_in_use as _memory_in_use
 from ..tasks.task import Task
@@ -92,15 +92,11 @@ class Machine:
         self.name = name if name is not None else f"{machine_type.name}-{machine_id}"
         self._eet = eet
         # Per-machine EET column resolved once: task type name -> seconds as a
-        # plain Python float. eet_for() is on the per-decision hot path; the
-        # generic EETMatrix.lookup costs two dict probes plus a NumPy scalar
-        # extraction per call.
-        if eet.has_machine_type(machine_type.name):
-            self._eet_by_type_name = dict(
-                zip(eet.task_type_names, eet.column(machine_type.name).tolist())
-            )
-        else:  # standalone machine without an EET column; lookup() will raise
-            self._eet_by_type_name = None
+        # plain Python float (eet_for is on the per-decision hot path). A
+        # machine type with no EET column raises EETError here.
+        self._eet_by_type_name = dict(
+            zip(eet.task_type_names, eet.column(machine_type.name).tolist())
+        )
         self.queue: deque[Task] = deque()
         self.queue_capacity = integer(
             queue_capacity, "queue_capacity", unbounded=True
@@ -121,12 +117,13 @@ class Machine:
 
     def eet_for(self, task: Task) -> float:
         """Expected execution time of *task* on this machine."""
-        by_name = self._eet_by_type_name
-        if by_name is not None:
-            eet = by_name.get(task.task_type.name)
-            if eet is not None:
-                return eet
-        return self._eet.lookup(task.task_type, self.machine_type.name)
+        try:
+            return self._eet_by_type_name[task.task_type.name]
+        except KeyError:
+            raise EETError(
+                f"unknown task type {task.task_type.name!r}; defined: "
+                f"{list(self._eet_by_type_name)}"
+            ) from None
 
     # -- planning state ------------------------------------------------------------
 
@@ -229,7 +226,9 @@ class Machine:
         self.energy.advance(now, busy=False)
         task = queue.popleft()
         eet = self.eet_for(task)
-        state.queued_work[i] -= eet
+        # An emptied queue holds exactly no work: the running sum would keep
+        # a float residue, and the completion scans need queued_work >= 0.
+        state.queued_work[i] = state.queued_work[i] - eet if queue else 0.0
         state.slots[i] += 1
         actual = runtime if runtime is not None else eet
         if actual < 0:
@@ -269,7 +268,8 @@ class Machine:
         except ValueError:
             return False
         state, i = self._state, self._index
-        state.queued_work[i] -= self.eet_for(task)
+        eet = self.eet_for(task)
+        state.queued_work[i] = state.queued_work[i] - eet if self.queue else 0.0
         state.slots[i] += 1
         self.missed_count += 1
         return True

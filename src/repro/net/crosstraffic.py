@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Any, Mapping, Protocol
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, Protocol
 
 from ..core.errors import ConfigurationError
+from ..core.fields import real, record
 from ..core.rng import make_rng
 
 __all__ = [
@@ -231,25 +232,28 @@ _KINDS: dict[str, Any] = {
 }
 
 
-def cross_traffic_from_spec(spec: Any) -> "DiurnalTraffic | MmppTraffic":
-    """Inverse of ``to_spec`` for either cross-traffic family."""
+def cross_traffic_from_spec(
+    spec: Any, path: str = "cross_traffic"
+) -> "DiurnalTraffic | MmppTraffic":
+    """Inverse of ``to_spec`` for either cross-traffic family.
+
+    A malformed field fails typed, naming its path (``path.period``).
+    """
     if isinstance(spec, (DiurnalTraffic, MmppTraffic)):
         return spec
-    if not isinstance(spec, Mapping):
-        raise ConfigurationError(
-            f"cross-traffic spec must be a mapping, got {type(spec).__name__}"
-        )
-    data = dict(spec)
+    data = record(spec, path)
     kind = data.pop("kind", None)
     if kind not in _KINDS:
         raise ConfigurationError(
-            f"unknown cross-traffic kind {kind!r}; "
+            f"{path}: unknown cross-traffic kind {kind!r}; "
             f"known: {sorted(_KINDS)}"
         )
     klass = _KINDS[kind]
-    try:
-        return klass(**{k: float(v) for k, v in data.items()})
-    except TypeError as exc:
-        raise ConfigurationError(
-            f"bad cross-traffic spec for kind {kind!r}: {exc}"
-        ) from exc
+    params = fields(klass)
+    data = record(
+        data,
+        path,
+        [p.name for p in params],
+        [p.name for p in params if p.default is MISSING],
+    )
+    return klass(**{k: real(v, f"{path}.{k}") for k, v in data.items()})

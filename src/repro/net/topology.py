@@ -159,7 +159,11 @@ class Link:
         traffic = spec.pop("cross_traffic", None)
         return cls(
             contention=text(spec.pop("contention", "none"), f"{path}.contention"),
-            cross_traffic=None if traffic is None else cross_traffic_from_spec(traffic),
+            cross_traffic=(
+                None
+                if traffic is None
+                else cross_traffic_from_spec(traffic, f"{path}.cross_traffic")
+            ),
             **{key: real(v, f"{path}.{key}", lo=0) for key, v in spec.items()},
         )
 

@@ -218,6 +218,8 @@ class TestFromDictRejects:
                 "fail and repair events",
             ),
             ("generator/n_tasks", 40, r"generator.*'duration' or 'n_tasks', not both"),
+            ("scheduler", "NOPE", "scheduler: unknown scheduler 'NOPE'"),
+            ("scheduler_params", {"bogus": 1}, "scheduler: bad parameters"),
         ],
     )
     def test_malformed_field(self, field, value, named):
@@ -252,6 +254,12 @@ class TestFromDictRejects:
             ("fed_rebalance", "migration/policy_params", [1],
              r"migration\.policy_params"),
             ("geo_3site", "clusters/0/colour", "blue", r"unknown keys \['colour'\]"),
+            ("diurnal_wan", "topology/links/edge_a->cloud/cross_traffic/period", "abc",
+             r"links\['edge_a->cloud'\]\.cross_traffic\.period"),
+            ("diurnal_wan", "topology/links/edge_a->cloud/cross_traffic/period",
+             float("nan"), r"links\['edge_a->cloud'\]\.cross_traffic\.period"),
+            ("geo_3site", "clusters/0/scheduler", "NOPE",
+             r"cluster 'ams'\.scheduler: unknown scheduler 'NOPE'"),
             ("geo_3site", "colour", "blue", r"unknown keys \['colour'\]"),
         ],
     )
@@ -259,6 +267,16 @@ class TestFromDictRejects:
         data = mutated_preset(preset, f"federation/{field}", value)
         with pytest.raises(ConfigurationError, match=named):
             Scenario.from_dict(data)
+
+    def test_cluster_scheduler_params_refused_by_the_policy(self):
+        data = mutated_preset("geo_3site", "federation/clusters/0/scheduler", "MM")
+        data["federation"]["clusters"][0]["scheduler_params"] = {"bogus": 1}
+        with pytest.raises(
+            ConfigurationError, match=r"cluster 'ams'\.scheduler: bad parameters"
+        ):
+            Scenario.from_dict(data)
+        data["federation"]["clusters"][0]["scheduler_params"] = {}
+        assert Scenario.from_dict(data).federation.clusters[0].scheduler == "MM"
 
 
 class TestFromJsonRejects:

@@ -14,10 +14,10 @@ exact goldens to pin field by field:
 * on every preset, each collector's live counters and per-type on-time
   rates equal a recount of its recorded tasks, each machine's free queue
   slots equal ``queue_capacity - len(queue)`` while up and 0.0 while
-  down, each machine's ``queued_work`` equals the EET sum of its queue
-  (up to float residue), every machine and WAN link
-  books non-negative energy, and no queueing link is busy for longer than
-  the run;
+  down, each machine's ``queued_work`` is never negative, exactly 0.0 on
+  an empty queue and the EET sum of its queue up to float residue
+  otherwise, every machine and WAN link books non-negative energy, and no
+  queueing link is busy for longer than the run;
 * building and running a preset leaves its ``Scenario`` unchanged.
 
 The smaller federated presets are pinned exactly in
@@ -208,6 +208,11 @@ def test_queued_work_matches_a_recount(ran, preset):
     for shard in _shards(simulator):
         queued_work = shard.cluster.state.queued_work
         for i, machine in enumerate(shard.cluster):
+            # The completion scans prune on queued_work >= 0, so an emptied
+            # queue must hold exactly 0.0, not the running sum's residue.
+            assert queued_work[i] >= 0.0, machine.name
+            if not machine.queue:
+                assert queued_work[i] == 0.0, machine.name
             recount = sum(machine.eet_for(t) for t in machine.queue)
             assert math.isclose(queued_work[i], recount, abs_tol=1e-9), machine.name
 

@@ -53,20 +53,16 @@ class TestConstruction:
 
 
 class TestAccessors:
-    def test_lookup(self, eet_3x2):
-        assert eet_3x2.lookup("T1", "M1") == 4.0
-        assert eet_3x2.lookup("T2", "M2") == 3.0
+    def test_cell_by_row_and_column(self, eet_3x2):
+        assert eet_3x2.row("T1")[0] == eet_3x2.column("M1")[0] == 4.0
+        assert eet_3x2.row("T2")[1] == eet_3x2.column("M2")[1] == 3.0
 
-    def test_lookup_by_task_type_object(self, eet_3x2, task_types):
-        assert eet_3x2.lookup(task_types[2], "M2") == 6.0
+    def test_row_by_task_type_object(self, eet_3x2, task_types):
+        assert eet_3x2.row(task_types[2])[1] == 6.0
 
-    def test_lookup_unknown_task(self, eet_3x2):
-        with pytest.raises(EETError):
-            eet_3x2.lookup("TX", "M1")
-
-    def test_lookup_unknown_machine(self, eet_3x2):
-        with pytest.raises(EETError):
-            eet_3x2.lookup("T1", "MX")
+    def test_unknown_machine_type_raises_eet_error(self, eet_3x2):
+        with pytest.raises(EETError, match="unknown machine type 'MX'"):
+            eet_3x2.column("MX")
 
     def test_unknown_task_type_raises_eet_error(self, eet_3x2):
         assert eet_3x2.task_type("T3").index == 2
@@ -101,7 +97,7 @@ class TestHelpers:
         m = EETMatrix.homogeneous([2.0, 4.0], ["T1", "T2"], 3)
         assert m.is_homogeneous()
         assert m.n_machine_types == 3
-        assert m.lookup("T2", "M1") == 4.0
+        assert m.row("T2")[1] == 4.0
 
     def test_equality(self, eet_3x2):
         clone = EETMatrix(
@@ -119,7 +115,7 @@ class TestCSV:
     def test_read(self):
         m = EETMatrix.read_csv(io.StringIO(EET_CSV))
         assert m.machine_type_names == ["CPU", "GPU", "FPGA"]
-        assert m.lookup("T2", "FPGA") == 3.0
+        assert m.column("FPGA")[1] == 3.0
 
     def test_round_trip(self):
         m = EETMatrix.read_csv(io.StringIO(EET_CSV))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.errors import ConfigurationError, SimulationStateError
+from repro.core.errors import ConfigurationError, EETError, SimulationStateError
 from repro.machines.cluster import Cluster
 from repro.machines.eet import EETMatrix
 from repro.machines.machine import UNBOUNDED, Machine
@@ -45,6 +45,18 @@ class TestPlanning:
     def test_eet_for(self, setup):
         types, machine = setup
         assert machine.eet_for(new_task(types, type_idx=1)) == 6.0
+
+    def test_unknown_task_type_raises_eet_error(self, setup):
+        _, machine = setup
+        alien = Task(id=9, task_type=TaskType("T9", 9), arrival_time=0.0,
+                     deadline=9.0)
+        with pytest.raises(EETError, match="unknown task type 'T9'"):
+            machine.eet_for(alien)
+
+    def test_machine_type_without_eet_column_is_refused(self, setup):
+        _, machine = setup
+        with pytest.raises(EETError, match="unknown machine type 'GPU'"):
+            Machine(1, MachineType("GPU", 1), machine._eet)
 
     def test_idle_ready_time_is_now(self, setup):
         types, machine = setup

@@ -124,12 +124,27 @@ class TestSpecRoundTrip:
             cross_traffic_from_spec({"kind": "fractal"})
 
     def test_non_mapping_rejected(self):
-        with pytest.raises(ConfigurationError, match="mapping"):
+        with pytest.raises(ConfigurationError, match="must be a JSON object"):
             cross_traffic_from_spec("diurnal")
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ConfigurationError, match="bad cross-traffic"):
+        with pytest.raises(ConfigurationError, match=r"unknown keys \['loud'\]"):
             cross_traffic_from_spec({"kind": "mmpp", "loud": 0.9})
+
+    @pytest.mark.parametrize(
+        "spec,named",
+        [
+            ({"kind": "diurnal", "period": "abc"}, r"cross_traffic\.period"),
+            ({"kind": "diurnal", "period": float("nan")}, r"cross_traffic\.period"),
+            ({"kind": "diurnal", "period": True}, r"cross_traffic\.period"),
+            ({"kind": "diurnal"}, "missing required key 'period'"),
+            ({"kind": "mmpp", "burst": float("inf")}, r"cross_traffic\.burst"),
+        ],
+        ids=["text", "nan", "bool", "missing", "inf"],
+    )
+    def test_malformed_field_fails_naming_it(self, spec, named):
+        with pytest.raises(ConfigurationError, match=named):
+            cross_traffic_from_spec(spec)
 
 
 class TestLinkIntegration:

@@ -26,6 +26,12 @@
    +inf deadlines, and tied and unequal FELARE success rates. A subclass
    that overrides ``select_pair`` alone keeps the matrix pass, for
    one-task passes as for multi-task ones.
+7. The scalar branches of ``argmin_completion``, ``min_completion_time``
+   and ``argmin_open_completion`` scan machine types cheapest EET first
+   and stop early. They must return what the full scan in machine order
+   returns (kept below as the reference), over machine types interleaved
+   in machine order, equal EETs across types, +inf EETs, closed queues,
+   runs finishing past ``2 * now`` and ``now = 0``.
 """
 
 import numpy as np
@@ -38,6 +44,8 @@ from repro.core.event_queue import EventQueue
 from repro.machines import UNBOUNDED
 from repro.machines.cluster import Cluster
 from repro.machines.eet import EETMatrix
+from repro.machines.machine import Machine
+from repro.machines.machine_type import MachineType
 from repro.machines.power import PowerProfile
 from repro.net import InterClusterTopology, WanManager
 from repro.scheduling.base import (
@@ -543,3 +551,102 @@ def test_only_row_argmin_policies_opt_in():
     assert one_task_query(NewPick) is None
     assert one_task_query(NewPickAndFlag) == "argmin_open_completion"
     assert one_task_query(Renamed) == "argmin_open_completion"
+
+
+# -- the pruned completion scans == the full scan ----------------------------------
+
+
+def _full_scan(cluster, task, now, *, open_only=False):
+    """The scalar loops the pruned scans replaced: every machine, in order.
+
+    Returns ``(argmin_completion, min_completion_time,
+    argmin_open_completion)`` with each loop's own order of additions.
+    """
+    state = cluster.state
+    eet_row = cluster.eet_vector(task).tolist()
+    finish = state.finish_at.tolist()
+    queued = state.queued_work.tolist()
+    best, best_j = float("inf"), 0
+    open_best, open_j = float("inf"), None
+    for j, f in enumerate(finish):
+        remaining = f - now
+        if remaining < 0.0:
+            remaining = 0.0
+        v = now + remaining + queued[j] + eet_row[j]
+        if v < best:
+            best, best_j = v, j
+        if state.slots[j] <= 0:
+            continue
+        v = remaining + now + queued[j] + eet_row[j]
+        if v < open_best:
+            open_best, open_j = v, j
+    return best_j, best, open_j
+
+
+@st.composite
+def scan_clusters(draw):
+    """A fully-up cluster of at most 64 machines whose types interleave."""
+    n_types = draw(st.integers(1, 5))
+    # Few distinct values: equal EETs across machine types are common.
+    values = np.array(
+        draw(
+            st.lists(
+                st.sampled_from([0.5, 1.0, 2.0, 0.1, 0.3]),
+                min_size=2 * n_types,
+                max_size=2 * n_types,
+            )
+        )
+    ).reshape(2, n_types)
+    names = [f"M{j}" for j in range(n_types)]
+    eet = EETMatrix(values, TYPES, names)
+    # EETMatrix refuses +inf; the scan must stay exact on it, so the test
+    # writes some of type B's cells behind the check (fillers are type A).
+    inf_cols = draw(st.sets(st.integers(0, n_types - 1)))
+    if inf_cols:
+        matrix = values.copy()
+        matrix[1, sorted(inf_cols)] = np.inf
+        matrix.setflags(write=False)
+        eet._matrix = matrix
+    capacity = draw(st.sampled_from([1, 2, UNBOUNDED]))
+    cols = draw(st.lists(st.integers(0, n_types - 1), min_size=1, max_size=12))
+    mtypes = [MachineType(name, j) for j, name in enumerate(names)]
+    cluster = Cluster(
+        [
+            Machine(i, mtypes[col], eet, queue_capacity=capacity)
+            for i, col in enumerate(cols)
+        ],
+        eet,
+    )
+    ids = iter(range(1000, 100000))
+
+    def filler():
+        task = Task(id=next(ids), task_type=TYPES[0], arrival_time=0.0,
+                    deadline=50.0)
+        task.enqueue_batch()
+        return task
+
+    for machine in cluster.machines:
+        state = draw(st.sampled_from(("idle", "running", "backlog", "full")))
+        if state in ("running", "backlog"):
+            machine.enqueue(filler(), 0.0)
+            # 9.0 finishes past 2 * now for every drawn now.
+            runtime = draw(st.sampled_from([0.5, 1.0, 2.0, 0.7, 9.0]))
+            machine.start_next(0.0, runtime=runtime)
+        if state == "backlog":
+            machine.enqueue(filler(), 0.0)
+        if state == "full" and capacity != UNBOUNDED:
+            for _ in range(capacity):
+                machine.enqueue(filler(), 0.0)
+    now = draw(st.sampled_from([0.0, 0.0, 0.3, 1.0, 3.0]))
+    return cluster, now
+
+
+@settings(max_examples=400, deadline=None)
+@given(system=scan_clusters(), task_type=st.integers(0, 1))
+def test_pruned_scans_equal_the_full_scan(system, task_type):
+    cluster, now = system
+    task = Task(id=0, task_type=TYPES[task_type], arrival_time=0.0, deadline=9.0)
+    argmin, minimum, open_argmin = _full_scan(cluster, task, now)
+    assert cluster.argmin_completion(task, now) == argmin
+    assert cluster.min_completion_time(task, now) == minimum
+    assert cluster.argmin_open_completion(task, now) == open_argmin

@@ -129,9 +129,33 @@ class TestErrors:
             ({"duration": -5}, "generator.duration must be > 0"),
             ({"intensity": "extreme"}, "unknown intensity level"),
             ({"intensity": 1e9}, "expects about 1.16e\\+11 tasks"),
+            ({"scheduler": "NOPE"}, "scheduler: unknown scheduler 'NOPE'"),
         ],
-        ids=["duration-text", "duration-negative", "intensity-unknown", "intensity-huge"],
+        ids=[
+            "duration-text", "duration-negative", "intensity-unknown",
+            "intensity-huge", "scheduler-unknown",
+        ],
     )
     def test_bad_preset_overrides_get_no_key(self, overrides, match):
         with pytest.raises(ConfigurationError, match=match):
             request_key({"preset": "classroom_homogeneous", "overrides": overrides})
+
+    def test_preset_scheduler_params_override_gets_no_key(self):
+        with pytest.raises(ServiceError, match="does not accept these overrides"):
+            request_key({
+                "preset": "classroom_homogeneous",
+                "overrides": {"scheduler_params": {"bogus": 1}},
+            })
+
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            ("scheduler", "NOPE", "scheduler: unknown scheduler 'NOPE'"),
+            ("scheduler_params", {"bogus": 1}, "scheduler: bad parameters"),
+        ],
+    )
+    def test_bad_scheduler_in_a_document_gets_no_key(self, field, value, match):
+        document = build_scenario("classroom_homogeneous").to_dict()
+        document[field] = value
+        with pytest.raises(ConfigurationError, match=match):
+            request_key(document)
