@@ -1,23 +1,17 @@
 #!/usr/bin/env python3
-"""The education study of §5: quizzes, cohort learning effect, survey.
-
-Reproduces the paper's evaluation artifacts in one script:
+"""The education study of §5: the quiz, and the paper's reported results.
 
 * a scheduling quiz sheet with its auto-computed answer key (3 tasks × 4
   machines × {MEET, MECT, MM, MSD} = 12 points, as in the paper),
-* the pre/post study (paper: 7.6 → 8.94 of 12, ≈ +17.6%) over the synthetic
-  learning-effect cohort,
-* the Fig-8a and Fig-8b survey charts from the calibrated 23-student cohort,
-  with the demographic table.
+* the pre/post quiz means, the class demographics and the Fig-8a/8b survey
+  scores, transcribed from §5, not reproduced: a human study cannot be
+  rerun offline.
 
 Run:  python examples/education_study.py
 """
 
-import numpy as np
-
-from repro.education.cohort import run_quiz_study
+from repro.education import paper_study as s5
 from repro.education.quiz import generate_quiz
-from repro.education.survey import SurveyStudy, generate_cohort
 
 
 def main() -> None:
@@ -34,35 +28,25 @@ def main() -> None:
         print(f"  {method:<5} {cells}")
     print()
 
-    # -- pre/post study -------------------------------------------------------
-    studies = [run_quiz_study(seed=s) for s in range(10)]
-    pre = float(np.mean([s.pre_mean for s in studies]))
-    post = float(np.mean([s.post_mean for s in studies]))
-    print("pre/post quiz study (10 cohort replications of 23 students):")
-    print(f"  pre-quiz mean : {pre:5.2f} / 12   (paper: 7.60)")
-    print(f"  post-quiz mean: {post:5.2f} / 12   (paper: 8.94)")
+    # -- what §5 reports -------------------------------------------------------
+    n = sum(s5.STUDENTS_BY_GENDER.values())
+    print(f"The paper's study, {s5.LABEL}:")
+    print(f"  students        : {n}")
+    for group in (s5.STUDENTS_BY_GENDER, s5.STUDENTS_BY_LEVEL):
+        print("  " + " / ".join(f"{k} {100 * v / n:.1f}%" for k, v in group.items()))
+    print(f"  passed OS course: {100 * s5.STUDENTS_PASSED_OS / n:.1f}%")
     print(
-        f"  improvement   : {100 * (post - pre) / pre:5.1f}%      "
-        "(paper: 17.6%)"
+        f"  prog. experience: mean {s5.PROGRAMMING_YEARS_MEAN} years, "
+        f"median {s5.PROGRAMMING_YEARS_MEDIAN:.0f}"
+    )
+    print(
+        f"  quiz mean       : {s5.QUIZ_PRE_MEAN} → {s5.QUIZ_POST_MEAN} of "
+        f"{s5.QUIZ_MAX_POINTS} (+{s5.QUIZ_IMPROVEMENT_PCT}%)"
     )
     print()
-
-    # -- survey ---------------------------------------------------------------
-    study = SurveyStudy(generate_cohort(seed=42))
-    demo = study.demographics()
-    print("survey cohort demographics (paper targets in parentheses):")
-    print(f"  students          : {demo['n_students']}      (23)")
-    print(f"  male / female     : {100 * demo['male_fraction']:.1f}% / "
-          f"{100 * demo['female_fraction']:.1f}%  (73.9% / 26.1%)")
-    print(f"  undergrad / grad  : {100 * demo['undergraduate_fraction']:.1f}% / "
-          f"{100 * demo['graduate_fraction']:.1f}%  (60.9% / 39.1%)")
-    print(f"  prog. experience  : mean {demo['prog_experience_mean']:.2f}, "
-          f"median {demo['prog_experience_median']:.0f}  (3.8 / 3)")
-    print(f"  passed OS course  : {100 * demo['passed_os_fraction']:.1f}%   (43.5%)")
+    print(s5.survey_chart("ux").to_text())
     print()
-    print(study.figure_8a().to_text())
-    print()
-    print(study.figure_8b().to_text())
+    print(s5.survey_chart("learning").to_text())
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ arXiv:2303.10901): the simulation engine, the EET heterogeneity model, the
 workload generator, every scheduling policy the paper names (immediate: FCFS,
 MECT, MEET; batch: MM, MMU, MSD, ELARE, FELARE) plus the classic baselines,
 the energy model, the report subsystem, a terminal visual front-end, and the
-education layer (assignments, quizzes, surveys) behind the paper's
-evaluation.
+education layer (the class assignment and the quiz engine) behind the
+paper's evaluation.
 
 Quickstart::
 

@@ -11,6 +11,7 @@ consumes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
@@ -209,7 +210,9 @@ class Scenario:
         An unknown scheduler, or parameters its constructor refuses, at the
         top level or on a federation cluster, fails here. So do a bad recipe
         field, a window too long to hold, or a failure storm over the
-        window; a trace or explicit workload passes the recipe checks.
+        window. An explicit workload's window runs from its first arrival
+        to its last deadline (or last arrival, where deadlines are
+        infinite); a trace passes unchecked.
         """
         _check_scheduler(self.scheduler, self.scheduler_params, "scheduler")
         if self.federation is not None:
@@ -221,6 +224,16 @@ class Scenario:
                         f"cluster {cluster.name!r}.scheduler",
                     )
         if self.generator is None:
+            tasks = self.workload.tasks if self.workload is not None else []
+            if self.failure_model is not None and tasks:
+                end = max(
+                    t.deadline if t.deadline != math.inf else t.arrival_time
+                    for t in tasks
+                )
+                # Tasks are sorted by arrival.
+                self.failure_model.check_window(
+                    self.machine_counts, end - tasks[0].arrival_time
+                )
             return
         gen, recipe = self._generator()
         if "duration" in recipe:

@@ -1,7 +1,7 @@
 """Seeded random-number utilities.
 
 Every stochastic component (workload generation, EET synthesis, execution-time
-noise, cohort models) draws from a :class:`numpy.random.Generator` created
+noise, failures) draws from a :class:`numpy.random.Generator` created
 here, so a scenario seed fully determines the simulation trace. Independent
 substreams are derived with ``spawn`` to keep components decoupled: adding a
 draw to one component never perturbs another.

@@ -1,4 +1,5 @@
-"""Education layer: assignments, quizzes, cohorts and surveys (§4–§5)."""
+"""Education layer (§4–§5): the class assignment behind Figs 5–7, the quiz
+engine, and the §5 study's numbers, transcribed from the paper."""
 
 from .assignment import (
     BATCH_POLICIES,
@@ -12,24 +13,7 @@ from .assignment import (
     figure7,
     run_completion_sweep,
 )
-from .cohort import (
-    PAPER_POST_MEAN,
-    PAPER_PRE_MEAN,
-    CohortModel,
-    QuizStudyResult,
-    Student,
-    mastery_for_target_score,
-    run_quiz_study,
-)
-from .quiz import DEFAULT_METHODS, QuizQuestion, QuizResult, generate_quiz
-from .survey import (
-    PAPER_COHORT,
-    PAPER_METRICS,
-    Respondent,
-    SurveyMetric,
-    SurveyStudy,
-    generate_cohort,
-)
+from .quiz import DEFAULT_METHODS, QuizQuestion, generate_quiz
 
 __all__ = [
     "AssignmentConfig",
@@ -43,20 +27,6 @@ __all__ = [
     "figure6",
     "figure7",
     "QuizQuestion",
-    "QuizResult",
     "generate_quiz",
     "DEFAULT_METHODS",
-    "Student",
-    "CohortModel",
-    "QuizStudyResult",
-    "run_quiz_study",
-    "mastery_for_target_score",
-    "PAPER_PRE_MEAN",
-    "PAPER_POST_MEAN",
-    "SurveyMetric",
-    "Respondent",
-    "SurveyStudy",
-    "PAPER_METRICS",
-    "PAPER_COHORT",
-    "generate_cohort",
 ]

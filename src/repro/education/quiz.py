@@ -1,4 +1,4 @@
-"""Scheduling quiz engine — the §5 pre/post assessment, auto-graded.
+"""Scheduling quiz engine — the §5 pre/post assessment and its answer key.
 
 "The quizzes asked the students to map three arriving tasks to four
 heterogeneous machines via the following scheduling methods: MEET, MECT, MM,
@@ -9,14 +9,14 @@ The ground truth is *computed by the actual scheduler implementations* of
 this library: each question builds a miniature cluster, feeds the tasks
 through the selected policy exactly as the simulator would (immediate
 policies map sequentially with state carried between arrivals; batch policies
-map the whole set in one pass), and records the mapping. Grading compares a
-student's per-method mapping against that truth, one point per task.
+map the whole set in one pass), and records the mapping. A sheet scores one
+point per (method, task) that matches :meth:`QuizQuestion.answer_key`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,19 +30,10 @@ from ..scheduling.context import SchedulingContext
 from ..scheduling.registry import create_scheduler
 from ..tasks.task import Task
 
-__all__ = ["QuizQuestion", "QuizResult", "generate_quiz", "DEFAULT_METHODS"]
+__all__ = ["QuizQuestion", "generate_quiz", "DEFAULT_METHODS"]
 
 #: The four methods of the paper's quiz.
 DEFAULT_METHODS: tuple[str, ...] = ("MEET", "MECT", "MM", "MSD")
-
-
-@dataclass(frozen=True)
-class QuizResult:
-    """Graded outcome of one quiz attempt."""
-
-    points: int
-    max_points: int
-    per_method: dict[str, int]
 
 
 @dataclass
@@ -74,10 +65,6 @@ class QuizQuestion:
     @property
     def n_tasks(self) -> int:
         return self.eet.n_task_types
-
-    @property
-    def max_points(self) -> int:
-        return self.n_tasks * len(self.methods)
 
     def _fresh_tasks(self) -> list[Task]:
         return [
@@ -126,31 +113,6 @@ class QuizQuestion:
     def answer_key(self) -> dict[str, dict[int, int]]:
         """Ground truth for every method."""
         return {m: self.correct_mapping(m) for m in self.methods}
-
-    # -- grading -------------------------------------------------------------------
-
-    def grade(
-        self, answers: Mapping[str, Mapping[int, int]]
-    ) -> QuizResult:
-        """Grade a student's answers: one point per correct (method, task).
-
-        Unanswered methods/tasks score zero; unknown methods are ignored.
-        """
-        per_method: dict[str, int] = {}
-        total = 0
-        for method in self.methods:
-            truth = self.correct_mapping(method)
-            given = answers.get(method, {})
-            points = sum(
-                1
-                for task_id, machine_id in truth.items()
-                if given.get(task_id) == machine_id
-            )
-            per_method[method] = points
-            total += points
-        return QuizResult(
-            points=total, max_points=self.max_points, per_method=per_method
-        )
 
     # -- presentation ----------------------------------------------------------------
 

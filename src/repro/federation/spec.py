@@ -124,7 +124,8 @@ class ClusterSpec:
         ``{"edge_cpu": 4}``. Type names must be EET columns.
     scheduler / scheduler_params:
         Local scheduling policy for this cluster; ``None`` inherits the
-        scenario-level policy (so ``--policy`` sweeps apply everywhere).
+        scenario-level policy (so ``--policy`` sweeps apply everywhere) and
+        its parameters, so ``scheduler_params`` need a ``scheduler``.
     queue_capacity:
         Machine-queue capacity override for this cluster (``None`` inherits
         the scenario's capacity; immediate policies force unbounded).
@@ -174,6 +175,11 @@ class ClusterSpec:
         self.scheduler_params = record(
             self.scheduler_params, f"{path}.scheduler_params"
         )
+        if self.scheduler_params and self.scheduler is None:
+            raise ConfigurationError(
+                f"{path}.scheduler_params need {path}.scheduler: a cluster "
+                "without one runs the scenario's policy and its parameters"
+            )
         if self.queue_capacity is not None:
             self.queue_capacity = integer(
                 self.queue_capacity, f"{path}.queue_capacity", unbounded=True

@@ -1,4 +1,4 @@
-"""Statistics helpers used by reports, comparisons and the survey analysis.
+"""Statistics helpers used by reports and comparisons.
 
 Small, dependency-light functions: summary statistics and Jain's fairness
 index (used to quantify FELARE's cross-task-type fairness).

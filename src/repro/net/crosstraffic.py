@@ -70,13 +70,6 @@ class CrossTrafficState(Protocol):
         ...
 
 
-def _check_utilisation(name: str, value: float) -> None:
-    if not 0.0 <= value <= MAX_UTILISATION:
-        raise ConfigurationError(
-            f"{name} must be within [0, {MAX_UTILISATION}], got {value}"
-        )
-
-
 @dataclass(frozen=True)
 class DiurnalTraffic:
     """Sinusoidal day/night background load (deterministic).
@@ -95,19 +88,11 @@ class DiurnalTraffic:
     step: float = 0.0  # 0 ⇒ period / 24
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ConfigurationError(
-                f"diurnal period must be > 0, got {self.period}"
-            )
-        if self.amplitude < 0:
-            raise ConfigurationError(
-                f"diurnal amplitude must be >= 0, got {self.amplitude}"
-            )
-        _check_utilisation("diurnal base", self.base)
-        if self.step < 0:
-            raise ConfigurationError(
-                f"diurnal step must be >= 0, got {self.step}"
-            )
+        real(self.period, "diurnal period", above=0)
+        real(self.base, "diurnal base", lo=0.0, hi=MAX_UTILISATION)
+        real(self.amplitude, "diurnal amplitude", lo=0)
+        real(self.phase, "diurnal phase")
+        real(self.step, "diurnal step", lo=0)
 
     @property
     def effective_step(self) -> float:
@@ -168,13 +153,10 @@ class MmppTraffic:
     mean_burst: float = 15.0
 
     def __post_init__(self) -> None:
-        _check_utilisation("mmpp quiet utilisation", self.quiet)
-        _check_utilisation("mmpp burst utilisation", self.burst)
-        if self.mean_quiet <= 0 or self.mean_burst <= 0:
-            raise ConfigurationError(
-                "mmpp dwell-time means must be > 0, got "
-                f"mean_quiet={self.mean_quiet}, mean_burst={self.mean_burst}"
-            )
+        real(self.quiet, "mmpp quiet", lo=0.0, hi=MAX_UTILISATION)
+        real(self.burst, "mmpp burst", lo=0.0, hi=MAX_UTILISATION)
+        real(self.mean_quiet, "mmpp mean_quiet", above=0)
+        real(self.mean_burst, "mmpp mean_burst", above=0)
 
     def make_state(self, seed: int | None) -> "CrossTrafficState":
         """A fresh dwell-sequence driver seeded for this link."""

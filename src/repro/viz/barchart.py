@@ -1,7 +1,7 @@
 """ASCII bar charts — the figure renderer of this reproduction.
 
 The paper's evaluation figures are grouped bar charts (completion % per
-policy per intensity, survey scores per metric). PyQt/matplotlib are not
+policy per intensity, the §5 survey's scores per metric). PyQt/matplotlib are not
 available offline, so figures render as deterministic ASCII: horizontal bars
 grouped by category, with the numeric value printed at the bar end. Every
 chart also exports its series as CSV/dicts so EXPERIMENTS.md numbers come
@@ -82,7 +82,7 @@ class GroupedBarChart:
     """Grouped horizontal bars: value per (group, series) pair.
 
     Matches the layout of Figures 5–7 (groups = intensity levels, series =
-    scheduling policies) and Figure 8 (groups = metrics, series = cohorts).
+    scheduling policies) and Figure 8 (groups = metrics, series = genders).
     """
 
     title: str

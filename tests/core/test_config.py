@@ -1,6 +1,7 @@
 """Scenario configuration: validation, builders, JSON round-trips."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -238,6 +239,19 @@ class TestFromDictRejects:
         data["failure_model"] = {"mtbf": 100.0, "mttr": 10.0}
         assert Scenario.from_dict(data).failure_model.mtbf == 100.0
 
+    def test_failure_storm_over_an_explicit_workload(self):
+        # The window of an explicit workload is first arrival to last deadline.
+        from repro.scenarios import build_scenario
+
+        preset = build_scenario("classroom_homogeneous")
+        built = replace(preset, generator=None, workload=preset.build_workload())
+        data = json.loads(json.dumps(built.to_dict()))
+        data["failure_model"] = {"mtbf": 1e-6, "mttr": 1e-6}
+        with pytest.raises(ConfigurationError, match="fail and repair events"):
+            Scenario.from_dict(data)
+        data["failure_model"] = {"mtbf": 100.0, "mttr": 10.0}
+        assert len(Scenario.from_dict(data).workload) == len(built.workload)
+
     @pytest.mark.parametrize(
         "preset,field,value,named",
         [
@@ -251,6 +265,8 @@ class TestFromDictRejects:
             ("geo_3site", "gateway_params", [1], r"federation\.gateway_params"),
             ("geo_3site", "clusters/0/scheduler_params", [1],
              r"cluster 'ams'\.scheduler_params"),
+            ("geo_3site", "clusters/0/scheduler_params", {"bogus": 1},
+             r"cluster 'ams'\.scheduler_params need cluster 'ams'\.scheduler"),
             ("fed_rebalance", "migration/policy_params", [1],
              r"migration\.policy_params"),
             ("geo_3site", "clusters/0/colour", "blue", r"unknown keys \['colour'\]"),

@@ -53,6 +53,15 @@ class TestDiurnal:
         with pytest.raises(ConfigurationError):
             DiurnalTraffic(period=24.0, amplitude=-0.1)
 
+    @pytest.mark.parametrize(
+        "field", ["period", "base", "amplitude", "phase", "step"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "abc"])
+    def test_non_finite_field_rejected(self, field, value):
+        params = {"period": 24.0, field: value}
+        with pytest.raises(ConfigurationError, match=f"diurnal {field} must be a finite"):
+            DiurnalTraffic(**params)
+
 
 class TestMmpp:
     def test_same_seed_replays_same_switch_times(self):
@@ -96,6 +105,12 @@ class TestMmpp:
             MmppTraffic(burst=0.96)
         with pytest.raises(ConfigurationError):
             MmppTraffic(mean_quiet=0.0)
+
+    @pytest.mark.parametrize("field", ["quiet", "burst", "mean_quiet", "mean_burst"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "abc"])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"mmpp {field} must be a finite"):
+            MmppTraffic(**{field: value})
 
 
 class TestSpecRoundTrip:
