@@ -252,6 +252,26 @@ class TestFromDictRejects:
         data["failure_model"] = {"mtbf": 100.0, "mttr": 10.0}
         assert len(Scenario.from_dict(data).workload) == len(built.workload)
 
+    def test_failure_storm_window_ends_at_last_arrival_without_deadlines(self):
+        # Infinite deadlines bound nothing: the window is the arrival span.
+        from repro.machines.failures import FailureModel
+        from repro.scenarios import build_scenario
+
+        preset = build_scenario("classroom_homogeneous")
+        workload = preset.build_workload()
+        for task in workload:
+            task.deadline = float("inf")
+        span = workload[-1].arrival_time - workload[0].arrival_time
+        built = replace(
+            preset,
+            generator=None,
+            workload=workload,
+            failure_model=FailureModel(mtbf=1e-6, mttr=1e-6),
+        )
+        with pytest.raises(ConfigurationError, match=f"over a {span:.3g} s workload"):
+            built.check_recipe()
+        replace(built, failure_model=FailureModel(mtbf=100.0, mttr=10.0)).check_recipe()
+
     @pytest.mark.parametrize(
         "preset,field,value,named",
         [

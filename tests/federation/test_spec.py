@@ -78,6 +78,14 @@ class TestClusterSpec:
         )
         assert ClusterSpec.from_dict(spec.to_dict()) == spec
 
+    def test_scheduler_params_need_a_scheduler(self):
+        with pytest.raises(ConfigurationError, match=r"scheduler_params need .*\.scheduler"):
+            ClusterSpec(name="a", machine_counts={"CPU": 1}, scheduler_params={"k": 1})
+
+    def test_empty_scheduler_params_inherit_the_scenario_policy(self):
+        spec = ClusterSpec(name="a", machine_counts={"CPU": 1}, scheduler_params={})
+        assert spec.scheduler is None and spec.scheduler_params == {}
+
     def test_from_dict_missing_key(self):
         with pytest.raises(ConfigurationError):
             ClusterSpec.from_dict({"name": "x"})
