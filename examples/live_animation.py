@@ -43,8 +43,9 @@ def main() -> None:
         event = animator.step()
         if event is None:
             break
+        time, _, _, etype, _, _ = event
         print(
-            f"  t={event.time:8.3f}  {event.type.value:<16} "
+            f"  t={time:8.3f}  {etype.value:<16} "
             f"(events processed: {animator.simulator.events_processed})"
         )
 

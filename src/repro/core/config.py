@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from ..tasks.generator import (
     WorkloadGenerator,
     oversubscription_for_level,
 )
+from ..tasks.task import Task
 from ..tasks.task_type import TaskType
 from ..tasks.trace_io import TraceSpec, read_workload_csv
 from ..tasks.workload import Workload
@@ -173,6 +174,8 @@ class Scenario:
                 self.eet, seed=self.seed, replication=replication
             )
             workload.validate_against_eet(self.eet)
+            # The load check cannot read a trace's rows; no engine is built yet.
+            self._check_failure_window(workload.tasks)
             return workload
         return self._generate_workload(replication)
 
@@ -210,9 +213,8 @@ class Scenario:
         An unknown scheduler, or parameters its constructor refuses, at the
         top level or on a federation cluster, fails here. So do a bad recipe
         field, a window too long to hold, or a failure storm over the
-        window. An explicit workload's window runs from its first arrival
-        to its last deadline (or last arrival, where deadlines are
-        infinite); a trace passes unchecked.
+        window (see :meth:`_check_failure_window`). A trace's window is
+        checked once its rows are read, by :meth:`build_workload`.
         """
         _check_scheduler(self.scheduler, self.scheduler_params, "scheduler")
         if self.federation is not None:
@@ -224,16 +226,8 @@ class Scenario:
                         f"cluster {cluster.name!r}.scheduler",
                     )
         if self.generator is None:
-            tasks = self.workload.tasks if self.workload is not None else []
-            if self.failure_model is not None and tasks:
-                end = max(
-                    t.deadline if t.deadline != math.inf else t.arrival_time
-                    for t in tasks
-                )
-                # Tasks are sorted by arrival.
-                self.failure_model.check_window(
-                    self.machine_counts, end - tasks[0].arrival_time
-                )
+            if self.workload is not None:
+                self._check_failure_window(self.workload.tasks)
             return
         gen, recipe = self._generator()
         if "duration" in recipe:
@@ -245,6 +239,18 @@ class Scenario:
                 else gen.count_window(recipe["n_tasks"], recipe["intensity"])
             )
             self.failure_model.check_window(self.machine_counts, window)
+
+    def _check_failure_window(self, tasks: Sequence[Task]) -> None:
+        """Refuse a failure storm over the window of the given tasks.
+
+        The window runs from the first arrival to the last deadline (or
+        last arrival, where deadlines are infinite); *tasks* are in
+        workload order, sorted by arrival.
+        """
+        if self.failure_model is None or not tasks:
+            return
+        end = max(t.deadline if t.deadline != math.inf else t.arrival_time for t in tasks)
+        self.failure_model.check_window(self.machine_counts, end - tasks[0].arrival_time)
 
     def _generate_workload(self, replication: int) -> Workload:
         """Sample the generator recipe's workload for *replication*."""

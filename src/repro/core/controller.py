@@ -92,7 +92,7 @@ class SimulationController:
                 break
             processed += 1
             if self.speed > 0:
-                sim_dt = event.time - before
+                sim_dt = event[0] - before
                 if sim_dt > 0:
                     self._sleep(sim_dt / self.speed)
         return self.simulator.is_finished

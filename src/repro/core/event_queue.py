@@ -17,14 +17,14 @@ __all__ = ["EventQueue"]
 
 
 class EventQueue:
-    """Min-heap of :class:`~repro.core.events.Event` ordered by ``sort_key``.
+    """Min-heap of :data:`~repro.core.events.Event` tuples.
 
     Supports O(log n) push/pop and O(1) cancellation by event identity.
 
-    An event is its own heap entry: :class:`Event` is a tuple whose first
-    three fields are ``(time, priority, seq)``, so ``heapq`` orders events
-    by tuple comparison in C, and the unique ``seq`` keeps it from ever
-    comparing the fields after it. Every cancelled seq stays in the heap
+    An event is its own heap entry: a tuple whose first three fields are
+    ``(time, priority, seq)``, so ``heapq`` orders events by tuple
+    comparison in C, and the unique ``seq`` keeps it from ever comparing
+    the fields after it. Every cancelled seq stays in the heap
     until its event is popped, so the live count is the heap size less the
     cancelled-set size.
     """
@@ -48,13 +48,14 @@ class EventQueue:
     def cancel(self, event: Event) -> bool:
         """Mark *event* cancelled. Returns False if already cancelled/popped."""
         cancelled = self._cancelled
-        if event.seq in cancelled:
+        seq = event[2]
+        if seq in cancelled:
             return False
         # Callers hold handles only to events they pushed, so the event is
         # in the heap unless it was popped. Cancelling a popped event is a
         # caller bug; it surfaces once more seqs are cancelled than the
         # heap holds, which we guard against explicitly.
-        cancelled.add(event.seq)
+        cancelled.add(seq)
         if len(cancelled) > len(self._heap):  # pragma: no cover - defensive
             raise SimulationStateError("cancelled an event that already fired")
         return True
@@ -71,8 +72,8 @@ class EventQueue:
         cancelled = self._cancelled
         while heap:
             event = heapq.heappop(heap)
-            if cancelled and event.seq in cancelled:
-                cancelled.discard(event.seq)
+            if cancelled and event[2] in cancelled:
+                cancelled.discard(event[2])
                 continue
             return event
         raise SimulationStateError("pop from an empty event queue")

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any, NamedTuple
+from typing import Any, TypeAlias
 
-__all__ = ["EventType", "Event", "EVENT_PRIORITY", "reserve_seqs"]
+__all__ = ["EventType", "Event", "EVENT_PRIORITY", "make_event", "reserve_seqs"]
 
 
 class EventType(enum.Enum):
@@ -32,6 +32,11 @@ class EventType(enum.Enum):
     TASK_DEADLINE = "task_deadline"
     MACHINE_FAILURE = "machine_failure"
     CROSS_TRAFFIC = "cross_traffic"
+
+    # Members are singletons, so identity hashing is exact; Enum's own hash
+    # goes through the member name in Python, a frame per EVENT_PRIORITY
+    # lookup on the push sites whose event type is a variable.
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EventType.{self.name}"
@@ -62,12 +67,8 @@ EVENT_PRIORITY: dict[EventType, int] = {
     EventType.CROSS_TRAFFIC: 8,
 }
 
-# Mirror the priority table onto the members: Event.__new__ runs for every
-# scheduled event, and the plain attribute read beats the enum-keyed dict
-# lookup (enum hashing goes through the member name).
-for _event_type, _rank in EVENT_PRIORITY.items():
-    _event_type._priority = _rank
-
+#: Tie-break seq source. :func:`reserve_seqs` rebinds it, so a push site
+#: reads it through the module (``events._seq_counter``), never a copy.
 _seq_counter = itertools.count()
 
 
@@ -84,87 +85,43 @@ def reserve_seqs(n: int) -> int:
     return first
 
 
-class _EventFields(NamedTuple):
-    time: float
-    priority: int
-    seq: int
-    type: EventType
-    payload: Any
-    cluster: int | tuple[int, ...] | None
+#: A single simulation event: the plain tuple
+#: ``(time, priority, seq, type, payload, cluster)``.
+#:
+#: ``time`` is the simulation timestamp at which it fires; ``priority`` the
+#: rank of ``type`` in :data:`EVENT_PRIORITY` (lower fires first); ``seq`` a
+#: monotonic tie-break counter, FIFO among equal ``(time, priority)``;
+#: ``type`` its :class:`EventType`; ``payload`` event-specific data (a task,
+#: a machine, ...) the queue never inspects. ``cluster`` is the routing
+#: address in a federated simulation (see :mod:`repro.federation`): a plain
+#: ``int`` is the owning cluster shard, which the federation loop routes the
+#: event straight back to; a *cluster path* (non-empty ``tuple`` of node ids,
+#: root-most first) addresses an event still hopping a hierarchical
+#: federation, the remaining hops toward its destination leaf (see
+#: :meth:`repro.federation.simulator.FederatedSimulator.route`). A final hop
+#: is always stamped in its ``int`` form, so flat federations, whose routes
+#: are one hop, carry the same events as pre-hierarchy builds. ``None`` for
+#: single-cluster simulations and for federation-level events (gateway
+#: arrivals, global deadlines).
+#:
+#: The future-event list puts an event on its heap as is: tuple comparison
+#: orders events by ``(time, priority, seq)``, and the unique ``seq`` means
+#: the fields after it are never compared. The engine creates an arrival
+#: and a deadline per task plus one event per execution, so the hot push
+#: sites build the tuple literal themselves, with priorities bound from
+#: :data:`EVENT_PRIORITY` at module scope; every other site calls
+#: :func:`make_event`. Readers index or unpack it.
+Event: TypeAlias = tuple[float, int, int, EventType, Any, int | tuple[int, ...] | None]
 
 
-_new_tuple = tuple.__new__
-
-
-class Event(_EventFields):
-    """A single simulation event.
-
-    An immutable tuple laid out as ``(time, priority, seq, type, payload,
-    cluster)`` with C-level field getters. The engine creates an arrival
-    and a deadline per task plus one per execution, so construction is
-    hot: it is one ``tuple.__new__``. The future-event list puts the event
-    on its heap as is, and tuple comparison orders events by their first
-    three fields, ``(time, priority, seq)``; the unique ``seq`` means the
-    fields after it are never compared.
-
-    Attributes
-    ----------
-    time:
-        Simulation timestamp at which the event fires.
-    priority:
-        Rank of ``type`` in :data:`EVENT_PRIORITY` (lower fires first).
-    seq:
-        Monotonic tie-break counter; guarantees FIFO stability among events
-        with identical ``(time, priority)``.
-    type:
-        The :class:`EventType` of this event.
-    payload:
-        Event-specific data (a task, a machine, ...). Never inspected by the
-        queue itself.
-    cluster:
-        Routing address in a federated simulation (see
-        :mod:`repro.federation`). A plain ``int`` is the owning cluster
-        shard — the federation loop routes the event straight to that
-        shard's handlers. A *cluster path* (non-empty ``tuple`` of node
-        ids, root-most first) addresses an event still hopping a
-        hierarchical federation: the remaining hops toward its destination
-        leaf (see :meth:`repro.federation.simulator.FederatedSimulator.route`).
-        A final hop is always stamped in its ``int`` form, so flat
-        federations — whose routes are one hop — carry byte-identical
-        events to pre-hierarchy builds.
-        ``None`` for single-cluster simulations and for federation-level
-        events (gateway arrivals, global deadlines). Not part of the
-        ordering key.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        time: float,
-        type: EventType,
-        payload: Any = None,
-        seq: int | None = None,
-        cluster: int | tuple[int, ...] | None = None,
-    ) -> Event:
-        if seq is None:
-            seq = next(_seq_counter)
-        return _new_tuple(cls, (time, type._priority, seq, type, payload, cluster))
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        # Rebuild through __new__ with the original seq (the inherited
-        # namedtuple pickling would pass the priority as the type).
-        return (
-            Event,
-            (self.time, self.type, self.payload, self.seq, self.cluster),
-        )
-
-    def sort_key(self) -> tuple[float, int, int]:
-        """Key under which the future-event list orders this event."""
-        return self[:3]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Event(time={self.time!r}, type={self.type!r}, "
-            f"payload={self.payload!r}, seq={self.seq!r})"
-        )
+def make_event(
+    time: float,
+    type: EventType,
+    payload: Any = None,
+    seq: int | None = None,
+    cluster: int | tuple[int, ...] | None = None,
+) -> Event:
+    """Build an :data:`Event`, taking the next shared seq unless given one."""
+    if seq is None:
+        seq = next(_seq_counter)
+    return (time, EVENT_PRIORITY[type], seq, type, payload, cluster)

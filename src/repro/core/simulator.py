@@ -73,7 +73,8 @@ from ..tasks.workload import Workload
 from .clock import SimulationClock
 from .errors import SchedulingError, SimulationStateError
 from .event_queue import EventQueue
-from .events import Event, EventType, reserve_seqs
+from . import events as _events
+from .events import EVENT_PRIORITY, Event, EventType, make_event, reserve_seqs
 from .rng import make_rng
 
 __all__ = [
@@ -96,6 +97,11 @@ _DEADLINE = EventType.TASK_DEADLINE
 _DELIVERY = EventType.NETWORK_DELIVERY
 _FAILURE = EventType.MACHINE_FAILURE
 _REPAIR = EventType.MACHINE_REPAIR
+# Their priorities, for the push sites that build the event tuple in place.
+_ARRIVAL_RANK = EVENT_PRIORITY[_ARRIVAL]
+_COMPLETION_RANK = EVENT_PRIORITY[_COMPLETION]
+_DEADLINE_RANK = EVENT_PRIORITY[_DEADLINE]
+_DELIVERY_RANK = EVENT_PRIORITY[_DELIVERY]
 _CREATED = TaskStatus.CREATED
 _IN_BATCH_QUEUE = TaskStatus.IN_BATCH_QUEUE
 _ASSIGNED = TaskStatus.ASSIGNED
@@ -172,7 +178,9 @@ class ArrivalFeed:
         self._next = 0  # index of the task whose arrival is pending
         if tasks:
             first = tasks[0]
-            events.push(Event(first.arrival_time, _ARRIVAL, first, self._seq))
+            events.push(
+                (first.arrival_time, _ARRIVAL_RANK, self._seq, _ARRIVAL, first, None)
+            )
             self._seq += 1
 
     @property
@@ -186,12 +194,12 @@ class ArrivalFeed:
         push = self._events.push
         task = tasks[i]
         if self._drop and task.deadline != _INF:
-            push(Event(task.deadline, _DEADLINE, task, seq))
+            push((task.deadline, _DEADLINE_RANK, seq, _DEADLINE, task, None))
             seq += 1
         i += 1
         if i < len(tasks):
             task = tasks[i]
-            push(Event(task.arrival_time, _ARRIVAL, task, seq))
+            push((task.arrival_time, _ARRIVAL_RANK, seq, _ARRIVAL, task, None))
             seq += 1
         self._next, self._seq = i, seq
 
@@ -236,7 +244,7 @@ class EventLoop(Generic[R]):
             self._finish()
             return None
         event = self.events.pop()
-        self.clock.advance_to(event.time)
+        self.clock.advance_to(event[0])
         self._dispatch(event)
         self._events_processed += 1
         if self.observers:
@@ -265,10 +273,10 @@ class EventLoop(Generic[R]):
             processed = 0
             while heap:
                 event = heappop(heap)
-                if cancelled and event.seq in cancelled:
-                    cancelled.discard(event.seq)
+                if cancelled and event[2] in cancelled:
+                    cancelled.discard(event[2])
                     continue
-                clock._now = event.time
+                clock._now = event[0]
                 dispatch(event)
                 processed += 1
             self._events_processed += processed
@@ -396,21 +404,21 @@ class ClusterCore:
     # -- event dispatch ----------------------------------------------------------------
 
     def _dispatch(self, event: Event) -> None:
-        etype = event.type
+        etype = event[3]
         if etype is _ARRIVAL:
-            self._on_arrival(event.payload)
+            self._on_arrival(event[4])
         elif etype is _COMPLETION:
-            self._on_completion(event.payload)
+            self._on_completion(event[4])
         elif etype is _DEADLINE:
-            self._on_deadline(event.payload)
+            self._on_deadline(event[4])
         elif etype is _DELIVERY:
-            self._on_delivery(event.payload)
+            self._on_delivery(event[4])
         elif etype is _FAILURE:
-            self._on_failure(event.payload)
+            self._on_failure(event[4])
         elif etype is _REPAIR:
-            self._on_repair(event.payload)
+            self._on_repair(event[4])
         else:  # pragma: no cover - defensive
-            raise SimulationStateError(f"unhandled event type {event.type}")
+            raise SimulationStateError(f"unhandled event type {etype}")
 
     def _all_tasks_terminal(self) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -512,12 +520,7 @@ class ClusterCore:
         assert self.failure_model is not None
         uptime = self.failure_model.sample_uptime(machine, self.rng)
         self.events.push(
-            Event(
-                self.clock._now + uptime,
-                EventType.MACHINE_FAILURE,
-                machine,
-                cluster=self._shard_id,
-            )
+            make_event(self.clock._now + uptime, _FAILURE, machine, cluster=self._shard_id)
         )
 
     def _on_failure(self, machine: Machine) -> None:
@@ -532,12 +535,7 @@ class ClusterCore:
             self.batch_queue.readmit(task)
         downtime = self.failure_model.sample_downtime(machine, self.rng)
         self.events.push(
-            Event(
-                now + downtime,
-                EventType.MACHINE_REPAIR,
-                machine,
-                cluster=self._shard_id,
-            )
+            make_event(now + downtime, _REPAIR, machine, cluster=self._shard_id)
         )
         # Evicted tasks may be remappable onto surviving machines right now.
         self._scheduling_pass()
@@ -609,13 +607,9 @@ class ClusterCore:
                 task.available_at = now + delay
             machine.enqueue(task, now)
             if delay > 0:
+                seq = next(_events._seq_counter)
                 self.events.push(
-                    Event(
-                        now + delay,
-                        EventType.NETWORK_DELIVERY,
-                        (machine, task),
-                        cluster=self._shard_id,
-                    )
+                    (now + delay, _DELIVERY_RANK, seq, _DELIVERY, (machine, task), self._shard_id)
                 )
             self._try_start(machine)
 
@@ -635,15 +629,10 @@ class ClusterCore:
             runtime = self.execution_model.sample(head, expected, self.rng)
         started = machine.start_next(self.clock._now, runtime)
         if started is not None:
-            event = self.events.push(
-                Event(
-                    machine.run_finishes_at,
-                    EventType.TASK_COMPLETION,
-                    (machine, started),
-                    cluster=self._shard_id,
-                )
+            when, seq = machine.run_finishes_at, next(_events._seq_counter)
+            machine.completion_event = self.events.push(
+                (when, _COMPLETION_RANK, seq, _COMPLETION, (machine, started), self._shard_id)
             )
-            machine.completion_event = event
 
 
 class Simulator(ClusterCore, EventLoop[SimulationResult]):

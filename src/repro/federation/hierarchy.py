@@ -20,15 +20,15 @@ The engine is the one :class:`~repro.federation.simulator.FederatedSimulator`:
 given a spec with ``children`` it routes offloads along
 :meth:`FederationTree.route`, hopping the tree store-and-forward — each hop
 is one :class:`~repro.net.wan.WanTransfer` on the child↔parent uplink
-channel, relay deliveries carry the remaining node path as their
-:attr:`~repro.core.events.Event.cluster` (a tuple), and the *final* hop
-carries the destination leaf as a plain ``int``, the form every hop of a
-flat mesh uses.
+channel, relay deliveries carry the remaining node path in the ``cluster``
+field of their :data:`~repro.core.events.Event` tuple (``event[5]``, a
+tuple), and the *final* hop carries the destination leaf as a plain
+``int``, the form every hop of a flat mesh uses.
 
 Routing address forms, by example (leaf ids 0..n-1, interior ids above)::
 
-    Event.cluster = 3          # final hop: deliver to shard 3 (flat form)
-    Event.cluster = (19, 7, 3) # relay: now at node 19, still 7 → 3 to go
+    event[5] == 3           # final hop: deliver to shard 3 (flat form)
+    event[5] == (19, 7, 3)  # relay: now at node 19, still 7 → 3 to go
 
 Refusals are explicit: gateways that do not understand trees
 (``supports_hierarchy`` is false) are rejected at construction — a flat

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..core.errors import SimulationStateError
-from ..core.events import Event, EventType
+from ..core.events import EventType, make_event
 from ..metrics.rollup import MigrationStats, migration_stats, routing_table
 from ..scheduling.federation.eviction import MigrationContext, create_eviction
 
@@ -82,9 +82,7 @@ class Rebalancer:
         self._push_tick(self.spec.interval)
 
     def _push_tick(self, when: float) -> None:
-        self.federation.events.push(
-            Event(when, EventType.TASK_MIGRATION, None)
-        )
+        self.federation.events.push(make_event(when, EventType.TASK_MIGRATION))
 
     def on_tick(self, now: float) -> None:
         """One rebalance pass; re-arms itself while the run has work left.

@@ -5,8 +5,9 @@ A :class:`ClusterShard` is the single-cluster engine's
 local scheduling policy, metrics collector, per-type statistics and event
 handlers a standalone :class:`~repro.core.simulator.Simulator` runs — on the
 federation's event heap and clock. Every event it schedules is stamped with
-its shard index (``Event.cluster``) so the federation loop can route the
-event straight back to this shard's handlers.
+its shard index (the event tuple's ``cluster`` field, ``event[5]``) so
+the federation loop can route the event straight back to this shard's
+handlers.
 """
 
 from __future__ import annotations

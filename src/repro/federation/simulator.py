@@ -28,8 +28,9 @@ follows :meth:`FederatedSimulator.route`: ``(origin, destination)`` on a
 mesh, the lowest-common-ancestor node path of the
 :class:`~repro.federation.hierarchy.FederationTree` on a tree. Every hop is
 one :class:`~repro.net.wan.WanTransfer`, crossed store-and-forward: a relay
-delivery carries the remaining node path as its ``Event.cluster`` (a
-tuple), and the final hop carries the destination leaf as a plain ``int``.
+delivery carries the remaining node path in its event's ``cluster``
+field (``event[5]``, a tuple), and the final hop carries the destination
+leaf as a plain ``int``.
 A mesh route is a single hop, so its events carry exactly the flat form.
 
 When the spec carries a :class:`~repro.federation.spec.MigrationSpec`, a
@@ -89,7 +90,6 @@ __all__ = ["FederatedSimulator"]
 # Module-bound enum members: the routing loop tests several per event, and
 # Enum class attribute access costs ~10x a global load on CPython 3.11.
 _ARRIVAL = EventType.TASK_ARRIVAL
-_COMPLETION = EventType.TASK_COMPLETION
 _DEADLINE = EventType.TASK_DEADLINE
 _LINK_TRANSFER = EventType.LINK_TRANSFER
 _MIGRATION = EventType.TASK_MIGRATION
@@ -363,15 +363,15 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
         # Only relay ARRIVAL events carry a tuple address (the ARRIVAL
         # branch re-reads it); every other shard-owned event carries its
         # int shard index.
-        cluster_id: int | None = event.cluster  # type: ignore[assignment]
-        etype = event.type
+        cluster_id: int | None = event[5]  # type: ignore[assignment]
+        etype = event[3]
         if cluster_id is None:
             # Federation-level event: a task arriving at the gateway, or a
             # deadline firing wherever the task currently is.
             if etype is _ARRIVAL:
-                self._on_gateway_arrival(event.payload)
+                self._on_gateway_arrival(event[4])
             elif etype is _DEADLINE:
-                self._on_deadline(event.payload)
+                self._on_deadline(event[4])
             elif etype is _LINK_TRANSFER:
                 # A WAN serialisation milestone: the owning link channel
                 # frees the pipe, delivers, and starts whatever is queued.
@@ -385,27 +385,23 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
                 WanManager.on_cross_traffic(event, self.clock._now)
             else:  # pragma: no cover - defensive
                 raise SimulationStateError(
-                    f"federation-level event of type {event.type} has no owner"
+                    f"federation-level event of type {etype} has no owner"
                 )
-        elif etype is _COMPLETION:
-            # The most common shard-owned event: skip the shard's own
-            # dispatch chain and call the handler directly.
-            self.shards[cluster_id]._on_completion(event.payload)
         elif etype is _ARRIVAL:
             # A WAN hop completed: a tuple address is the remaining node
             # path of a relay (current node first), an int the final leaf.
-            task = event.payload
+            task = event[4]
             transfer = self._transfers.pop(task.id, None)
             if transfer is not None:
                 self._wan.on_delivered(transfer, self.clock._now)
-            path = event.cluster
+            path = event[5]
             if type(path) is tuple:
                 self._forward(task, path)
             else:
                 self._deliver(task, cluster_id)
         elif etype is _MIGRATION:
             # A migrated task survived the WAN: re-enqueue at its new home.
-            task = event.payload
+            task = event[4]
             transfer = self._transfers.pop(task.id, None)
             if transfer is None:  # pragma: no cover - defensive
                 raise SimulationStateError(

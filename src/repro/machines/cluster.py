@@ -42,38 +42,17 @@ class Cluster:
                 )
         self.machines = list(machines)
         self.eet = eet
-        col_of = {n: j for j, n in enumerate(eet.machine_type_names)}
-        machine_cols = np.array(
-            [col_of[m.machine_type.name] for m in machines], dtype=int
-        )
-        # (n_task_types, n_machines) EET expanded to machine granularity —
-        # one fancy-index gather per batch pass instead of per-task vstacks.
-        self._eet_by_machine = np.ascontiguousarray(eet.values[:, machine_cols])
-        # eet_vector hands out row views of this cache; keep it immutable so
-        # a policy mutating its "own" EET vector cannot corrupt the cluster.
-        self._eet_by_machine.setflags(write=False)
+        # The EET expanded to machine granularity, shared by every cluster
+        # with this machine-type layout (see EETMatrix.machine_tables).
+        col_of = eet._col_of
+        (
+            self._eet_by_machine,
+            self._eet_lists,
+            self._eet_groups,
+        ) = eet.machine_tables(tuple(col_of[m.machine_type.name] for m in machines))
         # The EET's own private row index, shared and never written: an
         # unknown task type raises EETError.
         self._row_of = eet._row_of
-        # Python-float copies of the EET rows for the small-cluster scalar
-        # paths (argmin_open_energy, the list batch pass): plain list
-        # indexing avoids NumPy scalar boxing inside the per-machine loop.
-        self._eet_lists = [row.tolist() for row in self._eet_by_machine]
-        # Per task-type row, the machine types in ascending EET (ties by
-        # column), each as (EET, its machine indices in ascending order):
-        # the scalar completion scans below visit the cheapest types first
-        # and stop once a type's EET alone cannot beat the best found.
-        members: list[list[int]] = [[] for _ in eet.machine_type_names]
-        for i, col in enumerate(machine_cols.tolist()):
-            members[col].append(i)
-        self._eet_groups = [
-            tuple(
-                (e, tuple(members[col]))
-                for e, col in sorted(zip(row, range(len(row))))
-                if members[col]
-            )
-            for row in eet.values.tolist()
-        ]
         # Built on first use by the energy-aware policies (energy_table).
         self._energy_by_machine: np.ndarray | None = None
         self._energy_lists: list[list[float]] = []

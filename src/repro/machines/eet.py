@@ -29,6 +29,10 @@ from ..tasks.task_type import TaskType
 
 __all__ = ["EETMatrix"]
 
+_Groups = list[tuple[tuple[float, tuple[int, ...]], ...]]
+#: What :meth:`EETMatrix.machine_tables` returns.
+_MachineTables = tuple[np.ndarray, list[list[float]], _Groups]
+
 
 class _RowIndex(dict):
     """Task-type name -> EET row; looking up an unknown name raises EETError."""
@@ -90,6 +94,7 @@ class EETMatrix:
         #: Task-type name -> row index; an unknown name raises EETError.
         self._row_of = _RowIndex((t.name, t.index) for t in task_types)
         self._col_of = {n: j for j, n in enumerate(machine_type_names)}
+        self._machine_tables: dict[tuple[int, ...], _MachineTables] = {}
 
     # -- basic accessors ---------------------------------------------------------
 
@@ -141,6 +146,43 @@ class EETMatrix:
     def _row_index(self, task_type: TaskType | str) -> int:
         name = task_type if isinstance(task_type, str) else task_type.name
         return self._row_of[name]
+
+    def machine_tables(self, columns: tuple[int, ...]) -> _MachineTables:
+        """The EET tables of a cluster whose machine ``i`` has column ``columns[i]``.
+
+        Returns ``(by_machine, lists, groups)``: the read-only
+        ``(n_task_types, n_machines)`` array (one fancy-index gather per batch
+        pass instead of per-task vstacks); its rows as lists of Python floats
+        for the small-cluster scalar paths (plain list indexing avoids NumPy
+        scalar boxing inside the per-machine loop); and, per task-type row,
+        the machine types in ascending EET (ties by column), each as
+        ``(eet, its machine indices ascending)``, so the scalar completion
+        scans visit the cheapest types first and stop once a type's EET
+        alone cannot beat the best found. Built once per layout and shared
+        by every cluster with it (a federation's identically laid-out
+        shards), so none of the three may be written. Two threads building
+        the same layout at once build equal tables; either may be kept.
+        """
+        tables = self._machine_tables.get(columns)
+        if tables is None:
+            by_machine = np.ascontiguousarray(self._matrix[:, list(columns)])
+            # Row views of this array are handed out; keep it immutable so a
+            # policy mutating its "own" EET vector cannot corrupt a cluster.
+            by_machine.setflags(write=False)
+            members: list[list[int]] = [[] for _ in self._machine_names]
+            for i, col in enumerate(columns):
+                members[col].append(i)
+            groups = [
+                tuple(
+                    (e, tuple(members[col]))
+                    for e, col in sorted(zip(row, range(len(row))))
+                    if members[col]
+                )
+                for row in self._matrix.tolist()
+            ]
+            tables = (by_machine, [row.tolist() for row in by_machine], groups)
+            self._machine_tables[columns] = tables
+        return tables
 
     # -- heterogeneity diagnostics -------------------------------------------------
 

@@ -76,8 +76,8 @@ class EventLog:
         task_id: int | None = None
         task_type = ""
         machine = ""
-        payload = event.payload
-        if payload is not None and event.type in (
+        time, _, _, etype, payload, _ = event
+        if payload is not None and etype in (
             EventType.TASK_ARRIVAL,
             EventType.TASK_DEADLINE,
             EventType.TASK_MIGRATION,
@@ -85,14 +85,10 @@ class EventLog:
             task_id, task_type = payload.id, payload.task_type.name
             if payload.machine is not None:
                 machine = payload.machine.name
-        elif event.type in (
-            EventType.TASK_COMPLETION, EventType.NETWORK_DELIVERY
-        ):
+        elif etype in (EventType.TASK_COMPLETION, EventType.NETWORK_DELIVERY):
             m, task = payload
             task_id, task_type, machine = task.id, task.task_type.name, m.name
-        elif event.type in (
-            EventType.MACHINE_FAILURE, EventType.MACHINE_REPAIR
-        ):
+        elif etype in (EventType.MACHINE_FAILURE, EventType.MACHINE_REPAIR):
             machine = payload.name
         counts = sim.counts()
         shards = getattr(sim, "shards", None)
@@ -104,8 +100,8 @@ class EventLog:
         self.records.append(
             EventRecord(
                 seq=self._seq,
-                time=event.time,
-                event_type=event.type.value,
+                time=time,
+                event_type=etype.value,
                 task_id=task_id,
                 task_type=task_type,
                 machine=machine,

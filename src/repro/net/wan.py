@@ -58,7 +58,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..core.errors import SimulationStateError
-from ..core.events import Event, EventType
+from ..core import events as _events
+from ..core.events import EVENT_PRIORITY, Event, EventType, make_event
 from ..core.rng import derive_seed
 from .crosstraffic import CrossTrafficState
 from .topology import InterClusterTopology, Link
@@ -82,6 +83,7 @@ _EPS_MB = 1e-9
 # channel machinery sits on the contended-federation hot path, so the members
 # it tests/schedules with are bound once at module level.
 _LINK_TRANSFER = EventType.LINK_TRANSFER
+_LINK_TRANSFER_RANK = EVENT_PRIORITY[_LINK_TRANSFER]
 _CROSS_TRAFFIC_EVENT = EventType.CROSS_TRAFFIC
 
 
@@ -100,8 +102,8 @@ class WanTransfer:
     """One task crossing one WAN link (the unit the channels queue).
 
     Mutable bookkeeping object; the federation holds it as the cancellation
-    handle for a task that is still in the WAN (the contended twin of the
-    bare delivery :class:`~repro.core.events.Event` PR 3 stored).
+    handle for a task that is still in the WAN (the contended twin of a
+    bare delivery :data:`~repro.core.events.Event`).
     """
 
     __slots__ = (
@@ -140,7 +142,7 @@ class WanTransfer:
         #: TASK_MIGRATION for mid-queue migrations); both kinds share the
         #: link's pipe and pay the same energy — only dispatch differs.
         self.kind = kind
-        #: ``Event.cluster`` value stamped on the delivery event: the
+        #: ``cluster`` field stamped on the delivery event: the
         #: destination index on a final hop; the federation tags the relay
         #: hops of a tree route with the remaining node path instead
         #: (:meth:`repro.federation.simulator.FederatedSimulator.route`).
@@ -305,7 +307,7 @@ class LinkChannel:
             backlog = self._queued_mb / self._rate
             head = self._serving
             if head is not None and head.service_event is not None:
-                backlog += max(0.0, head.service_event.time - now)
+                backlog += max(0.0, head.service_event[0] - now)
             return backlog + link.latency + self._service_time(megabytes)
         if self._ps_mode:
             share = len(self._active) + 1
@@ -355,14 +357,14 @@ class LinkChannel:
             when = now + self._service_time(max(serving.remaining_mb, 0.0))
             stale = serving.service_event
             if stale is not None:
-                if stale.time == when:
+                if stale[0] == when:
                     # Coalesced: the rate change leaves the completion where
                     # it already is (e.g. the payload has fully drained) —
                     # keep the scheduled event, skip the cancel + re-push.
                     return
                 self._events.cancel(stale)
             serving.service_event = self._events.push(
-                Event(when, _LINK_TRANSFER, self)
+                make_event(when, _LINK_TRANSFER, self)
             )
 
     def _drain_serving(self, now: float) -> None:
@@ -391,7 +393,7 @@ class LinkChannel:
         if traffic is None or self._tick is not None or not self._busy():
             return
         self._tick = self._events.push(
-            Event(traffic.next_boundary(now), _CROSS_TRAFFIC_EVENT, self)
+            make_event(traffic.next_boundary(now), _CROSS_TRAFFIC_EVENT, self)
         )
 
     def _cancel_tick(self) -> None:
@@ -439,12 +441,9 @@ class LinkChannel:
         transfer.started_at = now
         self.wait_time += now - transfer.submitted_at
         self._drained_at = now
+        when = now + self._service_time(transfer.remaining_mb)
         transfer.service_event = self._events.push(
-            Event(
-                now + self._service_time(transfer.remaining_mb),
-                _LINK_TRANSFER,
-                self,
-            )
+            (when, _LINK_TRANSFER_RANK, next(_events._seq_counter), _LINK_TRANSFER, self, None)
         )
         self._serving = transfer
 
@@ -479,14 +478,14 @@ class LinkChannel:
             dt = max(min_remaining, 0.0) * len(active) / self._rate
             when = now + dt
             if stale is not None:
-                if stale.time == when:
+                if stale[0] == when:
                     # Coalesced: the membership/rate change did not move the
                     # next serialisation milestone (e.g. a joiner with zero
                     # payload) — keep the scheduled event as-is.
                     return
                 self._events.cancel(stale)
             self._next_finish = self._events.push(
-                Event(when, _LINK_TRANSFER, self)
+                (when, _LINK_TRANSFER_RANK, next(_events._seq_counter), _LINK_TRANSFER, self, None)
             )
         elif stale is not None:
             self._events.cancel(stale)
@@ -536,13 +535,9 @@ class LinkChannel:
         self.mb_delivered += transfer.megabytes
         transfer.remaining_mb = 0.0
         transfer.phase = TransferPhase.PROPAGATING
+        kind, seq = transfer.kind, next(_events._seq_counter)
         transfer.delivery_event = self._events.push(
-            Event(
-                now + self.link.latency,
-                transfer.kind,
-                transfer.task,
-                cluster=transfer.tag,
-            )
+            (now + self.link.latency, EVENT_PRIORITY[kind], seq, kind, transfer.task, transfer.tag)
         )
 
     # -- delivery / cancellation --------------------------------------------------------
@@ -827,8 +822,8 @@ class WanManager:
 
         ``kind`` is the delivery event's type: ``TASK_ARRIVAL`` for gateway
         offloads, ``TASK_MIGRATION`` for mid-queue migrations — both contend
-        for the same physical link. ``tag`` overrides the ``Event.cluster``
-        value stamped on the delivery (the relay hops of a tree route carry
+        for the same physical link. ``tag`` overrides the ``cluster`` field
+        stamped on the delivery (the relay hops of a tree route carry
         the remaining node path; the default is ``destination``, the
         final-hop form). Returns the :class:`WanTransfer` handle
         the federation keeps for deadline cancellation, or ``None`` when the
@@ -847,7 +842,7 @@ class WanManager:
             transfer = WanTransfer(task, megabytes, now, channel, kind, tag)
             channel.submit(transfer, now)
             transfer.delivery_event = self._events.push(
-                Event(now + delay, kind, task, cluster=tag)
+                (now + delay, EVENT_PRIORITY[kind], next(_events._seq_counter), kind, task, tag)
             )
             return transfer
         transfer = WanTransfer(task, megabytes, now, channel, kind, tag)
@@ -881,7 +876,7 @@ class WanManager:
     @staticmethod
     def on_link_event(event: Event, now: float) -> None:
         """Handle a LINK_TRANSFER event (payload is the owning channel)."""
-        channel = event.payload
+        channel = event[4]
         if not isinstance(channel, LinkChannel):  # pragma: no cover
             raise SimulationStateError(
                 f"LINK_TRANSFER event carries {type(channel).__name__}, "
@@ -892,7 +887,7 @@ class WanManager:
     @staticmethod
     def on_cross_traffic(event: Event, now: float) -> None:
         """Handle a CROSS_TRAFFIC event (payload is the owning channel)."""
-        channel = event.payload
+        channel = event[4]
         if not isinstance(channel, LinkChannel):  # pragma: no cover
             raise SimulationStateError(
                 f"CROSS_TRAFFIC event carries {type(channel).__name__}, "

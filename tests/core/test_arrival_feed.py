@@ -108,9 +108,9 @@ def workload(types, triples=TIES):
 
 def recorder(log):
     def observe(sim, event):
-        payload = event.payload
+        payload = event[4]
         task = payload[1] if isinstance(payload, tuple) else payload
-        log.append((event.time, event.type.name, task.id, event.cluster))
+        log.append((event[0], event[3].name, task.id, event[5]))
 
     return observe
 
@@ -218,9 +218,9 @@ class TestDrivingModes:
             sim = federated(eet, types)
             sim = FederatedSimulator(sim.spec, eet, workload(types, late))
         first = sim.step()
-        assert first.time == 2.5
-        assert first.type is EventType.TASK_ARRIVAL
-        assert first.payload.id == 0
+        assert first[0] == 2.5
+        assert first[3] is EventType.TASK_ARRIVAL
+        assert first[4].id == 0
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_remaining_arrivals_counts_down(self, eet, types, engine):
@@ -229,7 +229,7 @@ class TestDrivingModes:
         arrived = 0
         assert sim.remaining_arrivals() == len(TIES)
         while (event := sim.step()) is not None:
-            if event.type is EventType.TASK_ARRIVAL and event.cluster is None:
+            if event[3] is EventType.TASK_ARRIVAL and event[5] is None:
                 arrived += 1
             seen.append(sim.remaining_arrivals())
             assert sim.remaining_arrivals() == len(TIES) - arrived
@@ -245,7 +245,7 @@ class TestHeapAfterConstruction:
         counts = {}
         while sim.events:
             event = sim.events.pop()
-            counts[event.type] = counts.get(event.type, 0) + 1
+            counts[event[3]] = counts.get(event[3], 0) + 1
         return counts
 
     def test_simulator_holds_one_arrival(self):

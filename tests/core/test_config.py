@@ -252,6 +252,22 @@ class TestFromDictRejects:
         data["failure_model"] = {"mtbf": 100.0, "mttr": 10.0}
         assert len(Scenario.from_dict(data).workload) == len(built.workload)
 
+    def test_failure_storm_over_a_trace(self):
+        # A trace's rows are read when its workload is built, so the load
+        # check passes it, and the same window check refuses the storm
+        # before any engine is built over the rows.
+        from repro.scenarios import build_scenario
+
+        data = json.loads(json.dumps(build_scenario("trace_replay").to_dict()))
+        data["failure_model"] = {"mtbf": 1e-6, "mttr": 1e-6}
+        stormy = Scenario.from_dict(data)
+        for build in (stormy.build_workload, stormy.build_simulator, stormy.run):
+            with pytest.raises(ConfigurationError, match="fail and repair events"):
+                build()
+        data["failure_model"] = {"mtbf": 100.0, "mttr": 10.0}
+        calm = Scenario.from_dict(data)
+        assert len(calm.build_workload()) == calm.run().summary.total_tasks > 0
+
     def test_failure_storm_window_ends_at_last_arrival_without_deadlines(self):
         # Infinite deadlines bound nothing: the window is the arrival span.
         from repro.machines.failures import FailureModel

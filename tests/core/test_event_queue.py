@@ -4,11 +4,11 @@ import pytest
 
 from repro.core.errors import SimulationStateError
 from repro.core.event_queue import EventQueue
-from repro.core.events import Event, EventType
+from repro.core.events import Event, EventType, make_event
 
 
 def ev(time: float, kind: EventType = EventType.TASK_ARRIVAL) -> Event:
-    return Event(time, kind)
+    return make_event(time, kind)
 
 
 class TestBasicOps:
@@ -22,7 +22,7 @@ class TestBasicOps:
         events = [ev(3.0), ev(1.0), ev(2.0)]
         for e in events:
             queue.push(e)
-        assert [queue.pop().time for _ in range(3)] == [1.0, 2.0, 3.0]
+        assert [queue.pop()[0] for _ in range(3)] == [1.0, 2.0, 3.0]
 
     def test_pop_empty_raises(self):
         with pytest.raises(SimulationStateError):
@@ -55,7 +55,7 @@ class TestCancellation:
         doomed = queue.push(ev(1.0))
         queue.push(ev(2.0))
         assert queue.cancel(doomed)
-        assert queue.pop().time == 2.0
+        assert queue.pop()[0] == 2.0
         assert not queue
 
     def test_cancel_updates_len(self):
@@ -85,5 +85,5 @@ class TestCancellation:
         events = [queue.push(ev(float(t))) for t in range(6)]
         queue.cancel(events[0])
         queue.cancel(events[3])
-        popped = [queue.pop().time for _ in range(len(queue))]
+        popped = [queue.pop()[0] for _ in range(len(queue))]
         assert popped == [1.0, 2.0, 4.0, 5.0]

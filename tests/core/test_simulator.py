@@ -29,7 +29,7 @@ class TestStepping:
         sim = build_sim(eet_3x2, make_workload, [(0, 0.0, 100.0)])
         event = sim.step()
         assert event is not None
-        assert event.type is EventType.TASK_ARRIVAL
+        assert event[3] is EventType.TASK_ARRIVAL
         assert sim.events_processed == 1
 
     def test_step_after_finish_returns_none(self, eet_3x2, make_workload):
@@ -57,7 +57,7 @@ class TestStepping:
 
     def test_next_event_time(self, eet_3x2, make_workload):
         sim = build_sim(eet_3x2, make_workload, [(0, 1.0, 100.0)])
-        assert sim.step().time == 1.0
+        assert sim.step()[0] == 1.0
 
 
 class TestRun:
@@ -95,7 +95,7 @@ class TestObservers:
             eet_3x2,
             make_workload,
             [(0, 0.0, 100.0)],
-            observers=[lambda s, e: seen.append(e.type)],
+            observers=[lambda s, e: seen.append(e[3])],
         )
         sim.run()
         assert EventType.TASK_ARRIVAL in seen

@@ -141,13 +141,13 @@ def _drain(manager, events):
     transfers = {}
     while events:
         event = events.pop()
-        if event.type is EventType.LINK_TRANSFER:
-            WanManager.on_link_event(event, event.time)
-        elif event.type is EventType.TASK_ARRIVAL:
-            deliveries[event.payload.id] = event.time
-            transfer = transfers.get(event.payload.id)
+        if event[3] is EventType.LINK_TRANSFER:
+            WanManager.on_link_event(event, event[0])
+        elif event[3] is EventType.TASK_ARRIVAL:
+            deliveries[event[4].id] = event[0]
+            transfer = transfers.get(event[4].id)
             if transfer is not None:
-                manager.on_delivered(transfer, event.time)
+                manager.on_delivered(transfer, event[0])
     return deliveries
 
 
@@ -162,11 +162,11 @@ class TestFifoQueueing:
         deliveries = {}
         while events:
             event = events.pop()
-            if event.type is EventType.LINK_TRANSFER:
-                WanManager.on_link_event(event, event.time)
+            if event[3] is EventType.LINK_TRANSFER:
+                WanManager.on_link_event(event, event[0])
             else:
-                deliveries[event.payload.id] = event.time
-                manager.on_delivered(transfers[event.payload.id], event.time)
+                deliveries[event[4].id] = event[0]
+                manager.on_delivered(transfers[event[4].id], event[0])
         return deliveries
 
     def test_shared_fifo_link_strictly_slower_than_separate_links(self):
@@ -202,11 +202,11 @@ class TestFifoQueueing:
         deliveries = {}
         while events:
             event = events.pop()
-            if event.type is EventType.LINK_TRANSFER:
-                WanManager.on_link_event(event, event.time)
+            if event[3] is EventType.LINK_TRANSFER:
+                WanManager.on_link_event(event, event[0])
             else:
-                deliveries[event.payload.id] = event.time
-                manager.on_delivered(transfers[event.payload.id], event.time)
+                deliveries[event[4].id] = event[0]
+                manager.on_delivered(transfers[event[4].id], event[0])
         # Serialisations: [0,2], [2,4], [4,6]; latency 1 after each.
         assert deliveries == {0: 3.0, 1: 5.0, 2: 7.0}
         usage = manager.usage(end_time=7.0)["edge<->cloud"]
@@ -229,11 +229,11 @@ class TestProcessorSharing:
         deliveries = {}
         while events:
             event = events.pop()
-            if event.type is EventType.LINK_TRANSFER:
-                WanManager.on_link_event(event, event.time)
+            if event[3] is EventType.LINK_TRANSFER:
+                WanManager.on_link_event(event, event[0])
             else:
-                deliveries[event.payload.id] = event.time
-                manager.on_delivered(transfers[event.payload.id], event.time)
+                deliveries[event[4].id] = event[0]
+                manager.on_delivered(transfers[event[4].id], event[0])
         # Both crawl at 0.5 MB/s: serialised at 8, delivered at 9.
         assert deliveries == {0: 9.0, 1: 9.0}
 
@@ -252,12 +252,12 @@ class TestProcessorSharing:
             deliveries = {}
             while events:
                 event = events.pop()
-                if event.type is EventType.LINK_TRANSFER:
-                    WanManager.on_link_event(event, event.time)
+                if event[3] is EventType.LINK_TRANSFER:
+                    WanManager.on_link_event(event, event[0])
                 else:
-                    deliveries[event.payload.id] = event.time
+                    deliveries[event[4].id] = event[0]
                     manager.on_delivered(
-                        transfers[event.payload.id], event.time
+                        transfers[event[4].id], event[0]
                     )
             return deliveries
 
@@ -273,16 +273,16 @@ class TestProcessorSharing:
         transfers = {0: manager.submit(_task(0, 4.0), 0, 1, 0.0)}
         # At t=2 the first flow has 2 MB left; a 2 MB joiner halves its rate.
         # Pop nothing before 2.0; manually submit the joiner mid-flight.
-        assert events._heap[0].time == 4.0
+        assert events._heap[0][0] == 4.0
         transfers[1] = manager.submit(_task(1, 2.0), 0, 1, 2.0)
         deliveries = {}
         while events:
             event = events.pop()
-            if event.type is EventType.LINK_TRANSFER:
-                WanManager.on_link_event(event, event.time)
+            if event[3] is EventType.LINK_TRANSFER:
+                WanManager.on_link_event(event, event[0])
             else:
-                deliveries[event.payload.id] = event.time
-                manager.on_delivered(transfers[event.payload.id], event.time)
+                deliveries[event[4].id] = event[0]
+                manager.on_delivered(transfers[event[4].id], event[0])
         # From t=2 both drain at 0.5 MB/s; both finish their 2 MB at t=6.
         assert deliveries == {0: 6.0, 1: 6.0}
 
@@ -545,7 +545,7 @@ class TestPhases:
         assert first.phase is TransferPhase.SERVING
         assert second.phase is TransferPhase.QUEUED
         event = events.pop()
-        assert event.type is EventType.LINK_TRANSFER
-        WanManager.on_link_event(event, event.time)
+        assert event[3] is EventType.LINK_TRANSFER
+        WanManager.on_link_event(event, event[0])
         assert first.phase is TransferPhase.PROPAGATING
         assert second.phase is TransferPhase.SERVING

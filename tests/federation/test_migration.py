@@ -380,10 +380,10 @@ class TestSharedLinkContention:
         deliveries = {}
         while events:
             event = events.pop()
-            if event.type is EventType.LINK_TRANSFER:
-                WanManager.on_link_event(event, event.time)
+            if event[3] is EventType.LINK_TRANSFER:
+                WanManager.on_link_event(event, event[0])
             else:
-                deliveries[event.payload.id] = (event.type, event.time)
+                deliveries[event[4].id] = (event[3], event[0])
         # 4 MB at 1 MB/s: the offload serialises 0→4 (+1 s latency); the
         # migration cannot start before 4, so it lands a full service later
         # — under PR 3's overlap model both would have arrived at t=5.

@@ -41,7 +41,7 @@ class TestAllMachinesDown:
         for machine in cluster:
             machine.fail(0.0)
         # Let the engine deliver the arrival; nothing can accept the task.
-        assert sim.step().type is EventType.TASK_ARRIVAL
+        assert sim.step()[3] is EventType.TASK_ARRIVAL
         sim.clock.advance_to(2.0)
         assert task.status is TaskStatus.IN_BATCH_QUEUE
         # Repair one machine; the next scheduling trigger maps the task.

@@ -18,7 +18,10 @@ exact goldens to pin field by field:
   an empty queue and the EET sum of its queue up to float residue
   otherwise, every machine and WAN link books non-negative energy, and no
   queueing link is busy for longer than the run;
-* building and running a preset leaves its ``Scenario`` unchanged.
+* building and running a preset leaves its ``Scenario`` unchanged;
+* stepped with an observer, every preset pops each event with the
+  priority of its type, in strictly increasing ``(time, priority, seq)``
+  order, and ends with the summary and event count of ``run()``.
 
 The smaller federated presets are pinned exactly in
 ``test_golden_metrics.py``, which implies the same floors there: task
@@ -37,6 +40,7 @@ import pytest
 
 from repro.core.config import Scenario
 from repro.core.errors import SimulationStateError
+from repro.core.events import EVENT_PRIORITY
 from repro.machines.eet_generation import generate_eet_cvb
 from repro.net.wan import _EPS_MB, TransferPhase
 from repro.scenarios import available_scenarios, build_scenario
@@ -246,6 +250,26 @@ def test_queueing_links_are_not_busy_past_the_run(ran, preset):
     for channel in simulator.wan._channels.values():
         if channel.link.contention != "none":
             assert channel.busy_time <= result.end_time, channel.label
+
+
+@pytest.mark.parametrize("preset", available_scenarios())
+def test_stepped_events_pop_in_key_order(ran, preset):
+    # The hot push sites build their event tuples in place: each must carry
+    # its type's priority, and the heap must pop them in key order.
+    simulator = build_scenario(preset).build_simulator()
+    keys = []
+
+    def observe(sim, event):
+        assert event[1] == EVENT_PRIORITY[event[3]], event
+        keys.append(event[:3])
+
+    simulator.observers.append(observe)
+    result = simulator.run()
+    assert len(keys) == result.events_processed > 0
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    reference = ran(preset)[1]
+    assert result.summary == reference.summary
+    assert result.events_processed == reference.events_processed
 
 
 def _without_drops(preset):

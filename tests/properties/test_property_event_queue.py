@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.event_queue import EventQueue
-from repro.core.events import Event, EventType
+from repro.core.events import EventType, make_event
 
 event_types = st.sampled_from(list(EventType))
 times = st.floats(
@@ -21,9 +21,9 @@ def drain(queue):
 def test_pop_order_is_total_order(items):
     queue = EventQueue()
     for t, kind in items:
-        queue.push(Event(t, kind))
+        queue.push(make_event(t, kind))
     popped = drain(queue)
-    keys = [e.sort_key() for e in popped]
+    keys = [e[:3] for e in popped]
     assert keys == sorted(keys)
 
 
@@ -31,7 +31,7 @@ def test_pop_order_is_total_order(items):
 def test_len_matches_pushes(items):
     queue = EventQueue()
     for t, kind in items:
-        queue.push(Event(t, kind))
+        queue.push(make_event(t, kind))
     assert len(queue) == len(items)
 
 
@@ -41,7 +41,7 @@ def test_len_matches_pushes(items):
 )
 def test_cancellation_removes_exactly_the_cancelled(items, data):
     queue = EventQueue()
-    handles = [queue.push(Event(t, kind)) for t, kind in items]
+    handles = [queue.push(make_event(t, kind)) for t, kind in items]
     to_cancel = data.draw(
         st.lists(
             st.integers(min_value=0, max_value=len(handles) - 1),
@@ -51,8 +51,8 @@ def test_cancellation_removes_exactly_the_cancelled(items, data):
     )
     for i in to_cancel:
         queue.cancel(handles[i])
-    survivors = {h.seq for i, h in enumerate(handles) if i not in set(to_cancel)}
-    popped = {e.seq for e in drain(queue)}
+    survivors = {h[2] for i, h in enumerate(handles) if i not in set(to_cancel)}
+    popped = {e[2] for e in drain(queue)}
     assert popped == survivors
 
 
@@ -62,12 +62,12 @@ def test_fifo_stability_at_equal_keys(ts):
     queue = EventQueue()
     fixed_time = 5.0
     events = [
-        Event(fixed_time, EventType.TASK_ARRIVAL, payload=i)
+        make_event(fixed_time, EventType.TASK_ARRIVAL, payload=i)
         for i in range(len(ts))
     ]
     for e in events:
         queue.push(e)
-    payloads = [e.payload for e in drain(queue)]
+    payloads = [e[4] for e in drain(queue)]
     assert payloads == list(range(len(ts)))
 
 
@@ -90,14 +90,14 @@ def test_queue_matches_a_sorted_list_model(data):
     for _ in range(data.draw(st.integers(0, 80))):
         op = data.draw(OPS)
         if op == "push":
-            event = Event(data.draw(times), data.draw(event_types))
+            event = make_event(data.draw(times), data.draw(event_types))
             assert queue.push(event) is event
             live.append(event)
-            live.sort(key=Event.sort_key)
+            live.sort(key=lambda e: e[:3])
         elif op == "cancel" and live:
             event = live.pop(data.draw(st.integers(0, len(live) - 1)))
             assert queue.cancel(event) is True
-            assert event.seq in queue._cancelled
+            assert event[2] in queue._cancelled
             dead.append(event)
         elif op == "cancel_again" and dead:
             assert queue.cancel(data.draw(st.sampled_from(dead))) is False
@@ -105,13 +105,13 @@ def test_queue_matches_a_sorted_list_model(data):
             head = live.pop(0)
             assert queue.pop() is head
             # The pop dropped every cancelled entry ahead of the head.
-            dead = [e for e in dead if e.sort_key() > head.sort_key()]
+            dead = [e for e in dead if e[:3] > head[:3]]
 
         assert len(queue) == len(live)
         assert bool(queue) is bool(live)
-        assert queue._cancelled == {e.seq for e in dead}
-        assert queue._cancelled <= {e.seq for e in queue._heap}
+        assert queue._cancelled == {e[2] for e in dead}
+        assert queue._cancelled <= {e[2] for e in queue._heap}
 
-    assert [e.seq for e in drain(queue)] == [e.seq for e in live]
+    assert [e[2] for e in drain(queue)] == [e[2] for e in live]
     assert len(queue) == 0 and not queue
     assert len(queue._heap) == len(queue._cancelled)
