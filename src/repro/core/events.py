@@ -118,10 +118,7 @@ def make_event(
     time: float,
     type: EventType,
     payload: Any = None,
-    seq: int | None = None,
     cluster: int | tuple[int, ...] | None = None,
 ) -> Event:
-    """Build an :data:`Event`, taking the next shared seq unless given one."""
-    if seq is None:
-        seq = next(_seq_counter)
-    return (time, EVENT_PRIORITY[type], seq, type, payload, cluster)
+    """Build an :data:`Event` with the next shared seq."""
+    return (time, EVENT_PRIORITY[type], next(_seq_counter), type, payload, cluster)

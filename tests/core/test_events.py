@@ -97,7 +97,8 @@ class TestEventCopySemantics:
     def test_deepcopy(self):
         import copy
 
-        event = make_event(1.0, EventType.TASK_ARRIVAL, payload=[1], seq=10**9, cluster=2)
+        rank = EVENT_PRIORITY[EventType.TASK_ARRIVAL]
+        event = (1.0, rank, 10**9, EventType.TASK_ARRIVAL, [1], 2)
         clone = copy.deepcopy(event)
         assert type(clone) is tuple and len(clone) == 6
         assert clone[2] == 10**9
