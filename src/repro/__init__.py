@@ -36,7 +36,6 @@ from .core import (
     IncompatibleWorkloadError,
     Scenario,
     SchedulingError,
-    SimulationClock,
     SimulationController,
     SimulationResult,
     SimulationStateError,
@@ -117,7 +116,6 @@ __all__ = [
     "SimulationResult",
     "SimulationController",
     "Scenario",
-    "SimulationClock",
     "EventQueue",
     "Event",
     "EventType",

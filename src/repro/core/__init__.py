@@ -1,6 +1,5 @@
 """Discrete-event simulation kernel and engine."""
 
-from .clock import SimulationClock
 from .config import Scenario
 from .controller import SimulationController
 from .errors import (
@@ -21,7 +20,6 @@ from .rng import derive_seed, make_rng, spawn
 from .simulator import SimulationResult, Simulator
 
 __all__ = [
-    "SimulationClock",
     "EventQueue",
     "Event",
     "EventType",

@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from .rng import derive_seed
 from .simulator import SimulationResult, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..federation.result import FederatedSimulationResult
     from ..federation.simulator import FederatedSimulator
     from ..federation.spec import FederationSpec
 
@@ -270,13 +270,28 @@ class Scenario:
     def build_simulator(
         self, *, replication: int = 0
     ) -> "Simulator | FederatedSimulator":
-        if self.federation is not None:
-            return self._build_federated_simulator(replication=replication)
-        scheduler = self.build_scheduler()
-        return Simulator(
-            cluster=self.build_cluster(),
+        """Assemble the engine: a federated one when the scenario has a
+        federation, else a single cluster."""
+        engine: Callable[..., Simulator | FederatedSimulator]
+        if self.federation is None:
+            scheduler = self.build_scheduler()
+            engine = partial(Simulator, self.build_cluster(), scheduler=scheduler)
+        else:
+            from ..federation.simulator import FederatedSimulator
+
+            engine = partial(
+                FederatedSimulator,
+                self.federation,
+                self.eet,
+                queue_capacity=self.queue_capacity,
+                power_profiles=self.power_profiles,
+                memory_capacities=self.memory_capacities,
+                network=self.network,
+                default_scheduler=self.scheduler,
+                default_scheduler_params=self.scheduler_params,
+            )
+        return engine(
             workload=self.build_workload(replication=replication),
-            scheduler=scheduler,
             seed=derive_seed(self.seed, "simulation", replication),
             drop_on_deadline=self.drop_on_deadline,
             execution_model=execution_model_from_spec(self.execution_model),
@@ -287,36 +302,7 @@ class Scenario:
             ),
         )
 
-    def _build_federated_simulator(
-        self, *, replication: int = 0
-    ) -> "FederatedSimulator":
-        """Assemble the multi-cluster kernel for a federation-bearing scenario."""
-        from ..federation.simulator import FederatedSimulator
-
-        assert self.federation is not None
-        return FederatedSimulator(
-            spec=self.federation,
-            eet=self.eet,
-            workload=self.build_workload(replication=replication),
-            seed=derive_seed(self.seed, "simulation", replication),
-            drop_on_deadline=self.drop_on_deadline,
-            execution_model=execution_model_from_spec(self.execution_model),
-            queue_capacity=self.queue_capacity,
-            enable_network=self.enable_network,
-            failure_model=self.failure_model,
-            scheduling_overhead=SchedulingOverhead.from_spec(
-                self.scheduling_overhead
-            ),
-            power_profiles=self.power_profiles,
-            memory_capacities=self.memory_capacities,
-            network=self.network,
-            default_scheduler=self.scheduler,
-            default_scheduler_params=self.scheduler_params,
-        )
-
-    def run(
-        self, *, replication: int = 0
-    ) -> "SimulationResult | FederatedSimulationResult":
+    def run(self, *, replication: int = 0) -> SimulationResult:
         """Build and run once; the one-liner most experiments need."""
         return self.build_simulator(replication=replication).run()
 
@@ -413,7 +399,11 @@ class Scenario:
 
             rows = record(data["workload"], "workload", ("tasks",), ("tasks",))
             workload = workload_from_rows(
-                array(rows["tasks"], "workload.tasks"), task_types=eet.task_types
+                [
+                    _task_row(row, f"workload.tasks[{i}]")
+                    for i, row in enumerate(array(rows["tasks"], "workload.tasks"))
+                ],
+                task_types=eet.task_types,
             )
         federation = None
         if data.get("federation") is not None:
@@ -573,9 +563,26 @@ class Scenario:
         )
 
 
-#: Keys of a ``generator`` recipe and of an ``eet.task_types`` entry.
+#: Keys of a ``generator`` recipe, an ``eet.task_types`` entry and a
+#: ``workload.tasks`` row.
 _RECIPE_KEYS = ("duration", "intensity", "specs", "n_tasks")
 _TASK_TYPE_KEYS = ("name", "relative_deadline", "data_in", "data_out", "memory")
+_TASK_ROW_KEYS = ("task_id", "task_type", "arrival_time", "deadline", "extras")
+
+
+def _task_row(value: Any, path: str) -> dict[str, Any]:
+    """One ``workload.tasks`` row of the :meth:`Scenario.to_dict` form, checked."""
+    row = record(value, path, _TASK_ROW_KEYS)
+    row["task_id"] = integer(row.get("task_id"), f"{path}.task_id")
+    row["task_type"] = text(row.get("task_type"), f"{path}.task_type")
+    row["arrival_time"] = real(row.get("arrival_time"), f"{path}.arrival_time", lo=0)
+    deadline = row.get("deadline")
+    # to_dict writes Infinity for a task without a deadline.
+    if deadline is not None and deadline != math.inf:
+        row["deadline"] = real(deadline, f"{path}.deadline")
+    if "extras" in row:
+        row["extras"] = record(row["extras"], f"{path}.extras")
+    return row
 
 
 def _check_scheduler(name: str, params: Mapping[str, Any], path: str) -> None:

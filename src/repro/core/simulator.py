@@ -4,14 +4,16 @@ Orchestrates the full pipeline: workload → batch queue → scheduler → machi
 queues → machines, with cancelled/dropped bookkeeping, energy metering, and
 the four reports at the end. The engine splits in two:
 
-* :class:`EventLoop` — the clock, the future-event list, the observers and
-  the Play/Increment buttons (``run``/``step``). The federated engine
+* :class:`EventLoop` — the run's shell: the current time ``now``, the
+  future-event list, the workload's arrival feed, the observers, the
+  Play/Increment buttons (``run``/``step``), the live counts, and the end
+  of the run (finalize, result, conservation check). The federated engine
   (:class:`repro.federation.simulator.FederatedSimulator`) runs on the same
   loop.
 * :class:`ClusterCore` — one cluster's batch queue, scheduling policy,
-  metrics collector and event handlers, on a clock and heap it is handed.
-  It has no loop: :class:`Simulator` pairs it with its own, and each
-  federated :class:`~repro.federation.shard.ClusterShard` with the
+  metrics collector and event handlers, on a loop it is handed. It has no
+  loop of its own: :class:`Simulator` is a core and its loop in one, and
+  each federated :class:`~repro.federation.shard.ClusterShard` runs on the
   federation's.
 
 The workload enters the heap one task at a time: at construction the
@@ -70,7 +72,6 @@ from ..scheduling.context import SchedulingContext
 from ..scheduling.overhead import SchedulingOverhead
 from ..tasks.task import DropStage, Task, TaskStatus
 from ..tasks.workload import Workload
-from .clock import SimulationClock
 from .errors import SchedulingError, SimulationStateError
 from .event_queue import EventQueue
 from . import events as _events
@@ -205,25 +206,42 @@ class ArrivalFeed:
 
 
 class EventLoop(Generic[R]):
-    """The discrete-event loop both engines run on.
+    """The discrete-event loop both engines run on, and the run's shell.
 
-    Owns the clock, the future-event list, the observers and the counters.
-    A subclass supplies ``_dispatch(event)`` (handle one popped event) and
-    ``_finish()`` (called once, when the heap drains: finalize and store
-    ``self._result``).
+    Owns ``now`` (the time of the event being handled), the future-event
+    list, the workload and its :class:`ArrivalFeed`, the observers and the
+    counters, and ends the run once the heap drains: :meth:`_finish`
+    finalizes every core, builds the result and checks that every task
+    reached a terminal state. An engine lists its cluster cores in
+    ``_cores``, calls :meth:`_start` once they exist, and supplies
+    ``_dispatch(event)`` (handle one popped event) and ``_build_result()``.
     """
 
-    def __init__(self, observers: Sequence[Observer] = ()) -> None:
-        self.clock = SimulationClock()
+    _cores: Sequence[ClusterCore]
+
+    def __init__(
+        self,
+        workload: Workload,
+        drop_on_deadline: bool,
+        observers: Sequence[Observer] = (),
+    ) -> None:
+        self.now = 0.0
         self.events = EventQueue()
+        self.workload = workload
+        self.drop_on_deadline = drop_on_deadline
         self.observers = list(observers)
         self._events_processed = 0
         self._finished = False
         self._result: R | None = None
 
-    @property
-    def now(self) -> float:
-        return self.clock._now  # single attribute hop; .now is a property
+    def _start(self) -> None:
+        """Push the first arrival, then start every core's failure process."""
+        self._arrivals = ArrivalFeed(
+            self.workload.tasks, self.events, self.drop_on_deadline
+        )
+        if len(self.workload) > 0:
+            for core in self._cores:
+                core.start_failure_process()
 
     @property
     def is_finished(self) -> bool:
@@ -232,6 +250,15 @@ class EventLoop(Generic[R]):
     @property
     def events_processed(self) -> int:
         return self._events_processed
+
+    @property
+    def recorded(self) -> int:
+        """Terminal tasks across all cores."""
+        return sum(core.collector.recorded for core in self._cores)
+
+    def all_tasks_terminal(self) -> bool:
+        """True once every workload task reached a terminal state."""
+        return self.recorded >= len(self.workload)
 
     def step(self) -> Event | None:
         """Process exactly one event (the GUI's Increment button).
@@ -244,7 +271,12 @@ class EventLoop(Generic[R]):
             self._finish()
             return None
         event = self.events.pop()
-        self.clock.advance_to(event[0])
+        if event[0] < self.now:
+            raise SimulationStateError(
+                f"time cannot move backwards: now={self.now}, "
+                f"next event at {event[0]}"
+            )
+        self.now = event[0]
         self._dispatch(event)
         self._events_processed += 1
         if self.observers:
@@ -262,12 +294,11 @@ class EventLoop(Generic[R]):
         else:
             # Hot path: the step() body inlined with the event-queue pop
             # unrolled — direct heap access saves a call layer per event,
-            # and the heap's ordering guarantee stands in for the clock's
-            # monotonicity check. Semantics identical to step().
+            # and the heap's ordering guarantee stands in for step()'s
+            # backwards-time check. Semantics identical to step().
             events = self.events
             heap = events._heap
             cancelled = events._cancelled
-            clock = self.clock
             dispatch = self._dispatch
             heappop = heapq.heappop
             processed = 0
@@ -276,7 +307,7 @@ class EventLoop(Generic[R]):
                 if cancelled and event[2] in cancelled:
                     cancelled.discard(event[2])
                     continue
-                clock._now = event[0]
+                self.now = event[0]
                 dispatch(event)
                 processed += 1
             self._events_processed += processed
@@ -293,12 +324,44 @@ class EventLoop(Generic[R]):
             )
         return self._result
 
+    def _finish(self) -> None:
+        """Finalize every core, build the result, check task conservation."""
+        self._finished = True
+        now = self.now
+        for core in self._cores:
+            core.finalize(now)
+        self._result = self._build_result()
+        expected = len(self.workload)
+        if self.recorded != expected:
+            raise SimulationStateError(
+                f"conservation violated: {self.recorded} terminal tasks "
+                f"out of {expected}"
+            )
+
+    # -- renderer-facing state ------------------------------------------------------------
+
+    def counts(self) -> dict[str, int]:
+        """Live outcome counters (the cancelled/missed boxes of the GUI).
+
+        O(1) per core: sums the collectors' incrementally-maintained
+        counters instead of scanning every recorded task per frame.
+        """
+        totals = {"completed": 0, "cancelled": 0, "missed": 0}
+        for core in self._cores:
+            for key, value in core.collector.counts().items():
+                totals[key] += value
+        return totals
+
+    def remaining_arrivals(self) -> int:
+        """Workload tasks that have not arrived yet (O(1))."""
+        return self._arrivals.remaining
+
     # -- supplied by the engine ----------------------------------------------------
 
     def _dispatch(self, event: Event) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _finish(self) -> None:  # pragma: no cover - abstract
+    def _build_result(self) -> R:  # pragma: no cover - abstract
         raise NotImplementedError
 
 
@@ -307,11 +370,12 @@ class ClusterCore:
 
     Holds the cluster, its batch queue, local policy, metrics collector and
     per-type statistics, and handles the per-cluster events (arrival,
-    completion, deadline, delivery, failure, repair). The clock, the event
-    heap and the RNG are handed in; every event it schedules is stamped
-    with ``shard_id`` (``None`` for a standalone run) so a federation loop
-    can route it back here. A subclass supplies ``_all_tasks_terminal()``,
-    which keeps the failure process alive while work remains.
+    completion, deadline, delivery, failure, repair). The loop and the RNG
+    are handed in: the core reads the loop's ``now``, pushes onto its
+    ``events``, takes its ``drop_on_deadline``, and keeps the failure
+    process alive while ``loop.all_tasks_terminal()`` is false. Every event
+    it schedules is stamped with ``shard_id`` (``None`` for a standalone
+    run) so a federation loop can route it back here.
     """
 
     def __init__(
@@ -319,11 +383,9 @@ class ClusterCore:
         cluster: Cluster,
         scheduler: Scheduler,
         *,
-        clock: SimulationClock,
-        events: EventQueue,
+        loop: EventLoop[Any],
         rng: np.random.Generator,
         shard_id: int | None = None,
-        drop_on_deadline: bool = True,
         execution_model: ExecutionTimeModel | None = None,
         enable_network: bool = False,
         failure_model: FailureModel | None = None,
@@ -331,11 +393,11 @@ class ClusterCore:
     ) -> None:
         self.cluster = cluster
         self.scheduler = scheduler
-        self.clock = clock
-        self.events = events
+        self._loop = loop
+        self.events = loop.events
         self.rng = rng
         self._shard_id = shard_id
-        self.drop_on_deadline = drop_on_deadline
+        self.drop_on_deadline = loop.drop_on_deadline
         self.execution_model = execution_model or DeterministicExecution()
         # Deterministic runtimes (the default) need no sampling call per start.
         self._deterministic_execution = (
@@ -420,14 +482,11 @@ class ClusterCore:
         else:  # pragma: no cover - defensive
             raise SimulationStateError(f"unhandled event type {etype}")
 
-    def _all_tasks_terminal(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _on_arrival(self, task: Task) -> None:
         if self._one_task_shortcut and self.batch_queue.is_empty:
             # Same decisions, records, and RNG consumption as the general
             # path below, without materialising the one-task batch pass.
-            now = self.clock._now
+            now = self._loop.now
             if self.drop_on_deadline and task.deadline <= now:
                 task.cancel(now)
                 self.collector.record_terminal(task)
@@ -465,7 +524,7 @@ class ClusterCore:
                 f"{machine.name} is running "
                 f"{machine.running.id if machine.running else None}"
             )
-        finished = machine.finish_running(self.clock._now)
+        finished = machine.finish_running(self._loop.now)
         self.collector.record_terminal(finished)
         self._try_start(machine)
         self._scheduling_pass()
@@ -473,7 +532,7 @@ class ClusterCore:
     def _on_deadline(self, task: Task) -> None:
         if task.status.is_terminal:
             return  # completed exactly at (or before) the deadline
-        now = self.clock._now
+        now = self._loop.now
         if task.status in (_CREATED, _IN_BATCH_QUEUE):
             self.batch_queue.remove(task)
             task.cancel(now)
@@ -520,7 +579,7 @@ class ClusterCore:
         assert self.failure_model is not None
         uptime = self.failure_model.sample_uptime(machine, self.rng)
         self.events.push(
-            make_event(self.clock._now + uptime, _FAILURE, machine, cluster=self._shard_id)
+            make_event(self._loop.now + uptime, _FAILURE, machine, cluster=self._shard_id)
         )
 
     def _on_failure(self, machine: Machine) -> None:
@@ -529,7 +588,7 @@ class ClusterCore:
             return
         if machine.completion_event is not None:
             self.events.cancel(machine.completion_event)
-        now = self.clock._now
+        now = self._loop.now
         for task in machine.fail(now):
             task.requeue(now)
             self.batch_queue.readmit(task)
@@ -542,10 +601,10 @@ class ClusterCore:
 
     def _on_repair(self, machine: Machine) -> None:
         assert self.failure_model is not None
-        machine.repair(self.clock._now)
+        machine.repair(self._loop.now)
         # Keep the failure process alive only while there is work left; this
         # bounds the event stream so simulations terminate.
-        if not self._all_tasks_terminal():
+        if not self._loop.all_tasks_terminal():
             self._schedule_failure(machine)
         self._scheduling_pass()
 
@@ -554,7 +613,7 @@ class ClusterCore:
     def _scheduling_pass(self) -> None:
         if self.batch_queue.is_empty:
             return  # nothing to sweep, nothing to map
-        now = self.clock._now
+        now = self._loop.now
         if self.drop_on_deadline:
             for task in self.batch_queue.sweep_expired(now):
                 self.collector.record_terminal(task)
@@ -579,7 +638,7 @@ class ClusterCore:
         *,
         decision_delay: float = 0.0,
     ) -> None:
-        now = self.clock._now
+        now = self._loop.now
         network = self.enable_network
         for assignment in assignments:
             task, machine = assignment.task, assignment.machine
@@ -622,12 +681,12 @@ class ClusterCore:
         if self._deterministic_execution:
             runtime = expected
         elif not machine.up or (
-            head.available_at is not None and head.available_at > self.clock._now
+            head.available_at is not None and head.available_at > self._loop.now
         ):
             return  # start_next would refuse the head: a draw now would be lost
         else:
             runtime = self.execution_model.sample(head, expected, self.rng)
-        started = machine.start_next(self.clock._now, runtime)
+        started = machine.start_next(self._loop.now, runtime)
         if started is not None:
             when, seq = machine.run_finishes_at, next(_events._seq_counter)
             machine.completion_event = self.events.push(
@@ -653,46 +712,24 @@ class Simulator(ClusterCore, EventLoop[SimulationResult]):
         observers: Sequence[Observer] = (),
     ) -> None:
         workload.validate_against_eet(cluster.eet)
-        EventLoop.__init__(self, observers)
+        EventLoop.__init__(self, workload, drop_on_deadline, observers)
         ClusterCore.__init__(
             self,
             cluster,
             scheduler,
-            clock=self.clock,
-            events=self.events,
+            loop=self,
             rng=make_rng(seed),
-            drop_on_deadline=drop_on_deadline,
             execution_model=execution_model,
             enable_network=enable_network,
             failure_model=failure_model,
             scheduling_overhead=scheduling_overhead,
         )
-        self.workload = workload
-        self._arrivals = ArrivalFeed(
-            workload.tasks, self.events, self.drop_on_deadline
-        )
-        if len(workload) > 0:
-            self.start_failure_process()
+        self._cores = (self,)
+        self._start()
 
     def _on_arrival(self, task: Task) -> None:
         self._arrivals.advance()
         ClusterCore._on_arrival(self, task)
-
-    def _all_tasks_terminal(self) -> bool:
-        return self.collector.recorded >= len(self.workload)
-
-    # -- termination -----------------------------------------------------------------------
-
-    def _finish(self) -> None:
-        self._finished = True
-        self.finalize(self.now)
-        self._result = self._build_result()
-        expected = len(self.workload)
-        if self.collector.recorded != expected:
-            raise SimulationStateError(
-                f"conservation violated: {self.collector.recorded} terminal "
-                f"tasks out of {expected}"
-            )
 
     def _build_result(self) -> SimulationResult:
         summary = self.collector.summary(self.cluster, end_time=self.now)
@@ -704,17 +741,3 @@ class Simulator(ClusterCore, EventLoop[SimulationResult]):
             events_processed=self._events_processed,
             records=RecordsSource([(None, self.collector, self.cluster)]),
         )
-
-    # -- renderer-facing state ------------------------------------------------------------
-
-    def counts(self) -> dict[str, int]:
-        """Live outcome counters (the cancelled/missed boxes of the GUI).
-
-        O(1): reads the collector's incrementally-maintained counters
-        instead of scanning every recorded task per rendered frame.
-        """
-        return self.collector.counts()
-
-    def remaining_arrivals(self) -> int:
-        """Workload tasks that have not arrived yet (O(1))."""
-        return self._arrivals.remaining

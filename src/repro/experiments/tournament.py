@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from ..core.errors import ConfigurationError
+from ..core.fields import array, integer, text
 from ..scheduling.federation import available_evictions, available_gateways
 from .campaign import CampaignSpec, ScenarioRef
 from .runner import CampaignResult, run_campaign
@@ -72,17 +73,20 @@ class TournamentSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "presets", tuple(self.presets))
-        object.__setattr__(self, "gateways", tuple(self.gateways))
-        object.__setattr__(self, "evictions", tuple(self.evictions))
+        for axis in ("presets", "gateways", "evictions"):
+            names = array(getattr(self, axis), axis)
+            object.__setattr__(
+                self,
+                axis,
+                tuple(text(name, f"{axis}[{i}]") for i, name in enumerate(names)),
+            )
+        text(self.scheduler, "scheduler")
+        object.__setattr__(
+            self, "repetitions", integer(self.repetitions, "repetitions", lo=1)
+        )
+        object.__setattr__(self, "seed", integer(self.seed, "seed"))
         if not self.presets:
             raise ConfigurationError("tournament needs at least one preset")
-        if self.repetitions < 1:
-            raise ConfigurationError(
-                f"repetitions must be >= 1, got {self.repetitions}"
-            )
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         for preset in self.presets:
             if LABEL_SEPARATOR in preset:
                 raise ConfigurationError(

@@ -194,7 +194,6 @@ class FederationTree:
             ancestors.append(tuple(chain))
         self.ancestors: list[tuple[int, ...]] = ancestors
         self._routes: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._route_links: dict[tuple[int, int], tuple[Link, ...]] = {}
 
     def is_leaf(self, node: int) -> bool:
         """True for shard-backed nodes (ids below ``n_leaves``)."""
@@ -234,13 +233,11 @@ class FederationTree:
         """J/MB payload cost summed over every uplink hop of the route."""
         if origin == destination:
             return 0.0
-        key = (origin, destination)
-        links = self._route_links.get(key)
-        if links is None:
-            route = self.route(origin, destination)
-            links = tuple(self.edge_link(a, b) for a, b in zip(route, route[1:]))
-            self._route_links[key] = links
-        return sum(link.transfer_energy(megabytes) for link in links)
+        route = self.route(origin, destination)
+        return sum(
+            self.edge_link(a, b).transfer_energy(megabytes)
+            for a, b in zip(route, route[1:])
+        )
 
 
 @dataclasses.dataclass

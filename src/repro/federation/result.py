@@ -1,9 +1,9 @@
 """Results of a federated simulation: per-cluster, global, and offload views.
 
-Shape-compatible with :class:`repro.core.simulator.SimulationResult` where it
-matters (``summary``, ``reports``, ``events_processed``, ``end_time``,
-``scheduler_name``, ``completion_rate``), so campaign runners, the CLI and
-the benchmark harness consume federated runs unchanged — plus the
+A :class:`repro.core.simulator.SimulationResult` (``summary``, ``energy``,
+``reports``, ``events_processed``, ``end_time``, ``scheduler_name``,
+``completion_rate``, the lazy record rows), so campaign runners, the CLI
+and the benchmark harness consume federated runs unchanged — plus the
 federation-only views: per-cluster summaries, the gateway routing matrix,
 and WAN/offload accounting.
 """
@@ -11,13 +11,10 @@ and WAN/offload accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Any, Mapping
+from typing import Mapping
 
+from ..core.simulator import SimulationResult
 from ..metrics.collector import SummaryMetrics
-from ..metrics.energy import EnergyBreakdown
-from ..metrics.records import RecordsSource
-from ..metrics.reports import ReportBundle
 from ..metrics.rollup import MigrationStats, OffloadEnergySplit, TreeRollup
 from ..net.wan import LinkUsage
 
@@ -25,8 +22,10 @@ __all__ = ["FederatedSimulationResult"]
 
 
 @dataclass(frozen=True)
-class FederatedSimulationResult:
+class FederatedSimulationResult(SimulationResult):
     """Everything a finished federated run produced.
+
+    ``summary``, ``energy`` and the record rows span every cluster.
 
     ``wan_links`` is the per-physical-link traffic + energy account
     (:class:`~repro.net.wan.LinkUsage`, keyed by link label such as
@@ -45,17 +44,11 @@ class FederatedSimulationResult:
     carry an execution + migration-WAN energy split.
     """
 
-    summary: SummaryMetrics
     per_cluster: dict[str, SummaryMetrics]
     routing: dict[str, dict[str, int]]
     offloaded: int
     wan_time_total: float
-    records: RecordsSource = field(repr=False, compare=False)
-    energy: EnergyBreakdown
-    end_time: float
-    scheduler_name: str
     gateway_name: str
-    events_processed: int
     wan_links: dict[str, LinkUsage] = field(default_factory=dict)
     energy_split: OffloadEnergySplit = field(
         default_factory=lambda: OffloadEnergySplit(0, 0, 0.0, 0.0, 0.0)
@@ -66,27 +59,6 @@ class FederatedSimulationResult:
     #: (:class:`~repro.metrics.rollup.TreeRollup`); ``None`` on flat
     #: federations, whose text/report output stays byte-identical.
     tree: TreeRollup | None = field(default=None, compare=False)
-
-    @cached_property
-    def task_records(self) -> list[dict[str, Any]]:
-        """Per-task report rows across all clusters (lazy, cached)."""
-        return self.records.task_rows()
-
-    @cached_property
-    def machine_records(self) -> list[dict[str, Any]]:
-        """Per-machine report rows across all clusters (lazy, cached)."""
-        return self.records.machine_rows()
-
-    @property
-    def reports(self) -> ReportBundle:
-        """The four E2C reports over the whole federation."""
-        return ReportBundle(
-            self.task_records, self.machine_records, self.summary.as_dict()
-        )
-
-    @property
-    def completion_rate(self) -> float:
-        return self.summary.completion_rate
 
     @property
     def offload_rate(self) -> float:

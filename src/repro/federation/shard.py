@@ -4,23 +4,22 @@ A :class:`ClusterShard` is the single-cluster engine's
 :class:`~repro.core.simulator.ClusterCore` — the same cluster, batch queue,
 local scheduling policy, metrics collector, per-type statistics and event
 handlers a standalone :class:`~repro.core.simulator.Simulator` runs — on the
-federation's event heap and clock. Every event it schedules is stamped with
-its shard index (the event tuple's ``cluster`` field, ``event[5]``) so
-the federation loop can route the event straight back to this shard's
-handlers.
+federation's event loop. It reads the loop's ``now``, pushes onto its heap,
+and keeps its failure process alive while any task of the federation is
+still live, so an idle shard stays repairable for a later offload. Every
+event it schedules is stamped with its shard index (the event tuple's
+``cluster`` field, ``event[5]``) so the federation loop can route the
+event straight back to this shard's handlers.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from ..core.simulator import ClusterCore
 from ..machines.cluster import Cluster
 from ..machines.machine import Machine
 from ..scheduling.base import Scheduler
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .simulator import FederatedSimulator
 
 __all__ = ["ClusterShard"]
 
@@ -40,16 +39,14 @@ class ClusterShard(ClusterCore):
         cluster: Cluster,
         scheduler: Scheduler,
         *,
-        federation: "FederatedSimulator",
         weight: float = 1.0,
         **core: Any,
     ) -> None:
-        """``core`` are the :class:`ClusterCore` keywords (clock, events, rng, …)."""
+        """``core`` are the :class:`ClusterCore` keywords (loop, rng, …)."""
         super().__init__(cluster, scheduler, shard_id=index, **core)
         self.index = index
         self.name = name
         self.weight = weight
-        self._federation = federation
         self._n_machines = len(cluster.machines)
         #: Tasks the gateway routed to this shard (local or via WAN).
         self.routed = 0
@@ -96,9 +93,3 @@ class ClusterShard(ClusterCore):
         alive = self._tree_alive
         for node in self._tree_nodes:
             alive[node] += 1
-
-    def _all_tasks_terminal(self) -> bool:
-        # Repairs keep the failure process alive only while the *federation*
-        # still has work anywhere: an idle shard must stay repairable because
-        # the gateway may offload to it later.
-        return self._federation.all_tasks_terminal()

@@ -1,9 +1,11 @@
-"""The federated simulation kernel: N cluster shards, one heap, one clock.
+"""The federated simulation kernel: N cluster shards on one event loop.
 
 ``FederatedSimulator`` hosts multiple :class:`~repro.federation.shard.ClusterShard`
-cluster cores under a single future-event list and simulation clock: the
-:class:`~repro.core.simulator.EventLoop` the single-cluster engine runs on,
-with this module's gateway and WAN routing as its dispatch. Arriving tasks
+cluster cores on the :class:`~repro.core.simulator.EventLoop` the
+single-cluster engine runs on: one future-event list, one ``now``, one
+arrival feed, and the loop's termination, live counts and conservation
+check over all shards. This module adds the gateway and WAN routing as the
+loop's dispatch, and a WAN conservation check at the end. Arriving tasks
 hit the **gateway layer** first: a registered gateway policy
 (:mod:`repro.scheduling.federation`) picks the destination cluster; offloaded
 tasks pay the WAN transfer delay of the federation's
@@ -55,7 +57,7 @@ from ..core.errors import (
 )
 from ..core.events import Event, EventType
 from ..core.rng import derive_seed, make_rng
-from ..core.simulator import ArrivalFeed, EventLoop, Observer
+from ..core.simulator import EventLoop, Observer
 from ..machines.cluster import Cluster
 from ..machines.eet import EETMatrix
 from ..machines.execution import ExecutionTimeModel
@@ -137,10 +139,8 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
         observers: Sequence[Observer] = (),
     ) -> None:
         workload.validate_against_eet(eet)
-        super().__init__(observers)
+        super().__init__(workload, drop_on_deadline, observers)
         self.spec = spec
-        self.workload = workload
-        self.drop_on_deadline = drop_on_deadline
         self.topology = spec.topology
 
         # Independent substreams: origin assignment, gateway draws, one per
@@ -201,18 +201,16 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
                     name=cspec.name,
                     cluster=cluster,
                     scheduler=scheduler,
-                    federation=self,
-                    clock=self.clock,
-                    events=self.events,
+                    loop=self,
                     rng=shard_rngs[i],
                     weight=cspec.weight,
-                    drop_on_deadline=drop_on_deadline,
                     execution_model=execution_model,
                     enable_network=enable_network,
                     failure_model=failure_model,
                     scheduling_overhead=scheduling_overhead,
                 )
             )
+        self._cores = self.shards
 
         local_names = {shard.scheduler.name for shard in self.shards}
         self.scheduler_name = (
@@ -287,7 +285,7 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
         # hook there pays the learning gateway for precisely the tasks it
         # routed and, on a tree, takes the task off its subtree counters.
         def _feed_back(task: Task) -> None:
-            self.gateway.record_outcome(task, self.clock._now)
+            self.gateway.record_outcome(task, self.now)
 
         feed_back = _feed_back if self.gateway.wants_feedback else None
         for shard in self.shards:
@@ -300,11 +298,6 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
             elif feed_back is not None:
                 shard.collector.on_terminal = feed_back
 
-        # Gateway arrivals and global deadlines (cluster None) come from the
-        # feed, one arrival ahead of the clock.
-        self._arrivals = ArrivalFeed(
-            workload.tasks, self.events, drop_on_deadline
-        )
         # Origin assignment: one vectorised draw, a pure function of the
         # federation seed — identical across gateway/local-policy sweeps.
         if len(workload) > 0:
@@ -312,17 +305,13 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
             origins = origins_rng.choice(n, size=len(workload), p=weights / weights.sum())
             for task, origin in zip(workload, origins.tolist()):
                 task.origin_cluster = origin
-            for shard in self.shards:
-                shard.start_failure_process()
-            if self._rebalancer is not None:
-                self._rebalancer.schedule_first_tick()
+        # Gateway arrivals and global deadlines (cluster None) come from the
+        # feed, one arrival ahead of the loop's time.
+        self._start()
+        if len(workload) > 0 and self._rebalancer is not None:
+            self._rebalancer.schedule_first_tick()
 
     # -- federation-facing surface ------------------------------------------------
-
-    @property
-    def recorded(self) -> int:
-        """Terminal tasks across all shards."""
-        return sum(shard.collector.recorded for shard in self.shards)
 
     @property
     def wan(self) -> WanManager:
@@ -353,10 +342,6 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
         """Keep the cancellation handle for a task crossing the WAN."""
         self._transfers[transfer.task.id] = transfer
 
-    def all_tasks_terminal(self) -> bool:
-        """True once every workload task reached a terminal state."""
-        return self.recorded >= len(self.workload)
-
     # -- event routing ---------------------------------------------------------------
 
     def _dispatch(self, event: Event) -> None:
@@ -375,14 +360,14 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
             elif etype is _LINK_TRANSFER:
                 # A WAN serialisation milestone: the owning link channel
                 # frees the pipe, delivers, and starts whatever is queued.
-                WanManager.on_link_event(event, self.clock._now)
+                WanManager.on_link_event(event, self.now)
             elif etype is _MIGRATION:
                 # The rebalance clock: run one mid-queue migration pass.
                 if self._rebalancer is not None:
-                    self._rebalancer.on_tick(self.clock._now)
+                    self._rebalancer.on_tick(self.now)
             elif etype is _CROSS_TRAFFIC:
                 # A WAN link entered its next background-utilisation epoch.
-                WanManager.on_cross_traffic(event, self.clock._now)
+                WanManager.on_cross_traffic(event, self.now)
             else:  # pragma: no cover - defensive
                 raise SimulationStateError(
                     f"federation-level event of type {etype} has no owner"
@@ -393,7 +378,7 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
             task = event[4]
             transfer = self._transfers.pop(task.id, None)
             if transfer is not None:
-                self._wan.on_delivered(transfer, self.clock._now)
+                self._wan.on_delivered(transfer, self.now)
             path = event[5]
             if type(path) is tuple:
                 self._forward(task, path)
@@ -408,7 +393,7 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
                     f"migration delivery for task {task.id} without a "
                     "tracked WAN transfer"
                 )
-            self._wan.on_delivered(transfer, self.clock._now)
+            self._wan.on_delivered(transfer, self.now)
             assert self._rebalancer is not None
             self._rebalancer.record_delivered(task, transfer)
             self.shards[cluster_id]._on_arrival(task)
@@ -423,7 +408,7 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
         destination leaf id as a plain ``int``. Zero-delay hops return no
         transfer handle and are crossed immediately within this call.
         """
-        now = self.clock._now
+        now = self.now
         last = len(route) - 1
         for i in range(1, last + 1):
             dst = route[i]
@@ -452,7 +437,7 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
                 f"task {task.id} reached the gateway without an origin cluster"
             )
         ctx = self._ctx
-        ctx.now = self.clock._now
+        ctx.now = self.now
         ctx.task = task
         ctx.origin = origin
         destination = self.gateway.choose_cluster(ctx)
@@ -531,17 +516,7 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
     # -- termination -------------------------------------------------------------------
 
     def _finish(self) -> None:
-        self._finished = True
-        now = self.clock._now
-        for shard in self.shards:
-            shard.finalize(now)
-        self._result = self._build_result()
-        expected = len(self.workload)
-        if self.recorded != expected:
-            raise SimulationStateError(
-                f"conservation violated: {self.recorded} terminal tasks "
-                f"out of {expected} across {len(self.shards)} clusters"
-            )
+        super()._finish()
         for i, shard in enumerate(self.shards):
             attempted = self._wan_attempted(i)
             delivered = self._wan_delivered[i]
@@ -646,17 +621,3 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
         return TreeRollup.from_leaves(
             paths, [self._leaf_stats(i) for i in range(len(self.shards))]
         )
-
-    # -- renderer-facing state -----------------------------------------------------------
-
-    def counts(self) -> dict[str, int]:
-        """Live outcome counters summed across shards."""
-        totals = {"completed": 0, "cancelled": 0, "missed": 0}
-        for shard in self.shards:
-            for key, value in shard.collector.counts().items():
-                totals[key] += value
-        return totals
-
-    def remaining_arrivals(self) -> int:
-        """Workload tasks that have not reached the gateway yet (O(1))."""
-        return self._arrivals.remaining

@@ -183,6 +183,15 @@ def mutated_preset(preset, field, value):
     return data
 
 
+def _explicit_workload_document():
+    """``classroom_homogeneous`` with its generated workload as explicit rows."""
+    from repro.scenarios import build_scenario
+
+    preset = build_scenario("classroom_homogeneous")
+    built = replace(preset, generator=None, workload=preset.build_workload())
+    return json.loads(json.dumps(built.to_dict()))
+
+
 class TestFromDictRejects:
     """A malformed field fails typed at load time, naming its path."""
 
@@ -228,6 +237,35 @@ class TestFromDictRejects:
         with pytest.raises(ConfigurationError, match=named):
             Scenario.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (
+                lambda row: {k: v for k, v in row.items() if k != "arrival_time"},
+                r"workload\.tasks\[1\]\.arrival_time",
+            ),
+            (lambda row: list(row.values()), r"workload\.tasks\[1\] must be a JSON object"),
+            (lambda row: {**row, "arrival_time": "soon"}, r"workload\.tasks\[1\]\.arrival_time"),
+            (lambda row: {**row, "task_id": "a"}, r"workload\.tasks\[1\]\.task_id"),
+            (lambda row: {**row, "bogus": 1}, r"workload\.tasks\[1\] has unknown keys \['bogus'\]"),
+        ],
+        ids=["no_arrival_time", "list_row", "text_arrival_time", "text_task_id", "unknown_key"],
+    )
+    def test_malformed_task_row(self, edit, named):
+        data = _explicit_workload_document()
+        rows = data["workload"]["tasks"]
+        rows[1] = edit(rows[1])
+        with pytest.raises(ConfigurationError, match=named):
+            Scenario.from_dict(data)
+
+    def test_task_without_deadline_loads(self):
+        # to_dict writes a task without a deadline as Infinity.
+        data = _explicit_workload_document()
+        data["workload"]["tasks"][-1]["deadline"] = float("inf")
+        scenario = Scenario.from_dict(json.loads(json.dumps(data)))
+        assert scenario.workload[-1].deadline == float("inf")
+        assert scenario.run().summary.total_tasks == len(scenario.workload)
+
     def test_failure_storm_over_an_n_tasks_window(self):
         # The window of a count recipe is n_tasks / Σ calibrated rate.
         data = mutated_preset(
@@ -241,16 +279,12 @@ class TestFromDictRejects:
 
     def test_failure_storm_over_an_explicit_workload(self):
         # The window of an explicit workload is first arrival to last deadline.
-        from repro.scenarios import build_scenario
-
-        preset = build_scenario("classroom_homogeneous")
-        built = replace(preset, generator=None, workload=preset.build_workload())
-        data = json.loads(json.dumps(built.to_dict()))
+        data = _explicit_workload_document()
         data["failure_model"] = {"mtbf": 1e-6, "mttr": 1e-6}
         with pytest.raises(ConfigurationError, match="fail and repair events"):
             Scenario.from_dict(data)
         data["failure_model"] = {"mtbf": 100.0, "mttr": 10.0}
-        assert len(Scenario.from_dict(data).workload) == len(built.workload)
+        assert len(Scenario.from_dict(data).workload) == len(data["workload"]["tasks"])
 
     def test_failure_storm_over_a_trace(self):
         # A trace's rows are read when its workload is built, so the load

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import SimulationStateError
-from repro.core.events import EventType
+from repro.core.events import EventType, make_event
 from repro.core.simulator import Simulator
 from repro.machines.cluster import Cluster
 from repro.machines.machine import UNBOUNDED
@@ -41,6 +41,17 @@ class TestStepping:
         sim = build_sim(eet_3x2, make_workload, [(0, 2.5, 100.0)])
         sim.step()
         assert sim.now == 2.5
+
+    def test_time_starts_at_zero_and_never_moves_back(self, eet_3x2, make_workload):
+        sim = build_sim(eet_3x2, make_workload, [(0, 1.0, 100.0), (1, 1.0, 100.0)])
+        assert sim.now == 0.0
+        sim.step()
+        sim.step()  # a second event at the same time is fine
+        assert sim.now == 1.0
+        sim.events.push(make_event(0.5, EventType.TASK_ARRIVAL))
+        with pytest.raises(SimulationStateError, match="time cannot move backwards"):
+            sim.step()
+        assert sim.now == 1.0
 
     def test_empty_workload_finishes_immediately(self, eet_3x2, task_types):
         from repro.tasks.workload import Workload

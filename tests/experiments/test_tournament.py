@@ -94,6 +94,26 @@ class TestSpecAndExpansion:
         with pytest.raises(ConfigurationError):
             TournamentSpec(presets=("bad|name",))
 
+    @pytest.mark.parametrize(
+        "kwargs,named",
+        [
+            ({"repetitions": "3"}, "repetitions"),
+            ({"presets": [1]}, r"presets\[0\]"),
+            ({"seed": None}, "seed"),
+            ({"presets": "fed_rebalance"}, "presets must be a JSON array"),
+            ({"scheduler": 5}, "scheduler"),
+            ({"gateways": ("LEAST_LOADED", None)}, r"gateways\[1\]"),
+        ],
+    )
+    def test_malformed_field_fails_typed(self, kwargs, named):
+        with pytest.raises(ConfigurationError, match=named):
+            TournamentSpec(**kwargs)
+
+    def test_integral_repetitions_normalised(self):
+        spec = TournamentSpec(presets=["fed_rebalance"], repetitions=2.0)
+        assert spec.presets == ("fed_rebalance",)
+        assert type(spec.repetitions) is int and spec.repetitions == 2
+
 
 class TestLeaderboardDeterminism:
     @pytest.fixture(scope="class")

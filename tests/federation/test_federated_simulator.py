@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import Scenario
 from repro.core.errors import SchedulingError, SimulationStateError
+from repro.core.events import EventType, make_event
 from repro.federation import ClusterSpec, FederationSpec
 from repro.machines.eet import EETMatrix
 from repro.machines.failures import FailureModel
@@ -311,3 +312,16 @@ class TestStep:
         assert simulator.is_finished
         assert steps == simulator.events_processed
         assert simulator.result().summary.completed == 1
+
+    def test_time_starts_at_zero_and_never_moves_back(self):
+        simulator = offload_scenario(
+            tasks=[(1.0, 100.0), (1.0, 100.0)]
+        ).build_simulator()
+        assert simulator.now == 0.0
+        simulator.step()
+        simulator.step()  # a second event at the same time is fine
+        assert simulator.now == 1.0
+        simulator.events.push(make_event(0.5, EventType.TASK_ARRIVAL))
+        with pytest.raises(SimulationStateError, match="time cannot move backwards"):
+            simulator.step()
+        assert simulator.now == 1.0

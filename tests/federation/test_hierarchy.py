@@ -379,7 +379,7 @@ class TestHierarchicalExecution:
         orig_arrival = cloud_shard._on_arrival
 
         def spy_arrival(task):
-            delivered.append((sim.clock._now, task.id))
+            delivered.append((sim.now, task.id))
             orig_arrival(task)
 
         cloud_shard._on_arrival = spy_arrival

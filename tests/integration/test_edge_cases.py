@@ -42,7 +42,7 @@ class TestAllMachinesDown:
             machine.fail(0.0)
         # Let the engine deliver the arrival; nothing can accept the task.
         assert sim.step()[3] is EventType.TASK_ARRIVAL
-        sim.clock.advance_to(2.0)
+        sim.now = 2.0
         assert task.status is TaskStatus.IN_BATCH_QUEUE
         # Repair one machine; the next scheduling trigger maps the task.
         cluster[0].repair(2.0)
