@@ -27,6 +27,8 @@ from ..machines.machine import UNBOUNDED
 from ..machines.power import PowerProfile
 from ..scheduling.base import Scheduler
 from ..scheduling.overhead import SchedulingOverhead
+from ..scheduling.federation.eviction import create_eviction
+from ..scheduling.federation.registry import create_gateway
 from ..scheduling.registry import create_scheduler
 from ..tasks.generator import (
     TaskTypeSpec,
@@ -37,7 +39,7 @@ from ..tasks.task import Task
 from ..tasks.task_type import TaskType
 from ..tasks.trace_io import TraceSpec, read_workload_csv
 from ..tasks.workload import Workload
-from .errors import ConfigurationError, UnknownSchedulerError
+from .errors import ConfigurationError, SchedulingError
 from .fields import array, flag, integer, pair, real, record, text
 from .jsonio import load_json_source
 from .rng import derive_seed
@@ -210,17 +212,33 @@ class Scenario:
     def check_recipe(self) -> None:
         """Refuse bad policies and generator recipes now, not when a run needs them.
 
-        An unknown scheduler, or parameters its constructor refuses, at the
-        top level or on a federation cluster, fails here. So do a bad recipe
-        field, a window too long to hold, or a failure storm over the
-        window (see :meth:`_check_failure_window`). A trace's window is
-        checked once its rows are read, by :meth:`build_workload`.
+        An unknown scheduler, gateway or eviction policy, or parameters its
+        constructor refuses, fails here, naming its field; so does a gateway
+        that cannot route a tree federation. So do a bad recipe field, a
+        window too long to hold, or a failure storm over the window (see
+        :meth:`_check_failure_window`). A trace's window is checked once its
+        rows are read, by :meth:`build_workload`.
         """
-        _check_scheduler(self.scheduler, self.scheduler_params, "scheduler")
-        if self.federation is not None:
-            for cluster in self.federation.clusters:
+        _check_policy(create_scheduler, self.scheduler, self.scheduler_params, "scheduler")
+        spec = self.federation
+        if spec is not None:
+            gateway = _check_policy(
+                create_gateway, spec.gateway, spec.gateway_params,
+                "federation.gateway", "federation.gateway_params",
+            )
+            try:
+                spec.check_gateway(gateway)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"federation.gateway: {exc}") from exc
+            if spec.migration is not None:
+                _check_policy(
+                    create_eviction, spec.migration.policy, spec.migration.policy_params,
+                    "federation.migration.policy", "federation.migration.policy_params",
+                )
+            for cluster in spec.clusters:
                 if cluster.scheduler is not None:
-                    _check_scheduler(
+                    _check_policy(
+                        create_scheduler,
                         cluster.scheduler,
                         cluster.scheduler_params,
                         f"cluster {cluster.name!r}.scheduler",
@@ -585,12 +603,24 @@ def _task_row(value: Any, path: str) -> dict[str, Any]:
     return row
 
 
-def _check_scheduler(name: str, params: Mapping[str, Any], path: str) -> None:
-    """Build policy *name* once, so a bad name or parameter fails naming *path*."""
+def _check_policy(
+    create: Callable[..., Any],
+    name: str,
+    params: Mapping[str, Any],
+    path: str,
+    params_path: str | None = None,
+) -> Any:
+    """Build policy *name* once with *create* and return it.
+
+    An unknown name fails naming *path*; parameters the policy refuses fail
+    naming *params_path* (default: *path*).
+    """
     try:
-        create_scheduler(name, **params)
-    except (UnknownSchedulerError, ConfigurationError) as exc:
+        return create(name, **params)
+    except SchedulingError as exc:
         raise ConfigurationError(f"{path}: {exc.args[0]}") from exc
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{params_path or path}: {exc.args[0]}") from exc
 
 
 def _eet_from_dict(spec: Any) -> EETMatrix:

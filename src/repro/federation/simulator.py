@@ -50,11 +50,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..core.errors import (
-    ConfigurationError,
-    SchedulingError,
-    SimulationStateError,
-)
+from ..core.errors import SchedulingError, SimulationStateError
 from ..core.events import Event, EventType
 from ..core.rng import derive_seed, make_rng
 from ..core.simulator import EventLoop, Observer
@@ -159,13 +155,7 @@ class FederatedSimulator(EventLoop[FederatedSimulationResult]):
         tree = FederationTree(spec) if spec.children is not None else None
         self._tree = tree
         self.gateway = create_gateway(spec.gateway, **spec.gateway_params)
-        if tree is not None and not self.gateway.supports_hierarchy:
-            raise ConfigurationError(
-                f"gateway {self.gateway.name!r} does not support hierarchical "
-                "federations: it compares clusters over direct links the "
-                "tree does not have. Use a tree-capable policy "
-                "(e.g. TREE_PRESSURE) or flatten the federation."
-            )
+        spec.check_gateway(self.gateway)
         self.gateway.reset()
 
         self.shards: list[ClusterShard] = []

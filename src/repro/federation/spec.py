@@ -11,11 +11,14 @@ a federated experiment stays a reproducible artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ..core.errors import ConfigurationError
 from ..core.fields import array, integer, real, record, text
 from ..net.topology import InterClusterTopology, Link
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..scheduling.federation.base import GatewayPolicy
 
 __all__ = ["ClusterSpec", "MigrationSpec", "RegionSpec", "FederationSpec"]
 
@@ -436,6 +439,20 @@ class FederationSpec:
     @property
     def names(self) -> list[str]:
         return [c.name for c in self.clusters]
+
+    def check_gateway(self, gateway: "GatewayPolicy") -> None:
+        """Refuse a gateway that cannot route this federation's shape.
+
+        A tree needs a tree-capable gateway (``supports_hierarchy``): a flat
+        one compares clusters over direct links the tree does not have.
+        """
+        if self.children is not None and not gateway.supports_hierarchy:
+            raise ConfigurationError(
+                f"gateway {gateway.name!r} does not support hierarchical "
+                "federations: it compares clusters over direct links the "
+                "tree does not have. Use a tree-capable policy "
+                "(e.g. TREE_PRESSURE) or flatten the federation."
+            )
 
     def total_machine_counts(self) -> dict[str, int]:
         """Machines per machine type summed across all clusters.

@@ -188,7 +188,7 @@ class Cluster:
         )
         table = watts * self._eet_by_machine
         if not np.isfinite(table).all():
-            # The one-task pass and the matrix pass agree only on finite cells.
+            # argmin_open_energy and the matrix pass agree only on finite cells.
             raise ConfigurationError("dynamic energy (busy watts x EET) must be finite")
         table.setflags(write=False)
         self._energy_by_machine = table
@@ -337,7 +337,7 @@ class Cluster:
         """First machine with a free queue slot minimising completion time.
 
         ``None`` when no machine has a free slot (or every open one
-        completes at +inf). This is the one-task batch pass: the first
+        completes at +inf). This is what a one-task batch pass picks: the first
         minimum of ``ready_times(now) + eet_vector(task)`` with saturated
         columns masked to +inf, which is what ``argmin_2d`` picks from a
         1×M completion matrix. Fully-up clusters up to

@@ -2,8 +2,8 @@
 
 The paper's Fig. 1 is one scheduler over one machine pool; its future work
 names "various communication paradigms" and larger heterogeneous
-deployments. These presets exercise the federation layer
-(:mod:`repro.federation`) on the three canonical multi-site shapes of the
+deployments. These six presets exercise the federation layer
+(:mod:`repro.federation`) on the multi-site shapes of the
 heterogeneous-computing literature:
 
 * :func:`edge_cloud` — the 2-site offloading classic: a small, battery-class
@@ -14,6 +14,16 @@ heterogeneous-computing literature:
 * :func:`fed_heavytail` — two sites under heavy-tailed (Pareto-II)
   flash-crowd arrivals: bursts overwhelm the origin site and the gateway's
   spill decisions dominate the outcome.
+* :func:`fed_rebalance` and :func:`fed_adaptive` — the edge–cloud model as
+  an oversubscribed *access* site relieved over one narrow FIFO uplink: by
+  mid-queue migration behind a sticky gateway, and by a learning gateway
+  with hysteresis relief.
+* :func:`fed_congested` — two edge sites offloading into one cloud over
+  contended, energy-metered uplinks (FIFO and processor sharing).
+
+Four of them and :func:`~repro.scenarios.traces.diurnal_wan` share one
+edge–cloud model (:func:`_edge_cloud`: task types, EETs, arrival specs and
+power profiles). Every preset's ``machine_counts`` is its federation's total.
 
 All factories accept ``scheduler`` (the local, per-cluster policy),
 ``gateway`` (the inter-cluster offloading policy), ``intensity``,
@@ -29,10 +39,13 @@ from ..core.config import Scenario
 from ..federation.spec import ClusterSpec, FederationSpec, MigrationSpec
 from ..machines.eet import EETMatrix
 from ..machines.eet_generation import generate_eet_cvb
+from ..machines.machine import UNBOUNDED
 from ..machines.power import PowerProfile
-from ..net.topology import InterClusterTopology, Link
+from ..net.topology import CrossTraffic, InterClusterTopology, Link
+from ..scheduling.federation.registry import gateway_class
 from ..tasks.task_type import TaskType
 from .registry import register_scenario
+from .scale import _pareto_specs
 
 __all__ = [
     "edge_cloud",
@@ -42,6 +55,196 @@ __all__ = [
     "fed_rebalance",
     "fed_adaptive",
 ]
+
+
+def _edge_cloud(
+    name: str,
+    machine_types: tuple[str, str, str],
+    federation: FederationSpec,
+    *,
+    scheduler: str,
+    intensity: str | float,
+    duration: float,
+    seed: int,
+    queue_capacity: float = UNBOUNDED,
+) -> Scenario:
+    """The edge–cloud model on *federation*, a scenario named *name*.
+
+    Three task types run on the machine types *machine_types* names: a
+    slow, frugal CPU, then a fast CPU and a GPU.
+    """
+    small_cpu, big_cpu, big_gpu = machine_types
+    task_types = [
+        TaskType("video_analytics", 0, data_in=8.0),
+        TaskType("sensor_fusion", 1, data_in=0.5),
+        TaskType("model_update", 2, data_in=20.0),
+    ]
+    eet = EETMatrix(
+        np.array(
+            [
+                # small_cpu  big_cpu  big_gpu
+                [25.0, 8.0, 2.5],    # video analytics
+                [6.0, 3.0, 2.0],     # sensor fusion
+                [40.0, 12.0, 4.0],   # model update
+            ]
+        ),
+        task_types,
+        list(machine_types),
+    )
+    return Scenario(
+        eet=eet,
+        machine_counts=federation.total_machine_counts(),
+        scheduler=scheduler,
+        queue_capacity=queue_capacity,
+        generator={
+            "duration": duration,
+            "intensity": intensity,
+            "specs": [
+                {"name": "video_analytics", "share": 1.0, "slack_factor": 4.0},
+                {"name": "sensor_fusion", "share": 2.0, "slack_factor": 5.0},
+                {"name": "model_update", "share": 0.5, "slack_factor": 6.0},
+            ],
+        },
+        power_profiles={
+            small_cpu: PowerProfile(idle_watts=3.0, busy_watts=9.0),
+            big_cpu: PowerProfile(idle_watts=40.0, busy_watts=120.0),
+            big_gpu: PowerProfile(idle_watts=35.0, busy_watts=260.0),
+        },
+        federation=federation,
+        seed=seed,
+        name=name,
+    )
+
+
+def _access_relief(
+    name: str,
+    *,
+    scheduler: str,
+    gateway: str,
+    gateway_params: dict | None,
+    gateway_defaults: dict[str, dict],
+    migration: str | dict | MigrationSpec | None,
+    cadence: dict,
+    intensity: str | float,
+    duration: float,
+    seed: int,
+    uplink_bandwidth: float,
+    energy_per_mb: float,
+) -> Scenario:
+    """The edge–cloud model as a slow *access* site relieved by a fast one.
+
+    Every task arrives at the access site's four CPUs; the *relief* site's
+    CPUs and GPUs sit behind one narrow, energy-metered FIFO uplink, and
+    machine queues hold one task. A policy name in *migration* becomes a
+    :class:`MigrationSpec` with the preset's *cadence* fields; a dict is
+    read as one. *gateway_defaults* maps a canonical gateway name to the
+    parameters the preset sets for that gateway unless *gateway_params*
+    does; an alias finds its gateway's entry.
+    """
+    if isinstance(migration, str):
+        # An aggressive cadence on purpose: the access site oversubscribes
+        # its four CPUs ~1.3x, so relief must move ~2-3 tasks/s to keep up.
+        migration = MigrationSpec(
+            policy=migration, pressure_gap=0.5, batch_max=8, **cadence
+        )
+    elif migration is not None and not isinstance(migration, MigrationSpec):
+        migration = MigrationSpec.from_dict(migration)
+    topology = InterClusterTopology()
+    topology.set_link(
+        "access", "relief", 0.05, uplink_bandwidth,
+        contention="fifo", energy_per_mb=energy_per_mb,
+        idle_watts=2.0, busy_watts=12.0,
+    )
+    gparams = dict(gateway_params or {})
+    for key, value in gateway_defaults.get(gateway_class(gateway).name, {}).items():
+        gparams.setdefault(key, value)
+    federation = FederationSpec(
+        clusters=[
+            ClusterSpec(
+                name="access",
+                machine_counts={"access_cpu": 4},
+                weight=1.0,
+            ),
+            ClusterSpec(
+                name="relief",
+                machine_counts={"relief_cpu": 4, "relief_gpu": 2},
+                weight=0.0,  # migration/offload target only
+            ),
+        ],
+        gateway=gateway,
+        gateway_params=gparams,
+        topology=topology,
+        migration=migration,
+    )
+    return _edge_cloud(
+        name, ("access_cpu", "relief_cpu", "relief_gpu"), federation,
+        scheduler=scheduler, intensity=intensity, duration=duration, seed=seed,
+        queue_capacity=1.0,
+    )
+
+
+def _two_edges_one_cloud(
+    name: str,
+    *,
+    scheduler: str,
+    gateway: str,
+    gateway_params: dict | None,
+    intensity: str | float,
+    duration: float,
+    seed: int,
+    uplink_bandwidth: float,
+    energy_per_mb: float,
+    cross_traffic: tuple[CrossTraffic | None, CrossTraffic | None] = (None, None),
+) -> Scenario:
+    """The edge–cloud model on two edge sites that offload into one cloud.
+
+    Each edge site has three CPUs and takes half the arrivals. edge_a's
+    uplink runs FIFO and edge_b's processor sharing, both narrow and
+    energy-metered; *cross_traffic* is the background process of each
+    uplink, in that order. A wide PS link joins the two edges.
+    """
+    fifo_traffic, ps_traffic = cross_traffic
+    topology = InterClusterTopology()
+    topology.set_link(
+        "edge_a", "cloud", 0.05, uplink_bandwidth,
+        contention="fifo", energy_per_mb=energy_per_mb,
+        idle_watts=2.0, busy_watts=12.0, cross_traffic=fifo_traffic,
+    )
+    topology.set_link(
+        "edge_b", "cloud", 0.05, uplink_bandwidth,
+        contention="ps", energy_per_mb=energy_per_mb,
+        idle_watts=2.0, busy_watts=12.0, cross_traffic=ps_traffic,
+    )
+    topology.set_link(
+        "edge_a", "edge_b", 0.02, 40.0,
+        contention="ps", energy_per_mb=energy_per_mb / 2,
+    )
+    federation = FederationSpec(
+        clusters=[
+            ClusterSpec(
+                name="edge_a",
+                machine_counts={"edge_cpu": 3},
+                weight=1.0,
+            ),
+            ClusterSpec(
+                name="edge_b",
+                machine_counts={"edge_cpu": 3},
+                weight=1.0,
+            ),
+            ClusterSpec(
+                name="cloud",
+                machine_counts={"cloud_cpu": 4, "cloud_gpu": 2},
+                weight=0.0,  # offloading target only
+            ),
+        ],
+        gateway=gateway,
+        gateway_params=dict(gateway_params or {}),
+        topology=topology,
+    )
+    return _edge_cloud(
+        name, ("edge_cpu", "cloud_cpu", "cloud_gpu"), federation,
+        scheduler=scheduler, intensity=intensity, duration=duration, seed=seed,
+    )
 
 
 @register_scenario
@@ -72,23 +275,6 @@ def edge_cloud(
     for free, and ``wan_energy_per_mb`` to charge each shipped megabyte
     (see :mod:`repro.net.wan` and the ``fed_congested`` preset).
     """
-    task_types = [
-        TaskType("video_analytics", 0, data_in=8.0),
-        TaskType("sensor_fusion", 1, data_in=0.5),
-        TaskType("model_update", 2, data_in=20.0),
-    ]
-    eet = EETMatrix(
-        np.array(
-            [
-                # edge_cpu  cloud_cpu  cloud_gpu
-                [25.0, 8.0, 2.5],    # video analytics
-                [6.0, 3.0, 2.0],     # sensor fusion
-                [40.0, 12.0, 4.0],   # model update
-            ]
-        ),
-        task_types,
-        ["edge_cpu", "cloud_cpu", "cloud_gpu"],
-    )
     federation = FederationSpec(
         clusters=[
             ClusterSpec(
@@ -113,27 +299,9 @@ def edge_cloud(
             )
         ),
     )
-    return Scenario(
-        eet=eet,
-        machine_counts={"edge_cpu": 4, "cloud_cpu": 4, "cloud_gpu": 2},
-        scheduler=scheduler,
-        generator={
-            "duration": duration,
-            "intensity": intensity,
-            "specs": [
-                {"name": "video_analytics", "share": 1.0, "slack_factor": 4.0},
-                {"name": "sensor_fusion", "share": 2.0, "slack_factor": 5.0},
-                {"name": "model_update", "share": 0.5, "slack_factor": 6.0},
-            ],
-        },
-        power_profiles={
-            "edge_cpu": PowerProfile(idle_watts=3.0, busy_watts=9.0),
-            "cloud_cpu": PowerProfile(idle_watts=40.0, busy_watts=120.0),
-            "cloud_gpu": PowerProfile(idle_watts=35.0, busy_watts=260.0),
-        },
-        federation=federation,
-        seed=seed,
-        name="edge_cloud",
+    return _edge_cloud(
+        "edge_cloud", ("edge_cpu", "cloud_cpu", "cloud_gpu"), federation,
+        scheduler=scheduler, intensity=intensity, duration=duration, seed=seed,
     )
 
 
@@ -198,7 +366,7 @@ def geo_3site(
     )
     return Scenario(
         eet=eet,
-        machine_counts={n: (2 if n.endswith("big") else 4) for n in eet.machine_type_names},
+        machine_counts=federation.total_machine_counts(),
         scheduler=scheduler,
         generator={"duration": duration, "intensity": intensity},
         federation=federation,
@@ -227,40 +395,17 @@ def fed_heavytail(
     long silences punctuated by bursts that saturate the access site — the
     regime where the gateway's spill threshold decides the outcome.
     """
-    n_task_types = 4
-    n_machine_types = 4
     eet = generate_eet_cvb(
-        n_task_types,
-        n_machine_types,
+        4,
+        4,
         mean_task=12.0,
         v_task=0.4,
         v_machine=0.5,
         seed=37,
         machine_type_names=["access_cpu", "core_a", "core_b", "core_c"],
     )
-    from ..tasks.generator import WorkloadGenerator, oversubscription_for_level
-
-    # Calibrate per-type rates exactly like the Poisson generator, then
-    # express each as a Pareto process with the same mean rate (the
-    # scale_heavytail recipe, federated).
-    ratio = oversubscription_for_level(intensity)
-    calibrator = WorkloadGenerator(
-        eet, machine_counts=[machines_per_type] * n_machine_types
-    )
-    rates = calibrator.rates_for_oversubscription(ratio)
-    specs = [
-        {
-            "name": name,
-            "arrival": {
-                "kind": "pareto",
-                "shape": shape,
-                "scale": (shape - 1.0) / rate,
-            },
-            "slack_factor": 5.0,
-        }
-        for name, rate in rates.items()
-    ]
-    gparams = dict(gateway_params or {})
+    # The scale_heavytail recipe, federated.
+    specs = _pareto_specs(eet, machines_per_type, intensity, shape)
     federation = FederationSpec(
         clusters=[
             ClusterSpec(
@@ -271,20 +416,18 @@ def fed_heavytail(
             ClusterSpec(
                 name="core",
                 machine_counts={
-                    "core_a": machines_per_type,
-                    "core_b": machines_per_type,
-                    "core_c": machines_per_type,
+                    n: machines_per_type for n in ("core_a", "core_b", "core_c")
                 },
                 weight=0.3,
             ),
         ],
         gateway=gateway,
-        gateway_params=gparams,
+        gateway_params=dict(gateway_params or {}),
         topology=InterClusterTopology(default=Link(0.06, 0.0)),
     )
     return Scenario(
         eet=eet,
-        machine_counts={n: machines_per_type for n in eet.machine_type_names},
+        machine_counts=federation.total_machine_counts(),
         scheduler=scheduler,
         generator={"duration": duration, "specs": specs},
         federation=federation,
@@ -329,90 +472,18 @@ def fed_rebalance(
     :class:`~repro.federation.spec.MigrationSpec`-shaped dict / policy name
     to sweep eviction disciplines.
     """
-    task_types = [
-        TaskType("video_analytics", 0, data_in=8.0),
-        TaskType("sensor_fusion", 1, data_in=0.5),
-        TaskType("model_update", 2, data_in=20.0),
-    ]
-    eet = EETMatrix(
-        np.array(
-            [
-                # access_cpu  relief_cpu  relief_gpu
-                [25.0, 8.0, 2.5],    # video analytics
-                [6.0, 3.0, 2.0],     # sensor fusion
-                [40.0, 12.0, 4.0],   # model update
-            ]
-        ),
-        task_types,
-        ["access_cpu", "relief_cpu", "relief_gpu"],
-    )
-    if migration is None or isinstance(migration, MigrationSpec):
-        migration_spec = migration
-    elif isinstance(migration, str):
-        # An aggressive cadence on purpose: the access site oversubscribes
-        # its four CPUs ~1.3x, so relief must move ~2-3 tasks/s to keep up.
-        migration_spec = MigrationSpec(
-            policy=migration,
-            interval=migration_interval,
-            pressure_gap=0.5,
-            batch_max=8,
-        )
-    else:
-        migration_spec = MigrationSpec.from_dict(migration)
-    topology = InterClusterTopology()
-    topology.set_link(
-        "access", "relief", 0.05, uplink_bandwidth,
-        contention="fifo", energy_per_mb=energy_per_mb,
-        idle_watts=2.0, busy_watts=12.0,
-    )
-    gparams = dict(gateway_params or {})
-    if gateway.upper().replace("-", "_") == "LOCALITY_FIRST":
+    return _access_relief(
+        "fed_rebalance", scheduler=scheduler, gateway=gateway,
+        gateway_params=gateway_params,
         # Sticky by default: the gateway only spills once pressure hits 16
         # outstanding tasks per machine — far past saturation — so relief
         # comes from migration, not arrival routing. (With the default
         # rebalancer active the queue never gets that deep, so arrival
         # offloads stay at zero.) Override via gateway_params.
-        gparams.setdefault("threshold", 16.0)
-    federation = FederationSpec(
-        clusters=[
-            ClusterSpec(
-                name="access",
-                machine_counts={"access_cpu": 4},
-                weight=1.0,
-            ),
-            ClusterSpec(
-                name="relief",
-                machine_counts={"relief_cpu": 4, "relief_gpu": 2},
-                weight=0.0,  # migration/offload target only
-            ),
-        ],
-        gateway=gateway,
-        gateway_params=gparams,
-        topology=topology,
-        migration=migration_spec,
-    )
-    return Scenario(
-        eet=eet,
-        machine_counts={"access_cpu": 4, "relief_cpu": 4, "relief_gpu": 2},
-        scheduler=scheduler,
-        queue_capacity=1.0,
-        generator={
-            "duration": duration,
-            "intensity": intensity,
-            "specs": [
-                {"name": "video_analytics", "share": 1.0, "slack_factor": 4.0},
-                {"name": "sensor_fusion", "share": 2.0, "slack_factor": 5.0},
-                {"name": "model_update", "share": 0.5, "slack_factor": 6.0},
-            ],
-        },
-        power_profiles={
-            "access_cpu": PowerProfile(idle_watts=3.0, busy_watts=9.0),
-            "relief_cpu": PowerProfile(idle_watts=40.0, busy_watts=120.0),
-            "relief_gpu": PowerProfile(idle_watts=35.0, busy_watts=260.0),
-        },
-        federation=federation,
-        seed=seed,
-        name="fed_rebalance",
+        gateway_defaults={"LOCALITY_FIRST": {"threshold": 16.0}},
+        migration=migration, cadence={"interval": migration_interval},
+        intensity=intensity, duration=duration, seed=seed,
+        uplink_bandwidth=uplink_bandwidth, energy_per_mb=energy_per_mb,
     )
 
 
@@ -450,93 +521,25 @@ def fed_adaptive(
     Sweep ``gateway``/``migration`` like any other preset; the tournament
     harness (``e2c-sim tournament``) uses exactly those two knobs.
     """
-    task_types = [
-        TaskType("video_analytics", 0, data_in=8.0),
-        TaskType("sensor_fusion", 1, data_in=0.5),
-        TaskType("model_update", 2, data_in=20.0),
-    ]
-    eet = EETMatrix(
-        np.array(
-            [
-                # access_cpu  relief_cpu  relief_gpu
-                [25.0, 8.0, 2.5],    # video analytics
-                [6.0, 3.0, 2.0],     # sensor fusion
-                [40.0, 12.0, 4.0],   # model update
-            ]
-        ),
-        task_types,
-        ["access_cpu", "relief_cpu", "relief_gpu"],
-    )
-    if migration is None or isinstance(migration, MigrationSpec):
-        migration_spec = migration
-    elif isinstance(migration, str):
-        migration_spec = MigrationSpec(
-            policy=migration,
-            interval=migration_interval,
-            pressure_gap=0.5,
-            batch_max=8,
-            high_watermark=high_watermark,
-            low_watermark=low_watermark,
-        )
-    else:
-        migration_spec = MigrationSpec.from_dict(migration)
-    topology = InterClusterTopology()
-    topology.set_link(
-        "access", "relief", 0.05, uplink_bandwidth,
-        contention="fifo", energy_per_mb=energy_per_mb,
-        idle_watts=2.0, busy_watts=12.0,
-    )
-    gparams = dict(gateway_params or {})
-    canonical_gateway = gateway.upper().replace("-", "_")
-    if canonical_gateway in ("ADAPTIVE", "BANDIT"):
-        # UCB explores harder than the epsilon default and wins this
-        # scenario decisively; override via gateway_params.
-        gparams.setdefault("strategy", "ucb")
-        gparams.setdefault("ucb_c", 1.0)
-    elif canonical_gateway in ("LOCALITY_FIRST", "LOCALITY"):
-        # Same stickiness as fed_rebalance: relief via migration, not
-        # arrival routing.
-        gparams.setdefault("threshold", 16.0)
-    federation = FederationSpec(
-        clusters=[
-            ClusterSpec(
-                name="access",
-                machine_counts={"access_cpu": 4},
-                weight=1.0,
-            ),
-            ClusterSpec(
-                name="relief",
-                machine_counts={"relief_cpu": 4, "relief_gpu": 2},
-                weight=0.0,  # migration/offload target only
-            ),
-        ],
-        gateway=gateway,
-        gateway_params=gparams,
-        topology=topology,
-        migration=migration_spec,
-    )
-    return Scenario(
-        eet=eet,
-        machine_counts={"access_cpu": 4, "relief_cpu": 4, "relief_gpu": 2},
-        scheduler=scheduler,
-        queue_capacity=1.0,
-        generator={
-            "duration": duration,
-            "intensity": intensity,
-            "specs": [
-                {"name": "video_analytics", "share": 1.0, "slack_factor": 4.0},
-                {"name": "sensor_fusion", "share": 2.0, "slack_factor": 5.0},
-                {"name": "model_update", "share": 0.5, "slack_factor": 6.0},
-            ],
+    return _access_relief(
+        "fed_adaptive", scheduler=scheduler, gateway=gateway,
+        gateway_params=gateway_params,
+        gateway_defaults={
+            # UCB explores harder than the epsilon default and wins this
+            # scenario decisively; override via gateway_params.
+            "ADAPTIVE": {"strategy": "ucb", "ucb_c": 1.0},
+            # Same stickiness as fed_rebalance: relief via migration, not
+            # arrival routing.
+            "LOCALITY_FIRST": {"threshold": 16.0},
         },
-        power_profiles={
-            "access_cpu": PowerProfile(idle_watts=3.0, busy_watts=9.0),
-            "relief_cpu": PowerProfile(idle_watts=40.0, busy_watts=120.0),
-            "relief_gpu": PowerProfile(idle_watts=35.0, busy_watts=260.0),
+        migration=migration,
+        cadence={
+            "interval": migration_interval,
+            "high_watermark": high_watermark,
+            "low_watermark": low_watermark,
         },
-        federation=federation,
-        seed=seed,
-        name="fed_adaptive",
+        intensity=intensity, duration=duration, seed=seed,
+        uplink_bandwidth=uplink_bandwidth, energy_per_mb=energy_per_mb,
     )
 
 
@@ -566,79 +569,8 @@ def fed_congested(
     ship the payload. The default congestion-aware EET_AWARE_REMOTE gateway
     reads the link backlog and keeps traffic home once the pipes fill.
     """
-    task_types = [
-        TaskType("video_analytics", 0, data_in=8.0),
-        TaskType("sensor_fusion", 1, data_in=0.5),
-        TaskType("model_update", 2, data_in=20.0),
-    ]
-    eet = EETMatrix(
-        np.array(
-            [
-                # edge_cpu  cloud_cpu  cloud_gpu
-                [25.0, 8.0, 2.5],    # video analytics
-                [6.0, 3.0, 2.0],     # sensor fusion
-                [40.0, 12.0, 4.0],   # model update
-            ]
-        ),
-        task_types,
-        ["edge_cpu", "cloud_cpu", "cloud_gpu"],
-    )
-    topology = InterClusterTopology()
-    topology.set_link(
-        "edge_a", "cloud", 0.05, uplink_bandwidth,
-        contention="fifo", energy_per_mb=energy_per_mb,
-        idle_watts=2.0, busy_watts=12.0,
-    )
-    topology.set_link(
-        "edge_b", "cloud", 0.05, uplink_bandwidth,
-        contention="ps", energy_per_mb=energy_per_mb,
-        idle_watts=2.0, busy_watts=12.0,
-    )
-    topology.set_link(
-        "edge_a", "edge_b", 0.02, 40.0,
-        contention="ps", energy_per_mb=energy_per_mb / 2,
-    )
-    federation = FederationSpec(
-        clusters=[
-            ClusterSpec(
-                name="edge_a",
-                machine_counts={"edge_cpu": 3},
-                weight=1.0,
-            ),
-            ClusterSpec(
-                name="edge_b",
-                machine_counts={"edge_cpu": 3},
-                weight=1.0,
-            ),
-            ClusterSpec(
-                name="cloud",
-                machine_counts={"cloud_cpu": 4, "cloud_gpu": 2},
-                weight=0.0,  # offloading target only
-            ),
-        ],
-        gateway=gateway,
-        gateway_params=dict(gateway_params or {}),
-        topology=topology,
-    )
-    return Scenario(
-        eet=eet,
-        machine_counts={"edge_cpu": 6, "cloud_cpu": 4, "cloud_gpu": 2},
-        scheduler=scheduler,
-        generator={
-            "duration": duration,
-            "intensity": intensity,
-            "specs": [
-                {"name": "video_analytics", "share": 1.0, "slack_factor": 4.0},
-                {"name": "sensor_fusion", "share": 2.0, "slack_factor": 5.0},
-                {"name": "model_update", "share": 0.5, "slack_factor": 6.0},
-            ],
-        },
-        power_profiles={
-            "edge_cpu": PowerProfile(idle_watts=3.0, busy_watts=9.0),
-            "cloud_cpu": PowerProfile(idle_watts=40.0, busy_watts=120.0),
-            "cloud_gpu": PowerProfile(idle_watts=35.0, busy_watts=260.0),
-        },
-        federation=federation,
-        seed=seed,
-        name="fed_congested",
+    return _two_edges_one_cloud(
+        "fed_congested", scheduler=scheduler, gateway=gateway,
+        gateway_params=gateway_params, intensity=intensity, duration=duration,
+        seed=seed, uplink_bandwidth=uplink_bandwidth, energy_per_mb=energy_per_mb,
     )

@@ -120,7 +120,7 @@ def hier_3region(
     )
     return Scenario(
         eet=eet,
-        machine_counts={"big": 18, "little": 18},
+        machine_counts=federation.total_machine_counts(),
         scheduler=scheduler,
         generator={
             "duration": duration,
@@ -240,7 +240,7 @@ def hier_deep(
     )
     return Scenario(
         eet=eet,
-        machine_counts={"cloud": 4, "metro": 4, "far": 2},
+        machine_counts=federation.total_machine_counts(),
         scheduler=scheduler,
         generator={
             "duration": duration,

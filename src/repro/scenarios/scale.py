@@ -22,7 +22,11 @@ Factories accept the standard ``scheduler`` / ``intensity`` / ``duration`` /
 from __future__ import annotations
 
 from ..core.config import Scenario
+from ..federation.spec import ClusterSpec, FederationSpec
+from ..machines.eet import EETMatrix
 from ..machines.eet_generation import generate_eet_cvb
+from ..net.topology import InterClusterTopology, Link
+from ..tasks.generator import WorkloadGenerator, oversubscription_for_level
 from .registry import register_scenario
 
 __all__ = [
@@ -31,6 +35,37 @@ __all__ = [
     "scale_heavytail",
     "scale_federation",
 ]
+
+
+def _pareto_specs(
+    eet: EETMatrix, machines_per_type: int, intensity: str | float, shape: float
+) -> list[dict]:
+    """Generator specs with Lomax (Pareto-II) arrivals, one per task type.
+
+    Per-type arrival rates are calibrated exactly like the Poisson
+    generator's for *intensity* on *machines_per_type* machines of every
+    type; each becomes a Pareto process of tail index *shape* with the same
+    mean rate.
+    """
+    calibrator = WorkloadGenerator(
+        eet, machine_counts=[machines_per_type] * len(eet.machine_type_names)
+    )
+    rates = calibrator.rates_for_oversubscription(
+        oversubscription_for_level(intensity)
+    )
+    return [
+        {
+            "name": name,
+            "arrival": {
+                "kind": "pareto",
+                "shape": shape,
+                # mean gap = scale / (shape - 1)  =>  scale = (shape-1)/rate
+                "scale": (shape - 1.0) / rate,
+            },
+            "slack_factor": 5.0,
+        }
+        for name, rate in rates.items()
+    ]
 
 
 def _cvb_scenario(
@@ -45,8 +80,6 @@ def _cvb_scenario(
     seed: int,
     eet_seed: int,
     mean_task: float,
-    specs: list[dict] | None = None,
-    queue_capacity: float | None = None,
 ) -> Scenario:
     eet = generate_eet_cvb(
         n_task_types,
@@ -56,20 +89,13 @@ def _cvb_scenario(
         v_machine=0.5,
         seed=eet_seed,
     )
-    generator: dict = {"duration": duration, "intensity": intensity}
-    if specs is not None:
-        generator["specs"] = specs
-    kwargs: dict = {}
-    if queue_capacity is not None:
-        kwargs["queue_capacity"] = queue_capacity
     return Scenario(
         eet=eet,
         machine_counts={n: machines_per_type for n in eet.machine_type_names},
         scheduler=scheduler,
-        generator=generator,
+        generator={"duration": duration, "intensity": intensity},
         seed=seed,
         name=name,
-        **kwargs,
     )
 
 
@@ -139,47 +165,22 @@ def scale_heavytail(
     gap per type is calibrated so total offered load ≈ ``intensity`` ×
     system capacity, mirroring the Poisson presets' oversubscription knob.
     """
-    n_task_types = 6
-    n_machine_types = 8
     eet = generate_eet_cvb(
-        n_task_types,
-        n_machine_types,
+        6,
+        8,
         mean_task=12.0,
         v_task=0.4,
         v_machine=0.5,
         seed=23,
     )
-    from ..tasks.generator import (
-        WorkloadGenerator,
-        oversubscription_for_level,
-    )
-
-    # Calibrate per-type arrival rates exactly like the Poisson generator,
-    # then express each as a Pareto process with the same mean rate.
-    ratio = oversubscription_for_level(intensity)
-    calibrator = WorkloadGenerator(
-        eet,
-        machine_counts=[machines_per_type] * n_machine_types,
-    )
-    rates = calibrator.rates_for_oversubscription(ratio)
-    specs = [
-        {
-            "name": name,
-            "arrival": {
-                "kind": "pareto",
-                "shape": shape,
-                # mean gap = scale / (shape - 1)  =>  scale = (shape-1)/rate
-                "scale": (shape - 1.0) / rate,
-            },
-            "slack_factor": 5.0,
-        }
-        for name, rate in rates.items()
-    ]
     return Scenario(
         eet=eet,
         machine_counts={n: machines_per_type for n in eet.machine_type_names},
         scheduler=scheduler,
-        generator={"duration": duration, "specs": specs},
+        generator={
+            "duration": duration,
+            "specs": _pareto_specs(eet, machines_per_type, intensity, shape),
+        },
         seed=seed,
         name="scale_heavytail",
     )
@@ -213,14 +214,9 @@ def scale_federation(
     federated hot path: event loop, WAN hand-off, shard completions and a
     24-shard result build.
     """
-    from ..federation.spec import ClusterSpec, FederationSpec
-    from ..net.topology import InterClusterTopology, Link
-
-    n_task_types = 6
-    n_machine_types = 6
     eet = generate_eet_cvb(
-        n_task_types,
-        n_machine_types,
+        6,
+        6,
         mean_task=12.0,
         v_task=0.4,
         v_machine=0.5,
@@ -246,9 +242,7 @@ def scale_federation(
     return Scenario(
         eet=eet,
         # Workload calibration sees the whole federation's machine pool.
-        machine_counts={
-            t: machines_per_type * n_clusters for t in eet.machine_type_names
-        },
+        machine_counts=federation.total_machine_counts(),
         scheduler=scheduler,
         generator={
             "duration": duration,

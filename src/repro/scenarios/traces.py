@@ -1,7 +1,7 @@
 """Trace-driven and cross-traffic scenario presets.
 
-Two presets exercise the ingestion and background-traffic layers this PR
-adds (see docs/WORKLOADS.md for the teaching walk-through):
+Two presets exercise the trace-ingestion and background-traffic layers
+(see docs/WORKLOADS.md for the teaching walk-through):
 
 * :func:`trace_replay` — replays the bundled Google-style cluster-trace
   sample (``src/repro/scenarios/data/google_cluster_sample.csv``) on a
@@ -9,8 +9,9 @@ adds (see docs/WORKLOADS.md for the teaching walk-through):
   trace's ``cpu_request`` column against the EET matrix, deadlines are
   synthesised from per-type relative deadlines, and the whole pipeline is
   a pure function of the scenario seed — the replay is golden-pinned.
-* :func:`diurnal_wan` — the contended two-edges-one-cloud federation with
-  *background cross-traffic* on the uplinks: edge_a's FIFO pipe breathes
+* :func:`diurnal_wan` — the contended two-edges-one-cloud federation of
+  :func:`~repro.scenarios.federated.fed_congested` with *background
+  cross-traffic* on the uplinks: edge_a's FIFO pipe breathes
   with a diurnal sinusoid, edge_b's PS pipe suffers bursty MMPP squeezes.
   Offload decisions that look safe at the nominal bandwidth meet residual
   capacity instead.
@@ -21,13 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.config import Scenario
-from ..federation.spec import ClusterSpec, FederationSpec
 from ..machines.eet import EETMatrix
 from ..machines.power import PowerProfile
 from ..net.crosstraffic import DiurnalTraffic, MmppTraffic
-from ..net.topology import InterClusterTopology
 from ..tasks.task_type import TaskType
 from ..tasks.trace_io import TraceSpec
+from .federated import _two_edges_one_cloud
 from .registry import register_scenario
 
 __all__ = ["trace_replay", "diurnal_wan"]
@@ -121,85 +121,12 @@ def diurnal_wan(
     offload is cheap at night and ruinous at the peak — the signal a
     congestion-aware gateway has to read.
     """
-    task_types = [
-        TaskType("video_analytics", 0, data_in=8.0),
-        TaskType("sensor_fusion", 1, data_in=0.5),
-        TaskType("model_update", 2, data_in=20.0),
-    ]
-    eet = EETMatrix(
-        np.array(
-            [
-                # edge_cpu  cloud_cpu  cloud_gpu
-                [25.0, 8.0, 2.5],    # video analytics
-                [6.0, 3.0, 2.0],     # sensor fusion
-                [40.0, 12.0, 4.0],   # model update
-            ]
+    return _two_edges_one_cloud(
+        "diurnal_wan", scheduler=scheduler, gateway=gateway,
+        gateway_params=gateway_params, intensity=intensity, duration=duration,
+        seed=seed, uplink_bandwidth=uplink_bandwidth, energy_per_mb=energy_per_mb,
+        cross_traffic=(
+            DiurnalTraffic(period=period, base=0.4, amplitude=0.35),
+            MmppTraffic(quiet=0.1, burst=0.75, mean_quiet=40.0, mean_burst=12.0),
         ),
-        task_types,
-        ["edge_cpu", "cloud_cpu", "cloud_gpu"],
-    )
-    topology = InterClusterTopology()
-    topology.set_link(
-        "edge_a", "cloud", 0.05, uplink_bandwidth,
-        contention="fifo", energy_per_mb=energy_per_mb,
-        idle_watts=2.0, busy_watts=12.0,
-        cross_traffic=DiurnalTraffic(
-            period=period, base=0.4, amplitude=0.35
-        ),
-    )
-    topology.set_link(
-        "edge_b", "cloud", 0.05, uplink_bandwidth,
-        contention="ps", energy_per_mb=energy_per_mb,
-        idle_watts=2.0, busy_watts=12.0,
-        cross_traffic=MmppTraffic(
-            quiet=0.1, burst=0.75, mean_quiet=40.0, mean_burst=12.0
-        ),
-    )
-    topology.set_link(
-        "edge_a", "edge_b", 0.02, 40.0,
-        contention="ps", energy_per_mb=energy_per_mb / 2,
-    )
-    federation = FederationSpec(
-        clusters=[
-            ClusterSpec(
-                name="edge_a",
-                machine_counts={"edge_cpu": 3},
-                weight=1.0,
-            ),
-            ClusterSpec(
-                name="edge_b",
-                machine_counts={"edge_cpu": 3},
-                weight=1.0,
-            ),
-            ClusterSpec(
-                name="cloud",
-                machine_counts={"cloud_cpu": 4, "cloud_gpu": 2},
-                weight=0.0,  # offloading target only
-            ),
-        ],
-        gateway=gateway,
-        gateway_params=dict(gateway_params or {}),
-        topology=topology,
-    )
-    return Scenario(
-        eet=eet,
-        machine_counts={"edge_cpu": 6, "cloud_cpu": 4, "cloud_gpu": 2},
-        scheduler=scheduler,
-        generator={
-            "duration": duration,
-            "intensity": intensity,
-            "specs": [
-                {"name": "video_analytics", "share": 1.0, "slack_factor": 4.0},
-                {"name": "sensor_fusion", "share": 2.0, "slack_factor": 5.0},
-                {"name": "model_update", "share": 0.5, "slack_factor": 6.0},
-            ],
-        },
-        power_profiles={
-            "edge_cpu": PowerProfile(idle_watts=3.0, busy_watts=9.0),
-            "cloud_cpu": PowerProfile(idle_watts=40.0, busy_watts=120.0),
-            "cloud_gpu": PowerProfile(idle_watts=35.0, busy_watts=260.0),
-        },
-        federation=federation,
-        seed=seed,
-        name="diurnal_wan",
     )

@@ -12,15 +12,15 @@ Two policy families mirror the paper's scheduler component (Fig. 3):
   completion-time matrix, let the policy pick one (task, machine) pair, apply
   it virtually, repeat) shared by Min-Min/Max-Min/Sufferage/MSD/MMU/ELARE.
 
-  The matrix pass (NumPy) is every batch policy's reference. Three opt-in
-  shortcuts answer the same pass without building its matrices: a one-task
-  pass asks the cluster for the row's machine (``singleton_argmin``,
-  ``singleton_energy``; :func:`one_task_query`), and a multi-task pass of
-  at most 128 cells runs on Python lists when the policy defines a
+  The matrix pass (NumPy) is every batch policy's reference. A pass of
+  at most 128 cells runs on Python lists instead when the policy defines a
   ``select_pair_scalar`` twin of its ``select_pair``
-  (:func:`has_list_twin`). Each gives the same pairs in the same order as
-  the matrix pass; MM, MSD, ELARE and FELARE have the twin, every other
-  policy keeps the matrix pass.
+  (:func:`has_list_twin`), with the same pairs in the same order; MM, MSD,
+  ELARE and FELARE have the twin, every other policy keeps the matrix
+  pass. A policy whose one-task pass reduces to one ``Cluster`` query
+  (``singleton_argmin``, ``singleton_energy``; :func:`one_task_query`)
+  lets the engine place an arrival that finds the batch queue empty with
+  that query, skipping the pass (``ClusterCore._on_arrival``).
 
 E2C is "designed to be modular, hence providing the ability ... to modify the
 existing scheduling methods or add their own custom-designed scheduling
@@ -133,34 +133,28 @@ class BatchScheduler(Scheduler):
     """
 
     mode = SchedulingMode.BATCH
-    #: Opt-in to the scalar one-task pass. Set it only when, given a
+    #: Opt-in to the one-task arrival shortcut. Set it only when, given a
     #: single-row completion matrix, :meth:`select_pair` always returns the
-    #: first minimum of that row (None when it is all +inf); the pass then
-    #: skips the matrix and asks the cluster for that machine directly.
-    #: Off by default, so user-plugged policies always see the matrix; it
-    #: counts only where :func:`one_task_query` says so.
+    #: first minimum of that row (None when it is all +inf); an arrival
+    #: that finds the batch queue empty is then placed on the machine
+    #: :meth:`Cluster.argmin_open_completion` names, without a pass. Off by
+    #: default, so user-plugged policies always see a pass; it counts only
+    #: where :func:`one_task_query` says so.
     singleton_argmin: ClassVar[bool] = False
     #: The energy twin of ``singleton_argmin``: set it only when, given a
     #: single-row completion matrix, :meth:`select_pair` always returns the
     #: first least-energy deadline-feasible machine, or else the first
-    #: minimum of the row; the pass then asks
+    #: minimum of the row; the shortcut then asks
     #: :meth:`Cluster.argmin_open_energy` for that machine. Off by default.
     singleton_energy: ClassVar[bool] = False
 
     def schedule(self, ctx: SchedulingContext) -> list[Assignment]:
-        pending = ctx.pending
-        if len(pending) == 1:
-            query = one_task_query(type(self))
-            if query is not None:
-                task = pending[0]
-                cluster = ctx.cluster
-                j = getattr(cluster, query)(task, ctx.now)
-                return [] if j is None else [Assignment(task, cluster.machines[j])]
+        pending = list(ctx.pending)
         if has_list_twin(type(self)):
-            assignments = self._scalar_pass(list(pending), ctx)
+            assignments = self._scalar_pass(pending, ctx)
             if assignments is not None:
                 return assignments
-        return self._matrix_pass(list(pending), ctx)
+        return self._matrix_pass(pending, ctx)
 
     def _matrix_pass(
         self, tasks: list[Task], ctx: SchedulingContext
@@ -324,7 +318,7 @@ def has_list_twin(cls: type) -> bool:
 
 @functools.cache
 def one_task_query(cls: type) -> str | None:
-    """The ``Cluster`` method answering a one-task pass of *cls*, or None.
+    """The ``Cluster`` method that picks what a one-task pass of *cls* picks, or None.
 
     ``singleton_argmin`` maps to ``argmin_open_completion`` and
     ``singleton_energy`` to ``argmin_open_energy``. By the rule of

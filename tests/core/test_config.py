@@ -354,6 +354,32 @@ class TestFromDictRejects:
         with pytest.raises(ConfigurationError, match=named):
             Scenario.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "preset,field,value,named",
+        [
+            ("edge_cloud", "gateway", "bogus",
+             r"federation\.gateway: unknown gateway policy 'bogus'"),
+            ("edge_cloud", "gateway_params", {"bogus": 1},
+             r"federation\.gateway_params: bad parameters for gateway policy"),
+            ("fed_rebalance", "migration/policy", "NOPE",
+             r"federation\.migration\.policy: unknown eviction policy 'NOPE'"),
+            ("fed_rebalance", "migration/policy_params", {"bogus": 2},
+             r"federation\.migration\.policy_params: bad parameters for eviction"),
+            ("hier_3region", "gateway", "LEAST_LOADED",
+             r"federation\.gateway: gateway 'LEAST_LOADED' does not support "
+             r"hierarchical federations"),
+        ],
+        ids=[
+            "gateway-unknown", "gateway-params", "eviction-unknown",
+            "eviction-params", "flat-gateway-on-tree",
+        ],
+    )
+    def test_bad_federation_policy_fails_at_load(self, preset, field, value, named):
+        # Built once at load, like the schedulers: not first in a worker.
+        data = mutated_preset(preset, f"federation/{field}", value)
+        with pytest.raises(ConfigurationError, match=named):
+            Scenario.from_dict(data)
+
     def test_cluster_scheduler_params_refused_by_the_policy(self):
         data = mutated_preset("geo_3site", "federation/clusters/0/scheduler", "MM")
         data["federation"]["clusters"][0]["scheduler_params"] = {"bogus": 1}

@@ -3,14 +3,15 @@
 1. ``RandomSplitGateway`` bisects a cached CDF instead of calling
    ``rng.choice(n, p=…)``. It must pick the same cluster on every draw and
    leave the generator in the same state as the NumPy call would.
-2. A batch policy that sets ``singleton_argmin`` answers a one-task pass
-   with ``Cluster.argmin_open_completion`` instead of the matrix pass. It
-   must return the same assignment as the matrix pass on any cluster
+2. A batch policy that sets ``singleton_argmin`` has a one-task arrival
+   placed by ``Cluster.argmin_open_completion`` instead of a pass (the
+   query :func:`one_task_query` names, which the arrival shortcut asks).
+   It must pick the same assignment as the matrix pass on any cluster
    state: saturated queues, down machines, exact ties, every machine
    closed, and clusters past the scalar-loop size limit.
-3. ELARE and FELARE set ``singleton_energy`` and answer a one-task pass
-   with ``Cluster.argmin_open_energy``. Same contract as (2), over tight
-   and loose deadlines and per-task-type power overrides (0 W included).
+3. ELARE and FELARE set ``singleton_energy``; their query is
+   ``Cluster.argmin_open_energy``. Same contract as (2), over tight and
+   loose deadlines and per-task-type power overrides (0 W included).
 4. ``Cluster.energy_rows`` gathers from a table built once per run; it is
    bit-equal to the per-task ``watts * eet_vector`` rows it replaces.
 5. FCFS and OLB pick with ``Cluster.argmin_ready``; it equals
@@ -125,7 +126,7 @@ def test_random_split_draws_equal_rng_choice(weights, explicit, seed):
     assert ctx.rng.bit_generator.state == twin.bit_generator.state
 
 
-# -- batch: singleton pass == matrix pass -------------------------------------------
+# -- batch: one-task query == matrix pass -------------------------------------------
 
 TYPES = [TaskType("A", 0), TaskType("B", 1)]
 STATES = ("idle", "running", "queued", "backlog", "full", "down")
@@ -212,6 +213,12 @@ def _pairs(assignments):
     return [(a.task.id, a.machine.id) for a in assignments]
 
 
+def _one_task_pick(policy, cluster, now, task):
+    """What the arrival shortcut's ``Cluster`` query picks, as pairs."""
+    j = getattr(cluster, one_task_query(scheduler_class(policy)))(task, now)
+    return [] if j is None else [(task.id, cluster.machines[j].id)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     policy=st.sampled_from(OPTED_IN),
@@ -226,9 +233,9 @@ def test_singleton_pass_equals_matrix_pass(policy, system, task_type, deadline):
     )
     task.enqueue_batch()
     scheduler = create_scheduler(policy)
-    fast = scheduler.schedule(_ctx(cluster, now, [task]))
     reference = scheduler._matrix_pass([task], _ctx(cluster, now, [task]))
-    assert _pairs(fast) == _pairs(reference)
+    assert _one_task_pick(policy, cluster, now, task) == _pairs(reference)
+    assert _pairs(scheduler.schedule(_ctx(cluster, now, [task]))) == _pairs(reference)
 
 
 @pytest.mark.parametrize("policy", OPTED_IN)
@@ -262,9 +269,9 @@ def test_energy_singleton_pass_equals_matrix_pass(
     )
     task.enqueue_batch()
     scheduler = create_scheduler(policy)
-    fast = scheduler.schedule(_ctx(cluster, now, [task]))
     reference = scheduler._matrix_pass([task], _ctx(cluster, now, [task]))
-    assert _pairs(fast) == _pairs(reference)
+    assert _one_task_pick(policy, cluster, now, task) == _pairs(reference)
+    assert _pairs(scheduler.schedule(_ctx(cluster, now, [task]))) == _pairs(reference)
 
 
 @pytest.mark.parametrize("policy", ENERGY_OPTED_IN)
@@ -278,9 +285,9 @@ def test_deadline_met_exactly_is_feasible(policy, deadline, machine):
     task = Task(id=0, task_type=TYPES[0], arrival_time=0.0, deadline=deadline)
     task.enqueue_batch()
     scheduler = create_scheduler(policy)
-    fast = scheduler.schedule(_ctx(cluster, 0.0, [task]))
     reference = scheduler._matrix_pass([task], _ctx(cluster, 0.0, [task]))
-    assert _pairs(fast) == _pairs(reference) == [(0, machine)]
+    assert _one_task_pick(policy, cluster, 0.0, task) == _pairs(reference) == [(0, machine)]
+    assert _pairs(scheduler.schedule(_ctx(cluster, 0.0, [task]))) == _pairs(reference)
 
 
 # -- batch: scalar multi-task pass == matrix pass ------------------------------------

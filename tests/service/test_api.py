@@ -148,6 +148,30 @@ class TestErrors:
             })
 
     @pytest.mark.parametrize(
+        "preset,overrides,match",
+        [
+            ("edge_cloud", {"gateway": "bogus"},
+             r"federation\.gateway: unknown gateway policy 'bogus'"),
+            ("edge_cloud", {"gateway_params": {"bogus": 1}},
+             r"federation\.gateway_params: bad parameters"),
+            ("fed_rebalance", {"migration": "NOPE"},
+             r"federation\.migration\.policy: unknown eviction policy 'NOPE'"),
+            ("fed_rebalance",
+             {"migration": {"policy": "LONGEST_WAIT", "policy_params": {"bogus": 2}}},
+             r"federation\.migration\.policy_params: bad parameters"),
+            ("hier_3region", {"gateway": "LEAST_LOADED"},
+             r"federation\.gateway: gateway 'LEAST_LOADED' does not support"),
+        ],
+        ids=[
+            "gateway-unknown", "gateway-params", "eviction-unknown",
+            "eviction-params", "flat-gateway-on-tree",
+        ],
+    )
+    def test_bad_federation_policy_override_gets_no_key(self, preset, overrides, match):
+        with pytest.raises(ConfigurationError, match=match):
+            request_key({"preset": preset, "overrides": overrides})
+
+    @pytest.mark.parametrize(
         "field,value,match",
         [
             ("scheduler", "NOPE", "scheduler: unknown scheduler 'NOPE'"),

@@ -42,3 +42,42 @@ def test_json_round_trip_keeps_request_key(preset):
     document = json.loads(json.dumps(build_scenario(preset).to_dict()))
     assert request_key(document)[2] == PRESET_REQUEST_KEYS[preset]
 
+
+
+#: Keys of preset overrides that reach each shared preset model through a
+#: non-default path (contention, migration off and as a dict, gateway
+#: defaults, cross-traffic, Pareto shape, federation size).
+OVERRIDE_REQUEST_KEYS = [
+    ("edge_cloud", {"wan_contention": "fifo", "wan_energy_per_mb": 0.2},
+     "6468f7e81adc32f19611c347baad3e868232831fd1bcbd9adb96a77b75e0816d"),
+    ("fed_rebalance", {"migration": None},
+     "29f5889ab5dfbe02e13d45ad90b0c4467dd9536963d0f2919543da0c8fcb43dd"),
+    ("fed_rebalance", {"migration": {"policy": "EET_GAIN", "interval": 2.0}},
+     "7a9c9f415284781fd0673179135e35937d24177b32a3105f66843427b1197710"),
+    ("fed_adaptive", {"gateway": "LOCALITY_FIRST"},
+     "acaab363e9d8f9f13eea9f9fa177328869ace7854dece517ce635a735f50abb6"),
+    ("fed_adaptive", {"gateway": "bandit", "gateway_params": {"strategy": "epsilon"}},
+     "73bde33f51901995705e77be67c4c040659055b8d025e5675443e05d71dd854e"),
+    ("fed_congested", {"uplink_bandwidth": 4.0},
+     "eebc51be44cd854604d6895f48ae2f1ec10090dee1b201c6878b70c23985909d"),
+    ("diurnal_wan", {"period": 60.0},
+     "3d26b265ea22670aac9df169e54646a1a7878953ee440836dcbdfd7285e24c09"),
+    ("fed_heavytail", {"shape": 1.3, "machines_per_type": 3},
+     "ba50cf88d11ace26f4991f9a8e978457f3fd478f73fb35a3221bf2f2587af58c"),
+    ("scale_heavytail", {"shape": 1.3},
+     "9b3c917d5439ed9b2074ce1b95e8ee26c03c53e3ca85a57911adb12203b99222"),
+    ("scale_federation", {"n_clusters": 3},
+     "e1c6c2d18bcda763bcf5d759732dc4668636a6c3e5a786240edc96615141cf62"),
+    ("hier_3region", {"region_bandwidth": 5.0},
+     "194206470641b6f4a6c608b81d9a6bf7c9dde6735d5a808789d037c8494a3c0f"),
+]
+
+
+@pytest.mark.parametrize(
+    "preset,overrides,key", OVERRIDE_REQUEST_KEYS,
+    ids=[f"{preset}-{'-'.join(overrides)}" for preset, overrides, _ in OVERRIDE_REQUEST_KEYS],
+)
+def test_override_keeps_request_key(preset, overrides, key):
+    document = json.loads(json.dumps(build_scenario(preset, **overrides).to_dict()))
+    assert request_key(document)[2] == key
+    assert request_key({"preset": preset, "overrides": overrides})[2] == key

@@ -7,6 +7,7 @@ repo's own ``BENCHMARK.json`` and the gate's storm bound.
 
 import copy
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -193,3 +194,36 @@ def test_storm_without_result_fails():
 def test_missing_storm_fails():
     runs = [r for r in _runs() if not (r["workload"] == STORM and r["side"] == "parent")]
     assert _failures(runs) == [f"parent {STORM}: workload missing"]
+
+
+def _src_tree(root, body=b"x = 1\n"):
+    """A checkout-shaped directory holding ``src/pkg/mod.py``."""
+    (root / "src" / "pkg").mkdir(parents=True)
+    (root / "src" / "pkg" / "mod.py").write_bytes(body)
+    (root / "src" / "pkg" / "__init__.py").write_bytes(b"")
+    return root
+
+
+def test_tree_id_digests_src_without_git(tmp_path):
+    parent = perf_gate.tree_id(_src_tree(tmp_path / "parent"))
+    change = perf_gate.tree_id(_src_tree(tmp_path / "change", b"x = 2\n"))
+    same = perf_gate.tree_id(_src_tree(tmp_path / "same"))
+    assert parent["sha"] is None and parent["dirty"] is None
+    assert parent["src_sha256"] != change["src_sha256"]
+    assert parent["src_sha256"] == same["src_sha256"]
+
+
+def test_tree_id_reads_head_and_dirty_flag(tmp_path):
+    root = _src_tree(tmp_path / "repo")
+    git = ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "seed"], check=True)
+    head = subprocess.run([*git, "rev-parse", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+    clean = perf_gate.tree_id(root)
+    assert clean["sha"] == head and clean["dirty"] is False
+    (root / "src" / "pkg" / "mod.py").write_bytes(b"x = 2\n")
+    dirty = perf_gate.tree_id(root)
+    assert dirty["sha"] == head and dirty["dirty"] is True
+    assert dirty["src_sha256"] != clean["src_sha256"]

@@ -45,6 +45,23 @@ class TestOverrides:
             shard.scheduler.name == "MM" for shard in simulator.shards
         )
 
+    @pytest.mark.parametrize(
+        "preset,gateway,params",
+        [
+            ("fed_rebalance", "LOCALITY_FIRST", {"threshold": 16.0}),
+            ("fed_rebalance", "Locality-First", {"threshold": 16.0}),
+            ("fed_rebalance", "locality", {"threshold": 16.0}),
+            ("fed_adaptive", "LOCALITY", {"threshold": 16.0}),
+            ("fed_adaptive", "bandit", {"strategy": "ucb", "ucb_c": 1.0}),
+            ("fed_adaptive", "EET_AWARE_REMOTE", {}),
+        ],
+    )
+    def test_gateway_defaults_follow_registry_aliases(self, preset, gateway, params):
+        # Any spelling the gateway registry resolves gets the preset's defaults.
+        scenario = build_scenario(preset, gateway=gateway)
+        assert scenario.federation.gateway == gateway
+        assert scenario.federation.gateway_params == params
+
     def test_with_gateway_copy(self):
         scenario = build_scenario("edge_cloud")
         swapped = scenario.with_gateway("RANDOM_SPLIT", weights=[0.5, 0.5])

@@ -32,12 +32,14 @@ Usage::
 
 ``--out`` writes every run as one record (``pair``, ``side``, ``workload``,
 ``args``, ``result``) under ``runs``, the shape of the ``BENCH_*.json``
-trajectory files. The exit status is 0 on pass and 1 on failure.
+trajectory files, and under ``trees`` which tree each side measured
+(:func:`tree_id`). The exit status is 0 on pass and 1 on failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -77,12 +79,30 @@ def load_benchmark(checkout: Path) -> dict[str, Any]:
     return json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
-def git_sha(checkout: Path) -> str | None:
-    out = subprocess.run(
-        ["git", "-C", str(checkout), "rev-parse", "HEAD"],
-        capture_output=True, text=True,
-    )
-    return out.stdout.strip() if out.returncode == 0 else None
+def tree_id(checkout: Path) -> dict[str, Any]:
+    """Which tree *checkout* holds, recorded next to its runs.
+
+    ``sha`` is its git HEAD and ``dirty`` whether its work tree differs from
+    HEAD (both None without a ``.git``, e.g. for a ``git archive`` copy).
+    ``src_sha256`` digests the sorted paths and bytes of ``src/**/*.py``, so
+    an uncommitted change and an archived parent are told apart as well.
+    """
+    def git(*args: str) -> str | None:
+        if not (checkout / ".git").exists():
+            return None
+        out = subprocess.run(["git", "-C", str(checkout), *args],
+                             capture_output=True, text=True)
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    digest = hashlib.sha256()
+    for path in sorted((checkout / "src").rglob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(checkout).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    status = git("status", "--porcelain")
+    return {"sha": git("rev-parse", "HEAD"),
+            "dirty": None if status is None else status != "",
+            "src_sha256": digest.hexdigest()}
 
 
 def legs(benchmark: dict[str, Any]) -> dict[str, list[dict]]:
@@ -224,8 +244,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.out is not None:
         record = {
-            "parent_sha": git_sha(dirs["parent"]),
-            "change_sha": git_sha(dirs["change"]),
+            "trees": {side: tree_id(dirs[side]) for side in SIDES},
             "nproc": os.cpu_count(),
             "host": f"{platform.machine()} {platform.system()}, "
                     f"Python {platform.python_version()}",
