@@ -21,7 +21,11 @@ exact goldens to pin field by field:
 * building and running a preset leaves its ``Scenario`` unchanged;
 * stepped with an observer, every preset pops each event with the
   priority of its type, in strictly increasing ``(time, priority, seq)``
-  order, and ends with the summary and event count of ``run()``.
+  order, and ends with the summary and event count of ``run()``;
+* each preset's popped event stream, seqs left out, matches a pinned
+  sha256, and so do each federated preset's WAN books (per-link usage,
+  total WAN time and the offload energy split), so a WAN or engine
+  refactor that reorders events or re-associates an accumulator fails.
 
 The smaller federated presets are pinned exactly in
 ``test_golden_metrics.py``, which implies the same floors there: task
@@ -33,6 +37,8 @@ and ``test_migration_conservation``) and ``total_tasks == 420`` on
 """
 
 import dataclasses
+import hashlib
+import json
 import math
 from collections import Counter
 
@@ -42,9 +48,10 @@ from repro.core.config import Scenario
 from repro.core.errors import SimulationStateError
 from repro.core.events import EVENT_PRIORITY
 from repro.machines.eet_generation import generate_eet_cvb
-from repro.net.wan import _EPS_MB, TransferPhase
+from repro.machines.machine import Machine
+from repro.net.wan import _EPS_MB, LinkChannel, TransferPhase
 from repro.scenarios import available_scenarios, build_scenario
-from repro.tasks.task import TaskStatus
+from repro.tasks.task import Task, TaskStatus
 
 
 def _cvb_mect(machines_per_type):
@@ -252,16 +259,63 @@ def test_queueing_links_are_not_busy_past_the_run(ran, preset):
             assert channel.busy_time <= result.end_time, channel.label
 
 
+def _payload_key(payload):
+    """What identifies an event's payload, seqs and object ids left out."""
+    if payload is None:  # a rebalancer tick
+        return None
+    if isinstance(payload, Task):
+        return payload.id
+    if isinstance(payload, Machine):  # a failure or repair
+        return payload.name
+    if isinstance(payload, LinkChannel):  # a serialisation or traffic tick
+        return payload.label
+    if (
+        type(payload) is tuple
+        and len(payload) == 2
+        and isinstance(payload[0], Machine)
+        and isinstance(payload[1], Task)
+    ):  # a completion or in-cluster delivery
+        return [payload[0].name, payload[1].id]
+    raise AssertionError(f"unknown event payload type {type(payload).__name__}")
+
+
+#: preset -> sha256 of its popped ``(time, priority, type, cluster,
+#: payload key)`` stream, one JSON line per event.
+EVENT_STREAMS = {
+    "classroom_homogeneous": "20e0890a2c94f0aa93ffa319a1b0389dd1179dd61f42f47769fa7ea725793d5c",
+    "diurnal_wan": "8761870c374befdb846527b167c8ff9678caece42f74780d266ea8ea2ec720f3",
+    "edge_ai": "c09711907a6824b3d282f85621e128428c5338a021cf4fff73841510b1073d01",
+    "edge_cloud": "d72cbaf35c0ca75d4f07cda7dd1b4dc33f8cb79131d37b560d8316faba35f737",
+    "fed_adaptive": "6e49c11af143fc3a81238eb75d405686a31d71f244ad84ee9f6ff873b2ee19bd",
+    "fed_congested": "d25f19cc38e3f24bcfd3af4c74328eea415437b65ff267a4cc41757631d8ac01",
+    "fed_heavytail": "36f96582cd7fed0ba747fbb271b9ec0f94bccce18e92aa5ca13b00128d94b5a1",
+    "fed_rebalance": "5bcb5edfdcddc08c745e2e74b6b74a405952288e2c16bb1a120875303b47891f",
+    "geo_3site": "3ca373f538fe9f3d727cca8b851e21343a08e68ede9e00427227f1f14cadf76f",
+    "hier_3region": "875407924dc6f9129a0346dce3d2aae6c92894784f8ee212d08c85e39bf51b27",
+    "hier_deep": "356c5f8cb6e8a62e3e8ce6bf4b6f30f7a02e10e6e61afafab22c14ebeba09416",
+    "satellite_imaging": "72316603b921f219fb2cfdfa033c8d9c7303e0a1e517bdf20e1bc5290769edb9",
+    "scale_campus": "a9c3435f658f2d966c06ead7b54928dca2ceea66113d133da2db72fd8d84a697",
+    "scale_datacenter": "1a1669d3ba4d6b26357298af487f8c422069a235bbd7af179136dd491821a2a5",
+    "scale_federation": "345f0ea9ff951cba92692388a349b29f8ea299cb690b592f5440497c74b20665",
+    "scale_heavytail": "0b8fa1bff766c6b5d2d62d2e28f1218410e84b25cc659a21c55c6d94d6c46f39",
+    "trace_replay": "f5623a947ac6b6905985dcd0fef0799ae7483c8bd7e756705856cea2dbfc1aca",
+}
+
+
 @pytest.mark.parametrize("preset", available_scenarios())
 def test_stepped_events_pop_in_key_order(ran, preset):
     # The hot push sites build their event tuples in place: each must carry
     # its type's priority, and the heap must pop them in key order.
     simulator = build_scenario(preset).build_simulator()
     keys = []
+    stream = hashlib.sha256()
 
     def observe(sim, event):
         assert event[1] == EVENT_PRIORITY[event[3]], event
         keys.append(event[:3])
+        time, priority, _, etype, payload, cluster = event
+        line = [time, priority, etype.value, cluster, _payload_key(payload)]
+        stream.update(json.dumps(line).encode() + b"\n")
 
     simulator.observers.append(observe)
     result = simulator.run()
@@ -270,6 +324,40 @@ def test_stepped_events_pop_in_key_order(ran, preset):
     reference = ran(preset)[1]
     assert result.summary == reference.summary
     assert result.events_processed == reference.events_processed
+    assert stream.hexdigest() == EVENT_STREAMS[preset]
+
+
+#: federated preset -> sha256 of its WAN books: every link's usage, the
+#: total WAN time and the offload energy split, floats at full precision.
+WAN_BOOKS = {
+    "diurnal_wan": "2c0cac2823ec242078352b71c50cd2c8b6066a4dbb1a69a9cf15a9b4aaa83db9",
+    "edge_cloud": "e0bb05e3b96e0c4288736a1c6daf73b9a8fad75d9dd222018d3cd9d9941476bf",
+    "fed_adaptive": "23f5718a6ca68cd1d4e9e21ad4d782d00f18149181bfe36bceafcd2df3a485dc",
+    "fed_congested": "a1978d292cf3d0ca0950046cdd828d26fca9594fa8d6411ae1cb69e7b0441f25",
+    "fed_heavytail": "7d5cd95b25225fbf38579760011a53e6192f5b3e61e39dd60a17e2e96840776a",
+    "fed_rebalance": "e330da4f2b961c402d8b261e64b229e1864763880dd9758fd9fb48dc83ce6ebc",
+    "geo_3site": "8b14ea9352daa283fcad1bd92a01b941b94b996d8b701d25e35138fcfdf1a75a",
+    "hier_3region": "f63d9bc16c0d1a872a5443d446981bf25616718f0149d454e1504bf9e8dab17c",
+    "hier_deep": "8219d7ad4b9d1acf638468cce41412ed05b06ed746b3b8b7f7442acbd455b1e8",
+    "scale_federation": "6b027ad31ac92c8ed0a914eab05b026dcd1e226b48a200f70aef388cded17981",
+}
+
+
+def _wan_books(result):
+    books = {
+        "wan_links": {
+            label: usage.as_dict() for label, usage in result.wan_links.items()
+        },
+        "wan_time_total": result.wan_time_total,
+        "energy_split": result.energy_split.as_dict(),
+    }
+    payload = json.dumps(books, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("preset", FEDERATED)
+def test_wan_books_match_their_pins(run, preset):
+    assert _wan_books(run(preset)) == WAN_BOOKS[preset]
 
 
 def _without_drops(preset):
