@@ -36,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.config import Scenario
+from ..core.errors import UnknownGatewayError
 from ..federation.spec import ClusterSpec, FederationSpec, MigrationSpec
 from ..machines.eet import EETMatrix
 from ..machines.eet_generation import generate_eet_cvb
@@ -156,7 +157,11 @@ def _access_relief(
         idle_watts=2.0, busy_watts=12.0,
     )
     gparams = dict(gateway_params or {})
-    for key, value in gateway_defaults.get(gateway_class(gateway).name, {}).items():
+    try:
+        defaults = gateway_defaults.get(gateway_class(gateway).name, {})
+    except UnknownGatewayError:
+        defaults = {}  # Scenario.check_recipe refuses the name
+    for key, value in defaults.items():
         gparams.setdefault(key, value)
     federation = FederationSpec(
         clusters=[

@@ -152,6 +152,10 @@ class TestErrors:
         [
             ("edge_cloud", {"gateway": "bogus"},
              r"federation\.gateway: unknown gateway policy 'bogus'"),
+            ("fed_rebalance", {"gateway": "bogus"},
+             r"federation\.gateway: unknown gateway policy 'bogus'"),
+            ("fed_adaptive", {"gateway": "bogus"},
+             r"federation\.gateway: unknown gateway policy 'bogus'"),
             ("edge_cloud", {"gateway_params": {"bogus": 1}},
              r"federation\.gateway_params: bad parameters"),
             ("fed_rebalance", {"migration": "NOPE"},
@@ -163,7 +167,8 @@ class TestErrors:
              r"federation\.gateway: gateway 'LEAST_LOADED' does not support"),
         ],
         ids=[
-            "gateway-unknown", "gateway-params", "eviction-unknown",
+            "gateway-unknown", "gateway-unknown-access-relief",
+            "gateway-unknown-adaptive", "gateway-params", "eviction-unknown",
             "eviction-params", "flat-gateway-on-tree",
         ],
     )
