@@ -10,6 +10,7 @@ the intensity calibrator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
@@ -41,7 +42,7 @@ class Workload:
                 f"task type indices must be 0..n-1 without gaps, got {indices}"
             )
         self._by_name = {t.name: t for t in self.task_types}
-        self.tasks = sorted(self.tasks, key=lambda t: (t.arrival_time, t.id))
+        self.tasks = sorted(self.tasks, key=attrgetter("arrival_time", "id"))
         ids = [t.id for t in self.tasks]
         if len(set(ids)) != len(ids):
             raise WorkloadError("duplicate task ids in workload")
@@ -117,13 +118,19 @@ class Workload:
         if type_idx.size and (type_idx.min() < 0 or type_idx.max() >= len(task_types)):
             raise WorkloadError("from_arrays: task type index out of range")
         order = np.argsort(arrivals, kind="stable")
+        # Python ints and floats, one .tolist() per column in arrival order.
+        columns = zip(
+            type_idx[order].tolist(),
+            arrivals[order].tolist(),
+            dls[order].tolist(),
+        )
         tasks = [
             Task(
                 id=id_offset + rank,
-                task_type=task_types[int(type_idx[i])],
-                arrival_time=float(arrivals[i]),
-                deadline=float(dls[i]),
+                task_type=task_types[index],
+                arrival_time=arrival,
+                deadline=deadline,
             )
-            for rank, i in enumerate(order)
+            for rank, (index, arrival, deadline) in enumerate(columns)
         ]
         return cls(task_types=task_types, tasks=tasks)
