@@ -225,10 +225,12 @@ def offload_energy_split(
     overrides that per-crossing cost for topologies where origin and
     destination are not directly linked (hierarchical federations charge
     every uplink hop along the tree path); ``None`` keeps the direct-link
-    lookup.
+    lookup. Each ``(origin, destination, megabytes)`` crossing is priced
+    once per call: the memo returns the float the first pricing summed.
     """
     local_n = offloaded_n = 0
     local_e = offloaded_e = wan_e = 0.0
+    priced: dict[tuple[int, int, float], float] = {}
     for task in tasks:
         if task.status is not TaskStatus.COMPLETED:
             continue
@@ -240,11 +242,17 @@ def offload_energy_split(
         else:
             offloaded_n += 1
             offloaded_e += energy
-            if energy_fn is not None:
-                wan_e += energy_fn(origin, cluster, task.task_type.data_in)
-            else:
-                link = topology.link_between(names[origin], names[cluster])
-                wan_e += link.transfer_energy(task.task_type.data_in)
+            megabytes = task.task_type.data_in
+            route = (origin, cluster, megabytes)
+            cost = priced.get(route)
+            if cost is None:
+                if energy_fn is not None:
+                    cost = energy_fn(origin, cluster, megabytes)
+                else:
+                    link = topology.link_between(names[origin], names[cluster])
+                    cost = link.transfer_energy(megabytes)
+                priced[route] = cost
+            wan_e += cost
     return OffloadEnergySplit(
         local_completed=local_n,
         offloaded_completed=offloaded_n,

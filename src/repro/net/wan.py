@@ -98,6 +98,16 @@ class TransferPhase(enum.Enum):
     CANCELLED = "cancelled"      # deadline fired while still in the WAN
 
 
+# Bound at module level like the event types above: each WAN hop sets its
+# transfer's phase three times and tests it at delivery.
+_DIRECT = TransferPhase.DIRECT
+_QUEUED = TransferPhase.QUEUED
+_SERVING = TransferPhase.SERVING
+_PROPAGATING = TransferPhase.PROPAGATING
+_DELIVERED = TransferPhase.DELIVERED
+_CANCELLED = TransferPhase.CANCELLED
+
+
 class WanTransfer:
     """One task crossing one WAN link (the unit the channels queue).
 
@@ -134,7 +144,7 @@ class WanTransfer:
         self.submitted_at = submitted_at
         self.started_at = submitted_at
         self.remaining_mb = megabytes
-        self.phase = TransferPhase.QUEUED
+        self.phase = _QUEUED
         self.channel = channel
         self.service_event: Event | None = None
         self.delivery_event: Event | None = None
@@ -286,7 +296,7 @@ class LinkChannel:
         """Transfers currently occupying or waiting for the pipe."""
         if self._fifo_mode:
             waiting = sum(
-                1 for t in self._fifo if t.phase is TransferPhase.QUEUED
+                1 for t in self._fifo if t.phase is _QUEUED
             )
             return waiting + (1 if self._serving is not None else 0)
         if self._ps_mode:
@@ -417,14 +427,14 @@ class LinkChannel:
             if self._serving is None:
                 self._start_service(transfer, now)
             else:
-                transfer.phase = TransferPhase.QUEUED
+                transfer.phase = _QUEUED
                 self._fifo.append(transfer)
                 self._queued_mb += transfer.megabytes
             self._schedule_tick(now)
             return
         if self._ps_mode:
             self._elapse(now)
-            transfer.phase = TransferPhase.SERVING
+            transfer.phase = _SERVING
             transfer.started_at = now
             self._active.append(transfer)
             self._reschedule(now)
@@ -432,12 +442,12 @@ class LinkChannel:
             return
         # "none": the legacy single delivery event, scheduled by the caller
         # (WanManager) so the event creation order matches PR 3 exactly.
-        transfer.phase = TransferPhase.DIRECT
+        transfer.phase = _DIRECT
 
     # -- FIFO machinery ---------------------------------------------------------------
 
     def _start_service(self, transfer: WanTransfer, now: float) -> None:
-        transfer.phase = TransferPhase.SERVING
+        transfer.phase = _SERVING
         transfer.started_at = now
         self.wait_time += now - transfer.submitted_at
         self._drained_at = now
@@ -450,7 +460,7 @@ class LinkChannel:
     def _start_next(self, now: float) -> None:
         while self._fifo:
             candidate = self._fifo.popleft()
-            if candidate.phase is TransferPhase.CANCELLED:
+            if candidate.phase is _CANCELLED:
                 continue
             self._queued_mb -= candidate.megabytes
             self._start_service(candidate, now)
@@ -534,7 +544,7 @@ class LinkChannel:
         self.transfer_energy += self.link.transfer_energy(transfer.megabytes)
         self.mb_delivered += transfer.megabytes
         transfer.remaining_mb = 0.0
-        transfer.phase = TransferPhase.PROPAGATING
+        transfer.phase = _PROPAGATING
         kind, seq = transfer.kind, next(_events._seq_counter)
         transfer.delivery_event = self._events.push(
             (now + self.link.latency, EVENT_PRIORITY[kind], seq, kind, transfer.task, transfer.tag)
@@ -544,7 +554,7 @@ class LinkChannel:
 
     def on_delivered(self, transfer: WanTransfer) -> None:
         """The transfer's task reached its destination shard."""
-        if transfer.phase is TransferPhase.DIRECT:
+        if transfer.phase is _DIRECT:
             # Legacy discipline: all accounting happens at delivery.
             serial = self.link.service_time(transfer.megabytes)
             self.busy_time += serial
@@ -552,7 +562,7 @@ class LinkChannel:
                 transfer.megabytes
             )
             self.mb_delivered += transfer.megabytes
-        transfer.phase = TransferPhase.DELIVERED
+        transfer.phase = _DELIVERED
         transfer.delivery_event = None
         self.delivered += 1
 
@@ -567,12 +577,12 @@ class LinkChannel:
         link = self.link
         phase = transfer.phase
         self.abandoned += 1
-        if phase is TransferPhase.QUEUED:
+        if phase is _QUEUED:
             # Lazily removed from the FIFO by _start_next.
             self._queued_mb -= transfer.megabytes
             self.mb_abandoned += transfer.megabytes
             self.wait_time += now - transfer.submitted_at
-        elif phase is TransferPhase.SERVING:
+        elif phase is _SERVING:
             if self._fifo_mode:
                 elapsed = now - transfer.started_at
                 if self._traffic is None:
@@ -606,13 +616,13 @@ class LinkChannel:
                 self._reschedule(now)
             if self._traffic is not None and not self._busy():
                 self._cancel_tick()
-        elif phase is TransferPhase.PROPAGATING:
+        elif phase is _PROPAGATING:
             # Payload already crossed (and was charged); only the delivery
             # is abandoned.
             if transfer.delivery_event is not None:
                 self._events.cancel(transfer.delivery_event)
                 transfer.delivery_event = None
-        elif phase is TransferPhase.DIRECT:
+        elif phase is _DIRECT:
             if transfer.delivery_event is not None:
                 self._events.cancel(transfer.delivery_event)
                 transfer.delivery_event = None
@@ -630,7 +640,7 @@ class LinkChannel:
                 f"cannot cancel transfer of task {transfer.task.id} "
                 f"in phase {phase.value}"
             )
-        transfer.phase = TransferPhase.CANCELLED
+        transfer.phase = _CANCELLED
 
     # -- reporting ---------------------------------------------------------------------
 
@@ -857,16 +867,16 @@ class WanManager:
 
     def on_delivered(self, transfer: WanTransfer, now: float) -> None:
         """A WAN delivery event fired: the task is at its destination."""
-        if transfer.phase is not TransferPhase.DIRECT:
+        if transfer.phase is not _DIRECT:
             self.total_time += now - transfer.submitted_at
         transfer.channel.on_delivered(transfer)
 
     def cancel(self, transfer: WanTransfer, now: float) -> None:
         """Deadline fired mid-WAN; free the link and account the abandon."""
         if transfer.phase in (
-            TransferPhase.QUEUED,
-            TransferPhase.SERVING,
-            TransferPhase.PROPAGATING,
+            _QUEUED,
+            _SERVING,
+            _PROPAGATING,
         ):
             self.total_time += now - transfer.submitted_at
         transfer.channel.cancel(transfer, now)
