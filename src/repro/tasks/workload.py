@@ -118,12 +118,8 @@ class Workload:
         if type_idx.size and (type_idx.min() < 0 or type_idx.max() >= len(task_types)):
             raise WorkloadError("from_arrays: task type index out of range")
         order = np.argsort(arrivals, kind="stable")
-        # Python ints and floats, one .tolist() per column in arrival order.
-        columns = zip(
-            type_idx[order].tolist(),
-            arrivals[order].tolist(),
-            dls[order].tolist(),
-        )
+        # Python ints and floats, one .tolist() per column in arrival order;
+        # the column lists are freed with the comprehension, before the sort.
         tasks = [
             Task(
                 id=id_offset + rank,
@@ -131,6 +127,12 @@ class Workload:
                 arrival_time=arrival,
                 deadline=deadline,
             )
-            for rank, (index, arrival, deadline) in enumerate(columns)
+            for rank, (index, arrival, deadline) in enumerate(
+                zip(
+                    type_idx[order].tolist(),
+                    arrivals[order].tolist(),
+                    dls[order].tolist(),
+                )
+            )
         ]
         return cls(task_types=task_types, tasks=tasks)
